@@ -5,6 +5,11 @@ Every stochastic result carries its seed, every number is attributed to the
 byte-identical CSV/JSON output (timing is only included on request, since it
 is the one inherently non-deterministic report field).
 
+``staged --patterns exhaustive`` reports the exact average over every balanced
+pattern pair, computed by dynamic programming rather than by enumeration.
+Both pattern modes also draw a seeded sample, whose int64 index range bounds
+them at 34 stages.
+
 Exit codes: 0 success, 2 configuration error, 3 engine error.
 """
 
@@ -29,6 +34,7 @@ from .circuits import (
 )
 from .density import (
     basis_density,
+    exhaustive_average,
     expectation,
     negativity,
     partial_trace,
@@ -55,8 +61,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
-#: exhaustive averaging is refused above this pattern-pair population
-EXHAUSTIVE_CAP = 10 ** 6
+#: pattern-pair indices are drawn as int64, so a population must stay below this
+SAMPLE_INDEX_LIMIT = 2 ** 63
+#: pattern count of the sampled preview shown beside an exhaustive average
+PREVIEW_PATTERNS = 16
 
 AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
@@ -324,11 +332,18 @@ def cmd_staged(args) -> int:
     if cfg.p is not None:
         raise ConfigError("the staged network models dephasing via --patterns, not --p")
     mode, count = _parse_patterns(cfg.patterns)
-    if mode != "none" and cfg.stages % 2:
-        raise ConfigError("balanced dephasing patterns need an even stage count")
-    if mode == "sampled":
+    if mode != "none":
+        if cfg.stages % 2:
+            raise ConfigError("balanced dephasing patterns need an even stage count")
         population = pattern_population(cfg.stages, balanced=True)
-        if count > population:
+        if population >= SAMPLE_INDEX_LIMIT:
+            raise ConfigError(
+                f"--stages {cfg.stages} gives {population} balanced pattern pairs, beyond "
+                "the 2**63 the seeded sampler can index; use at most 34 stages"
+            )
+        if mode == "exhaustive":
+            count = min(PREVIEW_PATTERNS, population)
+        elif count > population:
             raise ConfigError(
                 f"sampled:{count} exceeds the pattern population {population} "
                 f"for {cfg.stages} stages"
@@ -342,25 +357,17 @@ def cmd_staged(args) -> int:
     variants = {"undephased": _variant_report(undephased, cfg, axes)}
     dump_rho = undephased
 
-    if mode in ("sampled", "exhaustive"):
-        sample_count = count if mode == "sampled" else 16
-        patterns = sample_patterns(cfg.stages, sample_count, balanced=True, seed=cfg.seed)
+    if mode != "none":
+        patterns = sample_patterns(cfg.stages, count, balanced=True, seed=cfg.seed)
         averaged = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, initial)
         variants["sampled"] = {
             **_variant_report(averaged, cfg, axes),
-            "pattern_count": sample_count,
+            "pattern_count": count,
             "seed": cfg.seed,
         }
         dump_rho = averaged
     if mode == "exhaustive":
-        population = pattern_population(cfg.stages, balanced=True)
-        if population > EXHAUSTIVE_CAP:
-            raise ConfigError(
-                f"exhaustive averaging over {population} pattern pairs exceeds the cap "
-                f"of {EXHAUSTIVE_CAP}; use sampled:N instead"
-            )
-        patterns = sample_patterns(cfg.stages, population, balanced=True, seed=cfg.seed)
-        averaged = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, initial)
+        averaged = exhaustive_average(cfg.stages, initial)
         variants["exhaustive"] = {
             **_variant_report(averaged, cfg, axes),
             "pattern_count": population,
@@ -383,6 +390,11 @@ def cmd_staged(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
+    if cfg.patterns != "none":
+        raise ConfigError(
+            f"--patterns {cfg.patterns} is not supported by run, which evaluates the "
+            "undephased network; use the staged command for pattern averages"
+        )
     axes = AXES_CHOICES[cfg.axes]
     alt_name = next(name for name in AXES_CHOICES if name != cfg.axes)
     alt_axes = AXES_CHOICES[alt_name]
@@ -486,7 +498,12 @@ def _add_common(sub: argparse.ArgumentParser, *, stages: bool = False) -> None:
     if stages:
         sub.add_argument("--stages", help="partial-swap stages per link (default 8)")
         sub.add_argument(
-            "--patterns", help="dephasing pattern mode: none, sampled:N or exhaustive"
+            "--patterns",
+            help=(
+                "dephasing pattern mode: none, sampled:N, or exhaustive (the exact "
+                "average over all balanced pattern pairs, by dynamic programming; "
+                "staged command only, at most 34 stages)"
+            ),
         )
     sub.add_argument("--out", help="write output to this path instead of stdout")
 

@@ -5,17 +5,21 @@ pseudo-pure states, temporal averaging over dephasing patterns, expectations,
 and the negativity entanglement monotone.  All operations are pure functions
 on immutable values; pattern averages reduce in the caller-supplied pattern
 order, so averaged results are bit-stable regardless of worker count.
+``exhaustive_average`` gives the exact average over all C(s, s/2)^2 balanced
+patterns of the staged network by dynamic programming, in O(s^2) evolutions
+(O(s^3) with interleaved links) instead of one circuit per pattern pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, DephasingPattern, GateOp, TimeSlice
+from .circuits import B, C, D, Circuit, DephasingPattern, GateOp, TimeSlice, build_staged, z
 from .pauli import BasisState, PauliSum, single
 
 __all__ = [
@@ -24,6 +28,7 @@ __all__ = [
     "apply_gate",
     "apply_phase_flip",
     "basis_density",
+    "exhaustive_average",
     "expectation",
     "gate_unitary",
     "negativity",
@@ -296,6 +301,55 @@ def temporal_average(
         final = _evolve_raw(builder(pattern), initial.entries)
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
+
+
+def exhaustive_average(
+    stages: int,
+    initial: DensityMatrix,
+    *,
+    interleaved: bool = False,
+    z_first: bool = False,
+) -> DensityMatrix:
+    """Exact uniform average of the staged network over every balanced pattern pair.
+
+    Equals ``temporal_average`` over ``exhaustive_patterns(stages)`` with the
+    matching ``build_staged`` options, up to floating-point summation order.
+    The undephased circuit is walked once while a table of unnormalised
+    state sums, keyed by the dephased-stage counts on the B-C and C-D links,
+    branches at each partial swap into its plain and its dephased gate
+    (Z on C after the swap, or before it with ``z_first``).  Counts that can
+    no longer end at stages/2 on their link are dropped.  Reduction order is
+    fixed, so the result is bit-stable run to run.
+    """
+    if stages < 2 or stages % 2:
+        raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
+    circuit = build_staged(stages, interleaved=interleaved, z_first=z_first)
+    if initial.n != circuit.n:
+        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    half = stages // 2
+    link_of = {(B, C): 0, (C, D): 1}
+    left = [stages, stages]
+    zc = gate_unitary(z(C), circuit.n)
+    sums = {(0, 0): initial.entries}
+    for op in circuit.gates:
+        u = gate_unitary(op, circuit.n)
+        if op.kind != "PARTIAL_SWAP":
+            sums = {key: u @ rho @ u.conj().T for key, rho in sums.items()}
+            continue
+        link = link_of[op.qubits]
+        left[link] -= 1
+        branches = ((u, 0), (u @ zc if z_first else zc @ u, 1))
+        grown: dict[tuple[int, ...], np.ndarray] = {}
+        for key, rho in sums.items():
+            for v, dephased in branches:
+                count = key[link] + dephased
+                if count > half or count + left[link] < half:
+                    continue
+                child_key = key[:link] + (count,) + key[link + 1:]
+                child = v @ rho @ v.conj().T
+                grown[child_key] = grown[child_key] + child if child_key in grown else child
+        sums = grown
+    return DensityMatrix(sums[(half, half)] / comb(stages, half) ** 2)
 
 
 def state_to_bytes(rho: DensityMatrix) -> bytes:

@@ -1,13 +1,11 @@
 import pytest
 
-from medwit.circuits import build_staged, exhaustive_patterns
-from medwit.density import basis_density, temporal_average
+from helpers import brute_force_average
+from medwit.density import basis_density
 from medwit.pauli import BasisState
 
 
 @pytest.fixture(scope="session")
 def exhaustive_average_1100():
-    """Exhaustively averaged final state of the 8-stage dephased run from |1100>."""
-    initial = basis_density(BasisState.from_string("1100"))
-    patterns = exhaustive_patterns(8)
-    return temporal_average(lambda pat: build_staged(8, pat), patterns, initial)
+    """Brute-force exhaustive average of the 8-stage dephased run from |1100>."""
+    return brute_force_average(8, basis_density(BasisState.from_string("1100")))

@@ -2,7 +2,9 @@
 
 The reference matrix builders here deliberately avoid the package's own dense
 conversion, so symbolic results are always checked against an independent
-numerical route.
+numerical route.  ``brute_force_average`` is the reference for the package's
+dynamic-programming exhaustive average: it builds and evolves one concrete
+circuit per balanced pattern pair.
 """
 
 from __future__ import annotations
@@ -11,8 +13,19 @@ from functools import reduce
 
 import numpy as np
 
-from medwit.circuits import Circuit, GateOp, SLICE, cnot, cphase, h, swap, z
-from medwit.density import DensityMatrix
+from medwit.circuits import (
+    Circuit,
+    GateOp,
+    SLICE,
+    build_staged,
+    cnot,
+    cphase,
+    exhaustive_patterns,
+    h,
+    swap,
+    z,
+)
+from medwit.density import DensityMatrix, temporal_average
 from medwit.pauli import PauliSum, PauliTerm
 
 REF_PAULI = {
@@ -94,3 +107,14 @@ def random_density(rng: np.random.Generator, n: int, rank: int = 3) -> DensityMa
         vec = haar_vector(rng, dim)
         entries += w * np.outer(vec, vec.conj())
     return DensityMatrix(entries)
+
+
+def brute_force_average(
+    stages: int, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
+) -> DensityMatrix:
+    """Uniform average of the staged network over all C(s, s/2)^2 balanced pattern pairs."""
+    return temporal_average(
+        lambda pat: build_staged(stages, pat, interleaved=interleaved, z_first=z_first),
+        exhaustive_patterns(stages),
+        initial,
+    )

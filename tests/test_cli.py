@@ -1,6 +1,7 @@
 """CLI tests: commands, exit codes, determinism, config-file precedence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ class TestStagedCommand:
         code, _, _ = run_cli(capsys, "staged", "--p", "0.5")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("stages", ["14", "34"])
+    def test_exhaustive_runs_up_to_34_stages(self, capsys, stages):
+        code, out, _ = run_cli(capsys, "staged", "--stages", stages, "--patterns", "exhaustive")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        exhaustive = report["variants"]["exhaustive"]
+        assert exhaustive["pattern_count"] == math.comb(int(stages), int(stages) // 2) ** 2
+        assert report["variants"]["sampled"]["pattern_count"] == 16
+        # the transferred entanglement stays suppressed as the stage count grows
+        assert 0 <= exhaustive["negativity_AD"]["value"] < 1e-4
+
+    @pytest.mark.parametrize(
+        "stages, patterns", [("40", "sampled:3"), ("36", "exhaustive")]
+    )
+    def test_population_beyond_int64_is_a_config_error(self, capsys, stages, patterns):
+        code, _, err = run_cli(capsys, "staged", "--stages", stages, "--patterns", patterns)
+        assert code == EXIT_CONFIG
+        assert "--stages" in err
+
 
 class TestRunCommand:
     def test_engine_tags_and_cross_engine_agreement(self, capsys):
@@ -192,6 +212,16 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--format", "text")
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("medwit run")
+
+    def test_patterns_are_rejected_from_flag_and_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--network", "staged", "--patterns", "sampled:4")
+        assert code == EXIT_CONFIG
+        assert "--patterns" in err
+        config = tmp_path / "run.cfg"
+        config.write_text("network = staged\npatterns = exhaustive\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--patterns" in err
 
 
 class TestConfigFile:

@@ -3,19 +3,24 @@
 The constants below were computed once by the dense engine by averaging over
 the complete balanced pattern population (70 x 70 pairs, 8 stages, initial
 |1100>, Z applied after each dephased partial swap) and are pinned here as
-regression values.  Tolerance 1e-12 guards against BLAS reduction-order
-variation; exact bit-stability across repeated runs is asserted separately.
+regression values.  Every exhaustive pin is checked against both the
+brute-force oracle (one circuit per pattern pair, ``helpers.brute_force_average``)
+and the dynamic-programming ``density.exhaustive_average``.  Tolerance 1e-12
+guards against summation-order variation between the two; exact
+bit-stability across repeated runs is asserted separately.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import brute_force_average
 from medwit.circuits import (
     SLICE,
     Circuit,
     build_staged,
     cnot,
-    exhaustive_patterns,
     h,
     partial_swap,
     phase_flip,
@@ -23,9 +28,11 @@ from medwit.circuits import (
 )
 from medwit.density import (
     basis_density,
+    exhaustive_average,
     expectation,
     negativity,
     partial_trace,
+    pseudo_pure,
     run_network_density,
     temporal_average,
     witness_observable,
@@ -114,21 +121,60 @@ class TestExhaustiveAverage:
         assert report.lines["A"]["B"].antiphase == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
         assert report.lines["D"]["A"].antiphase == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
 
-    def test_average_is_bit_stable(self, exhaustive_average_1100):
-        again = temporal_average(
-            lambda pat: build_staged(8, pat), exhaustive_patterns(8), basis_density(INITIAL)
-        )
-        assert np.array_equal(again.entries, exhaustive_average_1100.entries)
+    def test_average_is_bit_stable(self):
+        first = exhaustive_average(8, basis_density(INITIAL))
+        again = exhaustive_average(8, basis_density(INITIAL))
+        assert np.array_equal(again.entries, first.entries)
 
     def test_z_order_variants_agree_on_the_exhaustive_average(self, exhaustive_average_1100):
         # individual pattern circuits differ between the two orderings, but
         # the balanced-exhaustive ensemble average does not
-        flipped = temporal_average(
-            lambda pat: build_staged(8, pat, z_first=True),
-            exhaustive_patterns(8),
-            basis_density(INITIAL),
-        )
+        flipped = exhaustive_average(8, basis_density(INITIAL), z_first=True)
         assert np.max(np.abs(flipped.entries - exhaustive_average_1100.entries)) < 1e-12
+
+
+class TestDynamicProgrammingAverage:
+    def test_matches_the_oracle_and_every_pin(self, exhaustive_average_1100):
+        dp = exhaustive_average(8, basis_density(INITIAL))
+        assert np.max(np.abs(dp.entries - exhaustive_average_1100.entries)) < PIN_TOL
+        assert expectation(dp, witness_observable(4, 0, 3, XX_ZZ)) == pytest.approx(
+            EXH_WITNESS_XX_ZZ, abs=PIN_TOL
+        )
+        assert negativity(partial_trace(dp, [0, 3]), [0]) == pytest.approx(
+            EXH_NEGATIVITY_AD, abs=PIN_TOL
+        )
+        for (a_axis, a_qubit, b_axis, b_qubit), pin in (
+            (("x", 0, "y", 1), EXH_XA_YB),
+            (("y", 0, "x", 1), EXH_YA_XB),
+            (("z", 0, "z", 1), EXH_ZA_ZB),
+            (("x", 0, "x", 3), EXH_XA_XD),
+            (("z", 0, "z", 3), EXH_ZA_ZD),
+        ):
+            got = expectation(dp, observable(a_axis, a_qubit, b_axis, b_qubit))
+            assert got == pytest.approx(pin, abs=PIN_TOL)
+        lines = antiphase_amplitudes(dp, readout=0).lines
+        assert lines["B"]["A"].antiphase == pytest.approx(EXH_B_ANTIPHASE_A, abs=PIN_TOL)
+        assert lines["A"]["B"].antiphase == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
+        assert lines["D"]["A"].antiphase == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        stages=st.sampled_from([2, 4, 6]),
+        interleaved=st.booleans(),
+        z_first=st.booleans(),
+        bits=st.text(alphabet="01", min_size=4, max_size=4),
+        epsilon=st.floats(0.0, 1.0),
+    )
+    def test_equals_brute_force(self, stages, interleaved, z_first, bits, epsilon):
+        initial = pseudo_pure(epsilon, BasisState.from_string(bits))
+        dp = exhaustive_average(stages, initial, interleaved=interleaved, z_first=z_first)
+        oracle = brute_force_average(stages, initial, interleaved=interleaved, z_first=z_first)
+        assert np.max(np.abs(dp.entries - oracle.entries)) < 1e-12
+
+    @pytest.mark.parametrize("stages", [0, 3])
+    def test_stage_count_must_be_even_and_positive(self, stages):
+        with pytest.raises(ValueError, match="even stage count"):
+            exhaustive_average(stages, basis_density(INITIAL))
 
 
 @pytest.fixture(scope="module")
