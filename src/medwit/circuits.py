@@ -189,24 +189,24 @@ def build_staged(
     alpha = 1.0 / stages
     bc = [False] * stages if pattern is None else list(pattern.bc_choices)
     cd = [False] * stages if pattern is None else list(pattern.cd_choices)
+    u_bc, u_cd, z_c = partial_swap(B, C, alpha), partial_swap(C, D, alpha), z(C)
 
-    def stage(link: tuple[int, int], dephased: bool) -> list[GateOp]:
-        u = partial_swap(link[0], link[1], alpha)
+    def stage(u: GateOp, dephased: bool) -> list[GateOp]:
         if not dephased:
             return [u]
-        return [z(C), u] if z_first else [u, z(C)]
+        return [z_c, u] if z_first else [u, z_c]
 
     ops: list = [h(A), cnot(A, B), SLICE]
     if interleaved:
         for k in range(stages):
-            ops += stage((B, C), bc[k]) + stage((C, D), cd[k])
+            ops += stage(u_bc, bc[k]) + stage(u_cd, cd[k])
         ops.append(SLICE)
     else:
         for k in range(stages):
-            ops += stage((B, C), bc[k])
+            ops += stage(u_bc, bc[k])
         ops.append(SLICE)
         for k in range(stages):
-            ops += stage((C, D), cd[k])
+            ops += stage(u_cd, cd[k])
         ops.append(SLICE)
     return Circuit(4, tuple(ops))
 

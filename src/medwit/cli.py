@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ EXIT_ENGINE = 3
 SAMPLE_INDEX_LIMIT = 2 ** 63
 #: pattern count of the sampled preview shown beside an exhaustive average
 PREVIEW_PATTERNS = 16
+#: a witness or negativity within this of 0 is reported as 0
+ZERO_TOL = 1e-10
 
 AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
@@ -129,7 +132,9 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if step <= 0:
                 raise ValueError("step must be positive")
-            count = round((stop - start) / step)
+            # floor, so no point passes stop; the slack keeps a stop that
+            # lies on the grid up to rounding (0.5 / 0.0005) as its last point
+            count = math.floor((stop - start) / step + 1e-9)
             grid = [start + i * step for i in range(count + 1)]
         else:
             grid = [float(v) for v in text.split(",") if v.strip()]
@@ -266,6 +271,30 @@ def _heisenberg_witness(frame, state: HeisenbergState, epsilon: float, axes) -> 
     base = expectation_basis(state.basis, obs)
     mixed = identity_component(obs).real
     return epsilon * base + (1.0 - epsilon) * mixed
+
+
+def _final_slice_notes(entry: dict) -> list[str]:
+    """Both witnesses and the negativity on the final slice, and which witness
+    misses entanglement there: one that reads 0 while the negativity is above 0."""
+    witnesses = (entry["witness"], entry["witness_alt"])
+    neg = entry["negativity_AD"]["value"]
+
+    def shown(value: float) -> str:
+        return f"{0.0 if abs(value) <= ZERO_TOL else value:.6g}"
+
+    notes = [
+        "final slice: "
+        + ", ".join(f"witness {w['axes']} = {shown(w['density'])}" for w in witnesses)
+        + f", negativity_AD = {shown(neg)}"
+    ]
+    if neg > ZERO_TOL:
+        notes += [
+            f"the {w['axes']} witness reads 0 while negativity_AD is {shown(neg)}, "
+            "so it misses the A-D entanglement"
+            for w in witnesses
+            if abs(w["density"]) <= ZERO_TOL
+        ]
+    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +472,6 @@ def cmd_run(args) -> int:
             }
         slices.append(entry)
 
-    notes = []
-    if cfg.network in ("asymmetric", "staged"):
-        notes.append(
-            "the two complementary witness axes disagree on this network: the xx-zz pair "
-            "attains magnitude 2 on the final state while xz-zx gives 0; both are reported"
-        )
     report = {
         "version": __version__,
         "command": "run",
@@ -459,7 +482,7 @@ def cmd_run(args) -> int:
             "engine": "density",
             **antiphase_amplitudes(density_states[-1], PROBE_1).to_dict(),
         },
-        "notes": notes,
+        "notes": _final_slice_notes(slices[-1]),
     }
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - started
@@ -475,7 +498,7 @@ def cmd_run(args) -> int:
                 + (f" heisenberg={_fmt(w['heisenberg'])}" if w["heisenberg"] is not None else "")
                 + f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
             )
-        for note in notes:
+        for note in report["notes"]:
             lines.append(f"note: {note}")
         _emit("\n".join(lines) + "\n", args.out)
     else:

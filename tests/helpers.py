@@ -4,7 +4,8 @@ The reference matrix builders here deliberately avoid the package's own dense
 conversion, so symbolic results are always checked against an independent
 numerical route.  ``brute_force_average`` is the reference for the package's
 dynamic-programming exhaustive average: it builds and evolves one concrete
-circuit per balanced pattern pair.
+circuit per balanced pattern pair.  ``per_circuit_average`` is the reference
+for the batched ``temporal_average``: it evolves one circuit at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from medwit.circuits import (
     swap,
     z,
 )
-from medwit.density import DensityMatrix, temporal_average
+from medwit.density import DensityMatrix, run_network_density, temporal_average
 from medwit.pauli import PauliSum, PauliTerm
 
 REF_PAULI = {
@@ -118,3 +119,15 @@ def brute_force_average(
         exhaustive_patterns(stages),
         initial,
     )
+
+
+def per_circuit_average(builder, patterns, initial: DensityMatrix, weights=None) -> DensityMatrix:
+    """Weighted sum of each pattern circuit's final state, evolved alone by
+    ``run_network_density`` and accumulated in pattern order."""
+    if weights is None:
+        weights = [1.0 / len(patterns)] * len(patterns)
+    accumulated = None
+    for pattern, weight in zip(patterns, weights):
+        final = run_network_density(builder(pattern), initial)[-1].entries
+        accumulated = weight * final if accumulated is None else accumulated + weight * final
+    return DensityMatrix(accumulated)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import table_data
-from medwit.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_OK, main
+from medwit.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_OK, _parse_grid, main
 from test_tables import split_cells
 
 
@@ -97,6 +97,20 @@ class TestSweepCommand:
     def test_bad_grid_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--p-grid", "0:2:0.5")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "grid, points", [("0:0.5:0.3", [0.0, 0.3]), ("0:1:0.35", [0.0, 0.35, 0.7])]
+    )
+    def test_grid_stops_at_or_before_stop(self, capsys, grid, points):
+        code, out, _ = run_cli(capsys, "sweep", "--p-grid", grid)
+        assert code == EXIT_OK
+        got = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert got == pytest.approx(points, abs=1e-15)
+
+    def test_fine_grid_keeps_its_stop(self):
+        grid = _parse_grid("0:0.5:0.0005")
+        assert len(grid) == 1001
+        assert grid == [0.0 + i * 0.0005 for i in range(1001)]
 
 
 class TestStagedCommand:
@@ -199,6 +213,33 @@ class TestRunCommand:
         assert final["witness_alt"]["axes"] == "xz-zx"
         assert abs(final["witness_alt"]["density"]) < 1e-10
         assert report["notes"]
+
+    def test_note_reports_computed_witness_magnitude(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--network", "asymmetric", "--epsilon", "0.5")
+        assert code == EXIT_OK
+        notes = json.loads(out)["notes"]
+        assert notes[0] == (
+            "final slice: witness xx-zz = 1, witness xz-zx = 0, negativity_AD = 0.125"
+        )
+        assert not any("magnitude 2" in note for note in notes)
+
+    def test_note_names_every_witness_that_misses_entanglement(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--network", "asymmetric", "--initial-bits", "0110"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        final = report["slices"][-1]
+        assert abs(final["witness"]["density"]) < 1e-10
+        assert abs(final["witness_alt"]["density"]) < 1e-10
+        assert abs(final["negativity_AD"]["value"] - 0.5) < 1e-10
+        assert report["notes"] == [
+            "final slice: witness xx-zz = 0, witness xz-zx = 0, negativity_AD = 0.5",
+            "the xx-zz witness reads 0 while negativity_AD is 0.5, "
+            "so it misses the A-D entanglement",
+            "the xz-zx witness reads 0 while negativity_AD is 0.5, "
+            "so it misses the A-D entanglement",
+        ]
 
     def test_staged_network_runs_density_only(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--network", "staged", "--stages", "4")

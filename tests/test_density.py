@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    per_circuit_average,
     random_clifford_gates,
     random_density,
     random_sum,
@@ -13,15 +16,19 @@ from medwit.circuits import (
     SLICE,
     Circuit,
     DephasingPattern,
+    build_staged,
     build_symmetric,
     cnot,
+    exhaustive_patterns,
     h,
     partial_swap,
     phase_flip,
+    sample_patterns,
     swap,
     z,
 )
 from medwit.density import (
+    _BATCH,
     DensityMatrix,
     apply_gate,
     apply_phase_flip,
@@ -229,29 +236,38 @@ class TestPseudoPure:
             pseudo_pure(1.5, ZERO4)
 
 
+def two_branch_builder(pattern: DephasingPattern) -> Circuit:
+    """A Bell stage on A-B, followed by Z on C when the first B-C choice is set."""
+    ops = [h(0), cnot(0, 1)]
+    if pattern.bc_choices[0]:
+        ops.append(z(2))
+    ops.append(SLICE)
+    return Circuit(4, tuple(ops))
+
+
+def channel_builder(pattern: DephasingPattern) -> Circuit:
+    """Partial swaps on B-C, each dephased stage k followed by a phase flip of p = (k+1)/10."""
+    ops = [h(0), cnot(0, 1), SLICE]
+    for k, dephased in enumerate(pattern.bc_choices):
+        ops.append(partial_swap(1, 2, 0.25))
+        if dephased:
+            ops.append(phase_flip(2, (k + 1) / 10))
+    ops.append(SLICE)
+    return Circuit(4, tuple(ops))
+
+
+BRANCHES = [DephasingPattern((False,), (False,)), DephasingPattern((True,), (False,))]
+
+
 class TestTemporalAverage:
     def test_two_branch_average_equals_half_intensity_channel(self):
         initial = apply_gate(apply_gate(basis_density(ZERO4), h(1)), h(2))
-
-        def builder(pattern: DephasingPattern) -> Circuit:
-            ops = [h(0), cnot(0, 1)]
-            if pattern.bc_choices[0]:
-                ops.append(z(2))
-            ops.append(SLICE)
-            return Circuit(4, tuple(ops))
-
-        branches = [
-            DephasingPattern((False,), (False,)),
-            DephasingPattern((True,), (False,)),
-        ]
-        averaged = temporal_average(builder, branches, initial)
+        averaged = temporal_average(two_branch_builder, BRANCHES, initial)
         prefix = apply_gate(apply_gate(initial, h(0)), cnot(0, 1))
         channel = apply_phase_flip(prefix, 2, 0.5)
         assert np.max(np.abs(averaged.entries - channel.entries)) < 1e-12
 
     def test_single_all_quiet_pattern_matches_undephased_run(self):
-        from medwit.circuits import build_staged
-
         initial = basis_density(BasisState.from_string("1100"))
         quiet = DephasingPattern((False,) * 8, (False,) * 8)
         averaged = temporal_average(lambda pat: build_staged(8, pat), [quiet], initial)
@@ -268,6 +284,69 @@ class TestTemporalAverage:
             temporal_average(builder, [quiet, quiet], initial, weights=[1.5, -0.5])
         with pytest.raises(ValueError, match="weights for"):
             temporal_average(builder, [quiet], initial, weights=[0.5, 0.5])
+
+    def test_circuit_size_must_match_initial_state(self):
+        quiet = DephasingPattern((False,), (False,))
+        with pytest.raises(ValueError, match="pattern circuit has n=3, initial state has n=4"):
+            temporal_average(lambda pat: Circuit(3, (h(0), SLICE)), [quiet], basis_density(ZERO4))
+
+
+def _staged(stages: int, **options):
+    return lambda pat: build_staged(stages, pat, **options)
+
+
+def _bc_patterns(rng: np.random.Generator, stages: int, count: int) -> list[DephasingPattern]:
+    return [
+        DephasingPattern(tuple(rng.integers(2, size=stages)), (False,) * stages)
+        for _ in range(count)
+    ]
+
+
+class TestBatchedAverage:
+    """The batched ``temporal_average`` is bit-identical to one circuit at a time."""
+
+    @pytest.mark.parametrize(
+        "builder, patterns",
+        [
+            (_staged(8), sample_patterns(8, 16, seed=0)),
+            # two full batches and a partial third
+            (_staged(24), sample_patterns(24, 2 * _BATCH + 5, seed=1)),
+            (_staged(4, interleaved=True, z_first=True), exhaustive_patterns(4)),
+            # circuits of unequal length
+            (two_branch_builder, BRANCHES * 20),
+            (channel_builder, _bc_patterns(np.random.default_rng(5), 4, 40)),
+        ],
+        ids=["sampled-16", "batch-boundaries", "interleaved-z-first", "two-branch", "channels"],
+    )
+    def test_equals_per_circuit_reference(self, builder, patterns):
+        initial = pseudo_pure(0.7, BasisState.from_string("1100"))
+        batched = temporal_average(builder, patterns, initial)
+        reference = per_circuit_average(builder, patterns, initial)
+        assert np.array_equal(batched.entries, reference.entries)
+
+    def test_non_uniform_weights(self):
+        patterns = sample_patterns(6, 50, seed=2)
+        weights = list(np.random.default_rng(3).dirichlet(np.ones(len(patterns))))
+        initial = basis_density(BasisState.from_string("1100"))
+        batched = temporal_average(_staged(6), patterns, initial, weights=weights)
+        reference = per_circuit_average(_staged(6), patterns, initial, weights=weights)
+        assert np.array_equal(batched.entries, reference.entries)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        stages=st.sampled_from([2, 4, 6]),
+        ranks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=_BATCH + 8),
+        interleaved=st.booleans(),
+        z_first=st.booleans(),
+    )
+    def test_random_balanced_pattern_lists(self, stages, ranks, interleaved, z_first):
+        population = exhaustive_patterns(stages)
+        patterns = [population[rank % len(population)] for rank in ranks]
+        builder = _staged(stages, interleaved=interleaved, z_first=z_first)
+        initial = basis_density(BasisState.from_string("1100"))
+        batched = temporal_average(builder, patterns, initial)
+        reference = per_circuit_average(builder, patterns, initial)
+        assert np.array_equal(batched.entries, reference.entries)
 
 
 class TestRunNetworkDensity:
