@@ -1,5 +1,14 @@
 """Experiment runner CLI: descriptor tables, dephasing sweeps, staged-swap runs.
 
+Every command runs one pipeline.  ``_effective_config`` validates and parses
+the flags and config file once; ``_build_network`` builds the circuit (``sweep``
+once per grid point); ``_engines`` runs the density engine, and the descriptor
+engine when every gate is Clifford and every intensity numeric; ``_observe``
+reads the witnesses, negativity_AD and the mediators' nonclassicality off one
+state.  Both engines evaluate the one witness ``pauli.witness_observable``.  A
+``cmd_*`` only picks the slices or variants to observe and formats them, and
+``_execute`` handles --timing, --dump-state and the output for all of them.
+
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
 byte-identical CSV/JSON output (timing is only included on request, since it
@@ -20,7 +29,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from . import __version__
 from .circuits import (
@@ -34,7 +44,7 @@ from .circuits import (
     sample_patterns,
 )
 from .density import (
-    basis_density,
+    DensityMatrix,
     exhaustive_average,
     expectation,
     negativity,
@@ -43,20 +53,19 @@ from .density import (
     run_network_density,
     state_to_bytes,
     temporal_average,
-    witness_observable,
 )
 from .detect import antiphase_amplitudes
 from .heisenberg import (
+    DescriptorFrame,
     HeisenbergState,
     UnsupportedGateError,
-    frame_observable,
+    frame_expectation,
     frames_to_dict,
     render_table,
     run_network_frames,
-    witness_frames,
     nonclassicality_degree,
 )
-from .pauli import BasisState, expectation_basis, identity_component
+from .pauli import BasisState, witness_observable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,8 +85,16 @@ AXES_CHOICES = {
 DEFAULT_AXES_BY_NETWORK = {"symmetric": "xz-zx", "asymmetric": "xx-zz", "staged": "xx-zz"}
 DEFAULT_BITS_BY_NETWORK = {"symmetric": "0000", "asymmetric": "0000", "staged": "1100"}
 
+#: every built-in network acts on the four-qubit chain A-B-C-D
+CHAIN_QUBITS = 4
 PROBE_1, PROBE_2 = 0, 3
 MEDIATORS = (1, 2)
+WITNESSES = {
+    name: witness_observable(CHAIN_QUBITS, PROBE_1, PROBE_2, axes)
+    for name, axes in AXES_CHOICES.items()
+}
+#: gate kinds the descriptor engine evolves exactly
+CLIFFORD_KINDS = frozenset({"H", "Z", "CNOT", "CPHASE", "SWAP"})
 
 
 class ConfigError(Exception):
@@ -89,6 +106,20 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {"network", "p", "epsilon", "initial_bits", "stages", "patterns", "seed", "axes"}
+
+
+@dataclass(frozen=True)
+class Setup:
+    """A validated configuration with its parsed values."""
+
+    cfg: ExperimentConfig
+    state: HeisenbergState  # basis state of the pseudo-pure input
+    mode: str  # pattern mode: none | sampled | exhaustive
+    count: int  # patterns in the seeded sample (0 in mode none)
+
+    @property
+    def initial(self) -> DensityMatrix:
+        return pseudo_pure(self.cfg.epsilon, self.state.basis)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -132,6 +163,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if step <= 0:
                 raise ValueError("step must be positive")
+            if stop < start:
+                raise ValueError(f"stop {stop} is below start {start}")
             # floor, so no point passes stop; the slack keeps a stop that
             # lies on the grid up to rounding (0.5 / 0.0005) as its last point
             count = math.floor((stop - start) / step + 1e-9)
@@ -148,6 +181,10 @@ def _parse_grid(text: str) -> list[float]:
 def _parse_bits(text: str) -> BasisState:
     if not text or any(c not in "01" for c in text):
         raise ConfigError(f"--initial-bits must be a 0/1 string, got {text!r}")
+    if len(text) != CHAIN_QUBITS:
+        raise ConfigError(
+            f"--initial-bits must give {CHAIN_QUBITS} bits, one per chain qubit, got {text!r}"
+        )
     return BasisState.from_string(text)
 
 
@@ -186,7 +223,8 @@ def _resolve(args, file_cfg: dict[str, str], key: str, fallback):
     return fallback
 
 
-def _effective_config(args) -> ExperimentConfig:
+def _effective_config(args) -> Setup:
+    """Validate flags and config file, generic rules first, then the command's own."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     network = _resolve(args, file_cfg, "network", "symmetric")
     if network not in ("symmetric", "asymmetric", "staged"):
@@ -195,7 +233,7 @@ def _effective_config(args) -> ExperimentConfig:
     if axes not in AXES_CHOICES:
         raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, got {axes!r}")
     bits = _resolve(args, file_cfg, "initial_bits", DEFAULT_BITS_BY_NETWORK[network])
-    _parse_bits(bits)
+    basis = _parse_bits(bits)
     try:
         stages = int(_resolve(args, file_cfg, "stages", 8))
         seed = int(_resolve(args, file_cfg, "seed", 0))
@@ -204,8 +242,8 @@ def _effective_config(args) -> ExperimentConfig:
     if stages < 1:
         raise ConfigError(f"stages must be >= 1, got {stages}")
     patterns = _resolve(args, file_cfg, "patterns", "none")
-    _parse_patterns(patterns)
-    return ExperimentConfig(
+    mode, count = _parse_patterns(patterns)
+    cfg = ExperimentConfig(
         network=network,
         p=_parse_p(_resolve(args, file_cfg, "p", None)),
         epsilon=_parse_epsilon(_resolve(args, file_cfg, "epsilon", 1.0)),
@@ -215,7 +253,52 @@ def _effective_config(args) -> ExperimentConfig:
         seed=seed,
         axes=axes,
     )
+    if args.command == "sweep":
+        if cfg.network != "symmetric":
+            raise ConfigError("sweep supports only the symmetric network (its builder takes p)")
+        if cfg.p is not None:
+            raise ConfigError(
+                f"sweep takes its dephasing intensities from --p-grid, not --p "
+                f"(got --p {cfg.p} from the flag or the config file)"
+            )
+    elif args.command == "run":
+        if cfg.patterns != "none":
+            raise ConfigError(
+                f"--patterns {cfg.patterns} is not supported by run, which evaluates the "
+                "undephased network; use the staged command for pattern averages"
+            )
+        if cfg.p == SYMBOLIC_P:
+            raise ConfigError(
+                "--p symbolic is for the table command; run evaluates both engines "
+                "numerically, so --p must be a number in [0, 1]"
+            )
+    elif args.command == "staged":
+        if cfg.network != "staged":
+            raise ConfigError("the staged command runs the staged network only")
+        if cfg.p is not None:
+            raise ConfigError("the staged network models dephasing via --patterns, not --p")
+        if mode != "none":
+            if stages % 2:
+                raise ConfigError("balanced dephasing patterns need an even stage count")
+            population = pattern_population(stages, balanced=True)
+            if population >= SAMPLE_INDEX_LIMIT:
+                raise ConfigError(
+                    f"--stages {stages} gives {population} balanced pattern pairs, beyond "
+                    "the 2**63 the seeded sampler can index; use at most 34 stages"
+                )
+            if count > population:
+                raise ConfigError(
+                    f"sampled:{count} exceeds the pattern population {population} "
+                    f"for {stages} stages"
+                )
+            if mode == "exhaustive":
+                count = min(PREVIEW_PATTERNS, population)
+    return Setup(cfg, HeisenbergState(basis), mode, count)
 
+
+# ---------------------------------------------------------------------------
+# pipeline: circuit, engines, observables
+# ---------------------------------------------------------------------------
 
 def _build_network(cfg: ExperimentConfig) -> Circuit:
     if cfg.network == "symmetric":
@@ -230,47 +313,60 @@ def _build_network(cfg: ExperimentConfig) -> Circuit:
     return build_staged(cfg.stages)
 
 
+def _engines(setup: Setup, circuit: Circuit):
+    """Density states at every labelled time, and the descriptor frames when
+    every gate is Clifford and every dephasing intensity numeric (else None)."""
+    states = run_network_density(circuit, setup.initial)
+    trackable = all(
+        op.kind in CLIFFORD_KINDS or (op.kind == "PHASE_FLIP" and op.p != SYMBOLIC_P)
+        for op in circuit.gates
+    )
+    return states, run_network_frames(circuit) if trackable else None
+
+
+def _observe(
+    setup: Setup, rho: DensityMatrix, frame: DescriptorFrame | None, axes_names: Sequence[str]
+) -> dict:
+    """The witness for each named axes pair on both engines, negativity_AD, and
+    with a frame the mediators' nonclassicality (heisenberg values are None without)."""
+    neg = negativity(partial_trace(rho, [PROBE_1, PROBE_2]), [0])
+    seen = {
+        "witness": {
+            name: {"density": expectation(rho, WITNESSES[name]), "heisenberg": None}
+            for name in axes_names
+        },
+        "negativity_AD": {"engine": "density", "value": neg},
+        "nonclassicality": None,
+    }
+    if frame is not None:
+        for name, witness in seen["witness"].items():
+            obs = WITNESSES[name]
+            witness["heisenberg"] = frame_expectation(frame, obs, setup.state, setup.cfg.epsilon)
+        seen["nonclassicality"] = {
+            "engine": "heisenberg",
+            **{label: nonclassicality_degree(frame, q) for label, q in zip("BC", MEDIATORS)},
+        }
+    return seen
+
+
+def _multiplet(rho: DensityMatrix) -> dict:
+    return {"engine": "density", **antiphase_amplitudes(rho, PROBE_1).to_dict()}
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _dump_state(path: str, rho) -> None:
+def _write(path: str, data: bytes) -> None:
     try:
         with open(path, "wb") as fh:
-            fh.write(state_to_bytes(rho))
+            fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _heisenberg_witness(frame, state: HeisenbergState, epsilon: float, axes) -> float:
-    """Witness against a pseudo-pure reference: eps-scaled basis value plus
-    the identity component that survives in the maximally mixed part."""
-    (a1, a2), (b1, b2) = axes
-    obs = frame_observable(frame, [(PROBE_1, a1), (PROBE_2, a2)]) + frame_observable(
-        frame, [(PROBE_1, b1), (PROBE_2, b2)]
-    )
-    base = expectation_basis(state.basis, obs)
-    mixed = identity_component(obs).real
-    return epsilon * base + (1.0 - epsilon) * mixed
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
 
 
 def _final_slice_notes(entry: dict) -> list[str]:
@@ -298,211 +394,112 @@ def _final_slice_notes(entry: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (a JSON report dict or finished text, the final state)
 # ---------------------------------------------------------------------------
 
-def cmd_table(args) -> int:
-    cfg = _effective_config(args)
-    if cfg.network == "staged":
+def cmd_table(setup: Setup, args):
+    if setup.cfg.network == "staged":
         raise UnsupportedGateError(
             "the staged network uses partial swaps, which the descriptor engine "
             "(Clifford-only) cannot track; run it with the staged command on the density engine"
         )
-    circuit = _build_network(cfg)
-    frames = run_network_frames(circuit)
+    frames = run_network_frames(_build_network(setup.cfg))
     if args.format == "json":
-        _emit(_json_text(frames_to_dict(frames)), args.out)
-    else:
-        _emit(render_table(frames) + "\n", args.out)
-    return EXIT_OK
+        return frames_to_dict(frames), None
+    return render_table(frames) + "\n", None
 
 
-def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    if cfg.network != "symmetric":
-        raise ConfigError("sweep supports only the symmetric network (its builder takes p)")
-    grid = _parse_grid(args.p_grid)
-    axes = AXES_CHOICES[cfg.axes]
-    bits = _parse_bits(cfg.initial_bits)
-    state = HeisenbergState(bits)
-    obs = witness_observable(4, PROBE_1, PROBE_2, axes)
+def cmd_sweep(setup: Setup, args):
+    cfg = setup.cfg
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    for p in grid:
-        circuit = build_symmetric(p)
-        frame = run_network_frames(circuit)[-1]
-        w_h = _heisenberg_witness(frame, state, cfg.epsilon, axes)
-        nc = [nonclassicality_degree(frame, q) for q in MEDIATORS]
-        final = run_network_density(circuit, pseudo_pure(cfg.epsilon, bits))[-1]
-        w_d = expectation(final, obs)
-        neg = negativity(partial_trace(final, [PROBE_1, PROBE_2]), [0])
-        lines.append(",".join(_fmt(v) for v in (p, w_h, w_d, neg, nc[0], nc[1])))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    for p in _parse_grid(args.p_grid):
+        states, frames = _engines(setup, _build_network(replace(cfg, p=p)))
+        seen = _observe(setup, states[-1], frames[-1], [cfg.axes])
+        witness, nc = seen["witness"][cfg.axes], seen["nonclassicality"]
+        row = (p, witness["heisenberg"], witness["density"], seen["negativity_AD"]["value"],
+               nc["B"], nc["C"])
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n", None
 
 
-def _variant_report(rho, cfg: ExperimentConfig, axes) -> dict:
-    obs = witness_observable(4, PROBE_1, PROBE_2, axes)
-    return {
-        "witness": {"axes": cfg.axes, "engine": "density", "value": expectation(rho, obs)},
-        "negativity_AD": {
-            "engine": "density",
-            "value": negativity(partial_trace(rho, [PROBE_1, PROBE_2]), [0]),
-        },
-        "multiplet": {"engine": "density", **antiphase_amplitudes(rho, PROBE_1).to_dict()},
-    }
+def cmd_staged(setup: Setup, args):
+    cfg = setup.cfg
+
+    def variant(rho: DensityMatrix, **extra) -> dict:
+        seen = _observe(setup, rho, None, [cfg.axes])
+        witness = {"axes": cfg.axes, "engine": "density",
+                   "value": seen["witness"][cfg.axes]["density"]}
+        return {"witness": witness, "negativity_AD": seen["negativity_AD"],
+                "multiplet": _multiplet(rho), **extra}
+
+    states, _ = _engines(setup, _build_network(cfg))
+    final = states[-1]
+    variants = {"undephased": variant(final)}
+    if setup.mode != "none":
+        patterns = sample_patterns(cfg.stages, setup.count, balanced=True, seed=cfg.seed)
+        final = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, setup.initial)
+        variants["sampled"] = variant(final, pattern_count=setup.count, seed=cfg.seed)
+    if setup.mode == "exhaustive":
+        final = exhaustive_average(cfg.stages, setup.initial)
+        variants["exhaustive"] = variant(final, pattern_count=pattern_population(cfg.stages))
+    report = {"version": __version__, "command": "staged", "config": cfg.to_dict()}
+    return {**report, "variants": variants}, final
 
 
-def cmd_staged(args) -> int:
-    if args.network is None:
-        args.network = "staged"
-    cfg = _effective_config(args)
-    if cfg.network != "staged":
-        raise ConfigError("the staged command runs the staged network only")
-    if cfg.p is not None:
-        raise ConfigError("the staged network models dephasing via --patterns, not --p")
-    mode, count = _parse_patterns(cfg.patterns)
-    if mode != "none":
-        if cfg.stages % 2:
-            raise ConfigError("balanced dephasing patterns need an even stage count")
-        population = pattern_population(cfg.stages, balanced=True)
-        if population >= SAMPLE_INDEX_LIMIT:
-            raise ConfigError(
-                f"--stages {cfg.stages} gives {population} balanced pattern pairs, beyond "
-                "the 2**63 the seeded sampler can index; use at most 34 stages"
-            )
-        if mode == "exhaustive":
-            count = min(PREVIEW_PATTERNS, population)
-        elif count > population:
-            raise ConfigError(
-                f"sampled:{count} exceeds the pattern population {population} "
-                f"for {cfg.stages} stages"
-            )
-    axes = AXES_CHOICES[cfg.axes]
-    bits = _parse_bits(cfg.initial_bits)
-    initial = pseudo_pure(cfg.epsilon, bits)
-    started = time.perf_counter()
-
-    undephased = run_network_density(build_staged(cfg.stages), initial)[-1]
-    variants = {"undephased": _variant_report(undephased, cfg, axes)}
-    dump_rho = undephased
-
-    if mode != "none":
-        patterns = sample_patterns(cfg.stages, count, balanced=True, seed=cfg.seed)
-        averaged = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, initial)
-        variants["sampled"] = {
-            **_variant_report(averaged, cfg, axes),
-            "pattern_count": count,
-            "seed": cfg.seed,
-        }
-        dump_rho = averaged
-    if mode == "exhaustive":
-        averaged = exhaustive_average(cfg.stages, initial)
-        variants["exhaustive"] = {
-            **_variant_report(averaged, cfg, axes),
-            "pattern_count": population,
-        }
-        dump_rho = averaged
-
-    report = {
-        "version": __version__,
-        "command": "staged",
-        "config": cfg.to_dict(),
-        "variants": variants,
-    }
-    if args.timing:
-        report["timing_seconds"] = time.perf_counter() - started
-    if args.dump_state:
-        _dump_state(args.dump_state, dump_rho)
-    _emit(_json_text(report), args.out)
-    return EXIT_OK
-
-
-def cmd_run(args) -> int:
-    cfg = _effective_config(args)
-    if cfg.patterns != "none":
-        raise ConfigError(
-            f"--patterns {cfg.patterns} is not supported by run, which evaluates the "
-            "undephased network; use the staged command for pattern averages"
-        )
-    axes = AXES_CHOICES[cfg.axes]
+def cmd_run(setup: Setup, args):
+    cfg = setup.cfg
     alt_name = next(name for name in AXES_CHOICES if name != cfg.axes)
-    alt_axes = AXES_CHOICES[alt_name]
-    bits = _parse_bits(cfg.initial_bits)
-    circuit = _build_network(cfg)
-    started = time.perf_counter()
-
-    density_states = run_network_density(circuit, pseudo_pure(cfg.epsilon, bits))
-    frames = None
-    if cfg.network in ("symmetric", "asymmetric") and cfg.p != SYMBOLIC_P:
-        frames = run_network_frames(circuit)
-    state = HeisenbergState(bits)
-    obs = witness_observable(4, PROBE_1, PROBE_2, axes)
-    alt_obs = witness_observable(4, PROBE_1, PROBE_2, alt_axes)
-
+    states, frames = _engines(setup, _build_network(cfg))
     slices = []
-    for t, rho in enumerate(density_states):
-        entry: dict = {
+    for t, rho in enumerate(states):
+        seen = _observe(setup, rho, None if frames is None else frames[t], [cfg.axes, alt_name])
+        slices.append({
             "time": t,
-            "witness": {
-                "axes": cfg.axes,
-                "density": expectation(rho, obs),
-                "heisenberg": None,
-            },
-            "witness_alt": {
-                "axes": alt_name,
-                "density": expectation(rho, alt_obs),
-                "heisenberg": None,
-            },
-            "negativity_AD": {
-                "engine": "density",
-                "value": negativity(partial_trace(rho, [PROBE_1, PROBE_2]), [0]),
-            },
-            "nonclassicality": None,
-        }
-        if frames is not None:
-            frame = frames[t]
-            entry["witness"]["heisenberg"] = _heisenberg_witness(frame, state, cfg.epsilon, axes)
-            entry["witness_alt"]["heisenberg"] = _heisenberg_witness(
-                frame, state, cfg.epsilon, alt_axes
-            )
-            entry["nonclassicality"] = {
-                "engine": "heisenberg",
-                "B": nonclassicality_degree(frame, MEDIATORS[0]),
-                "C": nonclassicality_degree(frame, MEDIATORS[1]),
-            }
-        slices.append(entry)
-
+            "witness": {"axes": cfg.axes, **seen["witness"][cfg.axes]},
+            "witness_alt": {"axes": alt_name, **seen["witness"][alt_name]},
+            "negativity_AD": seen["negativity_AD"],
+            "nonclassicality": seen["nonclassicality"],
+        })
     report = {
         "version": __version__,
         "command": "run",
         "config": cfg.to_dict(),
         "engines": {"heisenberg": frames is not None, "density": True},
         "slices": slices,
-        "multiplet": {
-            "engine": "density",
-            **antiphase_amplitudes(density_states[-1], PROBE_1).to_dict(),
-        },
+        "multiplet": _multiplet(states[-1]),
         "notes": _final_slice_notes(slices[-1]),
     }
-    if args.timing:
-        report["timing_seconds"] = time.perf_counter() - started
-    if args.dump_state:
-        _dump_state(args.dump_state, density_states[-1])
-    if args.format == "text":
-        lines = [f"medwit run v{__version__}: network={cfg.network} p={cfg.p} "
-                 f"epsilon={cfg.epsilon} initial={cfg.initial_bits} seed={cfg.seed}"]
-        for entry in slices:
-            w = entry["witness"]
-            lines.append(
-                f"t{entry['time']}: witness[{w['axes']}] density={_fmt(w['density'])}"
-                + (f" heisenberg={_fmt(w['heisenberg'])}" if w["heisenberg"] is not None else "")
-                + f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
-            )
-        for note in report["notes"]:
-            lines.append(f"note: {note}")
-        _emit("\n".join(lines) + "\n", args.out)
+    if args.format == "json":
+        return report, states[-1]
+    lines = [f"medwit run v{__version__}: network={cfg.network} p={cfg.p} "
+             f"epsilon={cfg.epsilon} initial={cfg.initial_bits} seed={cfg.seed}"]
+    for entry in slices:
+        w = entry["witness"]
+        lines.append(
+            f"t{entry['time']}: witness[{w['axes']}] density={_fmt(w['density'])}"
+            + (f" heisenberg={_fmt(w['heisenberg'])}" if w["heisenberg"] is not None else "")
+            + f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
+        )
+    lines += [f"note: {note}" for note in report["notes"]]
+    return "\n".join(lines) + "\n", states[-1]
+
+
+def _execute(args) -> int:
+    """Config, then the command, then the steps every command shares: the
+    --timing field, the --dump-state file and the output."""
+    setup = _effective_config(args)
+    started = time.perf_counter()
+    output, final = args.func(setup, args)
+    if isinstance(output, dict):
+        if getattr(args, "timing", False):
+            output["timing_seconds"] = time.perf_counter() - started
+        output = json.dumps(output, indent=2, sort_keys=True) + "\n"
+    if getattr(args, "dump_state", None):
+        _write(args.dump_state, state_to_bytes(final))
+    if args.out:
+        _write(args.out, output.encode("utf-8"))
     else:
-        _emit(_json_text(report), args.out)
+        sys.stdout.write(output)
     return EXIT_OK
 
 
@@ -510,7 +507,9 @@ def cmd_run(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, stages: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, report: bool) -> None:
+    """Options every command takes; ``report`` adds those of the JSON-report
+    commands (staged and run): stages, patterns, --dump-state and --timing."""
     sub.add_argument("--config", help="key = value config file; flags override file values")
     sub.add_argument("--network", choices=["symmetric", "asymmetric", "staged"])
     sub.add_argument("--p", help="dephasing intensity in [0, 1], or 'symbolic'")
@@ -518,7 +517,7 @@ def _add_common(sub: argparse.ArgumentParser, *, stages: bool = False) -> None:
     sub.add_argument("--initial-bits", dest="initial_bits", help="initial basis state, e.g. 0000")
     sub.add_argument("--axes", choices=sorted(AXES_CHOICES), help="witness axes pair")
     sub.add_argument("--seed", help="RNG seed recorded in every report (default 0)")
-    if stages:
+    if report:
         sub.add_argument("--stages", help="partial-swap stages per link (default 8)")
         sub.add_argument(
             "--patterns",
@@ -528,6 +527,9 @@ def _add_common(sub: argparse.ArgumentParser, *, stages: bool = False) -> None:
                 "staged command only, at most 34 stages)"
             ),
         )
+        sub.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
+        sub.add_argument("--timing", action="store_true",
+                         help="include wall-clock timing in the report (non-deterministic)")
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -550,29 +552,24 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_table = subs.add_parser("table", help="print a descriptor table for a network")
-    _add_common(p_table)
+    _add_common(p_table, report=False)
     p_table.add_argument("--format", choices=["text", "json"], default="text")
     p_table.set_defaults(func=cmd_table)
 
     p_sweep = subs.add_parser("sweep", help="sweep the dephasing intensity, emit CSV")
-    _add_common(p_sweep)
+    _add_common(p_sweep, report=False)
     p_sweep.add_argument("--p-grid", dest="p_grid", default="0:0.5:0.05",
                          help="grid as start:stop:step or comma list (default 0:0.5:0.05)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_staged = subs.add_parser("staged", help="staged-swap run with dephasing patterns")
-    _add_common(p_staged, stages=True)
-    p_staged.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
-    p_staged.add_argument("--timing", action="store_true",
-                          help="include wall-clock timing in the report (non-deterministic)")
-    p_staged.set_defaults(func=cmd_staged)
+    _add_common(p_staged, report=True)
+    # the staged command's network, ahead of any config-file value
+    p_staged.set_defaults(func=cmd_staged, network="staged")
 
     p_run = subs.add_parser("run", help="run one network end to end, emit a full report")
-    _add_common(p_run, stages=True)
+    _add_common(p_run, report=True)
     p_run.add_argument("--format", choices=["json", "text"], default="json")
-    p_run.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
-    p_run.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the report (non-deterministic)")
     p_run.set_defaults(func=cmd_run)
     return parser
 
@@ -584,7 +581,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _execute(args)
     except ConfigError as exc:
         print(f"medwit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,9 +2,12 @@
 
 Exact dense gates (including fractional swaps), physical Kraus channels,
 pseudo-pure states, temporal averaging over dephasing patterns, expectations,
-and the negativity entanglement monotone.  All operations are pure functions
-on immutable values; pattern averages reduce in the caller-supplied pattern
-order, so averaged results are bit-stable regardless of worker count.
+and the negativity entanglement monotone.  The witness is the observable built
+by ``pauli.witness_observable``; ``expectation`` reads it here, and
+``heisenberg.frame_expectation`` reads the same one on the descriptor engine.
+All operations are pure functions on immutable values; pattern averages reduce
+in the caller-supplied pattern order, so averaged results are bit-stable
+regardless of worker count.
 ``temporal_average`` evolves its pattern circuits in fixed-size batches, one
 broadcast matmul per distinct gate per depth, with results bit-identical to
 evolving one circuit at a time.
@@ -24,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .circuits import B, C, D, Circuit, DephasingPattern, GateOp, TimeSlice, build_staged, z
-from .pauli import BasisState, PauliSum, single
+from .pauli import BasisState, PauliSum
 
 __all__ = [
     "DensityMatrix",
@@ -41,7 +44,6 @@ __all__ = [
     "run_network_density",
     "state_to_bytes",
     "temporal_average",
-    "witness_observable",
 ]
 
 #: dense representation cap; every built-in experiment uses n = 4
@@ -236,21 +238,6 @@ def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
     transposed = np.transpose(tensor, axes).reshape(rho.entries.shape)
     eigenvalues = np.linalg.eigvalsh(transposed)
     return max(0.0, (float(np.abs(eigenvalues).sum()) - 1.0) / 2.0)
-
-
-def witness_observable(
-    n: int,
-    probe1: int,
-    probe2: int,
-    axes: tuple[tuple[str, str], tuple[str, str]] = (("x", "z"), ("z", "x")),
-) -> PauliSum:
-    """Sum of two complementary two-point correlators as a Pauli observable."""
-    if probe1 == probe2:
-        raise ValueError("probes must be distinct qubits")
-    (a1, a2), (b1, b2) = axes
-    first = single(n, probe1, a1).to_sum() * single(n, probe2, a2).to_sum()
-    second = single(n, probe1, b1).to_sum() * single(n, probe2, b2).to_sum()
-    return first + second
 
 
 def _apply_raw(op: GateOp, entries: np.ndarray, n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ substitution rules on the descriptor pairs, so evolution stays exact and
 symbolic; the dephasing channel acts as an effective attenuation of the
 dephased qubit's own descriptors.  Frames are immutable values: every
 operation returns a new frame, so parameter sweeps can evaluate frames
-concurrently with no shared mutable state.
+concurrently with no shared mutable state.  ``frame_expectation`` reads any
+observable, such as the ``pauli.witness_observable`` witness, off a frame.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .pauli import (
     PauliTerm,
     commutator,
     expectation_basis,
+    identity_component,
     operator_norm,
     qubit_label,
     single,
@@ -35,6 +37,7 @@ __all__ = [
     "UnsupportedGateError",
     "apply_dephasing_frame",
     "apply_gate_frame",
+    "frame_expectation",
     "frame_observable",
     "frames_to_dict",
     "init_frame",
@@ -44,10 +47,7 @@ __all__ = [
     "render_table",
     "run_network_frames",
     "substitute",
-    "witness_frames",
 ]
-
-DEFAULT_AXES = (("x", "z"), ("z", "x"))
 
 
 class UnsupportedGateError(ValueError):
@@ -296,39 +296,31 @@ def run_network_frames(circuit: Circuit) -> list[DescriptorFrame]:
 
 
 def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]]) -> PauliSum:
-    """Product of descriptors, one factor per (qubit, axis) in the given order."""
+    """Product of descriptors, one factor per (qubit, axis) in the given order;
+    the empty product is the identity."""
     out = None
     for qubit, axis in factors:
         d = frame.descriptor(qubit, axis)
         out = d if out is None else out * d
-    if out is None:
-        raise ValueError("at least one factor is required")
-    return out
+    return PauliTerm("I" * frame.n).to_sum() if out is None else out
 
 
-def witness_frames(
-    frame: DescriptorFrame,
-    state: HeisenbergState,
-    probe1: int,
-    probe2: int,
-    axes: tuple[tuple[str, str], tuple[str, str]] = DEFAULT_AXES,
+def frame_expectation(
+    frame: DescriptorFrame, obs: PauliSum, state: HeisenbergState, epsilon: float
 ) -> float:
-    """Two-correlation entanglement witness evaluated against the fixed state.
+    """Expectation of ``obs`` at the frame's time, from the pseudo-pure state
+    eps * |basis><basis| + (1 - eps) * I / 2^n.
 
-    The observable is the sum over both axis pairs of the probe descriptors'
-    product, probe1's factor first.
+    Each Pauli word of ``obs`` maps to the product of its letters' descriptors,
+    which gives the Heisenberg-picture observable O_H; the value is then
+    eps * <basis|O_H|basis> + (1 - eps) * Tr(O_H) / 2^n.
     """
-    if probe1 == probe2:
-        raise ValueError("probes must be distinct qubits")
-    for pair in axes:
-        for axis in pair:
-            if axis not in ("x", "z"):
-                raise ValueError(f"witness axes must be x or z, got {axis!r}")
-    (a1, a2), (b1, b2) = axes
-    obs = frame_observable(frame, [(probe1, a1), (probe2, a2)]) + frame_observable(
-        frame, [(probe1, b1), (probe2, b2)]
-    )
-    return expectation_basis(state.basis, obs)
+    image = PauliSum.zero(frame.n)
+    for word, coeff in obs.items():
+        factors = [(q, letter.lower()) for q, letter in enumerate(word) if letter != "I"]
+        image = image + coeff * frame_observable(frame, factors)
+    mixed = identity_component(image).real
+    return epsilon * expectation_basis(state.basis, image) + (1.0 - epsilon) * mixed
 
 
 def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "operator_norm",
     "qubit_label",
     "single",
+    "witness_observable",
 ]
 
 PAULI_LETTERS = "IXYZ"
@@ -345,3 +346,21 @@ def identity_component(a) -> complex:
     """Coefficient of the all-identity word (equals Tr(a) / 2^n)."""
     a = _lift(a)
     return complex(a.coefficient("I" * a.n))
+
+
+def witness_observable(
+    n: int,
+    probe1: int,
+    probe2: int,
+    axes: tuple[tuple[str, str], tuple[str, str]] = (("x", "z"), ("z", "x")),
+) -> PauliSum:
+    """The witness both engines evaluate: the probes' two-point correlator
+    summed over both axis pairs, probe1's factor first (e.g. X_A Z_D + Z_A X_D)."""
+    if probe1 == probe2:
+        raise ValueError("probes must be distinct qubits")
+    if any(axis not in ("x", "z") for pair in axes for axis in pair):
+        raise ValueError(f"witness axes must be x or z, got {axes!r}")
+    (a1, a2), (b1, b2) = axes
+    first = single(n, probe1, a1).to_sum() * single(n, probe2, a2).to_sum()
+    second = single(n, probe1, b1).to_sum() * single(n, probe2, b2).to_sum()
+    return first + second

@@ -107,6 +107,25 @@ class TestSweepCommand:
         got = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert got == pytest.approx(points, abs=1e-15)
 
+    def test_stop_below_start_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--p-grid", "0.5:0:0.1")
+        assert code == EXIT_CONFIG
+        assert "stop 0.0 is below start 0.5" in err
+        assert "must lie in [0, 1]" not in err
+
+    @pytest.mark.parametrize("p", ["0.3", "symbolic"])
+    def test_intensity_flag_rejected(self, capsys, p):
+        code, _, err = run_cli(capsys, "sweep", "--p", p)
+        assert code == EXIT_CONFIG
+        assert "--p " in err and "--p-grid" in err
+
+    def test_intensity_from_config_file_rejected(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("p = 0.3\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--p " in err and "--p-grid" in err
+
     def test_fine_grid_keeps_its_stop(self):
         grid = _parse_grid("0:0.5:0.0005")
         assert len(grid) == 1001
@@ -265,6 +284,35 @@ class TestRunCommand:
         assert "--patterns" in err
 
 
+    def test_symbolic_intensity_is_a_config_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--p", "symbolic")
+        assert code == EXIT_CONFIG
+        assert "--p" in err
+        config = tmp_path / "run.cfg"
+        config.write_text("p = symbolic\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--p" in err
+
+
+class TestInitialBits:
+    @pytest.mark.parametrize("command", ["table", "sweep", "staged", "run"])
+    @pytest.mark.parametrize("bits", ["01", "00000"])
+    def test_wrong_length_flag_is_a_config_error(self, capsys, command, bits):
+        code, out, err = run_cli(capsys, command, "--initial-bits", bits)
+        assert code == EXIT_CONFIG
+        assert "--initial-bits" in err and "4 bits" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["table", "sweep", "staged", "run"])
+    def test_wrong_length_file_value_is_a_config_error(self, capsys, tmp_path, command):
+        config = tmp_path / "bits.cfg"
+        config.write_text("initial_bits = 011\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--initial-bits" in err
+
+
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -305,3 +353,96 @@ class TestArgparseBehaviour:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("medwit ")
+
+
+LINE = {"antiphase": None, "inphase": None}
+MULTIPLET = {
+    "engine": None,
+    "classification": dict.fromkeys("ABCD"),
+    **{spin: {partner: LINE for partner in "ABCD" if partner != spin} for spin in "ABCD"},
+}
+CONFIG = dict.fromkeys(
+    ["axes", "epsilon", "initial_bits", "network", "p", "patterns", "seed", "stages"]
+)
+NEGATIVITY = {"engine": None, "value": None}
+RUN_WITNESS = dict.fromkeys(["axes", "density", "heisenberg"])
+STAGED_VARIANT = {
+    "witness": dict.fromkeys(["axes", "engine", "value"]),
+    "negativity_AD": NEGATIVITY,
+    "multiplet": MULTIPLET,
+}
+
+
+def key_tree(value):
+    """The keys of a JSON value at every level; leaves become None."""
+    if isinstance(value, dict):
+        return {key: key_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [key_tree(item) for item in value]
+    return None
+
+
+def run_slice(nonclassicality):
+    return {
+        "time": None,
+        "witness": RUN_WITNESS,
+        "witness_alt": RUN_WITNESS,
+        "negativity_AD": NEGATIVITY,
+        "nonclassicality": nonclassicality,
+    }
+
+
+class TestDeterminismAndSchema:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run",),
+            ("run", "--format", "text"),
+            ("run", "--network", "staged", "--stages", "4", "--epsilon", "0.5"),
+            ("table",),
+            ("table", "--format", "json"),
+            ("table", "--p", "symbolic", "--format", "json"),
+        ],
+    )
+    def test_repeated_runs_give_identical_bytes(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first[0] == EXIT_OK
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "network, heisenberg, nonclassicality",
+        [
+            ("symmetric", True, {"engine": None, "B": None, "C": None}),
+            ("staged", False, None),
+        ],
+    )
+    def test_run_report_keys(self, capsys, network, heisenberg, nonclassicality):
+        code, out, _ = run_cli(capsys, "run", "--network", network, "--stages", "2")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["engines"]["heisenberg"] is heisenberg
+        assert key_tree(report) == {
+            "version": None,
+            "command": None,
+            "config": CONFIG,
+            "engines": {"density": None, "heisenberg": None},
+            "slices": [run_slice(nonclassicality)] * len(report["slices"]),
+            "multiplet": MULTIPLET,
+            "notes": [None] * len(report["notes"]),
+        }
+        assert len(report["slices"]) == 4
+
+    def test_staged_report_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "staged", "--stages", "4", "--patterns", "exhaustive")
+        assert code == EXIT_OK
+        assert key_tree(json.loads(out)) == {
+            "version": None,
+            "command": None,
+            "config": CONFIG,
+            "variants": {
+                "undephased": STAGED_VARIANT,
+                "sampled": {**STAGED_VARIANT, "pattern_count": None, "seed": None},
+                "exhaustive": {**STAGED_VARIANT, "pattern_count": None},
+            },
+        }

@@ -41,9 +41,8 @@ from medwit.density import (
     run_network_density,
     state_to_bytes,
     temporal_average,
-    witness_observable,
 )
-from medwit.pauli import BasisState, PauliSum, PauliTerm, single
+from medwit.pauli import BasisState, PauliSum, PauliTerm, single, witness_observable
 
 ZERO4 = BasisState.from_string("0000")
 XX_ZZ = (("x", "x"), ("z", "z"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_clifford_circuit, ref_basis_vector, ref_sum_matrix
 from medwit.circuits import (
@@ -17,7 +19,13 @@ from medwit.circuits import (
     swap,
     z,
 )
-from medwit.density import basis_density, expectation, gate_unitary, run_network_density
+from medwit.density import (
+    basis_density,
+    expectation,
+    gate_unitary,
+    pseudo_pure,
+    run_network_density,
+)
 from medwit.heisenberg import (
     ATTENUATION,
     AttenuationPoly,
@@ -25,6 +33,7 @@ from medwit.heisenberg import (
     UnsupportedGateError,
     apply_dephasing_frame,
     apply_gate_frame,
+    frame_expectation,
     frame_observable,
     frames_to_dict,
     init_frame,
@@ -33,9 +42,8 @@ from medwit.heisenberg import (
     render_sum,
     run_network_frames,
     substitute,
-    witness_frames,
 )
-from medwit.pauli import BasisState, PauliSum, PauliTerm, single
+from medwit.pauli import BasisState, PauliSum, PauliTerm, single, witness_observable
 
 P_GRID = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
 
@@ -130,42 +138,72 @@ class TestDephasing:
             apply_dephasing_frame(init_frame(2), 0, 1.5)
 
 
+XZ_ZX = (("x", "z"), ("z", "x"))
+XX_ZZ = (("x", "x"), ("z", "z"))
+
+
+def descriptor_witness(frame, state, axes=XZ_ZX):
+    """The A-D witness evaluated by the descriptor engine from a basis state."""
+    return frame_expectation(frame, witness_observable(4, 0, 3, axes), state, 1.0)
+
+
 class TestWitness:
     def test_symmetric_network_reaches_two(self):
         frames = run_network_frames(build_symmetric())
         state = HeisenbergState.zeros(4)
-        assert witness_frames(frames[-1], state, 0, 3) == pytest.approx(2.0, abs=1e-12)
+        assert descriptor_witness(frames[-1], state) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.4, 0.5])
     def test_dephased_witness_follows_attenuation(self, p):
         frames = run_network_frames(build_symmetric(p))
         state = HeisenbergState.zeros(4)
-        got = witness_frames(frames[-1], state, 0, 3)
+        got = descriptor_witness(frames[-1], state)
         assert got == pytest.approx(2 * (1 - 2 * p), abs=1e-12)
 
     def test_asymmetric_axes_cross_checked_against_density(self):
         frames = run_network_frames(build_asymmetric())
         state = HeisenbergState.zeros(4)
-        xz_zx = (("x", "z"), ("z", "x"))
-        xx_zz = (("x", "x"), ("z", "z"))
         final = run_network_density(build_asymmetric(), basis_density(state.basis))[-1]
-        for axes in (xz_zx, xx_zz):
+        for axes in (XZ_ZX, XX_ZZ):
             obs = single(4, 0, axes[0][0]).to_sum() * single(4, 3, axes[0][1]).to_sum() + single(
                 4, 0, axes[1][0]
             ).to_sum() * single(4, 3, axes[1][1]).to_sum()
+            assert witness_observable(4, 0, 3, axes) == obs
             dense_value = expectation(final, obs)
-            frame_value = witness_frames(frames[-1], state, 0, 3, axes)
+            frame_value = descriptor_witness(frames[-1], state, axes)
             assert frame_value == pytest.approx(dense_value, abs=1e-10)
-        assert witness_frames(frames[-1], state, 0, 3, xx_zz) == pytest.approx(2.0, abs=1e-12)
-        assert witness_frames(frames[-1], state, 0, 3, xz_zx) == pytest.approx(0.0, abs=1e-12)
+        assert descriptor_witness(frames[-1], state, XX_ZZ) == pytest.approx(2.0, abs=1e-12)
+        assert descriptor_witness(frames[-1], state, XZ_ZX) == pytest.approx(0.0, abs=1e-12)
 
     def test_probe_and_axis_validation(self):
-        frames = run_network_frames(build_symmetric())
-        state = HeisenbergState.zeros(4)
         with pytest.raises(ValueError):
-            witness_frames(frames[-1], state, 2, 2)
+            witness_observable(4, 2, 2)
         with pytest.raises(ValueError):
-            witness_frames(frames[-1], state, 0, 3, (("x", "y"), ("z", "x")))
+            witness_observable(4, 0, 3, (("x", "y"), ("z", "x")))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        epsilon=st.one_of(st.just(1.0), st.floats(0, 1)),
+        probes=st.permutations(range(4)),
+        letters=st.tuples(st.sampled_from("IXYZ"), st.sampled_from("IXYZ")),
+    )
+    def test_engines_agree_on_random_clifford_circuits(self, seed, bits, epsilon, probes, letters):
+        # epsilon 1 is a basis input, anything below a pseudo-pure one; the
+        # identity term is the one the maximally mixed part contributes to
+        circuit = random_clifford_circuit(np.random.default_rng(seed), 4, 20)
+        basis = BasisState(tuple(bits))
+        frame = run_network_frames(circuit)[-1]
+        final = run_network_density(circuit, pseudo_pure(epsilon, basis))[-1]
+        word = ["I"] * 4
+        word[probes[0]], word[probes[1]] = letters
+        correlator = PauliTerm("".join(word)).to_sum()
+        identity = PauliTerm("IIII").to_sum()
+        for obs in (correlator, witness_observable(4, 0, 3, XZ_ZX) + identity,
+                    witness_observable(4, 0, 3, XX_ZZ)):
+            got = frame_expectation(frame, obs, HeisenbergState(basis), epsilon)
+            assert abs(got - expectation(final, obs)) <= 1e-12
 
 
 class TestNonclassicality:

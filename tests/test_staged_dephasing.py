@@ -35,10 +35,9 @@ from medwit.density import (
     pseudo_pure,
     run_network_density,
     temporal_average,
-    witness_observable,
 )
 from medwit.detect import antiphase_amplitudes
-from medwit.pauli import BasisState, single
+from medwit.pauli import BasisState, single, witness_observable
 
 PIN_TOL = 1e-12
 XX_ZZ = (("x", "x"), ("z", "z"))
