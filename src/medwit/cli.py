@@ -226,7 +226,9 @@ def _resolve(args, file_cfg: dict[str, str], key: str, fallback):
 def _effective_config(args) -> Setup:
     """Validate flags and config file, generic rules first, then the command's own."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    network = _resolve(args, file_cfg, "network", "symmetric")
+    # with neither flag nor file value, staged runs its own network, the rest the symmetric one
+    fallback = "staged" if args.command == "staged" else "symmetric"
+    network = _resolve(args, file_cfg, "network", fallback)
     if network not in ("symmetric", "asymmetric", "staged"):
         raise ConfigError(f"unknown network {network!r}")
     axes = _resolve(args, file_cfg, "axes", DEFAULT_AXES_BY_NETWORK[network])
@@ -253,6 +255,11 @@ def _effective_config(args) -> Setup:
         seed=seed,
         axes=axes,
     )
+    if cfg.p is not None and cfg.network != "symmetric":
+        raise ConfigError(
+            f"--p {cfg.p} applies to the symmetric network only; the {cfg.network} network "
+            "takes no dephasing intensity (the staged command models dephasing via --patterns)"
+        )
     if args.command == "sweep":
         if cfg.network != "symmetric":
             raise ConfigError("sweep supports only the symmetric network (its builder takes p)")
@@ -272,11 +279,16 @@ def _effective_config(args) -> Setup:
                 "--p symbolic is for the table command; run evaluates both engines "
                 "numerically, so --p must be a number in [0, 1]"
             )
+        if args.timing and args.format == "text":
+            raise ConfigError(
+                "--timing adds a field to the JSON report; it cannot be combined "
+                "with --format text"
+            )
     elif args.command == "staged":
         if cfg.network != "staged":
-            raise ConfigError("the staged command runs the staged network only")
-        if cfg.p is not None:
-            raise ConfigError("the staged network models dephasing via --patterns, not --p")
+            raise ConfigError(
+                f"the staged command runs the staged network only, got --network {cfg.network}"
+            )
         if mode != "none":
             if stages % 2:
                 raise ConfigError("balanced dephasing patterns need an even stage count")
@@ -303,11 +315,6 @@ def _effective_config(args) -> Setup:
 def _build_network(cfg: ExperimentConfig) -> Circuit:
     if cfg.network == "symmetric":
         return build_symmetric(cfg.p)
-    if cfg.p is not None:
-        raise ConfigError(
-            f"the {cfg.network} network takes no dephasing intensity; "
-            "use the staged command's pattern modes instead"
-        )
     if cfg.network == "asymmetric":
         return build_asymmetric()
     return build_staged(cfg.stages)
@@ -564,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_staged = subs.add_parser("staged", help="staged-swap run with dephasing patterns")
     _add_common(p_staged, report=True)
-    # the staged command's network, ahead of any config-file value
-    p_staged.set_defaults(func=cmd_staged, network="staged")
+    p_staged.set_defaults(func=cmd_staged)
 
     p_run = subs.add_parser("run", help="run one network end to end, emit a full report")
     _add_common(p_run, report=True)

@@ -4,13 +4,20 @@ Conventions, fixed project-wide: qubit 0 is the leftmost tensor factor and the
 most significant bit of a computational-basis index.  All values here are
 immutable after construction, so they can be shared freely between concurrent
 workers without locking.
+
+A Pauli word P maps each basis state to one other, ``P|j> = phase[j] |j ^ flip>``,
+where ``flip`` has a bit set on every X or Y letter and ``phase[j]`` is
+i^(number of Y letters) times (-1)^(parity of j's bits on the Y and Z letters).
+``dense`` scatters those phases into a zero matrix, one entry per column, from
+a small per-word cache of the index and phase vectors.  Because a word is
+unitary, ``operator_norm`` of a one-word sum is the modulus of its coefficient.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,13 +54,6 @@ _MUL1 = {
     ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
 }
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _PHASE_PREFIX = {1 + 0j: "", -1 + 0j: "-", 1j: "i", -1j: "-i"}
 
 
@@ -83,8 +83,27 @@ def _word_mul(a: str, b: str) -> tuple[complex, str]:
     return phase, "".join(letters)
 
 
-def _word_matrix(letters: str) -> np.ndarray:
-    return reduce(np.kron, (PAULI_MATRICES[l] for l in letters))
+@lru_cache(maxsize=256)
+def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and phase of each column of a word's matrix: column j holds
+    ``phase[j]`` in row ``rows[j] = j ^ flip`` and zeros elsewhere.  The arrays
+    are shared through the cache and therefore read-only."""
+    flip = sign = 0
+    for letter in letters:
+        flip = flip << 1 | (letter in "XY")
+        sign = sign << 1 | (letter in "YZ")
+    cols = np.arange(2 ** len(letters))
+    parity = np.zeros_like(cols)
+    for bit in range(len(letters)):
+        if sign >> bit & 1:
+            parity ^= cols >> bit & 1
+    # Y = i X Z, so each Y letter contributes a factor i beside its Z sign
+    y_phase = (1 + 0j, 1j, -1 + 0j, -1j)[letters.count("Y") % 4]
+    phases = np.where(parity == 1, -y_phase, y_phase)
+    rows = cols ^ flip
+    rows.setflags(write=False)
+    phases.setflags(write=False)
+    return rows, phases
 
 
 @dataclass(frozen=True)
@@ -114,7 +133,7 @@ class PauliTerm:
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix realization."""
-        return self.phase * _word_matrix(self.letters)
+        return self.to_sum().dense()
 
     def render(self) -> str:
         """Canonical text form, e.g. 'q_zA q_xB', '-iq_yC', 'id'."""
@@ -262,11 +281,16 @@ class PauliSum:
         return PauliSum(self.n, {w: fn(c) for w, c in self._terms.items()})
 
     def dense(self) -> np.ndarray:
-        """Dense matrix realization; requires numeric coefficients."""
+        """Dense matrix realization; requires numeric coefficients.
+
+        Each term is scattered from its word's index-flip action into a zero
+        matrix, one entry per column, accumulating in insertion order."""
         dim = 2 ** self.n
         out = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
         for word, coeff in self._terms.items():
-            out += complex(coeff) * _word_matrix(word)
+            rows, phases = _word_action(word)
+            out[rows, cols] += complex(coeff) * phases
         return out
 
     def __repr__(self) -> str:
@@ -305,9 +329,11 @@ def commutator(a, b) -> PauliSum:
 
 
 def operator_norm(a, max_qubits: int = 6) -> float:
-    """Spectral norm (largest singular value) of the dense realization of ``a``.
+    """Spectral norm (largest singular value) of ``a``; requires numeric
+    coefficients and refuses registers above ``max_qubits``.
 
-    Dense evaluation only; refuses registers above ``max_qubits``.
+    A one-word sum c*P has norm |c| exactly, since a Pauli word is unitary.
+    A sum of several words is evaluated densely, by the SVD of ``a.dense()``.
     """
     a = _lift(a)
     if a.n > max_qubits:
@@ -316,6 +342,9 @@ def operator_norm(a, max_qubits: int = 6) -> float:
         )
     if not a:
         return 0.0
+    if len(a) == 1:
+        ((_, coeff),) = a.items()
+        return abs(complex(coeff))
     return float(np.linalg.norm(a.dense(), ord=2))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import table_data
+from medwit import cli
 from medwit.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_OK, _parse_grid, main
 from test_tables import split_cells
 
@@ -191,6 +192,15 @@ class TestStagedCommand:
         code, _, _ = run_cli(capsys, "staged", "--p", "0.5")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("network", ["symmetric", "asymmetric"])
+    def test_other_network_from_config_file_rejected(self, capsys, tmp_path, network):
+        config = tmp_path / "staged.cfg"
+        config.write_text(f"network = {network}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "staged", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "the staged command runs the staged network only" in err
+        assert out == ""
+
     @pytest.mark.parametrize("stages", ["14", "34"])
     def test_exhaustive_runs_up_to_34_stages(self, capsys, stages):
         code, out, _ = run_cli(capsys, "staged", "--stages", stages, "--patterns", "exhaustive")
@@ -273,6 +283,12 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("medwit run")
 
+    def test_timing_with_text_format_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--format", "text", "--timing")
+        assert code == EXIT_CONFIG
+        assert "--timing" in err and "--format text" in err
+        assert out == ""
+
     def test_patterns_are_rejected_from_flag_and_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--network", "staged", "--patterns", "sampled:4")
         assert code == EXIT_CONFIG
@@ -293,6 +309,20 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--config", str(config))
         assert code == EXIT_CONFIG
         assert "--p" in err
+
+
+class TestIntensityOnOtherNetworks:
+    @pytest.mark.parametrize("command", ["run", "table"])
+    @pytest.mark.parametrize("network", ["asymmetric", "staged"])
+    def test_flag_is_named_before_any_circuit(self, capsys, monkeypatch, command, network):
+        def no_circuit(cfg):
+            raise AssertionError("a circuit was built before --p was checked")
+
+        monkeypatch.setattr(cli, "_build_network", no_circuit)
+        code, out, err = run_cli(capsys, command, "--network", network, "--p", "0.1")
+        assert code == EXIT_CONFIG
+        assert "--p 0.1" in err and f"the {network} network" in err
+        assert out == ""
 
 
 class TestInitialBits:

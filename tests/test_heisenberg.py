@@ -206,6 +206,35 @@ class TestWitness:
             assert abs(got - expectation(final, obs)) <= 1e-12
 
 
+class TestEffectiveDephasingAgainstChannel:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.floats(0, 1),
+        epsilon=st.floats(0, 1),
+        bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        axes=st.sampled_from([XZ_ZX, XX_ZZ]),
+    )
+    def test_agree_on_witness_at_every_slice(self, p, epsilon, bits, axes):
+        circuit = build_symmetric(p)
+        basis = BasisState(tuple(bits))
+        obs = witness_observable(4, 0, 3, axes)
+        states = run_network_density(circuit, pseudo_pure(epsilon, basis))
+        for frame, rho in zip(run_network_frames(circuit), states):
+            got = frame_expectation(frame, obs, HeisenbergState(basis), epsilon)
+            assert abs(got - expectation(rho, obs)) <= 1e-12
+
+    def test_differ_on_x_after_hadamard(self):
+        # after H(B) the x-descriptor of B is Z_B, which the effective map leaves
+        # alone; the exact channel dephases the |+> state it stands for
+        p = 0.2
+        circuit = Circuit(4, (h(1), phase_flip(1, p), SLICE))
+        obs = single(4, 1, "x").to_sum()
+        frame = run_network_frames(circuit)[-1]
+        rho = run_network_density(circuit, basis_density(BasisState((0,) * 4)))[-1]
+        assert frame_expectation(frame, obs, HeisenbergState.zeros(4), 1.0) == 1.0
+        assert expectation(rho, obs) == pytest.approx(1 - 2 * p, abs=1e-12)
+
+
 class TestNonclassicality:
     def test_canonical_frame_has_degree_two(self):
         frame = init_frame(4)

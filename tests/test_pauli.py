@@ -1,10 +1,16 @@
 """Unit tests for the symbolic Pauli algebra, checked against a dense oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_sum, random_term, ref_basis_vector, ref_sum_matrix, ref_term_matrix
+from medwit.heisenberg import ATTENUATION
 from medwit.pauli import (
+    PHASES,
     BasisState,
     PauliSum,
     PauliTerm,
@@ -139,6 +145,48 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="limited to 6 qubits"):
             operator_norm(PauliTerm("I" * 7))
         assert operator_norm(PauliTerm("I" * 7), max_qubits=7) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("max_words", [1, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_matches_dense_svd(self, max_words, n, data):
+        terms = data.draw(
+            st.dictionaries(
+                st.text("IXYZ", min_size=n, max_size=n),
+                st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+                min_size=1,
+                max_size=max_words,
+            )
+        )
+        psum = PauliSum(n, terms)
+        assert abs(operator_norm(psum) - np.linalg.norm(ref_sum_matrix(psum), 2)) <= 1e-12
+
+    def test_single_word_needs_numeric_coefficient(self):
+        # abs() of a symbolic coefficient is its largest power's modulus, not a norm
+        with pytest.raises(TypeError, match="substitute a numeric p"):
+            operator_norm(PauliSum(2, {"XZ": 2 * ATTENUATION}))
+
+
+class TestDense:
+    def test_every_word_matches_reference_bytes(self):
+        # tobytes, not array_equal, which would pass -0.0 for 0.0
+        rng = np.random.default_rng(17)
+        for n in range(1, 5):
+            for letters in itertools.product("IXYZ", repeat=n):
+                word = "".join(letters)
+                term = PauliTerm(word, PHASES[rng.integers(4)])
+                psum = PauliSum(n, {word: complex(rng.normal(), rng.normal())})
+                assert term.dense().tobytes() == ref_sum_matrix(term.to_sum()).tobytes()
+                assert psum.dense().tobytes() == ref_sum_matrix(psum).tobytes()
+
+    def test_sums_match_reference_bytes(self):
+        # terms accumulate in insertion order and the reference in word order,
+        # so the sums are built in word order
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            psum = PauliSum(n, dict(random_sum(rng, n, max_terms=8).items()))
+            assert psum.dense().tobytes() == ref_sum_matrix(psum).tobytes()
 
 
 class TestExpectationBasis:
