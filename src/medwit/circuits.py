@@ -238,13 +238,11 @@ class DephasingPattern:
         )
 
 
-def pattern_population(stages: int, balanced: bool = True) -> int:
-    """Number of distinct pattern pairs available."""
-    if balanced:
-        if stages % 2:
-            raise ValueError("balanced patterns require an even stage count")
-        return comb(stages, stages // 2) ** 2
-    return (2 ** stages) ** 2
+def pattern_population(stages: int) -> int:
+    """Number of distinct balanced pattern pairs: C(stages, stages/2) per link."""
+    if stages % 2:
+        raise ValueError("balanced patterns require an even stage count")
+    return comb(stages, stages // 2) ** 2
 
 
 def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
@@ -263,45 +261,36 @@ def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
-def _choices_from_rank(rank: int, stages: int, balanced: bool) -> tuple[bool, ...]:
-    if balanced:
-        chosen = set(_unrank_combination(rank, stages, stages // 2))
-        return tuple(k in chosen for k in range(stages))
-    return tuple(bool(rank >> (stages - 1 - k) & 1) for k in range(stages))
+def _choices_from_rank(rank: int, stages: int) -> tuple[bool, ...]:
+    chosen = set(_unrank_combination(rank, stages, stages // 2))
+    return tuple(k in chosen for k in range(stages))
 
 
-def _pattern_from_index(index: int, stages: int, balanced: bool, side: int) -> DephasingPattern:
-    bc_rank, cd_rank = divmod(index, side)
+def _pattern_from_index(index: int, stages: int) -> DephasingPattern:
+    bc_rank, cd_rank = divmod(index, comb(stages, stages // 2))
     return DephasingPattern(
-        _choices_from_rank(bc_rank, stages, balanced),
-        _choices_from_rank(cd_rank, stages, balanced),
+        _choices_from_rank(bc_rank, stages), _choices_from_rank(cd_rank, stages)
     )
 
 
-def exhaustive_patterns(stages: int, balanced: bool = True) -> list[DephasingPattern]:
-    """The full pattern population in canonical (lexicographic) order."""
-    side = comb(stages, stages // 2) if balanced else 2 ** stages
-    if balanced and stages % 2:
-        raise ValueError("balanced patterns require an even stage count")
-    total = side * side
-    return [_pattern_from_index(i, stages, balanced, side) for i in range(total)]
+def exhaustive_patterns(stages: int) -> list[DephasingPattern]:
+    """Every balanced pattern pair in canonical (lexicographic) order."""
+    return [_pattern_from_index(i, stages) for i in range(pattern_population(stages))]
 
 
-def sample_patterns(
-    stages: int, count: int, balanced: bool = True, seed: int = 0
-) -> list[DephasingPattern]:
-    """Draw ``count`` distinct pattern pairs uniformly, deterministically per seed.
+def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPattern]:
+    """Draw ``count`` distinct balanced pattern pairs uniformly; a seed always
+    draws the same pairs.
 
     Asking for the whole population returns it exhaustively in canonical order.
     """
-    population = pattern_population(stages, balanced)
-    side = comb(stages, stages // 2) if balanced else 2 ** stages
+    population = pattern_population(stages)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > population:
         raise ValueError(f"count {count} exceeds the pattern population {population}")
     if count == population:
-        return exhaustive_patterns(stages, balanced)
+        return exhaustive_patterns(stages)
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     order: list[int] = []
@@ -310,7 +299,7 @@ def sample_patterns(
         if idx not in seen:
             seen.add(idx)
             order.append(idx)
-    return [_pattern_from_index(i, stages, balanced, side) for i in order]
+    return [_pattern_from_index(i, stages) for i in order]
 
 
 @dataclass

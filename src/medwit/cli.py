@@ -57,7 +57,6 @@ from .density import (
 from .detect import antiphase_amplitudes
 from .heisenberg import (
     DescriptorFrame,
-    HeisenbergState,
     UnsupportedGateError,
     frame_expectation,
     frames_to_dict,
@@ -113,13 +112,13 @@ class Setup:
     """A validated configuration with its parsed values."""
 
     cfg: ExperimentConfig
-    state: HeisenbergState  # basis state of the pseudo-pure input
+    basis: BasisState  # basis state of the pseudo-pure input
     mode: str  # pattern mode: none | sampled | exhaustive
     count: int  # patterns in the seeded sample (0 in mode none)
 
     @property
     def initial(self) -> DensityMatrix:
-        return pseudo_pure(self.cfg.epsilon, self.state.basis)
+        return pseudo_pure(self.cfg.epsilon, self.basis)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -161,10 +160,12 @@ def _parse_grid(text: str) -> list[float]:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0:
+            if not step > 0:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError(f"stop {stop} is below start {start}")
+            if not 0 <= start <= stop <= 1:
+                raise ConfigError(f"p-grid values must lie in [0, 1], got {text!r}")
             # floor, so no point passes stop; the slack keeps a stop that
             # lies on the grid up to rounding (0.5 / 0.0005) as its last point
             count = math.floor((stop - start) / step + 1e-9)
@@ -241,6 +242,8 @@ def _effective_config(args) -> Setup:
         seed = int(_resolve(args, file_cfg, "seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stages and seed must be integers: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
     if stages < 1:
         raise ConfigError(f"stages must be >= 1, got {stages}")
     patterns = _resolve(args, file_cfg, "patterns", "none")
@@ -268,6 +271,14 @@ def _effective_config(args) -> Setup:
                 f"sweep takes its dephasing intensities from --p-grid, not --p "
                 f"(got --p {cfg.p} from the flag or the config file)"
             )
+    elif args.command == "table":
+        for key in ("epsilon", "axes", "initial_bits"):
+            if getattr(args, key) is not None or key in file_cfg:
+                raise ConfigError(
+                    f"--{key.replace('_', '-')} does not apply to table, which renders the "
+                    "descriptor frames of the network alone (got it from the flag or the "
+                    "config file)"
+                )
     elif args.command == "run":
         if cfg.patterns != "none":
             raise ConfigError(
@@ -292,7 +303,7 @@ def _effective_config(args) -> Setup:
         if mode != "none":
             if stages % 2:
                 raise ConfigError("balanced dephasing patterns need an even stage count")
-            population = pattern_population(stages, balanced=True)
+            population = pattern_population(stages)
             if population >= SAMPLE_INDEX_LIMIT:
                 raise ConfigError(
                     f"--stages {stages} gives {population} balanced pattern pairs, beyond "
@@ -305,7 +316,7 @@ def _effective_config(args) -> Setup:
                 )
             if mode == "exhaustive":
                 count = min(PREVIEW_PATTERNS, population)
-    return Setup(cfg, HeisenbergState(basis), mode, count)
+    return Setup(cfg, basis, mode, count)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +359,7 @@ def _observe(
     if frame is not None:
         for name, witness in seen["witness"].items():
             obs = WITNESSES[name]
-            witness["heisenberg"] = frame_expectation(frame, obs, setup.state, setup.cfg.epsilon)
+            witness["heisenberg"] = frame_expectation(frame, obs, setup.basis, setup.cfg.epsilon)
         seen["nonclassicality"] = {
             "engine": "heisenberg",
             **{label: nonclassicality_degree(frame, q) for label, q in zip("BC", MEDIATORS)},
@@ -443,7 +454,7 @@ def cmd_staged(setup: Setup, args):
     final = states[-1]
     variants = {"undephased": variant(final)}
     if setup.mode != "none":
-        patterns = sample_patterns(cfg.stages, setup.count, balanced=True, seed=cfg.seed)
+        patterns = sample_patterns(cfg.stages, setup.count, seed=cfg.seed)
         final = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, setup.initial)
         variants["sampled"] = variant(final, pattern_count=setup.count, seed=cfg.seed)
     if setup.mode == "exhaustive":

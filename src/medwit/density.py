@@ -5,6 +5,8 @@ pseudo-pure states, temporal averaging over dephasing patterns, expectations,
 and the negativity entanglement monotone.  The witness is the observable built
 by ``pauli.witness_observable``; ``expectation`` reads it here, and
 ``heisenberg.frame_expectation`` reads the same one on the descriptor engine.
+A gate's full-register unitary is its local 2x2 or 4x4 matrix with each entry
+copied to its place by basis-index arithmetic, and +0 everywhere else.
 All operations are pure functions on immutable values; pattern averages reduce
 in the caller-supplied pattern order, so averaged results are bit-stable
 regardless of worker count.
@@ -19,7 +21,7 @@ patterns of the staged network by dynamic programming, in O(s^2) evolutions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -57,7 +59,6 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 
-_I2 = np.eye(2, dtype=complex)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _SWAP4 = np.array(
@@ -67,11 +68,8 @@ _CNOT4 = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _CPHASE4 = np.diag([1, 1, 1, -1]).astype(complex)
-# elementary matrices |i><k|
-_E = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
-for _i in range(2):
-    for _k in range(2):
-        _E[_i][_k][_i, _k] = 1.0
+#: local matrix of each fixed unitary kind, on its qubits in the order given
+_LOCAL = {"H": _H2, "Z": _Z2, "CNOT": _CNOT4, "CPHASE": _CPHASE4, "SWAP": _SWAP4}
 
 
 @dataclass(frozen=True)
@@ -124,19 +122,25 @@ def pseudo_pure(epsilon: float, bits: BasisState) -> DensityMatrix:
     return DensityMatrix(entries)
 
 
-def _kron_embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
-    return reduce(np.kron, (ops.get(q, _I2) for q in range(n)))
+def _embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Matrix of the local gate ``u`` on the full n-qubit register.
 
-
-def _embed_two(u4: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
+    Entry (r, c) of ``u`` is copied to every basis pair (i, j) whose bits on
+    ``qubits`` spell r and c, the first listed qubit most significant, and
+    whose other bits agree; every other entry is +0.
+    """
     dim = 2 ** n
+    cols = np.arange(dim)
+    shifts = [n - 1 - q for q in qubits]
+    local = np.zeros_like(cols)
+    mask = 0
+    for shift in shifts:
+        local = local << 1 | cols >> shift & 1
+        mask |= 1 << shift
     out = np.zeros((dim, dim), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            if u4[r, c] == 0:
-                continue
-            ops = {qa: _E[r >> 1][c >> 1], qb: _E[r & 1][c & 1]}
-            out += u4[r, c] * _kron_embed(ops, n)
+    for r in range(len(u)):
+        spread = sum((r >> k & 1) << shift for k, shift in enumerate(reversed(shifts)))
+        out[cols & ~mask | spread, cols] = u[r, local]
     return out
 
 
@@ -151,20 +155,9 @@ def _partial_swap4(alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _unitary_cached(gate: GateOp, n: int) -> np.ndarray:
-    if gate.kind == "H":
-        u = _kron_embed({gate.qubits[0]: _H2}, n)
-    elif gate.kind == "Z":
-        u = _kron_embed({gate.qubits[0]: _Z2}, n)
-    elif gate.kind == "CNOT":
-        u = _embed_two(_CNOT4, gate.qubits[0], gate.qubits[1], n)
-    elif gate.kind == "CPHASE":
-        u = _embed_two(_CPHASE4, gate.qubits[0], gate.qubits[1], n)
-    elif gate.kind == "SWAP":
-        u = _embed_two(_SWAP4, gate.qubits[0], gate.qubits[1], n)
-    elif gate.kind == "PARTIAL_SWAP":
-        u = _embed_two(_partial_swap4(gate.alpha), gate.qubits[0], gate.qubits[1], n)
-    else:
-        raise ValueError(f"{gate.kind} is a channel, not a unitary")
+    """Read-only full-register unitary of a gate, embedded by ``_embed``."""
+    local = _partial_swap4(gate.alpha) if gate.kind == "PARTIAL_SWAP" else _LOCAL[gate.kind]
+    u = _embed(local, gate.qubits, n)
     u.setflags(write=False)
     return u
 
@@ -271,9 +264,8 @@ def temporal_average(
     builder: Callable[[DephasingPattern], Circuit],
     patterns: Sequence[DephasingPattern],
     initial: DensityMatrix,
-    weights: Sequence[float] | None = None,
 ) -> DensityMatrix:
-    """Convex combination of the final states of one concrete circuit per pattern.
+    """Uniform average of the final states of one concrete circuit per pattern.
 
     The circuits are evolved in consecutive batches of ``_BATCH``: the batch's
     states form one stack, and at each gate depth every distinct gate acts
@@ -284,14 +276,7 @@ def temporal_average(
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
-    if weights is None:
-        weights = [1.0 / len(patterns)] * len(patterns)
-    if len(weights) != len(patterns):
-        raise ValueError(f"{len(weights)} weights for {len(patterns)} patterns")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
+    weight = 1.0 / len(patterns)
     n = initial.n
     accumulated = None
     for start in range(0, len(patterns), _BATCH):
@@ -310,7 +295,7 @@ def temporal_average(
                     stack = _apply_raw(op, stack, n)
                 else:
                     stack[members] = _apply_raw(op, stack[members], n)
-        for weight, final in zip(weights[start:start + _BATCH], stack):
+        for final in stack:
             accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
 

@@ -18,7 +18,7 @@ from .pauli import qubit_label, single
 
 __all__ = ["MultipletLine", "MultipletReport", "antiphase_amplitudes"]
 
-#: default classification threshold, 10% of the maximal antiphase amplitude 2
+#: classification threshold, 10% of the maximal antiphase amplitude 2
 DEFAULT_THRESHOLD = 0.1
 
 
@@ -49,17 +49,16 @@ class MultipletReport:
         return out
 
 
-def antiphase_amplitudes(
-    rho: DensityMatrix, readout: int, threshold: float = DEFAULT_THRESHOLD
-) -> MultipletReport:
+def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
     """Apply a Hadamard readout and report every spin's multiplet amplitudes.
 
     For spin r with partner s, the antiphase amplitude is the quadrature
     magnitude of the two-spin coherences 2<X_r Z_s> and 2<Y_r Z_s>; the
     in-phase amplitude is the magnitude of <X_r> and <Y_r> (the same for
     every partner).  A spin is classified "antiphase(S)" when its strongest
-    antiphase partner S exceeds the threshold while its in-phase signal stays
-    below it; "silent" when everything is below threshold; "other" otherwise.
+    antiphase partner S exceeds ``DEFAULT_THRESHOLD`` while its in-phase
+    signal stays below it; "silent" when everything is below that threshold;
+    "other" otherwise.
     """
     n = rho.n
     if not 0 <= readout < n:
@@ -84,10 +83,10 @@ def antiphase_amplitudes(
             if amp > best_amp:
                 best_partner, best_amp = qubit_label(s), amp
         lines[qubit_label(r)] = partners
-        if best_amp > threshold and inphase < threshold:
+        if best_amp > DEFAULT_THRESHOLD and inphase < DEFAULT_THRESHOLD:
             classification[qubit_label(r)] = f"antiphase({best_partner})"
-        elif best_amp < threshold and inphase < threshold:
+        elif best_amp < DEFAULT_THRESHOLD and inphase < DEFAULT_THRESHOLD:
             classification[qubit_label(r)] = "silent"
         else:
             classification[qubit_label(r)] = "other"
-    return MultipletReport(readout, threshold, lines, classification)
+    return MultipletReport(readout, DEFAULT_THRESHOLD, lines, classification)

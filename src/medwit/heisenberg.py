@@ -33,7 +33,6 @@ __all__ = [
     "ATTENUATION",
     "AttenuationPoly",
     "DescriptorFrame",
-    "HeisenbergState",
     "UnsupportedGateError",
     "apply_dephasing_frame",
     "apply_gate_frame",
@@ -154,17 +153,6 @@ class AttenuationPoly:
 
 #: the bare formal factor (1 - 2p)
 ATTENUATION = AttenuationPoly({1: 1.0})
-
-
-@dataclass(frozen=True)
-class HeisenbergState:
-    """Fixed reference state of a run; expectations are taken against it."""
-
-    basis: BasisState
-
-    @classmethod
-    def zeros(cls, n: int) -> "HeisenbergState":
-        return cls(BasisState((0,) * n))
 
 
 @dataclass(frozen=True)
@@ -310,7 +298,7 @@ def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]])
 
 
 def frame_expectation(
-    frame: DescriptorFrame, obs: PauliSum, state: HeisenbergState, epsilon: float
+    frame: DescriptorFrame, obs: PauliSum, basis: BasisState, epsilon: float
 ) -> float:
     """Expectation of ``obs`` at the frame's time, from the pseudo-pure state
     eps * |basis><basis| + (1 - eps) * I / 2^n.
@@ -324,7 +312,7 @@ def frame_expectation(
         factors = [(q, letter.lower()) for q, letter in enumerate(word) if letter != "I"]
         image = image + coeff * frame_observable(frame, factors)
     mixed = identity_component(image).real
-    return epsilon * expectation_basis(state.basis, image) + (1.0 - epsilon) * mixed
+    return epsilon * expectation_basis(basis, image) + (1.0 - epsilon) * mixed
 
 
 def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
@@ -412,13 +400,12 @@ def render_sum(descriptor: PauliSum) -> str:
     return text.replace("+ -", "- ")
 
 
-def render_table(frames: Sequence[DescriptorFrame], labels: str | None = None) -> str:
+def render_table(frames: Sequence[DescriptorFrame]) -> str:
     """Text table: one row per time slice, one {x, z} cell per qubit."""
     if not frames:
         raise ValueError("at least one frame is required")
     n = frames[0].n
-    labels = labels or "".join(qubit_label(q) for q in range(n))
-    rows = [[""] + [f"Qubit {labels[q]}" for q in range(n)]]
+    rows = [[""] + [f"Qubit {qubit_label(q)}" for q in range(n)]]
     for frame in frames:
         cells = [f"t{frame.time_index}"]
         for q in range(n):
@@ -429,12 +416,11 @@ def render_table(frames: Sequence[DescriptorFrame], labels: str | None = None) -
     return "\n".join(lines)
 
 
-def frames_to_dict(frames: Sequence[DescriptorFrame], labels: str | None = None) -> dict:
+def frames_to_dict(frames: Sequence[DescriptorFrame]) -> dict:
     """Structured dump: per slice, per qubit, the (coefficient, word) pairs."""
     if not frames:
         raise ValueError("at least one frame is required")
     n = frames[0].n
-    labels = labels or "".join(qubit_label(q) for q in range(n))
 
     def coeff_terms(coeff) -> list[dict]:
         if isinstance(coeff, AttenuationPoly):
@@ -453,7 +439,7 @@ def frames_to_dict(frames: Sequence[DescriptorFrame], labels: str | None = None)
             {
                 "time": frame.time_index,
                 "qubits": [
-                    {"label": labels[q], "x": dump(frame.x[q]), "z": dump(frame.z[q])}
+                    {"label": qubit_label(q), "x": dump(frame.x[q]), "z": dump(frame.z[q])}
                     for q in range(n)
                 ],
             }
@@ -494,13 +480,13 @@ def _parse_coefficient(text: str):
     return AttenuationPoly({power: value}) if power else value
 
 
-def parse_word(text: str, n: int, labels: str | None = None) -> PauliSum:
+def parse_word(text: str, n: int) -> PauliSum:
     """Parse one rendered descriptor word back into a PauliSum.
 
     Factors multiply left to right, so commuting factors may appear in any
     order and repeated-qubit products pick up their algebraic phase.
     """
-    labels = labels or "".join(qubit_label(q) for q in range(n))
+    labels = "".join(qubit_label(q) for q in range(n))
     text = text.strip()
     if not text:
         raise ValueError("empty descriptor word")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -53,8 +53,6 @@ _MUL1 = {
     ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
     ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
 }
-
-_PHASE_PREFIX = {1 + 0j: "", -1 + 0j: "-", 1j: "i", -1j: "-i"}
 
 
 def qubit_label(index: int) -> str:
@@ -135,16 +133,6 @@ class PauliTerm:
         """Dense 2^n x 2^n matrix realization."""
         return self.to_sum().dense()
 
-    def render(self) -> str:
-        """Canonical text form, e.g. 'q_zA q_xB', '-iq_yC', 'id'."""
-        word = " ".join(
-            f"q_{l.lower()}{qubit_label(q)}" for q, l in enumerate(self.letters) if l != "I"
-        )
-        return _PHASE_PREFIX[self.phase] + (word or "id")
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 @dataclass(frozen=True)
 class BasisState:
@@ -205,17 +193,6 @@ class PauliSum:
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
         return cls(n, {})
-
-    @classmethod
-    def from_term(cls, term: PauliTerm) -> "PauliSum":
-        return term.to_sum()
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[PauliTerm]) -> "PauliSum":
-        out = cls.zero(n)
-        for t in terms:
-            out = out + t.to_sum()
-        return out
 
     def items(self) -> list[tuple[str, complex]]:
         """Terms as (word, coefficient) pairs, sorted by word for determinism."""

@@ -2,10 +2,12 @@
 
 The reference matrix builders here deliberately avoid the package's own dense
 conversion, so symbolic results are always checked against an independent
-numerical route.  ``brute_force_average`` is the reference for the package's
-dynamic-programming exhaustive average: it builds and evolves one concrete
-circuit per balanced pattern pair.  ``per_circuit_average`` is the reference
-for the batched ``temporal_average``: it evolves one circuit at a time.
+numerical route; ``ref_gate_unitary`` embeds a gate by a Kronecker product
+and a qubit permutation, independently of the package's index arithmetic.
+``brute_force_average`` is the reference for the package's dynamic-programming
+exhaustive average: it builds and evolves one concrete circuit per balanced
+pattern pair.  ``per_circuit_average`` is the reference for the batched
+``temporal_average``: it evolves one circuit at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +53,35 @@ def ref_sum_matrix(psum: PauliSum) -> np.ndarray:
     for word, coeff in psum.items():
         out += complex(coeff) * ref_word_matrix(word)
     return out
+
+
+_REF_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+REF_LOCAL = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Z": REF_PAULI["Z"],
+    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "CPHASE": np.diag([1, 1, 1, -1]).astype(complex),
+    "SWAP": _REF_SWAP,
+}
+
+
+def ref_partial_swap(alpha: float) -> np.ndarray:
+    """SWAP^alpha on the principal branch: the antisymmetric subspace picks up
+    exp(i*pi*alpha), the symmetric one is fixed."""
+    p_sym = (np.eye(4, dtype=complex) + _REF_SWAP) / 2
+    p_anti = (np.eye(4, dtype=complex) - _REF_SWAP) / 2
+    return p_sym + np.exp(1j * np.pi * alpha) * p_anti
+
+
+def ref_gate_unitary(gate: GateOp, n: int) -> np.ndarray:
+    """Local matrix (x) identity, with the tensor axes permuted onto the gate's qubits."""
+    local = ref_partial_swap(gate.alpha) if gate.kind == "PARTIAL_SWAP" else REF_LOCAL[gate.kind]
+    k = len(gate.qubits)
+    full = np.kron(local, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    # axis i of ``full`` belongs to qubit order[i]
+    order = list(gate.qubits) + [q for q in range(n) if q not in gate.qubits]
+    axes = list(np.argsort(order))
+    return full.transpose(axes + [a + n for a in axes]).reshape(2 ** n, 2 ** n)
 
 
 def ref_basis_vector(bits) -> np.ndarray:
@@ -121,13 +152,12 @@ def brute_force_average(
     )
 
 
-def per_circuit_average(builder, patterns, initial: DensityMatrix, weights=None) -> DensityMatrix:
-    """Weighted sum of each pattern circuit's final state, evolved alone by
+def per_circuit_average(builder, patterns, initial: DensityMatrix) -> DensityMatrix:
+    """Uniform average of each pattern circuit's final state, evolved alone by
     ``run_network_density`` and accumulated in pattern order."""
-    if weights is None:
-        weights = [1.0 / len(patterns)] * len(patterns)
+    weight = 1.0 / len(patterns)
     accumulated = None
-    for pattern, weight in zip(patterns, weights):
+    for pattern in patterns:
         final = run_network_density(builder(pattern), initial)[-1].entries
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)

@@ -99,7 +99,7 @@ class TestBuildStaged:
         assert circuit.gates[2].alpha == 1.0
 
     def test_balanced_pattern_yields_four_dephased_stages_per_link(self):
-        pattern = sample_patterns(8, 1, balanced=True, seed=0)[0]
+        pattern = sample_patterns(8, 1, seed=0)[0]
         circuit = build_staged(8, pattern)
         z_count = sum(1 for g in circuit.gates if g.kind == "Z")
         assert z_count == 8  # four per link
@@ -122,32 +122,31 @@ class TestBuildStaged:
 
 class TestPatterns:
     def test_population_counts(self):
-        assert pattern_population(8, balanced=True) == comb(8, 4) ** 2 == 4900
-        assert pattern_population(3, balanced=False) == 64
+        assert pattern_population(8) == comb(8, 4) ** 2 == 4900
         with pytest.raises(ValueError):
-            pattern_population(3, balanced=True)
+            pattern_population(3)
 
     def test_sampled_patterns_are_distinct_and_balanced(self):
-        patterns = sample_patterns(8, 16, balanced=True, seed=5)
+        patterns = sample_patterns(8, 16, seed=5)
         assert len(set(patterns)) == 16
         for pattern in patterns:
             assert pattern.balanced
 
     def test_sampling_is_deterministic_in_seed(self):
-        a = sample_patterns(8, 16, balanced=True, seed=3)
-        b = sample_patterns(8, 16, balanced=True, seed=3)
-        c = sample_patterns(8, 16, balanced=True, seed=4)
+        a = sample_patterns(8, 16, seed=3)
+        b = sample_patterns(8, 16, seed=3)
+        c = sample_patterns(8, 16, seed=4)
         assert a == b
         assert a != c
 
     def test_full_population_request_is_exhaustive(self):
-        patterns = sample_patterns(8, 4900, balanced=True, seed=0)
+        patterns = sample_patterns(8, 4900, seed=0)
         assert patterns == exhaustive_patterns(8)
         assert len(set(patterns)) == 4900
 
     def test_count_beyond_population_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            sample_patterns(2, 5, balanced=True)
+            sample_patterns(2, 5)
 
     def test_exhaustive_enumeration_matches_itertools(self):
         got = {p.bc_choices for p in exhaustive_patterns(4)}
@@ -155,9 +154,3 @@ class TestPatterns:
         for positions in combinations(range(4), 2):
             want.add(tuple(k in positions for k in range(4)))
         assert got == want
-
-    def test_unbalanced_sampling(self):
-        patterns = sample_patterns(2, 16, balanced=False, seed=1)
-        assert len(set(patterns)) == 16  # the full 4x4 population
-        counts = {sum(p.bc_choices) + sum(p.cd_choices) for p in patterns}
-        assert counts == {0, 1, 2, 3, 4}

@@ -114,6 +114,13 @@ class TestSweepCommand:
         assert "stop 0.0 is below start 0.5" in err
         assert "must lie in [0, 1]" not in err
 
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "-inf:0.5:0.1"])
+    def test_non_finite_bounds_are_named(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", f"--p-grid={grid}")
+        assert code == EXIT_CONFIG
+        assert f"p-grid values must lie in [0, 1], got {grid!r}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("p", ["0.3", "symbolic"])
     def test_intensity_flag_rejected(self, capsys, p):
         code, _, err = run_cli(capsys, "sweep", "--p", p)
@@ -341,6 +348,43 @@ class TestInitialBits:
         code, _, err = run_cli(capsys, command, "--config", str(config))
         assert code == EXIT_CONFIG
         assert "--initial-bits" in err
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("staged", "--patterns", "sampled:4"),
+            ("staged", "--patterns", "exhaustive"),
+            ("run",),
+        ],
+        ids=["staged-sampled", "staged-exhaustive", "run"],
+    )
+    def test_negative_seed_is_a_config_error(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert "--seed" in err and out == ""
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = -1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--seed" in err and out == ""
+
+
+class TestTableRejectsUnusedFlags:
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", "0.5"), ("axes", "xx-zz"), ("initial_bits", "1111")]
+    )
+    def test_flag_and_file_value_are_named(self, capsys, tmp_path, key, value):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, "table", flag, value)
+        assert code == EXIT_CONFIG
+        assert f"{flag} does not apply to table" in err and out == ""
+        config = tmp_path / "table.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert f"{flag} does not apply to table" in err and out == ""
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
 """Density-engine tests: gates, channels, expectations, negativity, averaging."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     per_circuit_average,
+    ref_gate_unitary,
     random_clifford_gates,
     random_density,
     random_sum,
@@ -16,6 +19,7 @@ from medwit.circuits import (
     SLICE,
     Circuit,
     DephasingPattern,
+    GateOp,
     build_staged,
     build_symmetric,
     cnot,
@@ -96,6 +100,21 @@ class TestGateUnitaries:
     def test_channel_is_not_a_unitary(self):
         with pytest.raises(ValueError, match="channel"):
             gate_unitary(phase_flip(0, 0.5), 2)
+
+    def test_embedding_matches_kronecker_reference(self):
+        checked = 0
+        for n in range(2, 6):
+            gates = [GateOp(kind, (q,)) for kind in ("H", "Z") for q in range(n)]
+            for pair in itertools.permutations(range(n), 2):
+                gates += [GateOp(kind, pair) for kind in ("CNOT", "CPHASE", "SWAP")]
+                gates += [partial_swap(*pair, 1.0 / s) for s in range(1, 35)]
+            for gate in gates:
+                u = gate_unitary(gate, n)
+                assert np.array_equal(u, ref_gate_unitary(gate, n)), (gate, n)
+                zeros = np.concatenate([u.real[u.real == 0], u.imag[u.imag == 0]])
+                assert not np.signbit(zeros).any(), (gate, n)
+            checked += len(gates)
+        assert checked == 1508
 
     def test_all_gate_unitaries_are_unitary(self):
         for gate in (h(1), z(2), cnot(0, 3), cnot(3, 1), swap(1, 3), partial_swap(2, 0, 0.37)):
@@ -273,17 +292,6 @@ class TestTemporalAverage:
         undephased = run_network_density(build_staged(8), initial)[-1]
         assert np.max(np.abs(averaged.entries - undephased.entries)) < 1e-14
 
-    def test_weight_validation(self):
-        initial = basis_density(ZERO4)
-        quiet = DephasingPattern((False,), (False,))
-        builder = lambda pat: Circuit(4, (h(0), SLICE))
-        with pytest.raises(ValueError, match="sum to 1"):
-            temporal_average(builder, [quiet], initial, weights=[0.5])
-        with pytest.raises(ValueError, match="nonnegative"):
-            temporal_average(builder, [quiet, quiet], initial, weights=[1.5, -0.5])
-        with pytest.raises(ValueError, match="weights for"):
-            temporal_average(builder, [quiet], initial, weights=[0.5, 0.5])
-
     def test_circuit_size_must_match_initial_state(self):
         quiet = DephasingPattern((False,), (False,))
         with pytest.raises(ValueError, match="pattern circuit has n=3, initial state has n=4"):
@@ -321,14 +329,6 @@ class TestBatchedAverage:
         initial = pseudo_pure(0.7, BasisState.from_string("1100"))
         batched = temporal_average(builder, patterns, initial)
         reference = per_circuit_average(builder, patterns, initial)
-        assert np.array_equal(batched.entries, reference.entries)
-
-    def test_non_uniform_weights(self):
-        patterns = sample_patterns(6, 50, seed=2)
-        weights = list(np.random.default_rng(3).dirichlet(np.ones(len(patterns))))
-        initial = basis_density(BasisState.from_string("1100"))
-        batched = temporal_average(_staged(6), patterns, initial, weights=weights)
-        reference = per_circuit_average(_staged(6), patterns, initial, weights=weights)
         assert np.array_equal(batched.entries, reference.entries)
 
     @settings(max_examples=10, deadline=None)

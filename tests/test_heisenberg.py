@@ -29,7 +29,6 @@ from medwit.density import (
 from medwit.heisenberg import (
     ATTENUATION,
     AttenuationPoly,
-    HeisenbergState,
     UnsupportedGateError,
     apply_dephasing_frame,
     apply_gate_frame,
@@ -150,20 +149,20 @@ def descriptor_witness(frame, state, axes=XZ_ZX):
 class TestWitness:
     def test_symmetric_network_reaches_two(self):
         frames = run_network_frames(build_symmetric())
-        state = HeisenbergState.zeros(4)
+        state = BasisState.from_string("0000")
         assert descriptor_witness(frames[-1], state) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.4, 0.5])
     def test_dephased_witness_follows_attenuation(self, p):
         frames = run_network_frames(build_symmetric(p))
-        state = HeisenbergState.zeros(4)
+        state = BasisState.from_string("0000")
         got = descriptor_witness(frames[-1], state)
         assert got == pytest.approx(2 * (1 - 2 * p), abs=1e-12)
 
     def test_asymmetric_axes_cross_checked_against_density(self):
         frames = run_network_frames(build_asymmetric())
-        state = HeisenbergState.zeros(4)
-        final = run_network_density(build_asymmetric(), basis_density(state.basis))[-1]
+        state = BasisState.from_string("0000")
+        final = run_network_density(build_asymmetric(), basis_density(state))[-1]
         for axes in (XZ_ZX, XX_ZZ):
             obs = single(4, 0, axes[0][0]).to_sum() * single(4, 3, axes[0][1]).to_sum() + single(
                 4, 0, axes[1][0]
@@ -202,7 +201,7 @@ class TestWitness:
         identity = PauliTerm("IIII").to_sum()
         for obs in (correlator, witness_observable(4, 0, 3, XZ_ZX) + identity,
                     witness_observable(4, 0, 3, XX_ZZ)):
-            got = frame_expectation(frame, obs, HeisenbergState(basis), epsilon)
+            got = frame_expectation(frame, obs, basis, epsilon)
             assert abs(got - expectation(final, obs)) <= 1e-12
 
 
@@ -220,7 +219,7 @@ class TestEffectiveDephasingAgainstChannel:
         obs = witness_observable(4, 0, 3, axes)
         states = run_network_density(circuit, pseudo_pure(epsilon, basis))
         for frame, rho in zip(run_network_frames(circuit), states):
-            got = frame_expectation(frame, obs, HeisenbergState(basis), epsilon)
+            got = frame_expectation(frame, obs, basis, epsilon)
             assert abs(got - expectation(rho, obs)) <= 1e-12
 
     def test_differ_on_x_after_hadamard(self):
@@ -231,7 +230,7 @@ class TestEffectiveDephasingAgainstChannel:
         obs = single(4, 1, "x").to_sum()
         frame = run_network_frames(circuit)[-1]
         rho = run_network_density(circuit, basis_density(BasisState((0,) * 4)))[-1]
-        assert frame_expectation(frame, obs, HeisenbergState.zeros(4), 1.0) == 1.0
+        assert frame_expectation(frame, obs, BasisState.from_string("0000"), 1.0) == 1.0
         assert expectation(rho, obs) == pytest.approx(1 - 2 * p, abs=1e-12)
 
 
@@ -282,15 +281,15 @@ class TestCliffordInvariants:
         from medwit.pauli import expectation_basis
 
         rng = np.random.default_rng(31)
-        state = HeisenbergState.zeros(4)
-        initial = basis_density(state.basis)
+        state = BasisState.from_string("0000")
+        initial = basis_density(state)
         for _ in range(50):
             circuit = random_clifford_circuit(rng, 4, 20)
             frame = run_network_frames(circuit)[-1]
             final = run_network_density(circuit, initial)[-1]
             for q in range(4):
                 for axis in "xyz":
-                    got = expectation_basis(state.basis, frame_observable(frame, [(q, axis)]))
+                    got = expectation_basis(state, frame_observable(frame, [(q, axis)]))
                     want = expectation(final, single(4, q, axis).to_sum())
                     assert abs(got - want) < 1e-10
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_sum, random_term, ref_basis_vector, ref_sum_matrix, ref_term_matrix
-from medwit.heisenberg import ATTENUATION
+from medwit.heisenberg import ATTENUATION, render_sum
 from medwit.pauli import (
     PHASES,
     BasisState,
@@ -33,10 +33,10 @@ class TestPauliTerm:
             PauliTerm("")
 
     def test_render(self):
-        assert PauliTerm("ZXII").render() == "q_zA q_xB"
-        assert PauliTerm("IIII").render() == "id"
-        assert PauliTerm("YI", -1j).render() == "-iq_yA"
-        assert PauliTerm("II", -1).render() == "-id"
+        assert render_sum(PauliTerm("ZXII").to_sum()) == "q_zA q_xB"
+        assert render_sum(PauliTerm("IIII").to_sum()) == "id"
+        assert render_sum(PauliTerm("YI", -1j).to_sum()) == "-iq_yA"
+        assert render_sum(PauliTerm("II", -1).to_sum()) == "-id"
 
     def test_single(self):
         assert single(4, 0, "z") == PauliTerm("ZIII")
