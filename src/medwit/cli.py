@@ -1,13 +1,22 @@
 """Experiment runner CLI: descriptor tables, dephasing sweeps, staged-swap runs.
 
 Every command runs one pipeline.  ``_effective_config`` validates and parses
-the flags and config file once; ``_build_network`` builds the circuit (``sweep``
-once per grid point); ``_engines`` runs the density engine, and the descriptor
-engine when every gate is Clifford and every intensity numeric; ``_observe``
-reads the witnesses, negativity_AD and the mediators' nonclassicality off one
-state.  Both engines evaluate the one witness ``pauli.witness_observable``.  A
+the flags and config file once; ``_build_network`` builds the circuit;
+``_engines`` runs the density engine, and the descriptor engine when every
+gate is Clifford and every intensity numeric; ``_observe`` reads the
+witnesses, negativity_AD and the mediators' nonclassicality off one state.
+Both engines evaluate the one witness ``pauli.witness_observable``.  A
 ``cmd_*`` only picks the slices or variants to observe and formats them, and
 ``_execute`` handles --timing, --dump-state and the output for all of them.
+
+``sweep`` runs the whole grid as one batched evolution instead: the symmetric
+network depends on p only through its two phase flips, so it is built once
+with a symbolic intensity.  The density engine evolves it for a stack of grid
+points at a time (``density.run_intensity_grid``) and reads the witness and
+negativity_AD off each stack; the descriptor engine evolves it once, and the
+witness image and the mediators' commutators taken off its final frame give
+each point's values by ``heisenberg.substitute``.  The CSV is byte-identical
+to evolving one circuit per grid point on both engines.
 
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
@@ -29,7 +38,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
@@ -47,9 +56,13 @@ from .density import (
     DensityMatrix,
     exhaustive_average,
     expectation,
+    expectations,
+    negativities,
     negativity,
     partial_trace,
+    partial_traces,
     pseudo_pure,
+    run_intensity_grid,
     run_network_density,
     state_to_bytes,
     temporal_average,
@@ -57,14 +70,17 @@ from .density import (
 from .detect import antiphase_amplitudes
 from .heisenberg import (
     DescriptorFrame,
-    UnsupportedGateError,
+    descriptor_commutator,
     frame_expectation,
     frames_to_dict,
+    nonclassicality_degree,
+    observable_image,
+    pseudo_pure_expectation,
     render_table,
     run_network_frames,
-    nonclassicality_degree,
+    substitute,
 )
-from .pauli import BasisState, witness_observable
+from .pauli import BasisState, operator_norm, witness_observable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,6 +92,9 @@ SAMPLE_INDEX_LIMIT = 2 ** 63
 PREVIEW_PATTERNS = 16
 #: a witness or negativity within this of 0 is reported as 0
 ZERO_TOL = 1e-10
+#: largest --p-grid point count; a finer grid is a config error, not a run
+#: that asks for unbounded memory
+MAX_GRID_POINTS = 10 ** 6
 
 AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
@@ -155,7 +174,8 @@ def _parse_p(text):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid spec: 'start:stop:step' (inclusive) or comma-separated values."""
+    """Grid spec: 'start:stop:step' (inclusive) or comma-separated values, of
+    at most ``MAX_GRID_POINTS`` points, counted before any list is built."""
     try:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
@@ -168,15 +188,27 @@ def _parse_grid(text: str) -> list[float]:
                 raise ConfigError(f"p-grid values must lie in [0, 1], got {text!r}")
             # floor, so no point passes stop; the slack keeps a stop that
             # lies on the grid up to rounding (0.5 / 0.0005) as its last point
-            count = math.floor((stop - start) / step + 1e-9)
-            grid = [start + i * step for i in range(count + 1)]
+            steps = (stop - start) / step + 1e-9
+            # a subnormal step overflows the count to inf, which floor rejects
+            count = steps if math.isinf(steps) else math.floor(steps) + 1
+            _check_grid_size(text, count)
+            grid = [start + i * step for i in range(count)]
         else:
-            grid = [float(v) for v in text.split(",") if v.strip()]
+            values = [v for v in text.split(",") if v.strip()]
+            _check_grid_size(text, len(values))
+            grid = [float(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad p-grid {text!r}: {exc}") from exc
     if not grid or any(not 0 <= p <= 1 for p in grid):
         raise ConfigError(f"p-grid values must lie in [0, 1], got {text!r}")
     return grid
+
+
+def _check_grid_size(text: str, points: int | float) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--p-grid {text!r} gives {points} points, above the limit of {MAX_GRID_POINTS}"
+        )
 
 
 def _parse_bits(text: str) -> BasisState:
@@ -258,6 +290,13 @@ def _effective_config(args) -> Setup:
         seed=seed,
         axes=axes,
     )
+    if args.command in ("table", "sweep"):
+        for key in ("stages", "patterns"):
+            if key in file_cfg:
+                raise ConfigError(
+                    f"config key {key!r} does not apply to {args.command}, which takes "
+                    "no partial-swap stages or dephasing patterns (staged and run do)"
+                )
     if cfg.p is not None and cfg.network != "symmetric":
         raise ConfigError(
             f"--p {cfg.p} applies to the symmetric network only; the {cfg.network} network "
@@ -272,6 +311,12 @@ def _effective_config(args) -> Setup:
                 f"(got --p {cfg.p} from the flag or the config file)"
             )
     elif args.command == "table":
+        if cfg.network == "staged":
+            raise ConfigError(
+                "--network staged does not apply to table: the staged network uses partial "
+                "swaps, which the descriptor engine (Clifford-only) cannot track; run it "
+                "with the staged command on the density engine"
+            )
         for key in ("epsilon", "axes", "initial_bits"):
             if getattr(args, key) is not None or key in file_cfg:
                 raise ConfigError(
@@ -416,11 +461,6 @@ def _final_slice_notes(entry: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_table(setup: Setup, args):
-    if setup.cfg.network == "staged":
-        raise UnsupportedGateError(
-            "the staged network uses partial swaps, which the descriptor engine "
-            "(Clifford-only) cannot track; run it with the staged command on the density engine"
-        )
     frames = run_network_frames(_build_network(setup.cfg))
     if args.format == "json":
         return frames_to_dict(frames), None
@@ -429,14 +469,22 @@ def cmd_table(setup: Setup, args):
 
 def cmd_sweep(setup: Setup, args):
     cfg = setup.cfg
+    grid = _parse_grid(args.p_grid)
+    circuit = build_symmetric(SYMBOLIC_P)
+    final = run_network_frames(circuit)[-1]
+    witness = WITNESSES[cfg.axes]
+    image = observable_image(final, witness)
+    commutators = [descriptor_commutator(final, q) for q in MEDIATORS]
+    witness_matrix = witness.dense()
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    for p in _parse_grid(args.p_grid):
-        states, frames = _engines(setup, _build_network(replace(cfg, p=p)))
-        seen = _observe(setup, states[-1], frames[-1], [cfg.axes])
-        witness, nc = seen["witness"][cfg.axes], seen["nonclassicality"]
-        row = (p, witness["heisenberg"], witness["density"], seen["negativity_AD"]["value"],
-               nc["B"], nc["C"])
-        lines.append(",".join(_fmt(v) for v in row))
+    for points, states in run_intensity_grid(circuit, setup.initial, grid):
+        densities = expectations(states, witness_matrix)
+        negs = negativities(partial_traces(states, [PROBE_1, PROBE_2]), [0])
+        for p, w_density, neg in zip(points, densities, negs):
+            w_heisenberg = pseudo_pure_expectation(substitute(image, p), setup.basis, cfg.epsilon)
+            nc = [operator_norm(substitute(c, p)) for c in commutators]
+            row = (p, w_heisenberg, float(w_density), float(neg), *nc)
+            lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n", None
 
 
@@ -577,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="sweep the dephasing intensity, emit CSV")
     _add_common(p_sweep, report=False)
     p_sweep.add_argument("--p-grid", dest="p_grid", default="0:0.5:0.05",
-                         help="grid as start:stop:step or comma list (default 0:0.5:0.05)")
+                         help=("grid as start:stop:step or comma list, at most "
+                               f"{MAX_GRID_POINTS} points (default 0:0.5:0.05)"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_staged = subs.add_parser("staged", help="staged-swap run with dephasing patterns")
@@ -602,7 +651,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"medwit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnsupportedGateError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # UnsupportedGateError is a ValueError
         print(f"medwit: engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

@@ -12,7 +12,12 @@ in the caller-supplied pattern order, so averaged results are bit-stable
 regardless of worker count.
 ``temporal_average`` evolves its pattern circuits in fixed-size batches, one
 broadcast matmul per distinct gate per depth, with results bit-identical to
-evolving one circuit at a time.
+evolving one circuit at a time.  ``run_intensity_grid`` evolves one circuit at
+many dephasing intensities the same way, p broadcast along a stack of states.
+The report layer works on stacks too (``expectations``, ``partial_traces``,
+``negativities``); the one-state ``expectation``, ``partial_trace`` and
+``negativity`` are those on a stack of one, and one pair of checks
+(Hermitian with unit trace, positive) serves ``DensityMatrix`` and every stack.
 ``exhaustive_average`` gives the exact average over all C(s, s/2)^2 balanced
 patterns of the staged network by dynamic programming, in O(s^2) evolutions
 (O(s^3) with interleaved links) instead of one circuit per pattern pair.
@@ -24,11 +29,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuits import B, C, D, Circuit, DephasingPattern, GateOp, TimeSlice, build_staged, z
+from .circuits import (
+    SYMBOLIC_P,
+    B,
+    C,
+    D,
+    Circuit,
+    DephasingPattern,
+    GateOp,
+    TimeSlice,
+    build_staged,
+    z,
+)
 from .pauli import BasisState, PauliSum
 
 __all__ = [
@@ -39,10 +55,14 @@ __all__ = [
     "basis_density",
     "exhaustive_average",
     "expectation",
+    "expectations",
     "gate_unitary",
+    "negativities",
     "negativity",
     "partial_trace",
+    "partial_traces",
     "pseudo_pure",
+    "run_intensity_grid",
     "run_network_density",
     "state_to_bytes",
     "temporal_average",
@@ -50,9 +70,10 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: pattern circuits that ``temporal_average`` evolves as one stack; on a
-#: 1000-pattern, 24-stage average, 32 costs +1.6% peak RSS over one circuit
-#: at a time and 128 costs +6.6% for no further speed-up
+#: pattern circuits that ``temporal_average`` evolves as one stack, and grid
+#: points per stack of ``run_intensity_grid``; on a 1000-pattern, 24-stage
+#: average, 32 costs +1.6% peak RSS over one circuit at a time and 128 costs
+#: +6.6% for no further speed-up
 _BATCH = 32
 
 _HERM_TOL = 1e-10
@@ -86,10 +107,7 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if n > MAX_QUBITS:
             raise ValueError(f"dense engine is limited to {MAX_QUBITS} qubits; got n={n}")
-        if np.max(np.abs(entries - entries.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(entries) - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(entries):.6g}, expected 1")
+        _check_hermitian_unit_trace(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -99,9 +117,33 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Positivity check in addition to the constructor's Hermiticity/trace checks."""
-        lowest = float(np.linalg.eigvalsh(self.entries)[0])
-        if lowest < -_PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        _check_positive(self.entries)
+
+
+def _check_hermitian_unit_trace(states: np.ndarray) -> None:
+    """The ``DensityMatrix`` checks on one matrix or on each of a stack: the
+    first matrix off Hermitian or off unit trace is an error."""
+    skew = np.abs(states - np.swapaxes(states.conj(), -1, -2)).max(axis=(-2, -1))
+    if np.any(skew > _HERM_TOL):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    traces = np.trace(states, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > _TRACE_TOL
+    if np.any(off):
+        raise ValueError(
+            f"density matrix trace is {np.ravel(traces)[np.argmax(off)]:.6g}, expected 1"
+        )
+
+
+def _check_positive(states: np.ndarray) -> None:
+    """The ``DensityMatrix.validate`` check on one matrix or on each of a stack,
+    by one ``eigvalsh``: the first matrix with an eigenvalue below -_PSD_TOL is
+    an error naming its lowest eigenvalue."""
+    lowest = np.ravel(np.linalg.eigvalsh(states)[..., 0])
+    negative = lowest < -_PSD_TOL
+    if np.any(negative):
+        raise ValueError(
+            f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
+        )
 
 
 def basis_density(bits: BasisState) -> DensityMatrix:
@@ -177,7 +219,10 @@ def apply_gate(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
     return DensityMatrix(u @ rho.entries @ u.conj().T)
 
 
-def _phase_flip_raw(entries: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
+def _phase_flip_raw(
+    entries: np.ndarray, qubit: int, p: float | np.ndarray, n: int
+) -> np.ndarray:
+    # p may be a (k, 1, 1) array, one intensity per state of a stack
     zq = _unitary_cached(GateOp("Z", (qubit,)), n)
     return (1.0 - p) * entries + p * (zq @ entries @ zq)
 
@@ -191,73 +236,130 @@ def apply_phase_flip(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     return DensityMatrix(_phase_flip_raw(rho.entries, qubit, float(p), rho.n))
 
 
+def expectations(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Re Tr(rho * matrix) for each state of a (k, d, d) stack, by one einsum;
+    an imaginary residue above tolerance is an error."""
+    values = np.einsum("kij,ji->k", states, matrix)
+    residue = np.abs(values.imag) > 1e-10
+    if np.any(residue):
+        raise ValueError(
+            f"expectation has imaginary residue {values.imag[np.argmax(residue)]:g}; "
+            "operator is not Hermitian"
+        )
+    return values.real
+
+
 def expectation(rho: DensityMatrix, a: PauliSum) -> float:
     """Re Tr(rho * a); an imaginary residue above tolerance is an error."""
     if rho.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={rho.n}, operator n={a.n}")
-    value = complex(np.einsum("ij,ji->", rho.entries, a.dense()))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(
-            f"expectation has imaginary residue {value.imag:g}; operator is not Hermitian"
-        )
-    return float(value.real)
+    return float(expectations(rho.entries[np.newaxis], a.dense())[0])
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept qubits (ascending order, relative order preserved)."""
-    n = rho.n
+def partial_traces(states: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Reduced states on the kept qubits (ascending order, relative order
+    preserved) of each state of a (k, d, d) stack, each checked as a
+    ``DensityMatrix`` is."""
+    n = states.shape[-1].bit_length() - 1
     keep = sorted(set(int(q) for q in keep))
     if not keep or any(q < 0 or q >= n for q in keep):
         raise ValueError(f"keep must be a nonempty subset of range({n}), got {keep}")
     drop = [q for q in range(n) if q not in keep]
-    tensor = rho.entries.reshape((2,) * (2 * n))
-    perm = keep + drop + [q + n for q in keep] + [q + n for q in drop]
-    tensor = np.transpose(tensor, perm)
+    k = len(states)
+    tensor = states.reshape((k,) + (2,) * (2 * n))
+    perm = [0] + [1 + q for q in keep + drop] + [1 + q + n for q in keep + drop]
     dk, dd = 2 ** len(keep), 2 ** len(drop)
-    tensor = tensor.reshape(dk, dd, dk, dd)
-    return DensityMatrix(np.einsum("abcb->ac", tensor))
+    tensor = np.transpose(tensor, perm).reshape(k, dk, dd, dk, dd)
+    reduced = np.einsum("kabcb->kac", tensor)
+    _check_hermitian_unit_trace(reduced)
+    return reduced
+
+
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state on the kept qubits (ascending order, relative order preserved)."""
+    return DensityMatrix(partial_traces(rho.entries[np.newaxis], keep)[0])
+
+
+def negativities(states: np.ndarray, partition: Iterable[int]) -> np.ndarray:
+    """Entanglement negativity of each state of a (k, d, d) stack: the trace
+    norm of its partial transpose minus 1, halved, and never below 0; one
+    ``eigvalsh`` for the whole stack."""
+    n = states.shape[-1].bit_length() - 1
+    part = sorted(set(int(q) for q in partition))
+    if not part or len(part) >= n or any(q < 0 or q >= n for q in part):
+        raise ValueError(f"partition must be a proper nonempty subset of range({n}), got {part}")
+    k = len(states)
+    tensor = states.reshape((k,) + (2,) * (2 * n))
+    axes = list(range(1 + 2 * n))
+    for q in part:
+        axes[1 + q], axes[1 + q + n] = axes[1 + q + n], axes[1 + q]
+    transposed = np.transpose(tensor, axes).reshape(states.shape)
+    excess = (np.abs(np.linalg.eigvalsh(transposed)).sum(axis=-1) - 1.0) / 2.0
+    return np.where(excess > 0.0, excess, 0.0)
 
 
 def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
     """Entanglement negativity (trace norm of the partial transpose minus 1) / 2."""
-    n = rho.n
-    part = sorted(set(int(q) for q in partition))
-    if not part or len(part) >= n or any(q < 0 or q >= n for q in part):
-        raise ValueError(f"partition must be a proper nonempty subset of range({n}), got {part}")
-    tensor = rho.entries.reshape((2,) * (2 * n))
-    axes = list(range(2 * n))
-    for q in part:
-        axes[q], axes[q + n] = axes[q + n], axes[q]
-    transposed = np.transpose(tensor, axes).reshape(rho.entries.shape)
-    eigenvalues = np.linalg.eigvalsh(transposed)
-    return max(0.0, (float(np.abs(eigenvalues).sum()) - 1.0) / 2.0)
+    return float(negativities(rho.entries[np.newaxis], partition)[0])
 
 
-def _apply_raw(op: GateOp, entries: np.ndarray, n: int) -> np.ndarray:
-    """One gate or channel on a state, or on each state of a stack along axis 0."""
+def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
+    """One gate or channel on a state, or on each state of a stack along axis 0;
+    a symbolic phase flip takes intensity ``p``, one per state as a (k, 1, 1) array."""
     if op.kind == "PHASE_FLIP":
-        if op.p == "symbolic":
+        if op.p != SYMBOLIC_P:
+            p = float(op.p)
+        elif p is None:
             raise ValueError("the density engine needs a numeric dephasing intensity")
-        return _phase_flip_raw(entries, op.qubits[0], float(op.p), n)
+        return _phase_flip_raw(entries, op.qubits[0], p, n)
     u = gate_unitary(op, n)
     return u @ entries @ u.conj().T
+
+
+def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.ndarray]:
+    """Raw state at each labelled time of the circuit, t_0 included."""
+    yield entries
+    for op in circuit.ops:
+        if isinstance(op, TimeSlice):
+            yield entries
+        else:
+            entries = _apply_raw(op, entries, circuit.n, p)
 
 
 def run_network_density(circuit: Circuit, initial: DensityMatrix) -> list[DensityMatrix]:
     """State after each labelled time of the circuit, t_0 included and validated."""
     if initial.n != circuit.n:
         raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
-    current = initial.entries
-    raw_states = [current]
-    for op in circuit.ops:
-        if isinstance(op, TimeSlice):
-            raw_states.append(current)
-        else:
-            current = _apply_raw(op, current, circuit.n)
-    states = [DensityMatrix(s) for s in raw_states]
+    states = [DensityMatrix(s) for s in _slice_states(circuit, initial.entries)]
     for state in states:
         state.validate()
     return states
+
+
+def run_intensity_grid(
+    circuit: Circuit, initial: DensityMatrix, intensities: Sequence[float]
+) -> Iterator[tuple[Sequence[float], np.ndarray]]:
+    """The state at the last labelled time of ``circuit`` at each dephasing
+    intensity in turn, every symbolic phase flip taking that intensity.
+
+    Yields (intensities, states) pairs of ``_BATCH`` points or fewer, the
+    states a (points, d, d) stack.  Gates ahead of the first symbolic flip act
+    once on the state every point shares; that flip broadcasts p along the
+    stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
+    broadcast matmul.  Every point sees exactly the arithmetic of
+    ``run_network_density`` on the circuit with its own p, so the states are
+    bit-identical to it; and every labelled slice of every point passes the
+    same checks, a slice that the points share once per stack.
+    """
+    if initial.n != circuit.n:
+        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    for start in range(0, len(intensities), _BATCH):
+        chunk = intensities[start:start + _BATCH]
+        p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
+        for state in _slice_states(circuit, initial.entries, p):
+            _check_hermitian_unit_trace(state)
+            _check_positive(state)
+        yield chunk, np.broadcast_to(state, (len(chunk),) + state.shape[-2:])
 
 
 def temporal_average(

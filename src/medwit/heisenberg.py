@@ -8,6 +8,11 @@ dephased qubit's own descriptors.  Frames are immutable values: every
 operation returns a new frame, so parameter sweeps can evaluate frames
 concurrently with no shared mutable state.  ``frame_expectation`` reads any
 observable, such as the ``pauli.witness_observable`` witness, off a frame.
+Its two steps, the observable's Heisenberg image (``observable_image``) and
+the image's value on the pseudo-pure input (``pseudo_pure_expectation``), are
+public too, as is the commutator behind ``nonclassicality_degree``: an image or
+commutator taken once off a frame evolved with a symbolic intensity gives the
+value at any p by ``substitute``, as if the frame had been evolved at that p.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .circuits import SYMBOLIC_P, Circuit, GateOp, TimeSlice
 from .pauli import (
+    PRUNE_TOL,
     BasisState,
     PauliSum,
     PauliTerm,
@@ -36,12 +42,15 @@ __all__ = [
     "UnsupportedGateError",
     "apply_dephasing_frame",
     "apply_gate_frame",
+    "descriptor_commutator",
     "frame_expectation",
     "frame_observable",
     "frames_to_dict",
     "init_frame",
     "nonclassicality_degree",
+    "observable_image",
     "parse_word",
+    "pseudo_pure_expectation",
     "render_sum",
     "render_table",
     "run_network_frames",
@@ -143,9 +152,20 @@ class AttenuationPoly:
         return sorted(self._coeffs.items())
 
     def at(self, p: float) -> complex:
-        """Numeric value with the channel intensity substituted."""
+        """Numeric value with the channel intensity substituted.
+
+        A power of (1 - 2p) at or below ``PRUNE_TOL`` in modulus counts as 0,
+        as in a frame evolved at that p, where a descriptor term is a unit
+        phase times such a power and is pruned as soon as the channel or a
+        product makes it that small, before a commutator or a sum of terms
+        could double it back above the tolerance.
+        """
         base = 1.0 - 2.0 * p
-        return sum(v * base ** k for k, v in self._coeffs.items())
+        return sum(
+            v * base ** k
+            for k, v in self._coeffs.items()
+            if k == 0 or abs(base ** k) > PRUNE_TOL
+        )
 
     def __repr__(self) -> str:
         return f"AttenuationPoly({self._coeffs!r})"
@@ -297,29 +317,42 @@ def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]])
     return PauliTerm("I" * frame.n).to_sum() if out is None else out
 
 
-def frame_expectation(
-    frame: DescriptorFrame, obs: PauliSum, basis: BasisState, epsilon: float
-) -> float:
-    """Expectation of ``obs`` at the frame's time, from the pseudo-pure state
-    eps * |basis><basis| + (1 - eps) * I / 2^n.
-
-    Each Pauli word of ``obs`` maps to the product of its letters' descriptors,
-    which gives the Heisenberg-picture observable O_H; the value is then
-    eps * <basis|O_H|basis> + (1 - eps) * Tr(O_H) / 2^n.
-    """
+def observable_image(frame: DescriptorFrame, obs: PauliSum) -> PauliSum:
+    """Heisenberg-picture image O_H of ``obs`` at the frame's time: each Pauli
+    word of ``obs`` maps to the product of its letters' descriptors."""
     image = PauliSum.zero(frame.n)
     for word, coeff in obs.items():
         factors = [(q, letter.lower()) for q, letter in enumerate(word) if letter != "I"]
         image = image + coeff * frame_observable(frame, factors)
+    return image
+
+
+def pseudo_pure_expectation(image: PauliSum, basis: BasisState, epsilon: float) -> float:
+    """Value of a numeric Heisenberg image on the pseudo-pure state
+    eps * |basis><basis| + (1 - eps) * I / 2^n: eps * <basis|O_H|basis> +
+    (1 - eps) * Tr(O_H) / 2^n."""
     mixed = identity_component(image).real
     return epsilon * expectation_basis(basis, image) + (1.0 - epsilon) * mixed
 
 
-def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
-    """Spectral norm of the commutator of one qubit's descriptor pair."""
+def frame_expectation(
+    frame: DescriptorFrame, obs: PauliSum, basis: BasisState, epsilon: float
+) -> float:
+    """Expectation of ``obs`` at the frame's time, from the pseudo-pure state
+    eps * |basis><basis| + (1 - eps) * I / 2^n."""
+    return pseudo_pure_expectation(observable_image(frame, obs), basis, epsilon)
+
+
+def descriptor_commutator(frame: DescriptorFrame, qubit: int) -> PauliSum:
+    """Commutator of one qubit's descriptor pair, [x, z]."""
     if not 0 <= qubit < frame.n:
         raise ValueError(f"qubit {qubit} out of range for n={frame.n}")
-    return operator_norm(commutator(frame.x[qubit], frame.z[qubit]))
+    return commutator(frame.x[qubit], frame.z[qubit])
+
+
+def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
+    """Spectral norm of the commutator of one qubit's descriptor pair."""
+    return operator_norm(descriptor_commutator(frame, qubit))
 
 
 def substitute(obj, p: float):

@@ -7,7 +7,9 @@ and a qubit permutation, independently of the package's index arithmetic.
 ``brute_force_average`` is the reference for the package's dynamic-programming
 exhaustive average: it builds and evolves one concrete circuit per balanced
 pattern pair.  ``per_circuit_average`` is the reference for the batched
-``temporal_average``: it evolves one circuit at a time.
+``temporal_average``: it evolves one circuit at a time.  ``per_point_sweep``
+is the reference for the batched ``sweep`` command: it builds and evolves one
+circuit per grid point on both engines.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from medwit.circuits import (
     GateOp,
     SLICE,
     build_staged,
+    build_symmetric,
     cnot,
     cphase,
     exhaustive_patterns,
@@ -28,8 +31,17 @@ from medwit.circuits import (
     swap,
     z,
 )
-from medwit.density import DensityMatrix, run_network_density, temporal_average
-from medwit.pauli import PauliSum, PauliTerm
+from medwit.density import (
+    DensityMatrix,
+    expectation,
+    negativity,
+    partial_trace,
+    pseudo_pure,
+    run_network_density,
+    temporal_average,
+)
+from medwit.heisenberg import frame_expectation, nonclassicality_degree, run_network_frames
+from medwit.pauli import BasisState, PauliSum, PauliTerm, witness_observable
 
 REF_PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -161,3 +173,33 @@ def per_circuit_average(builder, patterns, initial: DensityMatrix) -> DensityMat
         final = run_network_density(builder(pattern), initial)[-1].entries
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
+
+
+SWEEP_HEADER = (
+    "p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"
+)
+SWEEP_AXES = {"xz-zx": (("x", "z"), ("z", "x")), "xx-zz": (("x", "x"), ("z", "z"))}
+
+
+def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = "xz-zx") -> str:
+    """The ``sweep`` CSV, one symmetric-network circuit built and evolved per
+    grid point on both engines, each value read off that point's own state
+    and final frame."""
+    basis = BasisState.from_string(bits)
+    witness = witness_observable(4, 0, 3, SWEEP_AXES[axes])
+    initial = pseudo_pure(epsilon, basis)
+    lines = [SWEEP_HEADER]
+    for p in grid:
+        circuit = build_symmetric(p)
+        rho = run_network_density(circuit, initial)[-1]
+        frame = run_network_frames(circuit)[-1]
+        row = (
+            p,
+            frame_expectation(frame, witness, basis, epsilon),
+            expectation(rho, witness),
+            negativity(partial_trace(rho, [0, 3]), [0]),
+            nonclassicality_degree(frame, 1),
+            nonclassicality_degree(frame, 2),
+        )
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"

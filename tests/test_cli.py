@@ -8,7 +8,7 @@ import pytest
 
 import table_data
 from medwit import cli
-from medwit.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_OK, _parse_grid, main
+from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
 from test_tables import split_cells
 
 
@@ -42,10 +42,15 @@ class TestTableCommand:
         data = json.loads(out)
         assert len(data["slices"]) == 4
 
-    def test_staged_network_is_an_engine_error(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--network", "staged")
-        assert code == EXIT_ENGINE
-        assert "density engine" in err
+    def test_staged_network_is_a_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "table", "--network", "staged")
+        assert code == EXIT_CONFIG
+        assert "--network staged does not apply to table" in err and out == ""
+        config = tmp_path / "table.cfg"
+        config.write_text("network = staged\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--network staged does not apply to table" in err and out == ""
 
     def test_bad_intensity_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "--p", "1.5")
@@ -133,6 +138,20 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
         assert code == EXIT_CONFIG
         assert "--p " in err and "--p-grid" in err
+
+    @pytest.mark.parametrize("grid, points", [("0:1:1e-9", "1000000000"), ("0:1:5e-324", "inf")])
+    def test_point_count_is_capped_before_the_grid_is_built(self, capsys, grid, points):
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", grid)
+        assert code == EXIT_CONFIG
+        assert f"--p-grid {grid!r} gives {points} points" in err and out == ""
+
+    def test_cap_is_one_past_the_limit_in_both_grid_forms(self):
+        with pytest.raises(cli.ConfigError, match="gives 1000001 points"):
+            _parse_grid("0:1:1e-6")
+        at_cap = ",".join(["0"] * cli.MAX_GRID_POINTS)
+        assert len(_parse_grid(at_cap)) == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError, match=f"gives {cli.MAX_GRID_POINTS + 1} points"):
+            _parse_grid(at_cap + ",0")
 
     def test_fine_grid_keeps_its_stop(self):
         grid = _parse_grid("0:0.5:0.0005")
@@ -385,6 +404,17 @@ class TestTableRejectsUnusedFlags:
         code, out, err = run_cli(capsys, "table", "--config", str(config))
         assert code == EXIT_CONFIG
         assert f"{flag} does not apply to table" in err and out == ""
+
+
+class TestStagesAndPatternsKeys:
+    @pytest.mark.parametrize("command", ["table", "sweep"])
+    @pytest.mark.parametrize("key, value", [("stages", "4"), ("patterns", "exhaustive")])
+    def test_file_key_is_named(self, capsys, tmp_path, command, key, value):
+        config = tmp_path / "unused.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert f"config key {key!r} does not apply to {command}" in err and out == ""
 
 
 class TestConfigFile:

@@ -1,0 +1,90 @@
+"""Compare medwit's output between two source trees, byte for byte.
+
+Usage: python tools/same_bytes.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory holding the ``medwit`` package (a checkout's ``src``).
+Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
+``PYTHONPATH`` set to that tree; ``staged`` and ``run`` argvs also write
+``--dump-state``.  The script prints one line per argv and exits 1 if any
+stdout, exit code or dumped state differs between the trees, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: the eleven perfbench cli-mix commands, at seed 1
+CLI_MIX = [
+    ["table"],
+    ["table", "--p", "symbolic"],
+    ["table", "--network", "asymmetric", "--format", "json"],
+    ["run"],
+    ["run", "--network", "asymmetric"],
+    ["run", "--p", "0.1"],
+    ["run", "--network", "staged", "--format", "text"],
+    ["sweep"],
+    ["staged", "--stages", "8"],
+    ["staged", "--stages", "8", "--patterns", "sampled:16"],
+    ["staged", "--stages", "4", "--patterns", "exhaustive"],
+]
+#: grids of one point, one density stack (32), one more than a stack, the
+#: perfbench sweep-fine grid, a comma list, and non-default epsilon and axes
+SWEEPS = [
+    ["sweep", "--p-grid", "0.25"],
+    ["sweep", "--p-grid", "0:0.31:0.01"],
+    ["sweep", "--p-grid", "0:0.32:0.01"],
+    ["sweep", "--p-grid", "0:0.5:0.0005"],
+    ["sweep", "--p-grid", "0.5,0.1,0.499999999999995,1,0"],
+    ["sweep", "--p-grid", "0:1:0.01", "--epsilon", "0.3", "--axes", "xx-zz"],
+]
+STAGED = [
+    ["staged", "--stages", "8", "--patterns", "exhaustive"],
+    ["staged", "--stages", "34", "--patterns", "exhaustive"],
+    ["staged", "--stages", "24", "--patterns", "sampled:1000", "--seed", "3"],
+]
+ARGVS = [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED
+
+
+def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
+    """Exit code, stdout and dumped state bytes (None without --dump-state)."""
+    dump = workdir / "state.bin"
+    if dump.exists():
+        dump.unlink()
+    extra = ["--dump-state", str(dump)] if argv[0] in ("staged", "run") else []
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "medwit", *argv, *extra],
+        capture_output=True, env=env, cwd=workdir, check=False,
+    )
+    return done.returncode, done.stdout, dump.read_bytes() if extra else None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    trees = [Path(arg).resolve() for arg in argv]
+    for tree in trees:
+        if not (tree / "medwit" / "__init__.py").is_file():
+            print(f"{tree} holds no medwit package", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for args in ARGVS:
+            parent, change = (run(tree, args, workdir) for tree in trees)
+            fields = [name for name, a, b in zip(("exit code", "stdout", "state"), parent, change)
+                      if a != b]
+            differ += bool(fields)
+            verdict = "differ: " + ", ".join(fields) if fields else "same"
+            print(f"{verdict:<8} exit {change[0]}  {' '.join(args)}")
+    print(f"{len(ARGVS) - differ} of {len(ARGVS)} argvs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
