@@ -3,20 +3,18 @@
 Every command runs one pipeline.  ``_effective_config`` validates and parses
 the flags and config file once; ``_build_network`` builds the circuit;
 ``_engines`` runs the density engine, and the descriptor engine when every
-gate is Clifford and every intensity numeric; ``_observe`` reads the
-witnesses, negativity_AD and the mediators' nonclassicality off one state.
-Both engines evaluate the one witness ``pauli.witness_observable``.  A
-``cmd_*`` only picks the slices or variants to observe and formats them, and
-``_execute`` handles --timing, --dump-state and the output for all of them.
-
-``sweep`` runs the whole grid as one batched evolution instead: the symmetric
-network depends on p only through its two phase flips, so it is built once
-with a symbolic intensity.  The density engine evolves it for a stack of grid
-points at a time (``density.run_intensity_grid``) and reads the witness and
-negativity_AD off each stack; the descriptor engine evolves it once, and the
-witness image and the mediators' commutators taken off its final frame give
-each point's values by ``heisenberg.substitute``.  The CSV is byte-identical
-to evolving one circuit per grid point on both engines.
+gate is Clifford or a phase flip.  One observation layer serves every command,
+both engines evaluating the one witness ``pauli.witness_observable``:
+``_density_values`` reads the witnesses and negativity_AD off a stack of
+states, and ``_descriptor_values`` the witnesses and the mediators'
+nonclassicality off a frame, at each dephasing intensity.  ``run`` stacks its
+slices, ``staged`` its variants' final states, and ``sweep`` each stack of
+grid points: its network depends on p only through two phase flips, so it is
+built once with a symbolic intensity, evolved a stack of points at a time
+(``density.run_intensity_grid``) and read off one symbolic final frame, with
+CSV byte-identical to one circuit per point.  A ``cmd_*`` only picks what to
+observe and formats it, and ``_execute`` handles --timing, --dump-state and
+the output for all of them.
 
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
@@ -39,7 +37,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .circuits import (
@@ -55,11 +55,8 @@ from .circuits import (
 from .density import (
     DensityMatrix,
     exhaustive_average,
-    expectation,
     expectations,
     negativities,
-    negativity,
-    partial_trace,
     partial_traces,
     pseudo_pure,
     run_intensity_grid,
@@ -71,9 +68,7 @@ from .detect import antiphase_amplitudes
 from .heisenberg import (
     DescriptorFrame,
     descriptor_commutator,
-    frame_expectation,
     frames_to_dict,
-    nonclassicality_degree,
     observable_image,
     pseudo_pure_expectation,
     render_table,
@@ -111,6 +106,8 @@ WITNESSES = {
     name: witness_observable(CHAIN_QUBITS, PROBE_1, PROBE_2, axes)
     for name, axes in AXES_CHOICES.items()
 }
+#: the dense matrix of each witness, which the density engine reads states against
+WITNESS_MATRICES = {name: witness.dense() for name, witness in WITNESSES.items()}
 #: gate kinds the descriptor engine evolves exactly
 CLIFFORD_KINDS = frozenset({"H", "Z", "CNOT", "CPHASE", "SWAP"})
 
@@ -178,14 +175,17 @@ def _parse_grid(text: str) -> list[float]:
     at most ``MAX_GRID_POINTS`` points, counted before any list is built."""
     try:
         if ":" in text:
-            start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
+            fields = text.split(":")
+            if len(fields) != 3:
+                raise ConfigError(f"--p-grid range {text!r} needs three fields "
+                                  f"start:stop:step, got {len(fields)}")
+            start, stop, step = map(float, fields)
             if not step > 0:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError(f"stop {stop} is below start {start}")
             if not 0 <= start <= stop <= 1:
-                raise ConfigError(f"p-grid values must lie in [0, 1], got {text!r}")
+                raise ConfigError(f"--p-grid values must lie in [0, 1], got {text!r}")
             # floor, so no point passes stop; the slack keeps a stop that
             # lies on the grid up to rounding (0.5 / 0.0005) as its last point
             steps = (stop - start) / step + 1e-9
@@ -198,9 +198,11 @@ def _parse_grid(text: str) -> list[float]:
             _check_grid_size(text, len(values))
             grid = [float(v) for v in values]
     except ValueError as exc:
-        raise ConfigError(f"bad p-grid {text!r}: {exc}") from exc
-    if not grid or any(not 0 <= p <= 1 for p in grid):
-        raise ConfigError(f"p-grid values must lie in [0, 1], got {text!r}")
+        raise ConfigError(f"bad --p-grid {text!r}: {exc}") from exc
+    if not grid:
+        raise ConfigError(f"--p-grid {text!r} gives no points")
+    if any(not 0 <= p <= 1 for p in grid):
+        raise ConfigError(f"--p-grid values must lie in [0, 1], got {text!r}")
     return grid
 
 
@@ -378,38 +380,34 @@ def _build_network(cfg: ExperimentConfig) -> Circuit:
 
 def _engines(setup: Setup, circuit: Circuit):
     """Density states at every labelled time, and the descriptor frames when
-    every gate is Clifford and every dephasing intensity numeric (else None)."""
+    every gate is Clifford or a phase flip (else None)."""
     states = run_network_density(circuit, setup.initial)
-    trackable = all(
-        op.kind in CLIFFORD_KINDS or (op.kind == "PHASE_FLIP" and op.p != SYMBOLIC_P)
-        for op in circuit.gates
-    )
+    trackable = all(op.kind in CLIFFORD_KINDS or op.kind == "PHASE_FLIP" for op in circuit.gates)
     return states, run_network_frames(circuit) if trackable else None
 
 
-def _observe(
-    setup: Setup, rho: DensityMatrix, frame: DescriptorFrame | None, axes_names: Sequence[str]
-) -> dict:
-    """The witness for each named axes pair on both engines, negativity_AD, and
-    with a frame the mediators' nonclassicality (heisenberg values are None without)."""
-    neg = negativity(partial_trace(rho, [PROBE_1, PROBE_2]), [0])
-    seen = {
-        "witness": {
-            name: {"density": expectation(rho, WITNESSES[name]), "heisenberg": None}
-            for name in axes_names
-        },
-        "negativity_AD": {"engine": "density", "value": neg},
-        "nonclassicality": None,
-    }
-    if frame is not None:
-        for name, witness in seen["witness"].items():
-            obs = WITNESSES[name]
-            witness["heisenberg"] = frame_expectation(frame, obs, setup.basis, setup.cfg.epsilon)
-        seen["nonclassicality"] = {
-            "engine": "heisenberg",
-            **{label: nonclassicality_degree(frame, q) for label, q in zip("BC", MEDIATORS)},
-        }
-    return seen
+def _density_values(states: np.ndarray, axes_names: Sequence[str]) -> list[tuple[dict, float]]:
+    """Per state of a (k, d, d) stack: the witness for each named axes pair,
+    and negativity_AD."""
+    witnesses = [expectations(states, WITNESS_MATRICES[name]).tolist() for name in axes_names]
+    negs = negativities(partial_traces(states, [PROBE_1, PROBE_2]), [0]).tolist()
+    return [(dict(zip(axes_names, values)), neg) for *values, neg in zip(*witnesses, negs)]
+
+
+def _descriptor_values(
+    setup: Setup, frame: DescriptorFrame, axes_names: Sequence[str], intensities=(None,)
+) -> Iterator[tuple[dict, dict]]:
+    """Per dephasing intensity in turn: the witness for each named axes pair,
+    and the mediators' nonclassicality by label.  The witness images and the
+    mediator commutators are taken off the frame once; a symbolic frame is
+    read at each intensity by ``substitute``, a numeric one at intensity None."""
+    taken = [observable_image(frame, WITNESSES[name]) for name in axes_names]
+    taken += [descriptor_commutator(frame, q) for q in MEDIATORS]
+    for p in intensities:
+        *images, c_b, c_c = taken if p is None else [substitute(obj, p) for obj in taken]
+        witness = {name: pseudo_pure_expectation(image, setup.basis, setup.cfg.epsilon)
+                   for name, image in zip(axes_names, images)}
+        yield witness, {"B": operator_norm(c_b), "C": operator_norm(c_c)}
 
 
 def _multiplet(rho: DensityMatrix) -> dict:
@@ -468,63 +466,64 @@ def cmd_table(setup: Setup, args):
 
 
 def cmd_sweep(setup: Setup, args):
-    cfg = setup.cfg
+    axes = setup.cfg.axes
     grid = _parse_grid(args.p_grid)
     circuit = build_symmetric(SYMBOLIC_P)
-    final = run_network_frames(circuit)[-1]
-    witness = WITNESSES[cfg.axes]
-    image = observable_image(final, witness)
-    commutators = [descriptor_commutator(final, q) for q in MEDIATORS]
-    witness_matrix = witness.dense()
+    density = (
+        values
+        for _, states in run_intensity_grid(circuit, setup.initial, grid)
+        for values in _density_values(states, [axes])
+    )
+    heisenberg = _descriptor_values(setup, run_network_frames(circuit)[-1], [axes], grid)
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    for points, states in run_intensity_grid(circuit, setup.initial, grid):
-        densities = expectations(states, witness_matrix)
-        negs = negativities(partial_traces(states, [PROBE_1, PROBE_2]), [0])
-        for p, w_density, neg in zip(points, densities, negs):
-            w_heisenberg = pseudo_pure_expectation(substitute(image, p), setup.basis, cfg.epsilon)
-            nc = [operator_norm(substitute(c, p)) for c in commutators]
-            row = (p, w_heisenberg, float(w_density), float(neg), *nc)
-            lines.append(",".join(_fmt(v) for v in row))
+    for p, (w_density, neg), (w_heisenberg, nc) in zip(grid, density, heisenberg):
+        row = (p, w_heisenberg[axes], w_density[axes], neg, nc["B"], nc["C"])
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n", None
 
 
 def cmd_staged(setup: Setup, args):
     cfg = setup.cfg
-
-    def variant(rho: DensityMatrix, **extra) -> dict:
-        seen = _observe(setup, rho, None, [cfg.axes])
-        witness = {"axes": cfg.axes, "engine": "density",
-                   "value": seen["witness"][cfg.axes]["density"]}
-        return {"witness": witness, "negativity_AD": seen["negativity_AD"],
-                "multiplet": _multiplet(rho), **extra}
-
     states, _ = _engines(setup, _build_network(cfg))
-    final = states[-1]
-    variants = {"undephased": variant(final)}
+    finals = [("undephased", states[-1], {})]
     if setup.mode != "none":
         patterns = sample_patterns(cfg.stages, setup.count, seed=cfg.seed)
-        final = temporal_average(lambda pat: build_staged(cfg.stages, pat), patterns, setup.initial)
-        variants["sampled"] = variant(final, pattern_count=setup.count, seed=cfg.seed)
+        finals.append(("sampled", temporal_average(cfg.stages, patterns, setup.initial),
+                       {"pattern_count": setup.count, "seed": cfg.seed}))
     if setup.mode == "exhaustive":
-        final = exhaustive_average(cfg.stages, setup.initial)
-        variants["exhaustive"] = variant(final, pattern_count=pattern_population(cfg.stages))
+        finals.append(("exhaustive", exhaustive_average(cfg.stages, setup.initial),
+                       {"pattern_count": pattern_population(cfg.stages)}))
+    density = _density_values(np.stack([rho.entries for _, rho, _ in finals]), [cfg.axes])
+    variants = {
+        name: {
+            "witness": {"axes": cfg.axes, "engine": "density", "value": witness[cfg.axes]},
+            "negativity_AD": {"engine": "density", "value": neg},
+            "multiplet": _multiplet(rho),
+            **extra,
+        }
+        for (name, rho, extra), (witness, neg) in zip(finals, density)
+    }
     report = {"version": __version__, "command": "staged", "config": cfg.to_dict()}
-    return {**report, "variants": variants}, final
+    return {**report, "variants": variants}, finals[-1][1]
 
 
 def cmd_run(setup: Setup, args):
     cfg = setup.cfg
-    alt_name = next(name for name in AXES_CHOICES if name != cfg.axes)
+    names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     states, frames = _engines(setup, _build_network(cfg))
+    density = _density_values(np.stack([rho.entries for rho in states]), names)
     slices = []
-    for t, rho in enumerate(states):
-        seen = _observe(setup, rho, None if frames is None else frames[t], [cfg.axes, alt_name])
+    for t, (w_density, neg) in enumerate(density):
+        w_heisenberg, nc = (next(_descriptor_values(setup, frames[t], names)) if frames
+                            else ({}, None))
+        witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg.get(name)}
+                   for name in names]
         slices.append({
             "time": t,
-            "witness": {"axes": cfg.axes, **seen["witness"][cfg.axes]},
-            "witness_alt": {"axes": alt_name, **seen["witness"][alt_name]},
-            "negativity_AD": seen["negativity_AD"],
-            "nonclassicality": seen["nonclassicality"],
+            "witness": witness[0],
+            "witness_alt": witness[1],
+            "negativity_AD": {"engine": "density", "value": neg},
+            "nonclassicality": None if nc is None else {"engine": "heisenberg", **nc},
         })
     report = {
         "version": __version__,

@@ -10,16 +10,16 @@ copied to its place by basis-index arithmetic, and +0 everywhere else.
 All operations are pure functions on immutable values; pattern averages reduce
 in the caller-supplied pattern order, so averaged results are bit-stable
 regardless of worker count.
-``temporal_average`` evolves its pattern circuits in fixed-size batches, one
-broadcast matmul per distinct gate per depth, with results bit-identical to
-evolving one circuit at a time.  ``run_intensity_grid`` evolves one circuit at
-many dephasing intensities the same way, p broadcast along a stack of states.
+``temporal_average`` walks the undephased staged circuit once per batch of
+patterns, a stack of states that Z on C reaches only where a pattern dephases,
+bit-identical to one circuit per pattern; ``run_intensity_grid`` evolves one
+circuit at many dephasing intensities as a stack too, p broadcast along it.
 The report layer works on stacks too (``expectations``, ``partial_traces``,
 ``negativities``); the one-state ``expectation``, ``partial_trace`` and
 ``negativity`` are those on a stack of one, and one pair of checks
 (Hermitian with unit trace, positive) serves ``DensityMatrix`` and every stack.
-``exhaustive_average`` gives the exact average over all C(s, s/2)^2 balanced
-patterns of the staged network by dynamic programming, in O(s^2) evolutions
+``exhaustive_average`` walks the same circuit for the exact average over all
+C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
 (O(s^3) with interleaved links) instead of one circuit per pattern pair.
 """
 
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,10 +69,11 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: pattern circuits that ``temporal_average`` evolves as one stack, and grid
-#: points per stack of ``run_intensity_grid``; on a 1000-pattern, 24-stage
-#: average, 32 costs +1.6% peak RSS over one circuit at a time and 128 costs
-#: +6.6% for no further speed-up
+#: patterns per stack of ``temporal_average`` and grid points per stack of
+#: ``run_intensity_grid``.  Best of 9 in-process runs on a 2-core host: the
+#: 1000-pattern, 24-stage walk takes 0.95 s at 1 and 0.24 s at 32, no less at
+#: 64 or 128, which add 0.7 and 1.8 MB peak RSS; the 1001-point grid takes
+#: 0.26 s at 1, 0.04 s at 32 and 0.03 s at 64 or 128 for +0.7 and +1.6 MB
 _BATCH = 32
 
 _HERM_TOL = 1e-10
@@ -303,6 +303,13 @@ def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
     return float(negativities(rho.entries[np.newaxis], partition)[0])
 
 
+def _same_size(circuit: Circuit, initial: DensityMatrix) -> Circuit:
+    """``circuit``, checked to act on as many qubits as ``initial``."""
+    if initial.n != circuit.n:
+        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    return circuit
+
+
 def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
     """One gate or channel on a state, or on each state of a stack along axis 0;
     a symbolic phase flip takes intensity ``p``, one per state as a (k, 1, 1) array."""
@@ -328,8 +335,7 @@ def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.
 
 def run_network_density(circuit: Circuit, initial: DensityMatrix) -> list[DensityMatrix]:
     """State after each labelled time of the circuit, t_0 included and validated."""
-    if initial.n != circuit.n:
-        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    _same_size(circuit, initial)
     states = [DensityMatrix(s) for s in _slice_states(circuit, initial.entries)]
     for state in states:
         state.validate()
@@ -351,8 +357,7 @@ def run_intensity_grid(
     bit-identical to it; and every labelled slice of every point passes the
     same checks, a slice that the points share once per stack.
     """
-    if initial.n != circuit.n:
-        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    _same_size(circuit, initial)
     for start in range(0, len(intensities), _BATCH):
         chunk = intensities[start:start + _BATCH]
         p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
@@ -363,40 +368,49 @@ def run_intensity_grid(
 
 
 def temporal_average(
-    builder: Callable[[DephasingPattern], Circuit],
+    stages: int,
     patterns: Sequence[DephasingPattern],
     initial: DensityMatrix,
+    *,
+    interleaved: bool = False,
+    z_first: bool = False,
 ) -> DensityMatrix:
-    """Uniform average of the final states of one concrete circuit per pattern.
+    """Uniform average over ``patterns`` of the final state of each pattern's
+    circuit, ``build_staged(stages, pattern)`` with the same options.
 
-    The circuits are evolved in consecutive batches of ``_BATCH``: the batch's
-    states form one stack, and at each gate depth every distinct gate acts
-    once on the sub-stack of the circuits whose next gate it is.  Each state
-    sees exactly the arithmetic of a one-circuit-at-a-time evolution, and
-    accumulation follows the order of ``patterns``, so the result is
+    Each batch of ``_BATCH`` patterns is one stack that walks the undephased
+    circuit once: every gate acts on the whole stack, and Z on C on the
+    patterns that dephase that stage, after its partial swap or before it
+    with ``z_first``.  Each state sees exactly the arithmetic of its own
+    circuit and accumulation follows pattern order, so the result is
     bit-identical to evolving the circuits one by one, run after run.
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
+    for pattern in patterns:
+        if pattern.stages != stages:
+            raise ValueError(f"pattern length {pattern.stages} does not match stage count {stages}")
+    circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
+    n = circuit.n
+    zc = z(C)
     weight = 1.0 / len(patterns)
-    n = initial.n
     accumulated = None
     for start in range(0, len(patterns), _BATCH):
-        circuits = [builder(pattern) for pattern in patterns[start:start + _BATCH]]
-        for circuit in circuits:
-            if circuit.n != n:
-                raise ValueError(f"pattern circuit has n={circuit.n}, initial state has n={n}")
-        stack = np.repeat(initial.entries[np.newaxis], len(circuits), axis=0)
-        for depth_ops in zip_longest(*(circuit.gates for circuit in circuits)):
-            groups: dict[GateOp, list[int]] = {}
-            for index, op in enumerate(depth_ops):
-                if op is not None:
-                    groups.setdefault(op, []).append(index)
-            for op, members in groups.items():
-                if len(members) == len(circuits):
-                    stack = _apply_raw(op, stack, n)
-                else:
-                    stack[members] = _apply_raw(op, stack[members], n)
+        batch = patterns[start:start + _BATCH]
+        # per link, stage by stage: the mask of the batch's patterns that dephase it
+        masks = {(B, C): iter(np.array([pattern.bc_choices for pattern in batch]).T),
+                 (C, D): iter(np.array([pattern.cd_choices for pattern in batch]).T)}
+        stack = np.repeat(initial.entries[np.newaxis], len(batch), axis=0)
+        for op in circuit.gates:
+            if op.kind != "PARTIAL_SWAP":
+                stack = _apply_raw(op, stack, n)
+                continue
+            members = next(masks[op.qubits])
+            if z_first:
+                stack[members] = _apply_raw(zc, stack[members], n)
+            stack = _apply_raw(op, stack, n)
+            if not z_first:
+                stack[members] = _apply_raw(zc, stack[members], n)
         for final in stack:
             accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
@@ -412,7 +426,7 @@ def exhaustive_average(
     """Exact uniform average of the staged network over every balanced pattern pair.
 
     Equals ``temporal_average`` over ``exhaustive_patterns(stages)`` with the
-    matching ``build_staged`` options, up to floating-point summation order.
+    same options, up to floating-point summation order.
     The undephased circuit is walked once while a table of unnormalised
     state sums, keyed by the dephased-stage counts on the B-C and C-D links,
     branches at each partial swap into its plain and its dephased gate
@@ -422,9 +436,7 @@ def exhaustive_average(
     """
     if stages < 2 or stages % 2:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
-    circuit = build_staged(stages, interleaved=interleaved, z_first=z_first)
-    if initial.n != circuit.n:
-        raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
+    circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
     half = stages // 2
     link_of = {(B, C): 0, (C, D): 1}
     left = [stages, stages]

@@ -43,6 +43,8 @@ PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 #: repeated algebra
 PRUNE_TOL = 1e-14
 _IMAG_TOL = 1e-12
+#: largest register ``operator_norm`` evaluates densely
+_NORM_QUBITS = 6
 
 # single-qubit products a*b -> (phase, letter)
 _MUL1 = {
@@ -305,17 +307,17 @@ def commutator(a, b) -> PauliSum:
     return a * b - b * a
 
 
-def operator_norm(a, max_qubits: int = 6) -> float:
+def operator_norm(a) -> float:
     """Spectral norm (largest singular value) of ``a``; requires numeric
-    coefficients and refuses registers above ``max_qubits``.
+    coefficients and refuses registers above ``_NORM_QUBITS``.
 
     A one-word sum c*P has norm |c| exactly, since a Pauli word is unitary.
     A sum of several words is evaluated densely, by the SVD of ``a.dense()``.
     """
     a = _lift(a)
-    if a.n > max_qubits:
+    if a.n > _NORM_QUBITS:
         raise ValueError(
-            f"operator_norm evaluates densely and is limited to {max_qubits} qubits; got n={a.n}"
+            f"operator_norm evaluates densely and is limited to {_NORM_QUBITS} qubits; got n={a.n}"
         )
     if not a:
         return 0.0

@@ -5,9 +5,11 @@ conversion, so symbolic results are always checked against an independent
 numerical route; ``ref_gate_unitary`` embeds a gate by a Kronecker product
 and a qubit permutation, independently of the package's index arithmetic.
 ``brute_force_average`` is the reference for the package's dynamic-programming
-exhaustive average: it builds and evolves one concrete circuit per balanced
-pattern pair.  ``per_circuit_average`` is the reference for the batched
-``temporal_average``: it evolves one circuit at a time.  ``per_point_sweep``
+exhaustive average: it averages over every balanced pattern pair with
+``temporal_average``.  ``per_circuit_average`` is the reference for
+``temporal_average``, which walks one stack of patterns through the staged
+circuit: it builds and evolves one concrete circuit per pattern, one at a
+time.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it builds and evolves one
 circuit per grid point on both engines.
 """
@@ -158,19 +160,20 @@ def brute_force_average(
 ) -> DensityMatrix:
     """Uniform average of the staged network over all C(s, s/2)^2 balanced pattern pairs."""
     return temporal_average(
-        lambda pat: build_staged(stages, pat, interleaved=interleaved, z_first=z_first),
-        exhaustive_patterns(stages),
-        initial,
+        stages, exhaustive_patterns(stages), initial, interleaved=interleaved, z_first=z_first
     )
 
 
-def per_circuit_average(builder, patterns, initial: DensityMatrix) -> DensityMatrix:
-    """Uniform average of each pattern circuit's final state, evolved alone by
-    ``run_network_density`` and accumulated in pattern order."""
+def per_circuit_average(
+    stages: int, patterns, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
+) -> DensityMatrix:
+    """Uniform average of each pattern's ``build_staged`` circuit's final state,
+    evolved alone by ``run_network_density`` and accumulated in pattern order."""
     weight = 1.0 / len(patterns)
     accumulated = None
     for pattern in patterns:
-        final = run_network_density(builder(pattern), initial)[-1].entries
+        circuit = build_staged(stages, pattern, interleaved=interleaved, z_first=z_first)
+        final = run_network_density(circuit, initial)[-1].entries
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
 

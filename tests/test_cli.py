@@ -153,10 +153,55 @@ class TestSweepCommand:
         with pytest.raises(cli.ConfigError, match=f"gives {cli.MAX_GRID_POINTS + 1} points"):
             _parse_grid(at_cap + ",0")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("", "--p-grid '' gives no points"),
+            (",,", "--p-grid ',,' gives no points"),
+            ("0:0.5", "--p-grid range '0:0.5' needs three fields start:stop:step, got 2"),
+            ("0:0.5:0.1:2",
+             "--p-grid range '0:0.5:0.1:2' needs three fields start:stop:step, got 4"),
+        ],
+        ids=["empty", "commas-only", "two-fields", "four-fields"],
+    )
+    def test_malformed_grid_is_named(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "sweep", f"--p-grid={grid}")
+        assert code == EXIT_CONFIG and out == ""
+        assert message in err
+        assert "must lie in [0, 1]" not in err and "unpack" not in err
+
     def test_fine_grid_keeps_its_stop(self):
         grid = _parse_grid("0:0.5:0.0005")
         assert len(grid) == 1001
         assert grid == [0.0 + i * 0.0005 for i in range(1001)]
+
+
+#: settings under which ``run --p p`` and ``sweep --p-grid p`` observe one state
+SHARED_SETTINGS = {
+    "default": (),
+    "epsilon-bits": ("--epsilon", "0.3", "--initial-bits", "1010"),
+    "axes-epsilon": ("--axes", "xx-zz", "--epsilon", "0.7"),
+}
+
+
+@pytest.mark.parametrize("settings", SHARED_SETTINGS.values(), ids=SHARED_SETTINGS.keys())
+@pytest.mark.parametrize("p", ["0", "0.1", "0.25", "0.37", "0.499999999999995", "0.5", "1"])
+def test_final_run_slice_equals_sweep_row(capsys, p, settings):
+    """run and sweep read the symmetric network's final state through one
+    observation layer, so both engines' values agree exactly."""
+    code, out, _ = run_cli(capsys, "run", "--p", p, *settings)
+    assert code == EXIT_OK
+    final = json.loads(out)["slices"][-1]
+    code, out, _ = run_cli(capsys, "sweep", "--p-grid", p, *settings)
+    assert code == EXIT_OK
+    header, row = out.strip().splitlines()
+    sweep = dict(zip(header.split(","), map(float, row.split(","))))
+    assert sweep["p"] == float(p)
+    assert sweep["witness_heisenberg"] == final["witness"]["heisenberg"]
+    assert sweep["witness_density"] == final["witness"]["density"]
+    assert sweep["negativity_AD"] == final["negativity_AD"]["value"]
+    assert sweep["nonclassicality_B"] == final["nonclassicality"]["B"]
+    assert sweep["nonclassicality_C"] == final["nonclassicality"]["C"]
 
 
 class TestStagedCommand:

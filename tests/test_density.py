@@ -254,81 +254,71 @@ class TestPseudoPure:
             pseudo_pure(1.5, ZERO4)
 
 
-def two_branch_builder(pattern: DephasingPattern) -> Circuit:
-    """A Bell stage on A-B, followed by Z on C when the first B-C choice is set."""
-    ops = [h(0), cnot(0, 1)]
-    if pattern.bc_choices[0]:
-        ops.append(z(2))
-    ops.append(SLICE)
-    return Circuit(4, tuple(ops))
-
-
-def channel_builder(pattern: DephasingPattern) -> Circuit:
-    """Partial swaps on B-C, each dephased stage k followed by a phase flip of p = (k+1)/10."""
-    ops = [h(0), cnot(0, 1), SLICE]
-    for k, dephased in enumerate(pattern.bc_choices):
-        ops.append(partial_swap(1, 2, 0.25))
-        if dephased:
-            ops.append(phase_flip(2, (k + 1) / 10))
-    ops.append(SLICE)
-    return Circuit(4, tuple(ops))
-
-
-BRANCHES = [DephasingPattern((False,), (False,)), DephasingPattern((True,), (False,))]
+#: one B-C stage quiet or dephased, the C-D stage quiet in both
+BRANCHES = [
+    DephasingPattern((False, False), (False, False)),
+    DephasingPattern((True, False), (False, False)),
+]
 
 
 class TestTemporalAverage:
     def test_two_branch_average_equals_half_intensity_channel(self):
-        initial = apply_gate(apply_gate(basis_density(ZERO4), h(1)), h(2))
-        averaged = temporal_average(two_branch_builder, BRANCHES, initial)
-        prefix = apply_gate(apply_gate(initial, h(0)), cnot(0, 1))
-        channel = apply_phase_flip(prefix, 2, 0.5)
-        assert np.max(np.abs(averaged.entries - channel.entries)) < 1e-12
+        initial = pseudo_pure(0.8, BasisState.from_string("1100"))
+        averaged = temporal_average(2, BRANCHES, initial)
+        u_bc, u_cd = partial_swap(1, 2, 0.5), partial_swap(2, 3, 0.5)
+        channel = Circuit(4, (
+            h(0), cnot(0, 1), SLICE, u_bc, phase_flip(2, 0.5), u_bc, SLICE, u_cd, u_cd, SLICE,
+        ))
+        expected = run_network_density(channel, initial)[-1]
+        assert np.max(np.abs(averaged.entries - expected.entries)) < 1e-12
+        undephased = run_network_density(build_staged(2), initial)[-1]
+        assert np.max(np.abs(averaged.entries - undephased.entries)) > 0.1
 
     def test_single_all_quiet_pattern_matches_undephased_run(self):
         initial = basis_density(BasisState.from_string("1100"))
         quiet = DephasingPattern((False,) * 8, (False,) * 8)
-        averaged = temporal_average(lambda pat: build_staged(8, pat), [quiet], initial)
+        averaged = temporal_average(8, [quiet], initial)
         undephased = run_network_density(build_staged(8), initial)[-1]
         assert np.max(np.abs(averaged.entries - undephased.entries)) < 1e-14
 
     def test_circuit_size_must_match_initial_state(self):
-        quiet = DephasingPattern((False,), (False,))
-        with pytest.raises(ValueError, match="pattern circuit has n=3, initial state has n=4"):
-            temporal_average(lambda pat: Circuit(3, (h(0), SLICE)), [quiet], basis_density(ZERO4))
+        quiet = DephasingPattern((False,) * 8, (False,) * 8)
+        with pytest.raises(ValueError, match="initial state has n=3, circuit has n=4"):
+            temporal_average(8, [quiet], basis_density(BasisState.from_string("110")))
+
+    def test_pattern_stage_count_must_match(self):
+        patterns = [DephasingPattern((False,) * 8, (False,) * 8)] * 3
+        patterns.insert(2, DephasingPattern((True, False) * 2, (False, True) * 2))
+        with pytest.raises(ValueError, match="pattern length 4 does not match stage count 8"):
+            temporal_average(8, patterns, basis_density(BasisState.from_string("1100")))
 
 
-def _staged(stages: int, **options):
-    return lambda pat: build_staged(stages, pat, **options)
-
-
-def _bc_patterns(rng: np.random.Generator, stages: int, count: int) -> list[DephasingPattern]:
+def _unbalanced_patterns(rng: np.random.Generator, stages: int, count: int):
     return [
-        DephasingPattern(tuple(rng.integers(2, size=stages)), (False,) * stages)
+        DephasingPattern(tuple(rng.integers(2, size=stages)), tuple(rng.integers(2, size=stages)))
         for _ in range(count)
     ]
 
 
 class TestBatchedAverage:
-    """The batched ``temporal_average`` is bit-identical to one circuit at a time."""
+    """The stacked walk of ``temporal_average`` is bit-identical to one circuit at a time."""
 
     @pytest.mark.parametrize(
-        "builder, patterns",
+        "stages, patterns, options",
         [
-            (_staged(8), sample_patterns(8, 16, seed=0)),
+            (8, sample_patterns(8, 16, seed=0), {}),
             # two full batches and a partial third
-            (_staged(24), sample_patterns(24, 2 * _BATCH + 5, seed=1)),
-            (_staged(4, interleaved=True, z_first=True), exhaustive_patterns(4)),
-            # circuits of unequal length
-            (two_branch_builder, BRANCHES * 20),
-            (channel_builder, _bc_patterns(np.random.default_rng(5), 4, 40)),
+            (24, sample_patterns(24, 2 * _BATCH + 5, seed=1), {}),
+            (4, exhaustive_patterns(4), {"interleaved": True, "z_first": True}),
+            # per-link dephased counts other than stages/2, links interleaved
+            (6, _unbalanced_patterns(np.random.default_rng(5), 6, 40), {"interleaved": True}),
         ],
-        ids=["sampled-16", "batch-boundaries", "interleaved-z-first", "two-branch", "channels"],
+        ids=["sampled-16", "batch-boundaries", "interleaved-z-first", "unbalanced"],
     )
-    def test_equals_per_circuit_reference(self, builder, patterns):
+    def test_equals_per_circuit_reference(self, stages, patterns, options):
         initial = pseudo_pure(0.7, BasisState.from_string("1100"))
-        batched = temporal_average(builder, patterns, initial)
-        reference = per_circuit_average(builder, patterns, initial)
+        batched = temporal_average(stages, patterns, initial, **options)
+        reference = per_circuit_average(stages, patterns, initial, **options)
         assert np.array_equal(batched.entries, reference.entries)
 
     @settings(max_examples=10, deadline=None)
@@ -341,10 +331,10 @@ class TestBatchedAverage:
     def test_random_balanced_pattern_lists(self, stages, ranks, interleaved, z_first):
         population = exhaustive_patterns(stages)
         patterns = [population[rank % len(population)] for rank in ranks]
-        builder = _staged(stages, interleaved=interleaved, z_first=z_first)
+        options = {"interleaved": interleaved, "z_first": z_first}
         initial = basis_density(BasisState.from_string("1100"))
-        batched = temporal_average(builder, patterns, initial)
-        reference = per_circuit_average(builder, patterns, initial)
+        batched = temporal_average(stages, patterns, initial, **options)
+        reference = per_circuit_average(stages, patterns, initial, **options)
         assert np.array_equal(batched.entries, reference.entries)
 
 

@@ -179,7 +179,7 @@ class TestDynamicProgrammingAverage:
 @pytest.fixture(scope="module")
 def sampled_average():
     patterns = sample_patterns(8, 16, seed=0)
-    return temporal_average(lambda pat: build_staged(8, pat), patterns, basis_density(INITIAL))
+    return temporal_average(8, patterns, basis_density(INITIAL))
 
 
 class TestSampledAverage:

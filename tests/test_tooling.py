@@ -1,4 +1,5 @@
-"""The benchmark tracer's targets and every module's public names exist in medwit.
+"""The benchmark tracer's targets and every module's public names exist in
+medwit, and ``tools/same_bytes.py`` reports a failing command.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -10,17 +11,18 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+same_bytes = _load("same_bytes", ROOT / "tools" / "same_bytes.py")
 
 
 @pytest.mark.parametrize("layer, qualname", tracer.TARGETS)
@@ -38,3 +40,10 @@ def test_public_names_exist(layer):
     module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_same_bytes_reports_a_failing_command(tmp_path):
+    """A command that exits non-zero writes no --dump-state file; the run
+    reports its exit code and no state instead of raising."""
+    code, stdout, state = same_bytes.run(ROOT / "src", ["run", "--p", "2"], tmp_path)
+    assert (code, stdout, state) == (2, b"", None)

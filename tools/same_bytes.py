@@ -46,11 +46,23 @@ STAGED = [
     ["staged", "--stages", "34", "--patterns", "exhaustive"],
     ["staged", "--stages", "24", "--patterns", "sampled:1000", "--seed", "3"],
 ]
-ARGVS = [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED
+#: the shared observation layer and the staged walk off their defaults: a
+#: sample of one full stack and one pattern, non-default epsilon, bits and
+#: axes, text output, and an intensity in the prune window of 0.5
+OBSERVED = [
+    ["staged", "--stages", "6", "--patterns", "sampled:33", "--epsilon", "0.5",
+     "--initial-bits", "1010"],
+    ["run", "--p", "0.2", "--epsilon", "0.7", "--format", "text"],
+    ["run", "--network", "asymmetric", "--initial-bits", "0110"],
+    ["run", "--p", "0.499999999999995"],
+    ["staged", "--stages", "4", "--patterns", "exhaustive", "--axes", "xz-zx", "--epsilon", "0.2"],
+]
+ARGVS = [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED
 
 
 def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
-    """Exit code, stdout and dumped state bytes (None without --dump-state)."""
+    """Exit code, stdout and dumped state bytes (None without --dump-state,
+    or when the command wrote no state, as a failing one does not)."""
     dump = workdir / "state.bin"
     if dump.exists():
         dump.unlink()
@@ -60,7 +72,7 @@ def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | 
         [sys.executable, "-m", "medwit", *argv, *extra],
         capture_output=True, env=env, cwd=workdir, check=False,
     )
-    return done.returncode, done.stdout, dump.read_bytes() if extra else None
+    return done.returncode, done.stdout, dump.read_bytes() if dump.exists() else None
 
 
 def main(argv: list[str]) -> int:
