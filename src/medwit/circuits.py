@@ -165,49 +165,24 @@ def build_asymmetric() -> Circuit:
     return Circuit(4, (h(A), cnot(A, B), SLICE, swap(B, C), SLICE, swap(C, D), SLICE))
 
 
-def build_staged(
-    stages: int,
-    pattern: "DephasingPattern | None" = None,
-    interleaved: bool = False,
-    z_first: bool = False,
-) -> Circuit:
+def build_staged(stages: int, interleaved: bool = False) -> Circuit:
     """Asymmetric network with each swap split into ``stages`` partial swaps.
 
-    Every stage applies ``SWAP^(1/stages)`` on its link; a pattern marks the
-    stages followed by a Z on the mediator qubit C (the dephased variant of
-    the stage gate).  ``z_first`` flips the Z to act before the partial swap
-    instead, for sensitivity checks.  By default all B-C stages complete
-    before the C-D stages begin; ``interleaved`` alternates the two links
-    stage by stage (single combined slice).
+    Every stage applies ``SWAP^(1/stages)`` on its link.  By default all B-C
+    stages complete before the C-D stages begin; ``interleaved`` alternates the
+    two links stage by stage (single combined slice).  Dephasing patterns act
+    on this circuit through ``density.temporal_average`` and
+    ``density.exhaustive_average``.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
-    if pattern is not None and pattern.stages != stages:
-        raise ValueError(
-            f"pattern length {pattern.stages} does not match stage count {stages}"
-        )
     alpha = 1.0 / stages
-    bc = [False] * stages if pattern is None else list(pattern.bc_choices)
-    cd = [False] * stages if pattern is None else list(pattern.cd_choices)
-    u_bc, u_cd, z_c = partial_swap(B, C, alpha), partial_swap(C, D, alpha), z(C)
-
-    def stage(u: GateOp, dephased: bool) -> list[GateOp]:
-        if not dephased:
-            return [u]
-        return [z_c, u] if z_first else [u, z_c]
-
+    u_bc, u_cd = partial_swap(B, C, alpha), partial_swap(C, D, alpha)
     ops: list = [h(A), cnot(A, B), SLICE]
     if interleaved:
-        for k in range(stages):
-            ops += stage(u_bc, bc[k]) + stage(u_cd, cd[k])
-        ops.append(SLICE)
+        ops += [u_bc, u_cd] * stages + [SLICE]
     else:
-        for k in range(stages):
-            ops += stage(u_bc, bc[k])
-        ops.append(SLICE)
-        for k in range(stages):
-            ops += stage(u_cd, cd[k])
-        ops.append(SLICE)
+        ops += [u_bc] * stages + [SLICE] + [u_cd] * stages + [SLICE]
     return Circuit(4, tuple(ops))
 
 

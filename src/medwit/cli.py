@@ -327,6 +327,11 @@ def _effective_config(args) -> Setup:
                     "config file)"
                 )
     elif args.command == "run":
+        if cfg.network != "staged" and (args.stages is not None or "stages" in file_cfg):
+            raise ConfigError(
+                f"--stages applies to the staged network only; the {cfg.network} network "
+                "has no partial swaps (got it from the flag or the config file)"
+            )
         if cfg.patterns != "none":
             raise ConfigError(
                 f"--patterns {cfg.patterns} is not supported by run, which evaluates the "
@@ -471,7 +476,7 @@ def cmd_sweep(setup: Setup, args):
     circuit = build_symmetric(SYMBOLIC_P)
     density = (
         values
-        for _, states in run_intensity_grid(circuit, setup.initial, grid)
+        for states in run_intensity_grid(circuit, setup.initial, grid)
         for values in _density_values(states, [axes])
     )
     heisenberg = _descriptor_values(setup, run_network_frames(circuit)[-1], [axes], grid)
@@ -583,7 +588,9 @@ def _add_common(sub: argparse.ArgumentParser, *, report: bool) -> None:
     sub.add_argument("--axes", choices=sorted(AXES_CHOICES), help="witness axes pair")
     sub.add_argument("--seed", help="RNG seed recorded in every report (default 0)")
     if report:
-        sub.add_argument("--stages", help="partial-swap stages per link (default 8)")
+        sub.add_argument(
+            "--stages", help="partial-swap stages per link of the staged network (default 8)"
+        )
         sub.add_argument(
             "--patterns",
             help=(

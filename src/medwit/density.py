@@ -344,14 +344,13 @@ def run_network_density(circuit: Circuit, initial: DensityMatrix) -> list[Densit
 
 def run_intensity_grid(
     circuit: Circuit, initial: DensityMatrix, intensities: Sequence[float]
-) -> Iterator[tuple[Sequence[float], np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """The state at the last labelled time of ``circuit`` at each dephasing
     intensity in turn, every symbolic phase flip taking that intensity.
 
-    Yields (intensities, states) pairs of ``_BATCH`` points or fewer, the
-    states a (points, d, d) stack.  Gates ahead of the first symbolic flip act
-    once on the state every point shares; that flip broadcasts p along the
-    stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
+    Yields (points, d, d) stacks of ``_BATCH`` points or fewer, in grid
+    order.  Gates ahead of the first symbolic flip act once on the state every
+    point shares; that flip broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
     broadcast matmul.  Every point sees exactly the arithmetic of
     ``run_network_density`` on the circuit with its own p, so the states are
     bit-identical to it; and every labelled slice of every point passes the
@@ -364,7 +363,7 @@ def run_intensity_grid(
         for state in _slice_states(circuit, initial.entries, p):
             _check_hermitian_unit_trace(state)
             _check_positive(state)
-        yield chunk, np.broadcast_to(state, (len(chunk),) + state.shape[-2:])
+        yield np.broadcast_to(state, (len(chunk),) + state.shape[-2:])
 
 
 def temporal_average(
@@ -376,7 +375,8 @@ def temporal_average(
     z_first: bool = False,
 ) -> DensityMatrix:
     """Uniform average over ``patterns`` of the final state of each pattern's
-    circuit, ``build_staged(stages, pattern)`` with the same options.
+    circuit: ``build_staged(stages, interleaved=...)`` with a Z on C after each
+    partial swap the pattern dephases (before it with ``z_first``).
 
     Each batch of ``_BATCH`` patterns is one stack that walks the undephased
     circuit once: every gate acts on the whole stack, and Z on C on the

@@ -68,16 +68,16 @@ def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
     lines: dict[str, dict[str, MultipletLine]] = {}
     classification: dict[str, str] = {}
     for r in range(n):
-        x_r = expectation(pulsed, single(n, r, "x").to_sum())
-        y_r = expectation(pulsed, single(n, r, "y").to_sum())
+        x_r = expectation(pulsed, single(n, r, "x"))
+        y_r = expectation(pulsed, single(n, r, "y"))
         inphase = hypot(x_r, y_r)
         partners: dict[str, MultipletLine] = {}
         best_partner, best_amp = None, 0.0
         for s in range(n):
             if s == r:
                 continue
-            xz = expectation(pulsed, single(n, r, "x").to_sum() * single(n, s, "z").to_sum())
-            yz = expectation(pulsed, single(n, r, "y").to_sum() * single(n, s, "z").to_sum())
+            xz = expectation(pulsed, single(n, r, "x") * single(n, s, "z"))
+            yz = expectation(pulsed, single(n, r, "y") * single(n, s, "z"))
             amp = hypot(2.0 * xz, 2.0 * yz)
             partners[qubit_label(s)] = MultipletLine(inphase, amp)
             if amp > best_amp:

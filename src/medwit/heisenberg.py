@@ -26,7 +26,6 @@ from .pauli import (
     PRUNE_TOL,
     BasisState,
     PauliSum,
-    PauliTerm,
     commutator,
     expectation_basis,
     identity_component,
@@ -204,8 +203,8 @@ def init_frame(n: int) -> DescriptorFrame:
         raise ValueError("qubit count must be >= 1")
     return DescriptorFrame(
         time_index=0,
-        x=tuple(single(n, q, "x").to_sum() for q in range(n)),
-        z=tuple(single(n, q, "z").to_sum() for q in range(n)),
+        x=tuple(single(n, q, "x") for q in range(n)),
+        z=tuple(single(n, q, "z") for q in range(n)),
     )
 
 
@@ -314,7 +313,7 @@ def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]])
     for qubit, axis in factors:
         d = frame.descriptor(qubit, axis)
         out = d if out is None else out * d
-    return PauliTerm("I" * frame.n).to_sum() if out is None else out
+    return PauliSum(frame.n, {"I" * frame.n: 1}) if out is None else out
 
 
 def observable_image(frame: DescriptorFrame, obs: PauliSum) -> PauliSum:
@@ -531,12 +530,12 @@ def parse_word(text: str, n: int) -> PauliSum:
     coeff_text, body = text[:first], text[first:]
     coeff = _parse_coefficient(coeff_text) if coeff_text.strip(" ") else 1 + 0j
     body = body.strip()
-    word = PauliTerm("I" * n).to_sum()
+    word = PauliSum(n, {"I" * n: 1})
     if body != "id":
         consumed = _TOKEN_RE.sub("", body).strip()
         if consumed:
             raise ValueError(f"cannot parse descriptor word {text!r}")
         for axis, label in _TOKEN_RE.findall(body):
             qubit = labels.index(label)
-            word = word * single(n, qubit, axis).to_sum()
+            word = word * single(n, qubit, axis)
     return coeff * word

@@ -1,5 +1,8 @@
 """Symbolic algebra of n-qubit Pauli words and complex-weighted Pauli polynomials.
 
+``PauliSum`` is the one operator type: a single word with its phase is a
+one-word sum, and products keep exact phases through the letter table.
+
 Conventions, fixed project-wide: qubit 0 is the leftmost tensor factor and the
 most significant bit of a computational-basis index.  All values here are
 immutable after construction, so they can be shared freely between concurrent
@@ -25,11 +28,9 @@ import numpy as np
 __all__ = [
     "BasisState",
     "PauliSum",
-    "PauliTerm",
     "commutator",
     "expectation_basis",
     "identity_component",
-    "mul",
     "operator_norm",
     "qubit_label",
     "single",
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 PAULI_LETTERS = "IXYZ"
-PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 #: coefficients below this modulus are pruned, keeping sums canonical under
 #: repeated algebra
@@ -104,36 +104,6 @@ def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     phases.setflags(write=False)
     return rows, phases
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A single n-qubit Pauli word with a phase in {+1, -1, +i, -i}."""
-
-    letters: str
-    phase: complex = 1 + 0j
-
-    def __post_init__(self):
-        if not self.letters or any(l not in PAULI_LETTERS for l in self.letters):
-            raise ValueError(f"letters must be a nonempty string over IXYZ, got {self.letters!r}")
-        phase = complex(self.phase)
-        if phase not in PHASES:
-            raise ValueError(f"phase must be one of +1, -1, +i, -i, got {self.phase!r}")
-        object.__setattr__(self, "phase", phase)
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "PauliTerm") -> "PauliTerm":
-        return mul(self, other)
-
-    def to_sum(self) -> "PauliSum":
-        return PauliSum(self.n, {self.letters: self.phase})
-
-    def dense(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix realization."""
-        return self.to_sum().dense()
 
 
 @dataclass(frozen=True)
@@ -218,21 +188,15 @@ class PauliSum:
         return PauliSum(self.n, terms)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        if isinstance(other, PauliTerm):
-            other = other.to_sum()
         return self._binary(other, 1)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        if isinstance(other, PauliTerm):
-            other = other.to_sum()
         return self._binary(other, -1)
 
     def __neg__(self) -> "PauliSum":
         return PauliSum(self.n, {w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, PauliTerm):
-            other = other.to_sum()
         if isinstance(other, PauliSum):
             if self.n != other.n:
                 raise ValueError(f"qubit count mismatch: {self.n} != {other.n}")
@@ -250,8 +214,6 @@ class PauliSum:
         return PauliSum(self.n, {w: scalar * c for w, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PauliTerm):
-            other = other.to_sum()
         if not isinstance(other, PauliSum):
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
@@ -279,42 +241,28 @@ class PauliSum:
         return f"PauliSum(n={self.n}, {body})"
 
 
-def single(n: int, qubit: int, axis: str) -> PauliTerm:
+def single(n: int, qubit: int, axis: str) -> PauliSum:
     """Single-letter word: the given Pauli axis on one qubit, identity elsewhere."""
     axis = axis.upper()
     if axis not in "XYZ":
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for n={n}")
-    return PauliTerm("I" * qubit + axis + "I" * (n - qubit - 1))
+    return PauliSum(n, {"I" * qubit + axis + "I" * (n - qubit - 1): 1})
 
 
-def mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Operator product of two Pauli words with exact phase bookkeeping."""
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    phase, word = _word_mul(a.letters, b.letters)
-    return PauliTerm(word, a.phase * b.phase * phase)
-
-
-def _lift(a) -> PauliSum:
-    return a.to_sum() if isinstance(a, PauliTerm) else a
-
-
-def commutator(a, b) -> PauliSum:
-    """ab - ba in canonical form; accepts PauliTerm or PauliSum operands."""
-    a, b = _lift(a), _lift(b)
+def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """ab - ba in canonical form."""
     return a * b - b * a
 
 
-def operator_norm(a) -> float:
+def operator_norm(a: PauliSum) -> float:
     """Spectral norm (largest singular value) of ``a``; requires numeric
     coefficients and refuses registers above ``_NORM_QUBITS``.
 
     A one-word sum c*P has norm |c| exactly, since a Pauli word is unitary.
     A sum of several words is evaluated densely, by the SVD of ``a.dense()``.
     """
-    a = _lift(a)
     if a.n > _NORM_QUBITS:
         raise ValueError(
             f"operator_norm evaluates densely and is limited to {_NORM_QUBITS} qubits; got n={a.n}"
@@ -327,14 +275,13 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a.dense(), ord=2))
 
 
-def expectation_basis(state: BasisState, a) -> float:
+def expectation_basis(state: BasisState, a: PauliSum) -> float:
     """<state|a|state> for a computational-basis state.
 
     A term contributes only if its word lies in {I, Z}; it then contributes
     its coefficient times the parity (-1)^(bits on Z positions).  An imaginary
     residue above tolerance means the input was not Hermitian and is reported.
     """
-    a = _lift(a)
     if state.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={state.n}, operator n={a.n}")
     total = 0j
@@ -350,9 +297,8 @@ def expectation_basis(state: BasisState, a) -> float:
     return float(total.real)
 
 
-def identity_component(a) -> complex:
+def identity_component(a: PauliSum) -> complex:
     """Coefficient of the all-identity word (equals Tr(a) / 2^n)."""
-    a = _lift(a)
     return complex(a.coefficient("I" * a.n))
 
 
@@ -369,6 +315,6 @@ def witness_observable(
     if any(axis not in ("x", "z") for pair in axes for axis in pair):
         raise ValueError(f"witness axes must be x or z, got {axes!r}")
     (a1, a2), (b1, b2) = axes
-    first = single(n, probe1, a1).to_sum() * single(n, probe2, a2).to_sum()
-    second = single(n, probe1, b1).to_sum() * single(n, probe2, b2).to_sum()
+    first = single(n, probe1, a1) * single(n, probe2, a2)
+    second = single(n, probe1, b1) * single(n, probe2, b2)
     return first + second

@@ -8,8 +8,8 @@ and a qubit permutation, independently of the package's index arithmetic.
 exhaustive average: it averages over every balanced pattern pair with
 ``temporal_average``.  ``per_circuit_average`` is the reference for
 ``temporal_average``, which walks one stack of patterns through the staged
-circuit: it builds and evolves one concrete circuit per pattern, one at a
-time.  ``per_point_sweep``
+circuit: it builds (``pattern_circuit``) and evolves one concrete circuit per
+pattern, one at a time.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it builds and evolves one
 circuit per grid point on both engines.
 """
@@ -21,15 +21,19 @@ from functools import reduce
 import numpy as np
 
 from medwit.circuits import (
+    A,
+    B,
+    C,
+    D,
     Circuit,
     GateOp,
     SLICE,
-    build_staged,
     build_symmetric,
     cnot,
     cphase,
     exhaustive_patterns,
     h,
+    partial_swap,
     swap,
     z,
 )
@@ -43,7 +47,10 @@ from medwit.density import (
     temporal_average,
 )
 from medwit.heisenberg import frame_expectation, nonclassicality_degree, run_network_frames
-from medwit.pauli import BasisState, PauliSum, PauliTerm, witness_observable
+from medwit.pauli import BasisState, PauliSum, witness_observable
+
+#: the four phases a product of Pauli words can carry
+PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 REF_PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -57,8 +64,14 @@ def ref_word_matrix(letters: str) -> np.ndarray:
     return reduce(np.kron, (REF_PAULI[l] for l in letters))
 
 
-def ref_term_matrix(term: PauliTerm) -> np.ndarray:
-    return term.phase * ref_word_matrix(term.letters)
+def one_word(letters: str, phase: complex = 1) -> PauliSum:
+    """A single Pauli word with its phase, as a one-word sum."""
+    return PauliSum(len(letters), {letters: phase})
+
+
+def ref_term_matrix(term: PauliSum) -> np.ndarray:
+    ((letters, phase),) = term.items()
+    return phase * ref_word_matrix(letters)
 
 
 def ref_sum_matrix(psum: PauliSum) -> np.ndarray:
@@ -105,10 +118,9 @@ def ref_basis_vector(bits) -> np.ndarray:
     return vec
 
 
-def random_term(rng: np.random.Generator, n: int) -> PauliTerm:
+def random_term(rng: np.random.Generator, n: int) -> PauliSum:
     letters = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-    phase = (1, -1, 1j, -1j)[rng.integers(4)]
-    return PauliTerm(letters, phase)
+    return one_word(letters, PHASES[rng.integers(4)])
 
 
 def random_sum(rng: np.random.Generator, n: int, max_terms: int = 4) -> PauliSum:
@@ -164,15 +176,43 @@ def brute_force_average(
     )
 
 
+def pattern_circuit(
+    stages: int, pattern, interleaved: bool = False, z_first: bool = False
+) -> Circuit:
+    """The staged network as one concrete circuit for ``pattern``: every stage
+    is ``SWAP^(1/stages)`` on its link, followed by a Z on C where the pattern
+    dephases that stage, or preceded by it with ``z_first``."""
+    alpha = 1.0 / stages
+    u_bc, u_cd, z_c = partial_swap(B, C, alpha), partial_swap(C, D, alpha), z(C)
+
+    def stage(u: GateOp, dephased: bool) -> list[GateOp]:
+        if not dephased:
+            return [u]
+        return [z_c, u] if z_first else [u, z_c]
+
+    ops: list = [h(A), cnot(A, B), SLICE]
+    if interleaved:
+        for bc, cd in zip(pattern.bc_choices, pattern.cd_choices):
+            ops += stage(u_bc, bc) + stage(u_cd, cd)
+    else:
+        for bc in pattern.bc_choices:
+            ops += stage(u_bc, bc)
+        ops.append(SLICE)
+        for cd in pattern.cd_choices:
+            ops += stage(u_cd, cd)
+    ops.append(SLICE)
+    return Circuit(4, tuple(ops))
+
+
 def per_circuit_average(
     stages: int, patterns, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
 ) -> DensityMatrix:
-    """Uniform average of each pattern's ``build_staged`` circuit's final state,
+    """Uniform average of each pattern's ``pattern_circuit`` final state,
     evolved alone by ``run_network_density`` and accumulated in pattern order."""
     weight = 1.0 / len(patterns)
     accumulated = None
     for pattern in patterns:
-        circuit = build_staged(stages, pattern, interleaved=interleaved, z_first=z_first)
+        circuit = pattern_circuit(stages, pattern, interleaved=interleaved, z_first=z_first)
         final = run_network_density(circuit, initial)[-1].entries
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)

@@ -102,8 +102,8 @@ def test_grid_states_equal_one_run_per_point():
     grid = [k / (2 * _BATCH + 6) for k in range(2 * _BATCH + 7)]
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
     chunks = list(run_intensity_grid(build_symmetric(SYMBOLIC_P), initial, grid))
-    assert [len(points) for points, _ in chunks] == [_BATCH, _BATCH, 7]
-    states = np.concatenate([stack for _, stack in chunks])
+    assert [len(stack) for stack in chunks] == [_BATCH, _BATCH, 7]
+    states = np.concatenate(chunks)
     for p, state in zip(grid, states):
         alone = density.run_network_density(build_symmetric(p), initial)[-1].entries
         assert state.tobytes() == alone.tobytes()

@@ -8,7 +8,6 @@ import pytest
 
 from medwit.circuits import (
     Circuit,
-    DephasingPattern,
     GateOp,
     SLICE,
     build_asymmetric,
@@ -91,33 +90,10 @@ class TestBuildStaged:
         )
         assert diff < 1e-10
 
-    def test_all_dephased_single_stage_structure(self):
-        pattern = DephasingPattern((True,), (True,))
-        circuit = build_staged(1, pattern)
-        kinds = [g.kind for g in circuit.gates]
-        assert kinds == ["H", "CNOT", "PARTIAL_SWAP", "Z", "PARTIAL_SWAP", "Z"]
-        assert circuit.gates[2].alpha == 1.0
-
-    def test_balanced_pattern_yields_four_dephased_stages_per_link(self):
-        pattern = sample_patterns(8, 1, seed=0)[0]
-        circuit = build_staged(8, pattern)
-        z_count = sum(1 for g in circuit.gates if g.kind == "Z")
-        assert z_count == 8  # four per link
-        assert sum(pattern.bc_choices) == 4 and sum(pattern.cd_choices) == 4
-
-    def test_z_first_ordering(self):
-        pattern = DephasingPattern((True,), (False,))
-        kinds = [g.kind for g in build_staged(1, pattern, z_first=True).gates]
-        assert kinds == ["H", "CNOT", "Z", "PARTIAL_SWAP", "PARTIAL_SWAP"]
-
     def test_interleaved_ordering(self):
         circuit = build_staged(2, interleaved=True)
         links = [g.qubits for g in circuit.gates if g.kind == "PARTIAL_SWAP"]
         assert links == [(1, 2), (2, 3), (1, 2), (2, 3)]
-
-    def test_pattern_length_checked(self):
-        with pytest.raises(ValueError, match="does not match"):
-            build_staged(8, DephasingPattern((True,), (False,)))
 
 
 class TestPatterns:

@@ -349,6 +349,20 @@ class TestRunCommand:
         assert report["slices"][-1]["witness"]["heisenberg"] is None
         assert abs(abs(report["slices"][-1]["witness"]["density"]) - 2.0) < 1e-10
 
+    @pytest.mark.parametrize("network", ["symmetric", "asymmetric"])
+    def test_stages_flag_off_the_staged_network_is_named(self, capsys, network):
+        code, out, err = run_cli(capsys, "run", "--network", network, "--stages", "4")
+        assert code == EXIT_CONFIG
+        assert "--stages applies to the staged network only" in err and out == ""
+
+    @pytest.mark.parametrize("network", ["symmetric", "asymmetric"])
+    def test_stages_file_key_off_the_staged_network_is_named(self, capsys, tmp_path, network):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"network = {network}\nstages = 4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert "--stages applies to the staged network only" in err and out == ""
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--format", "text")
         assert code == EXIT_OK
@@ -567,7 +581,8 @@ class TestDeterminismAndSchema:
         ],
     )
     def test_run_report_keys(self, capsys, network, heisenberg, nonclassicality):
-        code, out, _ = run_cli(capsys, "run", "--network", network, "--stages", "2")
+        stages = ["--stages", "2"] if network == "staged" else []
+        code, out, _ = run_cli(capsys, "run", "--network", network, *stages)
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["engines"]["heisenberg"] is heisenberg

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    one_word,
     per_circuit_average,
     ref_gate_unitary,
     random_clifford_gates,
@@ -46,7 +47,7 @@ from medwit.density import (
     state_to_bytes,
     temporal_average,
 )
-from medwit.pauli import BasisState, PauliSum, PauliTerm, single, witness_observable
+from medwit.pauli import BasisState, PauliSum, single, witness_observable
 
 ZERO4 = BasisState.from_string("0000")
 XX_ZZ = (("x", "x"), ("z", "z"))
@@ -125,8 +126,8 @@ class TestGateUnitaries:
 class TestApplyGate:
     def test_bell_pair_correlations(self):
         rho = apply_gate(apply_gate(basis_density(ZERO4), h(0)), cnot(0, 1))
-        xx = single(4, 0, "x").to_sum() * single(4, 1, "x").to_sum()
-        zz = single(4, 0, "z").to_sum() * single(4, 1, "z").to_sum()
+        xx = single(4, 0, "x") * single(4, 1, "x")
+        zz = single(4, 0, "z") * single(4, 1, "z")
         assert expectation(rho, xx) == pytest.approx(1.0, abs=1e-12)
         assert expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
         # each Bell-pair member alone is maximally mixed; D is still pure |0>
@@ -138,8 +139,8 @@ class TestApplyGate:
         rho = apply_gate(
             apply_gate(basis_density(BasisState.from_string("1100")), h(0)), cnot(0, 1)
         )
-        xx = single(4, 0, "x").to_sum() * single(4, 1, "x").to_sum()
-        zz = single(4, 0, "z").to_sum() * single(4, 1, "z").to_sum()
+        xx = single(4, 0, "x") * single(4, 1, "x")
+        zz = single(4, 0, "z") * single(4, 1, "z")
         assert expectation(rho, xx) == pytest.approx(-1.0, abs=1e-12)
         assert expectation(rho, zz) == pytest.approx(-1.0, abs=1e-12)
 
@@ -171,7 +172,7 @@ class TestPhaseFlip:
 
     def test_full_strength_dephases_plus_state(self):
         rho = apply_gate(basis_density(BasisState.from_string("0")), h(0))
-        x = single(1, 0, "x").to_sum()
+        x = single(1, 0, "x")
         assert expectation(rho, x) == pytest.approx(1.0, abs=1e-12)
         dephased = apply_phase_flip(rho, 0, 0.5)
         assert expectation(dephased, x) == pytest.approx(0.0, abs=1e-12)
@@ -182,7 +183,7 @@ class TestPhaseFlip:
         rng = np.random.default_rng(43)
         for _ in range(10):
             rho = random_density(rng, 2)
-            x = single(2, 1, "x").to_sum()
+            x = single(2, 1, "x")
             before = expectation(rho, x)
             after = expectation(apply_phase_flip(rho, 1, p), x)
             assert after == pytest.approx((1 - 2 * p) * before, abs=1e-12)
@@ -195,7 +196,7 @@ class TestPhaseFlip:
 class TestExpectation:
     def test_bell_pair(self):
         rho = apply_gate(apply_gate(basis_density(BasisState.from_string("00")), h(0)), cnot(0, 1))
-        assert expectation(rho, PauliTerm("XX").to_sum()) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(rho, one_word("XX")) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_network_witness(self):
         obs = witness_observable(4, 0, 3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_clifford_circuit, ref_basis_vector, ref_sum_matrix
+from helpers import one_word, random_clifford_circuit, ref_basis_vector, ref_sum_matrix
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -42,7 +42,7 @@ from medwit.heisenberg import (
     run_network_frames,
     substitute,
 )
-from medwit.pauli import BasisState, PauliSum, PauliTerm, single, witness_observable
+from medwit.pauli import BasisState, PauliSum, single, witness_observable
 
 P_GRID = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
 
@@ -58,8 +58,8 @@ class TestInitFrame:
     def test_small_registers(self, n):
         frame = init_frame(n)
         for q in range(n):
-            assert frame.x[q] == single(n, q, "x").to_sum()
-            assert frame.z[q] == single(n, q, "z").to_sum()
+            assert frame.x[q] == single(n, q, "x")
+            assert frame.z[q] == single(n, q, "z")
 
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):
@@ -90,13 +90,13 @@ class TestGateRules:
 
     def test_z_negates_x_descriptor(self):
         frame = apply_gate_frame(init_frame(2), z(0))
-        assert frame.x[0] == -single(2, 0, "x").to_sum()
-        assert frame.z[0] == single(2, 0, "z").to_sum()
+        assert frame.x[0] == -single(2, 0, "x")
+        assert frame.z[0] == single(2, 0, "z")
 
     def test_swap_exchanges_pairs(self):
         frame = apply_gate_frame(apply_gate_frame(init_frame(2), h(0)), swap(0, 1))
-        assert frame.x[1] == single(2, 0, "z").to_sum()
-        assert frame.x[0] == single(2, 1, "x").to_sum()
+        assert frame.x[1] == single(2, 0, "z")
+        assert frame.x[0] == single(2, 1, "x")
 
     def test_partial_swap_rejected_naming_density_engine(self):
         with pytest.raises(UnsupportedGateError, match="density engine"):
@@ -164,9 +164,8 @@ class TestWitness:
         state = BasisState.from_string("0000")
         final = run_network_density(build_asymmetric(), basis_density(state))[-1]
         for axes in (XZ_ZX, XX_ZZ):
-            obs = single(4, 0, axes[0][0]).to_sum() * single(4, 3, axes[0][1]).to_sum() + single(
-                4, 0, axes[1][0]
-            ).to_sum() * single(4, 3, axes[1][1]).to_sum()
+            (a1, a2), (b1, b2) = axes
+            obs = single(4, 0, a1) * single(4, 3, a2) + single(4, 0, b1) * single(4, 3, b2)
             assert witness_observable(4, 0, 3, axes) == obs
             dense_value = expectation(final, obs)
             frame_value = descriptor_witness(frames[-1], state, axes)
@@ -197,8 +196,8 @@ class TestWitness:
         final = run_network_density(circuit, pseudo_pure(epsilon, basis))[-1]
         word = ["I"] * 4
         word[probes[0]], word[probes[1]] = letters
-        correlator = PauliTerm("".join(word)).to_sum()
-        identity = PauliTerm("IIII").to_sum()
+        correlator = one_word("".join(word))
+        identity = one_word("IIII")
         for obs in (correlator, witness_observable(4, 0, 3, XZ_ZX) + identity,
                     witness_observable(4, 0, 3, XX_ZZ)):
             got = frame_expectation(frame, obs, basis, epsilon)
@@ -227,7 +226,7 @@ class TestEffectiveDephasingAgainstChannel:
         # alone; the exact channel dephases the |+> state it stands for
         p = 0.2
         circuit = Circuit(4, (h(1), phase_flip(1, p), SLICE))
-        obs = single(4, 1, "x").to_sum()
+        obs = single(4, 1, "x")
         frame = run_network_frames(circuit)[-1]
         rho = run_network_density(circuit, basis_density(BasisState((0,) * 4)))[-1]
         assert frame_expectation(frame, obs, BasisState.from_string("0000"), 1.0) == 1.0
@@ -267,7 +266,7 @@ class TestCliffordInvariants:
 
     def test_descriptor_pairs_square_to_identity_and_anticommute(self):
         rng = np.random.default_rng(29)
-        identity = PauliTerm("I" * 4).to_sum()
+        identity = one_word("I" * 4)
         for _ in range(100):
             circuit = random_clifford_circuit(rng, 4, 20)
             for frame in run_network_frames(circuit):
@@ -290,7 +289,7 @@ class TestCliffordInvariants:
             for q in range(4):
                 for axis in "xyz":
                     got = expectation_basis(state, frame_observable(frame, [(q, axis)]))
-                    want = expectation(final, single(4, q, axis).to_sum())
+                    want = expectation(final, single(4, q, axis))
                     assert abs(got - want) < 1e-10
 
 

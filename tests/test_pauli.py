@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sum, random_term, ref_basis_vector, ref_sum_matrix, ref_term_matrix
+from helpers import (
+    PHASES,
+    one_word,
+    random_sum,
+    random_term,
+    ref_basis_vector,
+    ref_sum_matrix,
+    ref_term_matrix,
+)
 from medwit.heisenberg import ATTENUATION, render_sum
 from medwit.pauli import (
-    PHASES,
     BasisState,
     PauliSum,
-    PauliTerm,
     commutator,
     expectation_basis,
     identity_component,
-    mul,
     operator_norm,
     single,
 )
@@ -26,50 +31,54 @@ from medwit.pauli import (
 class TestPauliTerm:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PauliTerm("XQ")
+            one_word("XQ")
         with pytest.raises(ValueError):
-            PauliTerm("XX", phase=2)
-        with pytest.raises(ValueError):
-            PauliTerm("")
+            one_word("")
 
     def test_render(self):
-        assert render_sum(PauliTerm("ZXII").to_sum()) == "q_zA q_xB"
-        assert render_sum(PauliTerm("IIII").to_sum()) == "id"
-        assert render_sum(PauliTerm("YI", -1j).to_sum()) == "-iq_yA"
-        assert render_sum(PauliTerm("II", -1).to_sum()) == "-id"
+        assert render_sum(one_word("ZXII")) == "q_zA q_xB"
+        assert render_sum(one_word("IIII")) == "id"
+        assert render_sum(one_word("YI", -1j)) == "-iq_yA"
+        assert render_sum(one_word("II", -1)) == "-id"
+
+    def test_single_is_a_one_word_sum(self):
+        got = single(4, 0, "z")
+        want = PauliSum(4, {"ZIII": 1})
+        assert isinstance(got, PauliSum) and got == want
+        assert got.dense().tobytes() == ref_sum_matrix(want).tobytes()
 
     def test_single(self):
-        assert single(4, 0, "z") == PauliTerm("ZIII")
-        assert single(4, 3, "x") == PauliTerm("IIIX")
+        assert single(4, 0, "z") == one_word("ZIII")
+        assert single(4, 3, "x") == one_word("IIIX")
         with pytest.raises(ValueError):
             single(4, 4, "x")
 
 
 class TestMul:
     def test_z_times_x_gives_i_y(self):
-        a = PauliTerm("ZI")
-        b = PauliTerm("XI")
-        assert mul(a, b) == PauliTerm("YI", 1j)
+        a = one_word("ZI")
+        b = one_word("XI")
+        assert a * b == one_word("YI", 1j)
 
     def test_letter_squares_to_identity(self):
         for letter in "XYZ":
-            t = PauliTerm(letter + "I")
-            assert mul(t, t) == PauliTerm("II", 1)
+            t = one_word(letter + "I")
+            assert t * t == one_word("II", 1)
 
     def test_disjoint_supports_commute(self):
-        a = PauliTerm("XI")
-        b = PauliTerm("IZ")
-        assert mul(a, b) == mul(b, a) == PauliTerm("XZ")
+        a = one_word("XI")
+        b = one_word("IZ")
+        assert a * b == b * a == one_word("XZ")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            mul(PauliTerm("X"), PauliTerm("XX"))
+            one_word("X") * one_word("XX")
 
     def test_single_qubit_products_match_dense(self):
         for la in "IXYZ":
             for lb in "IXYZ":
-                product = mul(PauliTerm(la), PauliTerm(lb))
-                dense = ref_term_matrix(PauliTerm(la)) @ ref_term_matrix(PauliTerm(lb))
+                product = one_word(la) * one_word(lb)
+                dense = ref_term_matrix(one_word(la)) @ ref_term_matrix(one_word(lb))
                 assert np.allclose(ref_term_matrix(product), dense, atol=1e-14)
 
     def test_associativity_and_distributivity_against_dense(self):
@@ -77,48 +86,47 @@ class TestMul:
         for _ in range(1000):
             n = int(rng.integers(1, 5))
             a, b, c = (random_term(rng, n) for _ in range(3))
-            left = mul(mul(a, b), c)
-            right = mul(a, mul(b, c))
+            left = (a * b) * c
+            right = a * (b * c)
             assert left == right
             dense = ref_term_matrix(a) @ ref_term_matrix(b) @ ref_term_matrix(c)
             assert np.max(np.abs(ref_term_matrix(left) - dense)) < 1e-12
             # distributivity over sums
-            sb, sc = b.to_sum(), c.to_sum()
-            assert a.to_sum() * (sb + sc) == a.to_sum() * sb + a.to_sum() * sc
+            assert a * (b + c) == a * b + a * c
 
 
 class TestPauliSum:
     def test_canonicalization_merges_and_prunes(self):
         s = PauliSum(2, {"XX": 1.0, "ZZ": 1e-16})
         assert len(s) == 1
-        t = PauliTerm("XX").to_sum() - PauliTerm("XX").to_sum()
+        t = one_word("XX") - one_word("XX")
         assert not t and len(t) == 0
 
     def test_scalar_and_term_arithmetic(self):
-        s = 2.0 * PauliTerm("XI").to_sum()
+        s = 2.0 * one_word("XI")
         assert s.coefficient("XI") == 2.0
         assert (-s).coefficient("XI") == -2.0
-        assert (s - PauliTerm("XI")).coefficient("XI") == 1.0
+        assert (s - one_word("XI")).coefficient("XI") == 1.0
 
     def test_identity_component(self):
         s = PauliSum(2, {"II": 0.25, "XZ": 1.0})
         assert identity_component(s) == 0.25
-        assert identity_component(PauliTerm("XZ")) == 0
+        assert identity_component(one_word("XZ")) == 0
 
 
 class TestCommutator:
     def test_z_x(self):
-        got = commutator(PauliTerm("Z"), PauliTerm("X"))
+        got = commutator(one_word("Z"), one_word("X"))
         assert got == PauliSum(1, {"Y": 2j})
 
     def test_scaling_is_bilinear(self):
         p = 0.3
-        scaled = commutator((1 - 2 * p) * PauliTerm("X").to_sum(), PauliTerm("Z").to_sum())
-        plain = commutator(PauliTerm("X"), PauliTerm("Z"))
+        scaled = commutator((1 - 2 * p) * one_word("X"), one_word("Z"))
+        plain = commutator(one_word("X"), one_word("Z"))
         assert scaled == (1 - 2 * p) * plain
 
     def test_disjoint_supports_give_zero(self):
-        assert not commutator(PauliTerm("XI"), PauliTerm("IZ"))
+        assert not commutator(one_word("XI"), one_word("IZ"))
 
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(11)
@@ -130,8 +138,8 @@ class TestCommutator:
 class TestOperatorNorm:
     def test_pauli_words_are_unit_norm(self):
         assert operator_norm(PauliSum(1, {"Y": 2j})) == pytest.approx(2.0, abs=1e-12)
-        assert operator_norm(PauliTerm("XZY", 1j)) == pytest.approx(1.0, abs=1e-12)
-        assert operator_norm(2 * PauliTerm("XZ").to_sum()) == pytest.approx(2.0, abs=1e-12)
+        assert operator_norm(one_word("XZY", 1j)) == pytest.approx(1.0, abs=1e-12)
+        assert operator_norm(2 * one_word("XZ")) == pytest.approx(2.0, abs=1e-12)
 
     def test_attenuated_commutator_norm(self):
         p = 0.25
@@ -143,7 +151,7 @@ class TestOperatorNorm:
 
     def test_cap_rejected_with_limit_message(self):
         with pytest.raises(ValueError, match="limited to 6 qubits"):
-            operator_norm(PauliTerm("I" * 7))
+            operator_norm(one_word("I" * 7))
 
     @pytest.mark.parametrize("max_words", [1, 4])
     @settings(max_examples=40, deadline=None)
@@ -173,9 +181,9 @@ class TestDense:
         for n in range(1, 5):
             for letters in itertools.product("IXYZ", repeat=n):
                 word = "".join(letters)
-                term = PauliTerm(word, PHASES[rng.integers(4)])
+                term = one_word(word, PHASES[rng.integers(4)])
                 psum = PauliSum(n, {word: complex(rng.normal(), rng.normal())})
-                assert term.dense().tobytes() == ref_sum_matrix(term.to_sum()).tobytes()
+                assert term.dense().tobytes() == ref_sum_matrix(term).tobytes()
                 assert psum.dense().tobytes() == ref_sum_matrix(psum).tobytes()
 
     def test_sums_match_reference_bytes(self):
@@ -190,17 +198,17 @@ class TestDense:
 
 class TestExpectationBasis:
     def test_diagonal_words(self):
-        zz = PauliTerm("ZZ").to_sum()
+        zz = one_word("ZZ")
         assert expectation_basis(BasisState.from_string("00"), zz) == 1.0
         assert expectation_basis(BasisState.from_string("01"), zz) == -1.0
 
     def test_off_diagonal_words_vanish(self):
-        xx = PauliTerm("XX").to_sum()
+        xx = one_word("XX")
         assert expectation_basis(BasisState.from_string("00"), xx) == 0.0
 
     def test_two_qubit_correlation_in_four_qubit_register(self):
         # oracle: dense <0000| Z x I x Z x I |0000>
-        word = PauliTerm("ZIZI").to_sum()
+        word = one_word("ZIZI")
         state = BasisState.from_string("0000")
         vec = ref_basis_vector(state.bits)
         oracle = float((vec.conj() @ ref_sum_matrix(word) @ vec).real)
@@ -213,7 +221,7 @@ class TestExpectationBasis:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            expectation_basis(BasisState.from_string("00"), PauliTerm("Z").to_sum())
+            expectation_basis(BasisState.from_string("00"), one_word("Z"))
 
     def test_agrees_with_dense_oracle_on_random_sums(self):
         rng = np.random.default_rng(13)

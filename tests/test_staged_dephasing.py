@@ -68,7 +68,7 @@ CHAN_ZA_ZB = -0.76539502147247729
 
 
 def observable(a_axis: str, a_qubit: int, b_axis: str, b_qubit: int):
-    return single(4, a_qubit, a_axis).to_sum() * single(4, b_qubit, b_axis).to_sum()
+    return single(4, a_qubit, a_axis) * single(4, b_qubit, b_axis)
 
 
 def staged_with_channels(stages: int) -> Circuit:

@@ -57,7 +57,16 @@ OBSERVED = [
     ["run", "--p", "0.499999999999995"],
     ["staged", "--stages", "4", "--patterns", "exhaustive", "--axes", "xz-zx", "--epsilon", "0.2"],
 ]
-ARGVS = [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED
+#: the descriptor algebra off its defaults: a numeric and a symbolic
+#: dephasing intensity, and the asymmetric network read on the other axes
+DESCRIPTORS = [
+    ["table", "--p", "0.3"],
+    ["table", "--p", "symbolic", "--format", "json"],
+    ["run", "--network", "asymmetric", "--axes", "xz-zx", "--format", "text"],
+]
+ARGVS = (
+    [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
+)
 
 
 def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
