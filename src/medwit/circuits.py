@@ -7,9 +7,8 @@ interaction is routed (there is no direct A-D gate anywhere below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
 
 import numpy as np
 

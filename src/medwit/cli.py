@@ -5,12 +5,13 @@ the flags and config file once; ``_build_network`` builds the circuit;
 ``_engines`` runs the density engine, and the descriptor engine when every
 gate is Clifford or a phase flip.  One observation layer serves every command,
 both engines evaluating the one witness ``pauli.witness_observable``:
-``_density_values`` reads the witnesses and negativity_AD off a stack of
-states, and ``_descriptor_values`` the witnesses and the mediators'
-nonclassicality off a frame, at each dephasing intensity.  ``run`` stacks its
-slices, ``staged`` its variants' final states, and ``sweep`` each stack of
-grid points: its network depends on p only through two phase flips, so it is
-built once with a symbolic intensity, evolved a stack of points at a time
+``_density_values`` reads the witnesses and negativity_AD off a
+``DensityMatrix``, one stack of states, and ``_descriptor_values`` the
+witnesses and the mediators' nonclassicality off a frame, at each dephasing
+intensity.  ``run`` reads its stack of slices, ``staged`` its variants' final
+states in one stack, and ``sweep`` each stack of grid points: its network
+depends on p only through two phase flips, so it is built once with a
+symbolic intensity, evolved a stack of points at a time
 (``density.run_intensity_grid``) and read off one symbolic final frame, with
 CSV byte-identical to one circuit per point.  A ``cmd_*`` only picks what to
 observe and formats it, and ``_execute`` handles --timing, --dump-state and
@@ -55,9 +56,9 @@ from .circuits import (
 from .density import (
     DensityMatrix,
     exhaustive_average,
-    expectations,
-    negativities,
-    partial_traces,
+    expectation,
+    negativity,
+    partial_trace,
     pseudo_pure,
     run_intensity_grid,
     run_network_density,
@@ -106,8 +107,6 @@ WITNESSES = {
     name: witness_observable(CHAIN_QUBITS, PROBE_1, PROBE_2, axes)
     for name, axes in AXES_CHOICES.items()
 }
-#: the dense matrix of each witness, which the density engine reads states against
-WITNESS_MATRICES = {name: witness.dense() for name, witness in WITNESSES.items()}
 #: gate kinds the descriptor engine evolves exactly
 CLIFFORD_KINDS = frozenset({"H", "Z", "CNOT", "CPHASE", "SWAP"})
 
@@ -233,6 +232,16 @@ def _parse_epsilon(value) -> float:
     return eps
 
 
+def _parse_int(value, flag: str, least: int) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise ConfigError(f"{flag} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ConfigError(f"{flag} must be an integer >= {least}, got {number}")
+    return number
+
+
 def _parse_patterns(text: str) -> tuple[str, int]:
     if text == "none":
         return "none", 0
@@ -271,15 +280,8 @@ def _effective_config(args) -> Setup:
         raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, got {axes!r}")
     bits = _resolve(args, file_cfg, "initial_bits", DEFAULT_BITS_BY_NETWORK[network])
     basis = _parse_bits(bits)
-    try:
-        stages = int(_resolve(args, file_cfg, "stages", 8))
-        seed = int(_resolve(args, file_cfg, "seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stages and seed must be integers: {exc}") from exc
-    if seed < 0:
-        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
-    if stages < 1:
-        raise ConfigError(f"stages must be >= 1, got {stages}")
+    stages = _parse_int(_resolve(args, file_cfg, "stages", 8), "--stages", 1)
+    seed = _parse_int(_resolve(args, file_cfg, "seed", 0), "--seed", 0)
     patterns = _resolve(args, file_cfg, "patterns", "none")
     mode, count = _parse_patterns(patterns)
     cfg = ExperimentConfig(
@@ -391,11 +393,11 @@ def _engines(setup: Setup, circuit: Circuit):
     return states, run_network_frames(circuit) if trackable else None
 
 
-def _density_values(states: np.ndarray, axes_names: Sequence[str]) -> list[tuple[dict, float]]:
-    """Per state of a (k, d, d) stack: the witness for each named axes pair,
-    and negativity_AD."""
-    witnesses = [expectations(states, WITNESS_MATRICES[name]).tolist() for name in axes_names]
-    negs = negativities(partial_traces(states, [PROBE_1, PROBE_2]), [0]).tolist()
+def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tuple[dict, float]]:
+    """Per state of the stack: the witness for each named axes pair, and
+    negativity_AD."""
+    witnesses = [expectation(states, WITNESSES[name]).tolist() for name in axes_names]
+    negs = negativity(partial_trace(states, [PROBE_1, PROBE_2]), [0]).tolist()
     return [(dict(zip(axes_names, values)), neg) for *values, neg in zip(*witnesses, negs)]
 
 
@@ -498,7 +500,8 @@ def cmd_staged(setup: Setup, args):
     if setup.mode == "exhaustive":
         finals.append(("exhaustive", exhaustive_average(cfg.stages, setup.initial),
                        {"pattern_count": pattern_population(cfg.stages)}))
-    density = _density_values(np.stack([rho.entries for _, rho, _ in finals]), [cfg.axes])
+    stack = DensityMatrix(np.concatenate([rho.entries for _, rho, _ in finals]))
+    density = _density_values(stack, [cfg.axes])
     variants = {
         name: {
             "witness": {"axes": cfg.axes, "engine": "density", "value": witness[cfg.axes]},
@@ -516,7 +519,7 @@ def cmd_run(setup: Setup, args):
     cfg = setup.cfg
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     states, frames = _engines(setup, _build_network(cfg))
-    density = _density_values(np.stack([rho.entries for rho in states]), names)
+    density = _density_values(states, names)
     slices = []
     for t, (w_density, neg) in enumerate(density):
         w_heisenberg, nc = (next(_descriptor_values(setup, frames[t], names)) if frames

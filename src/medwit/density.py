@@ -1,8 +1,8 @@
 """Dense density-matrix engine: the numerical oracle for everything.
 
 Exact dense gates (including fractional swaps), physical Kraus channels,
-pseudo-pure states, temporal averaging over dephasing patterns, expectations,
-and the negativity entanglement monotone.  The witness is the observable built
+pseudo-pure states, temporal averaging over dephasing patterns, expectation
+values, and the negativity entanglement monotone.  The witness is the observable built
 by ``pauli.witness_observable``; ``expectation`` reads it here, and
 ``heisenberg.frame_expectation`` reads the same one on the descriptor engine.
 A gate's full-register unitary is its local 2x2 or 4x4 matrix with each entry
@@ -14,10 +14,10 @@ regardless of worker count.
 patterns, a stack of states that Z on C reaches only where a pattern dephases,
 bit-identical to one circuit per pattern; ``run_intensity_grid`` evolves one
 circuit at many dephasing intensities as a stack too, p broadcast along it.
-The report layer works on stacks too (``expectations``, ``partial_traces``,
-``negativities``); the one-state ``expectation``, ``partial_trace`` and
-``negativity`` are those on a stack of one, and one pair of checks
-(Hermitian with unit trace, positive) serves ``DensityMatrix`` and every stack.
+There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
+stack, and one state is a stack of one.  The report layer (``expectation``,
+``partial_trace``, ``negativity``) gives one value or reduced state per state
+of a stack, and the constructor and ``validate`` check every state of it.
 ``exhaustive_average`` walks the same circuit for the exact average over all
 C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
 (O(s^3) with interleaved links) instead of one circuit per pattern pair.
@@ -54,12 +54,9 @@ __all__ = [
     "basis_density",
     "exhaustive_average",
     "expectation",
-    "expectations",
     "gate_unitary",
-    "negativities",
     "negativity",
     "partial_trace",
-    "partial_traces",
     "pseudo_pure",
     "run_intensity_grid",
     "run_network_density",
@@ -95,55 +92,51 @@ _LOCAL = {"H": _H2, "Z": _Z2, "CNOT": _CNOT4, "CPHASE": _CPHASE4, "SWAP": _SWAP4
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-one 2^n x 2^n operator; entries are read-only."""
+    """A stack of k >= 1 Hermitian, trace-one 2^n x 2^n operators, shape
+    (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack of one.  Entries are read-only."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        dim = entries.shape[0]
-        if entries.ndim != 2 or entries.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
-            raise ValueError(f"entries must be square with power-of-two size, got {entries.shape}")
+        entries = np.array(self.entries, dtype=complex, ndmin=3)
+        k, dim = entries.shape[:2]
+        if entries.shape != (k, dim, dim) or dim & (dim - 1) or dim < 2 or k < 1:
+            raise ValueError(f"entries must be a nonempty stack of square power-of-two "
+                             f"matrices, got {entries.shape}")
         n = dim.bit_length() - 1
         if n > MAX_QUBITS:
             raise ValueError(f"dense engine is limited to {MAX_QUBITS} qubits; got n={n}")
-        _check_hermitian_unit_trace(entries)
+        skew = np.abs(entries - np.swapaxes(entries.conj(), -1, -2)).max(axis=(-2, -1))
+        if np.any(skew > _HERM_TOL):
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        traces = np.trace(entries, axis1=-2, axis2=-1)
+        off = np.abs(traces - 1.0) > _TRACE_TOL
+        if np.any(off):
+            raise ValueError(f"density matrix trace is {traces[np.argmax(off)]:.6g}, expected 1")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0].bit_length() - 1
+        return self.entries.shape[-1].bit_length() - 1
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index) -> "DensityMatrix":
+        """State ``index`` as a stack of one, or a slice as a sub-stack; re-checked."""
+        return DensityMatrix(self.entries[index])
 
     def validate(self) -> None:
-        """Positivity check in addition to the constructor's Hermiticity/trace checks."""
-        _check_positive(self.entries)
-
-
-def _check_hermitian_unit_trace(states: np.ndarray) -> None:
-    """The ``DensityMatrix`` checks on one matrix or on each of a stack: the
-    first matrix off Hermitian or off unit trace is an error."""
-    skew = np.abs(states - np.swapaxes(states.conj(), -1, -2)).max(axis=(-2, -1))
-    if np.any(skew > _HERM_TOL):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    traces = np.trace(states, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1.0) > _TRACE_TOL
-    if np.any(off):
-        raise ValueError(
-            f"density matrix trace is {np.ravel(traces)[np.argmax(off)]:.6g}, expected 1"
-        )
-
-
-def _check_positive(states: np.ndarray) -> None:
-    """The ``DensityMatrix.validate`` check on one matrix or on each of a stack,
-    by one ``eigvalsh``: the first matrix with an eigenvalue below -_PSD_TOL is
-    an error naming its lowest eigenvalue."""
-    lowest = np.ravel(np.linalg.eigvalsh(states)[..., 0])
-    negative = lowest < -_PSD_TOL
-    if np.any(negative):
-        raise ValueError(
-            f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
-        )
+        """Positivity check in addition to the constructor's Hermiticity/trace
+        checks, by one ``eigvalsh``: the first state with an eigenvalue below
+        -_PSD_TOL is an error naming its lowest eigenvalue."""
+        lowest = np.linalg.eigvalsh(self.entries)[:, 0]
+        negative = lowest < -_PSD_TOL
+        if np.any(negative):
+            raise ValueError(
+                f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
+            )
 
 
 def basis_density(bits: BasisState) -> DensityMatrix:
@@ -236,10 +229,12 @@ def apply_phase_flip(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     return DensityMatrix(_phase_flip_raw(rho.entries, qubit, float(p), rho.n))
 
 
-def expectations(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Re Tr(rho * matrix) for each state of a (k, d, d) stack, by one einsum;
-    an imaginary residue above tolerance is an error."""
-    values = np.einsum("kij,ji->k", states, matrix)
+def expectation(rho: DensityMatrix, a: PauliSum) -> np.ndarray:
+    """Re Tr(state * a) for each state of ``rho``, by one einsum; an imaginary
+    residue above tolerance is an error."""
+    if rho.n != a.n:
+        raise ValueError(f"qubit count mismatch: state n={rho.n}, operator n={a.n}")
+    values = np.einsum("kij,ji->k", rho.entries, a.dense())
     residue = np.abs(values.imag) > 1e-10
     if np.any(residue):
         raise ValueError(
@@ -249,62 +244,44 @@ def expectations(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def expectation(rho: DensityMatrix, a: PauliSum) -> float:
-    """Re Tr(rho * a); an imaginary residue above tolerance is an error."""
-    if rho.n != a.n:
-        raise ValueError(f"qubit count mismatch: state n={rho.n}, operator n={a.n}")
-    return float(expectations(rho.entries[np.newaxis], a.dense())[0])
-
-
-def partial_traces(states: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced states on the kept qubits (ascending order, relative order
-    preserved) of each state of a (k, d, d) stack, each checked as a
-    ``DensityMatrix`` is."""
-    n = states.shape[-1].bit_length() - 1
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state on the kept qubits (ascending order, relative order
+    preserved) of each state of ``rho``."""
+    n = rho.n
     keep = sorted(set(int(q) for q in keep))
     if not keep or any(q < 0 or q >= n for q in keep):
         raise ValueError(f"keep must be a nonempty subset of range({n}), got {keep}")
     drop = [q for q in range(n) if q not in keep]
-    k = len(states)
-    tensor = states.reshape((k,) + (2,) * (2 * n))
+    k = len(rho)
+    tensor = rho.entries.reshape((k,) + (2,) * (2 * n))
     perm = [0] + [1 + q for q in keep + drop] + [1 + q + n for q in keep + drop]
     dk, dd = 2 ** len(keep), 2 ** len(drop)
     tensor = np.transpose(tensor, perm).reshape(k, dk, dd, dk, dd)
-    reduced = np.einsum("kabcb->kac", tensor)
-    _check_hermitian_unit_trace(reduced)
-    return reduced
+    return DensityMatrix(np.einsum("kabcb->kac", tensor))
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept qubits (ascending order, relative order preserved)."""
-    return DensityMatrix(partial_traces(rho.entries[np.newaxis], keep)[0])
-
-
-def negativities(states: np.ndarray, partition: Iterable[int]) -> np.ndarray:
-    """Entanglement negativity of each state of a (k, d, d) stack: the trace
-    norm of its partial transpose minus 1, halved, and never below 0; one
-    ``eigvalsh`` for the whole stack."""
-    n = states.shape[-1].bit_length() - 1
+def negativity(rho: DensityMatrix, partition: Iterable[int]) -> np.ndarray:
+    """Entanglement negativity of each state of ``rho``: the trace norm of its
+    partial transpose minus 1, halved, and never below 0; one ``eigvalsh``
+    for the whole stack."""
+    n = rho.n
     part = sorted(set(int(q) for q in partition))
     if not part or len(part) >= n or any(q < 0 or q >= n for q in part):
         raise ValueError(f"partition must be a proper nonempty subset of range({n}), got {part}")
-    k = len(states)
-    tensor = states.reshape((k,) + (2,) * (2 * n))
+    k = len(rho)
+    tensor = rho.entries.reshape((k,) + (2,) * (2 * n))
     axes = list(range(1 + 2 * n))
     for q in part:
         axes[1 + q], axes[1 + q + n] = axes[1 + q + n], axes[1 + q]
-    transposed = np.transpose(tensor, axes).reshape(states.shape)
+    transposed = np.transpose(tensor, axes).reshape(rho.entries.shape)
     excess = (np.abs(np.linalg.eigvalsh(transposed)).sum(axis=-1) - 1.0) / 2.0
     return np.where(excess > 0.0, excess, 0.0)
 
 
-def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
-    """Entanglement negativity (trace norm of the partial transpose minus 1) / 2."""
-    return float(negativities(rho.entries[np.newaxis], partition)[0])
-
-
 def _same_size(circuit: Circuit, initial: DensityMatrix) -> Circuit:
-    """``circuit``, checked to act on as many qubits as ``initial``."""
+    """``circuit``, checked to act on as many qubits as ``initial``, one state."""
+    if len(initial) != 1:
+        raise ValueError(f"initial state must be one state, got a stack of {len(initial)}")
     if initial.n != circuit.n:
         raise ValueError(f"initial state has n={initial.n}, circuit has n={circuit.n}")
     return circuit
@@ -333,37 +310,37 @@ def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.
             entries = _apply_raw(op, entries, circuit.n, p)
 
 
-def run_network_density(circuit: Circuit, initial: DensityMatrix) -> list[DensityMatrix]:
-    """State after each labelled time of the circuit, t_0 included and validated."""
+def run_network_density(circuit: Circuit, initial: DensityMatrix) -> DensityMatrix:
+    """The states at each labelled time of the circuit, t_0 included, as one validated stack."""
     _same_size(circuit, initial)
-    states = [DensityMatrix(s) for s in _slice_states(circuit, initial.entries)]
-    for state in states:
-        state.validate()
+    states = DensityMatrix(np.concatenate(list(_slice_states(circuit, initial.entries))))
+    states.validate()
     return states
 
 
 def run_intensity_grid(
     circuit: Circuit, initial: DensityMatrix, intensities: Sequence[float]
-) -> Iterator[np.ndarray]:
+) -> Iterator[DensityMatrix]:
     """The state at the last labelled time of ``circuit`` at each dephasing
     intensity in turn, every symbolic phase flip taking that intensity.
 
-    Yields (points, d, d) stacks of ``_BATCH`` points or fewer, in grid
-    order.  Gates ahead of the first symbolic flip act once on the state every
-    point shares; that flip broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
-    broadcast matmul.  Every point sees exactly the arithmetic of
-    ``run_network_density`` on the circuit with its own p, so the states are
-    bit-identical to it; and every labelled slice of every point passes the
-    same checks, a slice that the points share once per stack.
+    Yields stacks of ``_BATCH`` points or fewer, in grid order.  Gates ahead
+    of the first symbolic flip act once on the state every point shares; that
+    flip broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and
+    each later gate is one broadcast matmul.  Every point sees exactly the
+    arithmetic of ``run_network_density`` on the circuit with its own p, so
+    the states are bit-identical to it; and every labelled slice of every
+    point passes the same checks, a slice that the points share once per stack.
     """
     _same_size(circuit, initial)
     for start in range(0, len(intensities), _BATCH):
         chunk = intensities[start:start + _BATCH]
         p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
         for state in _slice_states(circuit, initial.entries, p):
-            _check_hermitian_unit_trace(state)
-            _check_positive(state)
-        yield np.broadcast_to(state, (len(chunk),) + state.shape[-2:])
+            states = DensityMatrix(state)
+            states.validate()
+        # a final slice that the points share (no symbolic flip) is repeated for each
+        yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 
 def temporal_average(
@@ -400,7 +377,7 @@ def temporal_average(
         # per link, stage by stage: the mask of the batch's patterns that dephase it
         masks = {(B, C): iter(np.array([pattern.bc_choices for pattern in batch]).T),
                  (C, D): iter(np.array([pattern.cd_choices for pattern in batch]).T)}
-        stack = np.repeat(initial.entries[np.newaxis], len(batch), axis=0)
+        stack = np.repeat(initial.entries, len(batch), axis=0)
         for op in circuit.gates:
             if op.kind != "PARTIAL_SWAP":
                 stack = _apply_raw(op, stack, n)
@@ -464,8 +441,6 @@ def exhaustive_average(
 
 
 def state_to_bytes(rho: DensityMatrix) -> bytes:
-    """Row-major little-endian float64 (re, im) pairs; 16 * 4^n bytes total."""
-    pairs = np.empty(rho.entries.shape + (2,), dtype="<f8")
-    pairs[..., 0] = rho.entries.real
-    pairs[..., 1] = rho.entries.imag
-    return pairs.tobytes()
+    """Row-major little-endian float64 (re, im) pairs, the layout of a
+    little-endian complex128; 16 * 4^n bytes per state."""
+    return rho.entries.astype("<c16").tobytes()

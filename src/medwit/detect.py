@@ -50,7 +50,7 @@ class MultipletReport:
 
 
 def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
-    """Apply a Hadamard readout and report every spin's multiplet amplitudes.
+    """Apply a Hadamard readout to one state and report every spin's multiplet amplitudes.
 
     For spin r with partner s, the antiphase amplitude is the quadrature
     magnitude of the two-spin coherences 2<X_r Z_s> and 2<Y_r Z_s>; the
@@ -61,6 +61,8 @@ def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
     "other" otherwise.
     """
     n = rho.n
+    if len(rho) != 1:
+        raise ValueError(f"the multiplet reads one state, got a stack of {len(rho)}")
     if not 0 <= readout < n:
         raise ValueError(f"readout qubit {readout} out of range for n={n}")
     pulsed = apply_gate(rho, h(readout))
@@ -68,16 +70,16 @@ def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
     lines: dict[str, dict[str, MultipletLine]] = {}
     classification: dict[str, str] = {}
     for r in range(n):
-        x_r = expectation(pulsed, single(n, r, "x"))
-        y_r = expectation(pulsed, single(n, r, "y"))
+        x_r, = expectation(pulsed, single(n, r, "x"))
+        y_r, = expectation(pulsed, single(n, r, "y"))
         inphase = hypot(x_r, y_r)
         partners: dict[str, MultipletLine] = {}
         best_partner, best_amp = None, 0.0
         for s in range(n):
             if s == r:
                 continue
-            xz = expectation(pulsed, single(n, r, "x") * single(n, s, "z"))
-            yz = expectation(pulsed, single(n, r, "y") * single(n, s, "z"))
+            xz, = expectation(pulsed, single(n, r, "x") * single(n, s, "z"))
+            yz, = expectation(pulsed, single(n, r, "y") * single(n, s, "z"))
             amp = hypot(2.0 * xz, 2.0 * yz)
             partners[qubit_label(s)] = MultipletLine(inphase, amp)
             if amp > best_amp:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .circuits import SYMBOLIC_P, Circuit, GateOp, TimeSlice
 from .pauli import (

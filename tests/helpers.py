@@ -239,8 +239,8 @@ def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = 
         row = (
             p,
             frame_expectation(frame, witness, basis, epsilon),
-            expectation(rho, witness),
-            negativity(partial_trace(rho, [0, 3]), [0]),
+            expectation(rho, witness)[0],
+            negativity(partial_trace(rho, [0, 3]), [0])[0],
             nonclassicality_degree(frame, 1),
             nonclassicality_degree(frame, 2),
         )

@@ -449,6 +449,32 @@ class TestSeed:
         assert "--seed" in err and out == ""
 
 
+class TestIntegerFlags:
+    """A non-integer --stages or --seed is named alone, with the value it got."""
+
+    CASES = [(("run", "--network", "staged"), "stages", "2x"), (("staged",), "seed", "1.5")]
+
+    @staticmethod
+    def check(err: str, key: str, value: str) -> None:
+        other = "seed" if key == "stages" else "stages"
+        assert f"--{key} must be an integer, got {value!r}" in err
+        assert other not in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize("argv, key, value", CASES, ids=["stages", "seed"])
+    def test_flag(self, capsys, argv, key, value):
+        code, out, err = run_cli(capsys, *argv, f"--{key}", value)
+        assert code == EXIT_CONFIG and out == ""
+        self.check(err, key, value)
+
+    @pytest.mark.parametrize("argv, key, value", CASES, ids=["stages", "seed"])
+    def test_config_file_key(self, capsys, tmp_path, argv, key, value):
+        config = tmp_path / "int.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        self.check(err, key, value)
+
+
 class TestTableRejectsUnusedFlags:
     @pytest.mark.parametrize(
         "key, value", [("epsilon", "0.5"), ("axes", "xx-zz"), ("initial_bits", "1111")]

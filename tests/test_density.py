@@ -18,6 +18,7 @@ from helpers import (
 )
 from medwit.circuits import (
     SLICE,
+    SYMBOLIC_P,
     Circuit,
     DephasingPattern,
     GateOp,
@@ -38,11 +39,13 @@ from medwit.density import (
     apply_gate,
     apply_phase_flip,
     basis_density,
+    exhaustive_average,
     expectation,
     gate_unitary,
     negativity,
     partial_trace,
     pseudo_pure,
+    run_intensity_grid,
     run_network_density,
     state_to_bytes,
     temporal_average,
@@ -56,10 +59,10 @@ XX_ZZ = (("x", "x"), ("z", "z"))
 class TestDensityMatrixType:
     def test_basis_density_projector(self):
         rho = basis_density(ZERO4)
-        assert rho.entries[0, 0] == 1.0
-        assert np.trace(rho.entries) == pytest.approx(1.0)
+        assert rho.entries[0, 0, 0] == 1.0
+        assert np.trace(rho.entries[0]) == pytest.approx(1.0)
         rho12 = basis_density(BasisState.from_string("1100"))
-        assert rho12.entries[12, 12] == 1.0
+        assert rho12.entries[0, 12, 12] == 1.0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -74,6 +77,61 @@ class TestDensityMatrixType:
         rho = basis_density(ZERO4)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
+
+
+class TestStacks:
+    """A stack of k states reads as its k states one at a time, byte for byte."""
+
+    def test_report_layer_and_indexing_match_each_state(self):
+        rng = np.random.default_rng(47)
+        states = [random_density(rng, 4) for _ in range(7)]
+        stack = DensityMatrix(np.concatenate([rho.entries for rho in states]))
+        assert len(stack) == 7 and stack.entries.shape == (7, 16, 16)
+        obs = witness_observable(4, 0, 3, XX_ZZ) + single(4, 1, "y") * single(4, 2, "x")
+
+        def each(read):
+            return np.concatenate([read(rho) for rho in states]).tobytes()
+
+        for i, rho in enumerate(states):
+            assert stack[i].entries.tobytes() == rho.entries.tobytes()
+        assert stack[2:5].entries.tobytes() == np.concatenate(
+            [rho.entries for rho in states[2:5]]
+        ).tobytes()
+        assert expectation(stack, obs).tobytes() == each(lambda rho: expectation(rho, obs))
+        reduced = partial_trace(stack, [0, 3])
+        assert reduced.entries.tobytes() == each(lambda rho: partial_trace(rho, [0, 3]).entries)
+        assert negativity(reduced, [0]).tobytes() == each(
+            lambda rho: negativity(partial_trace(rho, [0, 3]), [0])
+        )
+        assert negativity(stack, [1, 2]).tobytes() == each(lambda rho: negativity(rho, [1, 2]))
+
+    def test_each_state_is_checked(self):
+        good = pseudo_pure(0.5, ZERO4).entries
+        bad = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)[np.newaxis]
+        stack = DensityMatrix(np.concatenate([good, good, bad]))
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            stack.validate()
+        stack[:2].validate()
+        with pytest.raises(ValueError, match="nonempty stack"):
+            DensityMatrix(np.zeros((0, 16, 16), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "evolve",
+        [
+            lambda rho: run_network_density(build_staged(2), rho),
+            lambda rho: next(run_intensity_grid(build_symmetric(SYMBOLIC_P), rho, [0.1])),
+            lambda rho: temporal_average(2, [DephasingPattern((True, False), (False, True))], rho),
+            lambda rho: exhaustive_average(2, rho),
+        ],
+        ids=["run_network_density", "run_intensity_grid", "temporal_average",
+             "exhaustive_average"],
+    )
+    def test_evolutions_take_one_initial_state(self, evolve):
+        one = pseudo_pure(0.5, BasisState.from_string("1100"))
+        evolve(one)
+        two = DensityMatrix(np.concatenate([one.entries, one.entries]))
+        with pytest.raises(ValueError, match="initial state must be one state, got a stack of 2"):
+            evolve(two)
 
 
 class TestGateUnitaries:
@@ -158,9 +216,9 @@ class TestApplyGate:
             a = random_sum(rng, n)
             u = gate_unitary(gate, n)
             evolved = apply_gate(rho, gate)
-            lhs = np.einsum("ij,ji->", evolved.entries, ref_sum_matrix(a))
+            lhs = np.einsum("ij,ji->", evolved.entries[0], ref_sum_matrix(a))
             rhs = np.einsum(
-                "ij,ji->", rho.entries, u.conj().T @ ref_sum_matrix(a) @ u
+                "ij,ji->", rho.entries[0], u.conj().T @ ref_sum_matrix(a) @ u
             )
             assert abs(lhs - rhs) < 1e-10
 
@@ -346,7 +404,7 @@ class TestRunNetworkDensity:
             assert len(states) == 4
             for rho in states:
                 rho.validate()
-                assert abs(np.trace(rho.entries) - 1) < 1e-10
+                assert abs(np.trace(rho.entries[0]) - 1) < 1e-10
 
     def test_symbolic_intensity_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
@@ -359,4 +417,4 @@ class TestStateBytes:
         blob = state_to_bytes(rho)
         assert len(blob) == 16 * 4 ** 4
         back = np.frombuffer(blob, dtype="<f8").reshape(16, 16, 2)
-        assert np.array_equal(back[..., 0] + 1j * back[..., 1], rho.entries)
+        assert np.array_equal(back[..., 0] + 1j * back[..., 1], rho.entries[0])

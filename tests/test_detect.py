@@ -15,6 +15,13 @@ def singlet_prep(initial_bits: str = "1100") -> DensityMatrix:
 
 
 class TestSingletDetection:
+    def test_reads_one_state(self):
+        rho = singlet_prep()
+        antiphase_amplitudes(rho, readout=0)
+        two = DensityMatrix(np.concatenate([rho.entries, rho.entries]))
+        with pytest.raises(ValueError, match="reads one state, got a stack of 2"):
+            antiphase_amplitudes(two, readout=0)
+
     def test_pair_members_show_antiphase_others_silent(self):
         report = antiphase_amplitudes(singlet_prep(), readout=0)
         assert report.classification == {

@@ -1,10 +1,12 @@
 """The benchmark tracer's targets and every module's public names exist in
-medwit, and ``tools/same_bytes.py`` reports a failing command.
+medwit, no module imports a name it never reads, and ``tools/same_bytes.py``
+reports a failing command.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "medwit"
 
 
 def _load(name: str, path: Path):
@@ -40,6 +43,34 @@ def test_public_names_exist(layer):
     module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names a module imports (``__future__`` features aside) and never reads."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_unread_imports_are_found():
+    source = "import os, os.path as osp\nfrom typing import List, Set\nx: List = [os]\n"
+    assert unread_imports(source) == ["osp", "Set"]
+
+
+# ``__init__`` imports its submodules to re-export them
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+)
+def test_no_unread_imports(name):
+    assert unread_imports((SRC / name).read_text(encoding="utf-8")) == []
 
 
 def test_same_bytes_reports_a_failing_command(tmp_path):

@@ -64,8 +64,17 @@ DESCRIPTORS = [
     ["table", "--p", "symbolic", "--format", "json"],
     ["run", "--network", "asymmetric", "--axes", "xz-zx", "--format", "text"],
 ]
+#: density states as stacks: each staged variant's final state a stack of
+#: one, read as one concatenated stack, at the smallest sample and population;
+#: and the slices of an odd-stage staged network read as one stack by run
+STACKS = [
+    ["staged", "--stages", "2", "--patterns", "sampled:1"],
+    ["staged", "--stages", "2", "--patterns", "exhaustive"],
+    ["run", "--network", "staged", "--stages", "3", "--epsilon", "0.4", "--initial-bits", "0101"],
+]
 ARGVS = (
     [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
+    + STACKS
 )
 
 
