@@ -219,37 +219,35 @@ def pattern_population(stages: int) -> int:
     return comb(stages, stages // 2) ** 2
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    # lexicographic unranking of a k-subset of range(n)
-    positions = []
-    idx = 0
-    while k > 0:
-        c = comb(n - 1, k - 1)
-        if rank < c:
-            positions.append(idx)
-            k -= 1
-        else:
-            rank -= c
-        n -= 1
-        idx += 1
-    return tuple(positions)
+def _patterns_from_indices(indices: np.ndarray, stages: int) -> list[DephasingPattern]:
+    """The balanced pattern pair of each canonical index (int64), in one pass.
 
-
-def _choices_from_rank(rank: int, stages: int) -> tuple[bool, ...]:
-    chosen = set(_unrank_combination(rank, stages, stages // 2))
-    return tuple(k in chosen for k in range(stages))
-
-
-def _pattern_from_index(index: int, stages: int) -> DephasingPattern:
-    bc_rank, cd_rank = divmod(index, comb(stages, stages // 2))
-    return DephasingPattern(
-        _choices_from_rank(bc_rank, stages), _choices_from_rank(cd_rank, stages)
-    )
+    Index i is the pair of per-link ranks divmod(i, C(stages, stages/2)), and
+    each rank names its link's dephased stages in lexicographic order: at
+    stage t with k stages still to choose, the C(stages-1-t, k-1) smaller
+    ranks choose t.  Every rank walks the stages together, reading the
+    binomial coefficients from one int64 table.
+    """
+    half = stages // 2
+    # binom[m, k] = C(m, k - 1), and 0 at k = 0 where no stage is left to choose
+    binom = np.array([[comb(m, k - 1) if k else 0 for k in range(half + 1)]
+                      for m in range(stages)], dtype=np.int64)
+    ranks = np.concatenate(np.divmod(indices, comb(stages, half)))
+    left = np.full(len(ranks), half)
+    chosen = np.empty((len(ranks), stages), dtype=bool)
+    for t in range(stages):
+        below = binom[stages - 1 - t, left]
+        chosen[:, t] = ranks < below
+        ranks -= np.where(chosen[:, t], 0, below)
+        left -= chosen[:, t]
+    count = len(indices)
+    return [DephasingPattern(bc.tolist(), cd.tolist())
+            for bc, cd in zip(chosen[:count], chosen[count:])]
 
 
 def exhaustive_patterns(stages: int) -> list[DephasingPattern]:
     """Every balanced pattern pair in canonical (lexicographic) order."""
-    return [_pattern_from_index(i, stages) for i in range(pattern_population(stages))]
+    return _patterns_from_indices(np.arange(pattern_population(stages)), stages)
 
 
 def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPattern]:
@@ -273,7 +271,7 @@ def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPat
         if idx not in seen:
             seen.add(idx)
             order.append(idx)
-    return [_pattern_from_index(i, stages) for i in order]
+    return _patterns_from_indices(np.array(order, dtype=np.int64), stages)
 
 
 @dataclass

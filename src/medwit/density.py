@@ -8,12 +8,15 @@ by ``pauli.witness_observable``; ``expectation`` reads it here, and
 A gate's full-register unitary is its local 2x2 or 4x4 matrix with each entry
 copied to its place by basis-index arithmetic, and +0 everywhere else.
 All operations are pure functions on immutable values; pattern averages reduce
-in the caller-supplied pattern order, so averaged results are bit-stable
-regardless of worker count.
+in the caller-supplied pattern order, so averaged results are bit-stable.
 ``temporal_average`` walks the undephased staged circuit once per batch of
-patterns, a stack of states that Z on C reaches only where a pattern dephases,
-bit-identical to one circuit per pattern; ``run_intensity_grid`` evolves one
-circuit at many dephasing intensities as a stack too, p broadcast along it.
+patterns: the gates ahead of the first dephasing choice act on the one initial
+state, which that choice broadcasts to a stack of the batch, bit-identical to
+one circuit per pattern; ``run_intensity_grid`` evolves one circuit at many
+dephasing intensities as a stack too, p broadcast along it.
+Both pattern averages dephase by conjugating with Z on C as an exact sign
+flip of the entries whose row and column differ in C's bit, which gives the
+bytes of the dense product with that +-1 diagonal at no matrix product.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -42,7 +45,6 @@ from .circuits import (
     GateOp,
     TimeSlice,
     build_staged,
-    z,
 )
 from .pauli import BasisState, PauliSum
 
@@ -67,10 +69,11 @@ __all__ = [
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
 #: patterns per stack of ``temporal_average`` and grid points per stack of
-#: ``run_intensity_grid``.  Best of 9 in-process runs on a 2-core host: the
-#: 1000-pattern, 24-stage walk takes 0.95 s at 1 and 0.24 s at 32, no less at
-#: 64 or 128, which add 0.7 and 1.8 MB peak RSS; the 1001-point grid takes
-#: 0.26 s at 1, 0.04 s at 32 and 0.03 s at 64 or 128 for +0.7 and +1.6 MB
+#: ``run_intensity_grid``.  Best of 7 in-process runs on a shared 2-core host
+#: (peak RSS of the process after them): the 1000-pattern, 24-stage walk takes
+#: 1.07 s at 1, 0.24 s at 32 (36.6 MB), and 0.28 s and 0.30 s at 64 and 128
+#: (37.2 and 38.2 MB); the 1001-point grid takes 0.46 s at 1, 0.087 s at 32
+#: (35.3 MB), and 0.083 s and 0.089 s at 64 and 128 (36.3 and 37.0 MB)
 _BATCH = 32
 
 _HERM_TOL = 1e-10
@@ -343,6 +346,22 @@ def run_intensity_grid(
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 
+def _dephase_mask(n: int) -> np.ndarray:
+    """Entries of a 2^n x 2^n matrix that conjugation by Z on C negates: those
+    whose row and column differ in C's bit."""
+    bit = np.arange(2 ** n) >> (n - 1 - C) & 1
+    return bit[:, np.newaxis] != bit
+
+
+def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Z on C conjugating each state, as an exact sign flip of the ``mask``
+    entries: ``0 - x`` negates exactly and gives +0 for a zero, as the dense
+    product with the +-1 diagonal does.  The other entries are kept, which
+    the product also does for a state holding no -0, as every matrix product
+    leaves it; so the bytes are the same."""
+    return np.where(mask, 0 - entries, entries)
+
+
 def temporal_average(
     stages: int,
     patterns: Sequence[DephasingPattern],
@@ -355,12 +374,15 @@ def temporal_average(
     circuit: ``build_staged(stages, interleaved=...)`` with a Z on C after each
     partial swap the pattern dephases (before it with ``z_first``).
 
-    Each batch of ``_BATCH`` patterns is one stack that walks the undephased
-    circuit once: every gate acts on the whole stack, and Z on C on the
-    patterns that dephase that stage, after its partial swap or before it
-    with ``z_first``.  Each state sees exactly the arithmetic of its own
-    circuit and accumulation follows pattern order, so the result is
-    bit-identical to evolving the circuits one by one, run after run.
+    Each batch of ``_BATCH`` patterns walks the undephased circuit once.
+    Every gate ahead of the first dephasing choice acts on the one initial
+    state; that choice broadcasts it to a stack of the batch, and each later
+    gate acts on the whole stack.  Z on C is a sign flip (``_dephase``) of
+    the states of the patterns that dephase that stage, after its partial
+    swap or before it with ``z_first``.  Each state sees exactly the
+    arithmetic of its own circuit and accumulation follows pattern order, so
+    the result is bit-identical to evolving the circuits one by one, run
+    after run.
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
@@ -369,25 +391,25 @@ def temporal_average(
             raise ValueError(f"pattern length {pattern.stages} does not match stage count {stages}")
     circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
     n = circuit.n
-    zc = z(C)
+    mask = _dephase_mask(n)
     weight = 1.0 / len(patterns)
     accumulated = None
     for start in range(0, len(patterns), _BATCH):
         batch = patterns[start:start + _BATCH]
         # per link, stage by stage: the mask of the batch's patterns that dephase it
-        masks = {(B, C): iter(np.array([pattern.bc_choices for pattern in batch]).T),
-                 (C, D): iter(np.array([pattern.cd_choices for pattern in batch]).T)}
-        stack = np.repeat(initial.entries, len(batch), axis=0)
+        members = {(B, C): iter(np.array([pattern.bc_choices for pattern in batch]).T),
+                   (C, D): iter(np.array([pattern.cd_choices for pattern in batch]).T)}
+        stack = initial.entries
         for op in circuit.gates:
             if op.kind != "PARTIAL_SWAP":
                 stack = _apply_raw(op, stack, n)
                 continue
-            members = next(masks[op.qubits])
+            flips = next(members[op.qubits])[:, np.newaxis, np.newaxis] & mask
             if z_first:
-                stack[members] = _apply_raw(zc, stack[members], n)
+                stack = _dephase(stack, flips)
             stack = _apply_raw(op, stack, n)
             if not z_first:
-                stack[members] = _apply_raw(zc, stack[members], n)
+                stack = _dephase(stack, flips)
         for final in stack:
             accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
@@ -406,10 +428,12 @@ def exhaustive_average(
     same options, up to floating-point summation order.
     The undephased circuit is walked once while a table of unnormalised
     state sums, keyed by the dephased-stage counts on the B-C and C-D links,
-    branches at each partial swap into its plain and its dephased gate
-    (Z on C after the swap, or before it with ``z_first``).  Counts that can
-    no longer end at stages/2 on their link are dropped.  Reduction order is
-    fixed, so the result is bit-stable run to run.
+    branches at each partial swap into its plain and its dephased child.
+    The dephased child is the plain one's sign flip (``_dephase``), so each
+    sum takes one partial swap; with ``z_first`` the sum is flipped first and
+    both children take the swap.  Counts that can no longer end at stages/2
+    on their link are dropped.  Reduction order is fixed, so the result is
+    bit-stable run to run.
     """
     if stages < 2 or stages % 2:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
@@ -417,7 +441,7 @@ def exhaustive_average(
     half = stages // 2
     link_of = {(B, C): 0, (C, D): 1}
     left = [stages, stages]
-    zc = gate_unitary(z(C), circuit.n)
+    mask = _dephase_mask(circuit.n)
     sums = {(0, 0): initial.entries}
     for op in circuit.gates:
         u = gate_unitary(op, circuit.n)
@@ -426,15 +450,19 @@ def exhaustive_average(
             continue
         link = link_of[op.qubits]
         left[link] -= 1
-        branches = ((u, 0), (u @ zc if z_first else zc @ u, 1))
         grown: dict[tuple[int, ...], np.ndarray] = {}
         for key, rho in sums.items():
-            for v, dephased in branches:
+            # every kept sum has a child to keep, so the plain swap is never wasted
+            swapped = None if z_first else u @ rho @ u.conj().T
+            for dephased in (False, True):
                 count = key[link] + dephased
                 if count > half or count + left[link] < half:
                     continue
+                if z_first:
+                    child = u @ (_dephase(rho, mask) if dephased else rho) @ u.conj().T
+                else:
+                    child = _dephase(swapped, mask) if dephased else swapped
                 child_key = key[:link] + (count,) + key[link + 1:]
-                child = v @ rho @ v.conj().T
                 grown[child_key] = grown[child_key] + child if child_key in grown else child
         sums = grown
     return DensityMatrix(sums[(half, half)] / comb(stages, half) ** 2)

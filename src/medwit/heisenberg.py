@@ -5,8 +5,7 @@ z-descriptors, while the reference state stays fixed.  Clifford gates act by
 substitution rules on the descriptor pairs, so evolution stays exact and
 symbolic; the dephasing channel acts as an effective attenuation of the
 dephased qubit's own descriptors.  Frames are immutable values: every
-operation returns a new frame, so parameter sweeps can evaluate frames
-concurrently with no shared mutable state.  ``frame_expectation`` reads any
+operation returns a new frame.  ``frame_expectation`` reads any
 observable, such as the ``pauli.witness_observable`` witness, off a frame.
 Its two steps, the observable's Heisenberg image (``observable_image``) and
 the image's value on the pseudo-pure input (``pseudo_pure_expectation``), are

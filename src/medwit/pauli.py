@@ -5,8 +5,7 @@ one-word sum, and products keep exact phases through the letter table.
 
 Conventions, fixed project-wide: qubit 0 is the leftmost tensor factor and the
 most significant bit of a computational-basis index.  All values here are
-immutable after construction, so they can be shared freely between concurrent
-workers without locking.
+immutable after construction.
 
 A Pauli word P maps each basis state to one other, ``P|j> = phase[j] |j ^ flip>``,
 where ``flip`` has a bit set on every X or Y letter and ``phase[j]`` is

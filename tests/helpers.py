@@ -6,7 +6,12 @@ numerical route; ``ref_gate_unitary`` embeds a gate by a Kronecker product
 and a qubit permutation, independently of the package's index arithmetic.
 ``brute_force_average`` is the reference for the package's dynamic-programming
 exhaustive average: it averages over every balanced pattern pair with
-``temporal_average``.  ``per_circuit_average`` is the reference for
+``temporal_average``.  ``dense_branch_average`` is the same dynamic program
+with each dephased branch a dense unitary, Z on C times the partial swap, the
+byte reference for the sign-flip branches of ``exhaustive_average``.
+``scalar_sample_patterns`` and ``scalar_pattern`` draw and unrank patterns one
+at a time with Python integers (``unrank_combination``), the reference for the vectorised unranking of
+``sample_patterns`` and ``exhaustive_patterns``.  ``per_circuit_average`` is the reference for
 ``temporal_average``, which walks one stack of patterns through the staged
 circuit: it builds (``pattern_circuit``) and evolves one concrete circuit per
 pattern, one at a time.  ``per_point_sweep``
@@ -17,6 +22,7 @@ circuit per grid point on both engines.
 from __future__ import annotations
 
 from functools import reduce
+from math import comb
 
 import numpy as np
 
@@ -26,20 +32,24 @@ from medwit.circuits import (
     C,
     D,
     Circuit,
+    DephasingPattern,
     GateOp,
     SLICE,
+    build_staged,
     build_symmetric,
     cnot,
     cphase,
     exhaustive_patterns,
     h,
     partial_swap,
+    pattern_population,
     swap,
     z,
 )
 from medwit.density import (
     DensityMatrix,
     expectation,
+    gate_unitary,
     negativity,
     partial_trace,
     pseudo_pure,
@@ -174,6 +184,80 @@ def brute_force_average(
     return temporal_average(
         stages, exhaustive_patterns(stages), initial, interleaved=interleaved, z_first=z_first
     )
+
+
+def dense_branch_average(
+    stages: int, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
+) -> DensityMatrix:
+    """The count-keyed exhaustive average, each partial swap branching into
+    its plain unitary u and its dephased one, Z on C after it (``z u``) or
+    before it with ``z_first`` (``u z``), both applied as dense conjugations."""
+    circuit = build_staged(stages, interleaved=interleaved)
+    half = stages // 2
+    link_of = {(B, C): 0, (C, D): 1}
+    left = [stages, stages]
+    zc = gate_unitary(z(C), circuit.n)
+    sums = {(0, 0): initial.entries}
+    for op in circuit.gates:
+        u = gate_unitary(op, circuit.n)
+        if op.kind != "PARTIAL_SWAP":
+            sums = {key: u @ rho @ u.conj().T for key, rho in sums.items()}
+            continue
+        link = link_of[op.qubits]
+        left[link] -= 1
+        branches = ((u, 0), (u @ zc if z_first else zc @ u, 1))
+        grown = {}
+        for key, rho in sums.items():
+            for v, dephased in branches:
+                count = key[link] + dephased
+                if count > half or count + left[link] < half:
+                    continue
+                child_key = key[:link] + (count,) + key[link + 1:]
+                child = v @ rho @ v.conj().T
+                grown[child_key] = grown[child_key] + child if child_key in grown else child
+        sums = grown
+    return DensityMatrix(sums[(half, half)] / comb(stages, half) ** 2)
+
+
+def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
+    """Lexicographic unranking of a k-subset of range(n), with Python integers."""
+    positions = []
+    idx = 0
+    while k > 0:
+        c = comb(n - 1, k - 1)
+        if rank < c:
+            positions.append(idx)
+            k -= 1
+        else:
+            rank -= c
+        n -= 1
+        idx += 1
+    return tuple(positions)
+
+
+def scalar_pattern(index: int, stages: int) -> DephasingPattern:
+    """The balanced pattern pair of one canonical index, one link rank at a time."""
+    per_link = comb(stages, stages // 2)
+    chosen = [set(unrank_combination(rank, stages, stages // 2))
+              for rank in divmod(index, per_link)]
+    return DephasingPattern(*(tuple(k in link for k in range(stages)) for link in chosen))
+
+
+def scalar_sample_patterns(stages: int, count: int, seed: int) -> list[DephasingPattern]:
+    """``count`` distinct pattern pairs drawn by the package's seeded loop and
+    unranked one at a time; the whole population in canonical order."""
+    population = pattern_population(stages)
+    if count == population:
+        return [scalar_pattern(i, stages) for i in range(population)]
+    rng = np.random.default_rng(seed)
+    seen: set[int] = set()
+    order: list[int] = []
+    while len(order) < count:
+        idx = int(rng.integers(population))
+        if idx not in seen:
+            seen.add(idx)
+            order.append(idx)
+    return [scalar_pattern(i, stages) for i in order]
 
 
 def pattern_circuit(

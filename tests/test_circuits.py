@@ -6,10 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from helpers import scalar_pattern, scalar_sample_patterns
 from medwit.circuits import (
     Circuit,
     GateOp,
-    SLICE,
     build_asymmetric,
     build_staged,
     build_symmetric,
@@ -19,7 +19,6 @@ from medwit.circuits import (
     pattern_population,
     phase_flip,
     sample_patterns,
-    swap,
 )
 from medwit.density import basis_density, partial_trace, run_network_density
 from medwit.pauli import BasisState
@@ -123,6 +122,22 @@ class TestPatterns:
     def test_count_beyond_population_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             sample_patterns(2, 5)
+
+    @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10])
+    def test_every_rank_equals_scalar_unranking(self, stages):
+        want = [scalar_pattern(i, stages) for i in range(pattern_population(stages))]
+        assert exhaustive_patterns(stages) == want
+
+    @pytest.mark.parametrize(
+        "stages, count, seed",
+        [(24, 1000, 1), (24, 1000, 2), (24, 1000, 3),
+         # the largest stage count, whose pair indices need all of int64
+         (34, 200, 5),
+         # the whole population, returned by exhaustive_patterns
+         (4, 36, 0)],
+    )
+    def test_samples_equal_scalar_reference(self, stages, count, seed):
+        assert sample_patterns(stages, count, seed) == scalar_sample_patterns(stages, count, seed)
 
     def test_exhaustive_enumeration_matches_itertools(self):
         got = {p.bc_choices for p in exhaustive_patterns(4)}

@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import table_data

@@ -378,7 +378,8 @@ class TestBatchedAverage:
         initial = pseudo_pure(0.7, BasisState.from_string("1100"))
         batched = temporal_average(stages, patterns, initial, **options)
         reference = per_circuit_average(stages, patterns, initial, **options)
-        assert np.array_equal(batched.entries, reference.entries)
+        # tobytes, not array_equal, which would pass -0.0 for 0.0
+        assert batched.entries.tobytes() == reference.entries.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -394,7 +395,8 @@ class TestBatchedAverage:
         initial = basis_density(BasisState.from_string("1100"))
         batched = temporal_average(stages, patterns, initial, **options)
         reference = per_circuit_average(stages, patterns, initial, **options)
-        assert np.array_equal(batched.entries, reference.entries)
+        # tobytes, not array_equal, which would pass -0.0 for 0.0
+        assert batched.entries.tobytes() == reference.entries.tobytes()
 
 
 class TestRunNetworkDensity:

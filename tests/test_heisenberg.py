@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_word, random_clifford_circuit, ref_basis_vector, ref_sum_matrix
+from helpers import one_word, random_clifford_circuit
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -22,7 +22,6 @@ from medwit.circuits import (
 from medwit.density import (
     basis_density,
     expectation,
-    gate_unitary,
     pseudo_pure,
     run_network_density,
 )

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_average
+from helpers import brute_force_average, dense_branch_average
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -169,6 +169,19 @@ class TestDynamicProgrammingAverage:
         dp = exhaustive_average(stages, initial, interleaved=interleaved, z_first=z_first)
         oracle = brute_force_average(stages, initial, interleaved=interleaved, z_first=z_first)
         assert np.max(np.abs(dp.entries - oracle.entries)) < 1e-12
+
+    @pytest.mark.parametrize("z_first", [False, True], ids=["z-after", "z-first"])
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["sequential", "interleaved"])
+    @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10, 12])
+    def test_bytes_equal_dense_branch_reference(self, stages, interleaved, z_first):
+        """The sign-flip branches give the bytes of dense Z-on-C branch unitaries."""
+        options = {"interleaved": interleaved, "z_first": z_first}
+        for initial in (basis_density(INITIAL), pseudo_pure(0.7, BasisState.from_string("0110")),
+                        pseudo_pure(0.3, BasisState.from_string("1011"))):
+            dp = exhaustive_average(stages, initial, **options)
+            reference = dense_branch_average(stages, initial, **options)
+            # tobytes, not array_equal, which would pass -0.0 for 0.0
+            assert dp.entries.tobytes() == reference.entries.tobytes()
 
     @pytest.mark.parametrize("stages", [0, 3])
     def test_stage_count_must_be_even_and_positive(self, stages):

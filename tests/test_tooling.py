@@ -1,6 +1,6 @@
 """The benchmark tracer's targets and every module's public names exist in
-medwit, no module imports a name it never reads, and ``tools/same_bytes.py``
-reports a failing command.
+medwit, no module of the package or the tests imports a name it never reads,
+and ``tools/same_bytes.py`` reports a failing command.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -65,12 +65,16 @@ def test_unread_imports_are_found():
     assert unread_imports(source) == ["osp", "Set"]
 
 
-# ``__init__`` imports its submodules to re-export them
+# ``__init__`` imports its submodules to re-export them; a package module is
+# named by its file name, a test module by ``tests/`` and its file name
 @pytest.mark.parametrize(
-    "name", sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+    "name",
+    sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+    + sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("*.py")),
 )
 def test_no_unread_imports(name):
-    assert unread_imports((SRC / name).read_text(encoding="utf-8")) == []
+    path = ROOT / name if name.startswith("tests/") else SRC / name
+    assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_same_bytes_reports_a_failing_command(tmp_path):

@@ -72,9 +72,19 @@ STACKS = [
     ["staged", "--stages", "2", "--patterns", "exhaustive"],
     ["run", "--network", "staged", "--stages", "3", "--epsilon", "0.4", "--initial-bits", "0101"],
 ]
+#: the sign-flip dephasing and the vectorised unranking off their defaults:
+#: the largest stage count the sampler accepts, whose pattern indices need
+#: int64; a count equal to the population, which enumerates it; and the
+#: exhaustive average from another initial state
+DEPHASING = [
+    ["staged", "--stages", "34", "--patterns", "sampled:200", "--seed", "5"],
+    ["staged", "--stages", "4", "--patterns", "sampled:36"],
+    ["staged", "--stages", "10", "--patterns", "exhaustive", "--initial-bits", "1100",
+     "--epsilon", "0.7"],
+]
 ARGVS = (
     [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS
+    + STACKS + DEPHASING
 )
 
 
