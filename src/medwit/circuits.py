@@ -1,8 +1,13 @@
-"""Gate and circuit types, builders for the built-in networks, dephasing patterns.
+"""Gate and circuit types, the gate table, builders for the built-in networks,
+dephasing patterns.
 
 The built-in networks act on a four-qubit chain A-B-C-D (indices 0-3).  A and D
 are the probes to be entangled; B and C form the mediator through which every
 interaction is routed (there is no direct A-D gate anywhere below).
+
+``local_unitary`` is the one definition of each unitary gate: the density
+engine embeds its matrix on the register, and the descriptor engine expands
+the gate's conjugation of each Pauli letter from the same matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "cphase",
     "exhaustive_patterns",
     "h",
+    "local_unitary",
     "partial_swap",
     "pattern_population",
     "phase_flip",
@@ -41,6 +47,25 @@ GATE_KINDS = frozenset({"H", "CNOT", "CPHASE", "SWAP", "PARTIAL_SWAP", "Z", "PHA
 _ARITY = {"H": 1, "Z": 1, "PHASE_FLIP": 1, "CNOT": 2, "CPHASE": 2, "SWAP": 2, "PARTIAL_SWAP": 2}
 
 SYMBOLIC_P = "symbolic"
+
+
+def _exact(rows) -> np.ndarray:
+    matrix = np.array(rows, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
+_SWAP4 = _exact([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+#: (matrix, scale) of each fixed unitary kind: the gate is matrix / sqrt(scale)
+#: on its qubits in the order given, the first most significant.  The entries
+#: are integers, so a conjugation by the matrix is exact in floating point.
+_LOCAL = {
+    "H": (_exact([[1, 1], [1, -1]]), 2),
+    "Z": (_exact([[1, 0], [0, -1]]), 1),
+    "CNOT": (_exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), 1),
+    "CPHASE": (_exact(np.diag([1, 1, 1, -1])), 1),
+    "SWAP": (_SWAP4, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +100,22 @@ class GateOp:
                 raise ValueError(f"phase-flip intensity must lie in [0, 1], got {self.p!r}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} takes no intensity")
+
+
+def local_unitary(kind: str, alpha: float | None = None) -> tuple[np.ndarray, int]:
+    """The local gate of a unitary kind as (matrix, scale), the gate being
+    matrix / sqrt(scale); ``alpha`` is the partial swap's exponent.
+
+    The partial swap takes the principal spectral branch of SWAP^alpha: the
+    symmetric subspace is fixed and the antisymmetric one picks up
+    exp(i*pi*alpha), so the 1/s power composes s times to an exact full swap
+    and alpha -> 0 is continuously the identity.
+    """
+    if kind != "PARTIAL_SWAP":
+        return _LOCAL[kind]
+    p_sym = (np.eye(4, dtype=complex) + _SWAP4) / 2
+    p_anti = (np.eye(4, dtype=complex) - _SWAP4) / 2
+    return p_sym + np.exp(1j * np.pi * alpha) * p_anti, 1
 
 
 @dataclass(frozen=True)
@@ -133,11 +174,6 @@ class Circuit:
     @property
     def gates(self) -> tuple[GateOp, ...]:
         return tuple(op for op in self.ops if isinstance(op, GateOp))
-
-    @property
-    def slice_count(self) -> int:
-        """Number of labelled times, t_0 included."""
-        return 1 + sum(1 for op in self.ops if isinstance(op, TimeSlice))
 
 
 def build_symmetric(p=None) -> Circuit:
@@ -201,15 +237,6 @@ class DephasingPattern:
     @property
     def stages(self) -> int:
         return len(self.bc_choices)
-
-    @property
-    def balanced(self) -> bool:
-        half = self.stages // 2
-        return (
-            self.stages % 2 == 0
-            and sum(self.bc_choices) == half
-            and sum(self.cd_choices) == half
-        )
 
 
 def pattern_population(stages: int) -> int:

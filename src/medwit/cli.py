@@ -1,10 +1,13 @@
 """Experiment runner CLI: descriptor tables, dephasing sweeps, staged-swap runs.
 
 Every command runs one pipeline.  ``_effective_config`` validates and parses
-the flags and config file once; ``_build_network`` builds the circuit;
-``_engines`` runs the density engine, and the descriptor engine when every
-gate is Clifford or a phase flip.  One observation layer serves every command,
-both engines evaluating the one witness ``pauli.witness_observable``:
+the flags and config file once; ``_build_network`` builds the circuit, and
+each command runs the engines it reports: ``run`` and ``sweep`` both, since
+the descriptor engine steps every gate of every built-in network, partial
+swaps included; ``staged`` the density engine alone, as its pattern averages
+have no descriptor counterpart; ``table`` the descriptor engine alone.  One
+observation layer serves every command, both engines evaluating the one
+witness ``pauli.witness_observable``:
 ``_density_values`` reads the witnesses and negativity_AD off a
 ``DensityMatrix``, one stack of states, and ``_descriptor_values`` the
 witnesses and the mediators' nonclassicality off a frame, at each dephasing
@@ -107,8 +110,6 @@ WITNESSES = {
     name: witness_observable(CHAIN_QUBITS, PROBE_1, PROBE_2, axes)
     for name, axes in AXES_CHOICES.items()
 }
-#: gate kinds the descriptor engine evolves exactly
-CLIFFORD_KINDS = frozenset({"H", "Z", "CNOT", "CPHASE", "SWAP"})
 
 
 class ConfigError(Exception):
@@ -317,9 +318,10 @@ def _effective_config(args) -> Setup:
     elif args.command == "table":
         if cfg.network == "staged":
             raise ConfigError(
-                "--network staged does not apply to table: the staged network uses partial "
-                "swaps, which the descriptor engine (Clifford-only) cannot track; run it "
-                "with the staged command on the density engine"
+                "--network staged does not apply to table: table takes no --stages, and "
+                "the partial swaps' descriptors carry rounded weights that its 12-digit "
+                "rendering would show as exact; run --network staged reports the "
+                "descriptor engine's witness and nonclassicality for it"
             )
         for key in ("epsilon", "axes", "initial_bits"):
             if getattr(args, key) is not None or key in file_cfg:
@@ -383,14 +385,6 @@ def _build_network(cfg: ExperimentConfig) -> Circuit:
     if cfg.network == "asymmetric":
         return build_asymmetric()
     return build_staged(cfg.stages)
-
-
-def _engines(setup: Setup, circuit: Circuit):
-    """Density states at every labelled time, and the descriptor frames when
-    every gate is Clifford or a phase flip (else None)."""
-    states = run_network_density(circuit, setup.initial)
-    trackable = all(op.kind in CLIFFORD_KINDS or op.kind == "PHASE_FLIP" for op in circuit.gates)
-    return states, run_network_frames(circuit) if trackable else None
 
 
 def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tuple[dict, float]]:
@@ -491,7 +485,7 @@ def cmd_sweep(setup: Setup, args):
 
 def cmd_staged(setup: Setup, args):
     cfg = setup.cfg
-    states, _ = _engines(setup, _build_network(cfg))
+    states = run_network_density(_build_network(cfg), setup.initial)
     finals = [("undephased", states[-1], {})]
     if setup.mode != "none":
         patterns = sample_patterns(cfg.stages, setup.count, seed=cfg.seed)
@@ -518,26 +512,27 @@ def cmd_staged(setup: Setup, args):
 def cmd_run(setup: Setup, args):
     cfg = setup.cfg
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
-    states, frames = _engines(setup, _build_network(cfg))
-    density = _density_values(states, names)
+    circuit = _build_network(cfg)
+    states = run_network_density(circuit, setup.initial)
     slices = []
-    for t, (w_density, neg) in enumerate(density):
-        w_heisenberg, nc = (next(_descriptor_values(setup, frames[t], names)) if frames
-                            else ({}, None))
-        witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg.get(name)}
+    for frame, (w_density, neg) in zip(run_network_frames(circuit),
+                                       _density_values(states, names)):
+        w_heisenberg, nc = next(_descriptor_values(setup, frame, names))
+        witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
                    for name in names]
         slices.append({
-            "time": t,
+            "time": frame.time_index,
             "witness": witness[0],
             "witness_alt": witness[1],
             "negativity_AD": {"engine": "density", "value": neg},
-            "nonclassicality": None if nc is None else {"engine": "heisenberg", **nc},
+            "nonclassicality": {"engine": "heisenberg", **nc},
         })
     report = {
         "version": __version__,
         "command": "run",
         "config": cfg.to_dict(),
-        "engines": {"heisenberg": frames is not None, "density": True},
+        # both engines run on every network; the constant keeps the report's layout
+        "engines": {"heisenberg": True, "density": True},
         "slices": slices,
         "multiplet": _multiplet(states[-1]),
         "notes": _final_slice_notes(slices[-1]),
@@ -550,8 +545,8 @@ def cmd_run(setup: Setup, args):
         w = entry["witness"]
         lines.append(
             f"t{entry['time']}: witness[{w['axes']}] density={_fmt(w['density'])}"
-            + (f" heisenberg={_fmt(w['heisenberg'])}" if w["heisenberg"] is not None else "")
-            + f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
+            f" heisenberg={_fmt(w['heisenberg'])}"
+            f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
         )
     lines += [f"note: {note}" for note in report["notes"]]
     return "\n".join(lines) + "\n", states[-1]
@@ -660,7 +655,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"medwit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:  # UnsupportedGateError is a ValueError
+    except (ValueError, TypeError) as exc:
         print(f"medwit: engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

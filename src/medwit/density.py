@@ -5,8 +5,10 @@ pseudo-pure states, temporal averaging over dephasing patterns, expectation
 values, and the negativity entanglement monotone.  The witness is the observable built
 by ``pauli.witness_observable``; ``expectation`` reads it here, and
 ``heisenberg.frame_expectation`` reads the same one on the descriptor engine.
-A gate's full-register unitary is its local 2x2 or 4x4 matrix with each entry
-copied to its place by basis-index arithmetic, and +0 everywhere else.
+A gate's full-register unitary is its local 2x2 or 4x4 matrix, read from the
+gate table ``circuits.local_unitary`` that the descriptor engine reads too,
+with each entry copied to its place by basis-index arithmetic, and +0
+everywhere else.
 All operations are pure functions on immutable values; pattern averages reduce
 in the caller-supplied pattern order, so averaged results are bit-stable.
 ``temporal_average`` walks the undephased staged circuit once per batch of
@@ -14,9 +16,10 @@ patterns: the gates ahead of the first dephasing choice act on the one initial
 state, which that choice broadcasts to a stack of the batch, bit-identical to
 one circuit per pattern; ``run_intensity_grid`` evolves one circuit at many
 dephasing intensities as a stack too, p broadcast along it.
-Both pattern averages dephase by conjugating with Z on C as an exact sign
-flip of the entries whose row and column differ in C's bit, which gives the
-bytes of the dense product with that +-1 diagonal at no matrix product.
+Every conjugation by Z, in the phase-flip channel and in both pattern
+averages (Z on C), is an exact sign flip of the entries whose row and column
+differ in the qubit's bit, which gives the bytes of the dense product with
+that +-1 diagonal at no matrix product.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -45,6 +48,7 @@ from .circuits import (
     GateOp,
     TimeSlice,
     build_staged,
+    local_unitary,
 )
 from .pauli import BasisState, PauliSum
 
@@ -52,8 +56,6 @@ __all__ = [
     "DensityMatrix",
     "MAX_QUBITS",
     "apply_gate",
-    "apply_phase_flip",
-    "basis_density",
     "exhaustive_average",
     "expectation",
     "gate_unitary",
@@ -79,19 +81,6 @@ _BATCH = 32
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
-
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_SWAP4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-_CNOT4 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CPHASE4 = np.diag([1, 1, 1, -1]).astype(complex)
-#: local matrix of each fixed unitary kind, on its qubits in the order given
-_LOCAL = {"H": _H2, "Z": _Z2, "CNOT": _CNOT4, "CPHASE": _CPHASE4, "SWAP": _SWAP4}
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -142,14 +131,6 @@ class DensityMatrix:
             )
 
 
-def basis_density(bits: BasisState) -> DensityMatrix:
-    """Projector |bits><bits|."""
-    dim = 2 ** bits.n
-    entries = np.zeros((dim, dim), dtype=complex)
-    entries[bits.index, bits.index] = 1.0
-    return DensityMatrix(entries)
-
-
 def pseudo_pure(epsilon: float, bits: BasisState) -> DensityMatrix:
     """(1 - eps) * maximally mixed + eps * |bits><bits|."""
     if not 0 <= epsilon <= 1:
@@ -182,20 +163,12 @@ def _embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-def _partial_swap4(alpha: float) -> np.ndarray:
-    # principal spectral branch: symmetric subspace fixed, antisymmetric
-    # subspace picks up exp(i*pi*alpha), so the 1/s power composes s times
-    # to an exact full swap and alpha -> 0 is continuously the identity
-    p_sym = (np.eye(4, dtype=complex) + _SWAP4) / 2
-    p_anti = (np.eye(4, dtype=complex) - _SWAP4) / 2
-    return p_sym + np.exp(1j * np.pi * alpha) * p_anti
-
-
 @lru_cache(maxsize=512)
 def _unitary_cached(gate: GateOp, n: int) -> np.ndarray:
-    """Read-only full-register unitary of a gate, embedded by ``_embed``."""
-    local = _partial_swap4(gate.alpha) if gate.kind == "PARTIAL_SWAP" else _LOCAL[gate.kind]
-    u = _embed(local, gate.qubits, n)
+    """Read-only full-register unitary of a gate: its ``local_unitary``
+    matrix / sqrt(scale), embedded by ``_embed``."""
+    matrix, scale = local_unitary(gate.kind, gate.alpha)
+    u = _embed(matrix / np.sqrt(scale), gate.qubits, n)
     u.setflags(write=False)
     return u
 
@@ -203,7 +176,7 @@ def _unitary_cached(gate: GateOp, n: int) -> np.ndarray:
 def gate_unitary(gate: GateOp, n: int) -> np.ndarray:
     """Dense unitary of a gate embedded on the full n-qubit register."""
     if gate.kind == "PHASE_FLIP":
-        raise ValueError("phase flip is a channel, not a unitary; use apply_phase_flip")
+        raise ValueError("phase flip is a channel, not a unitary")
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for n={n}")
     return _unitary_cached(gate, n)
@@ -215,21 +188,23 @@ def apply_gate(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
     return DensityMatrix(u @ rho.entries @ u.conj().T)
 
 
-def _phase_flip_raw(
-    entries: np.ndarray, qubit: int, p: float | np.ndarray, n: int
-) -> np.ndarray:
-    # p may be a (k, 1, 1) array, one intensity per state of a stack
-    zq = _unitary_cached(GateOp("Z", (qubit,)), n)
-    return (1.0 - p) * entries + p * (zq @ entries @ zq)
+@lru_cache(maxsize=64)
+def _dephase_mask(n: int, qubit: int) -> np.ndarray:
+    """Entries of a 2^n x 2^n matrix that conjugation by Z on ``qubit``
+    negates: those whose row and column differ in its bit.  Read-only."""
+    bit = np.arange(2 ** n) >> (n - 1 - qubit) & 1
+    mask = bit[:, np.newaxis] != bit
+    mask.setflags(write=False)
+    return mask
 
 
-def apply_phase_flip(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
-    """Physical phase-flip channel: (1-p) rho + p Z rho Z on the target qubit."""
-    if not isinstance(p, (int, float)) or not 0 <= p <= 1:
-        raise ValueError(f"phase-flip intensity must lie in [0, 1], got {p!r}")
-    if not 0 <= qubit < rho.n:
-        raise ValueError(f"qubit {qubit} out of range for n={rho.n}")
-    return DensityMatrix(_phase_flip_raw(rho.entries, qubit, float(p), rho.n))
+def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Z conjugating each state, as an exact sign flip of the ``mask``
+    entries: ``0 - x`` negates exactly and gives +0 for a zero, as the dense
+    product with the +-1 diagonal does.  The other entries are kept, which
+    the product also does for a state holding no -0, as every matrix product
+    leaves it; so the bytes are the same."""
+    return np.where(mask, 0 - entries, entries)
 
 
 def expectation(rho: DensityMatrix, a: PauliSum) -> np.ndarray:
@@ -298,7 +273,8 @@ def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
             p = float(op.p)
         elif p is None:
             raise ValueError("the density engine needs a numeric dephasing intensity")
-        return _phase_flip_raw(entries, op.qubits[0], p, n)
+        # the phase-flip channel (1-p) rho + p Z rho Z; p may be a (k, 1, 1) array
+        return (1.0 - p) * entries + p * _dephase(entries, _dephase_mask(n, op.qubits[0]))
     u = gate_unitary(op, n)
     return u @ entries @ u.conj().T
 
@@ -346,22 +322,6 @@ def run_intensity_grid(
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 
-def _dephase_mask(n: int) -> np.ndarray:
-    """Entries of a 2^n x 2^n matrix that conjugation by Z on C negates: those
-    whose row and column differ in C's bit."""
-    bit = np.arange(2 ** n) >> (n - 1 - C) & 1
-    return bit[:, np.newaxis] != bit
-
-
-def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Z on C conjugating each state, as an exact sign flip of the ``mask``
-    entries: ``0 - x`` negates exactly and gives +0 for a zero, as the dense
-    product with the +-1 diagonal does.  The other entries are kept, which
-    the product also does for a state holding no -0, as every matrix product
-    leaves it; so the bytes are the same."""
-    return np.where(mask, 0 - entries, entries)
-
-
 def temporal_average(
     stages: int,
     patterns: Sequence[DephasingPattern],
@@ -391,7 +351,7 @@ def temporal_average(
             raise ValueError(f"pattern length {pattern.stages} does not match stage count {stages}")
     circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
     n = circuit.n
-    mask = _dephase_mask(n)
+    mask = _dephase_mask(n, C)
     weight = 1.0 / len(patterns)
     accumulated = None
     for start in range(0, len(patterns), _BATCH):
@@ -441,7 +401,7 @@ def exhaustive_average(
     half = stages // 2
     link_of = {(B, C): 0, (C, D): 1}
     left = [stages, stages]
-    mask = _dephase_mask(circuit.n)
+    mask = _dephase_mask(circuit.n, C)
     sums = {(0, 0): initial.entries}
     for op in circuit.gates:
         u = gate_unitary(op, circuit.n)

@@ -1,13 +1,20 @@
 """Heisenberg-picture descriptor engine.
 
 Each qubit is tracked through a pair of evolved observables, its x- and
-z-descriptors, while the reference state stays fixed.  Clifford gates act by
-substitution rules on the descriptor pairs, so evolution stays exact and
-symbolic; the dephasing channel acts as an effective attenuation of the
-dephased qubit's own descriptors.  Frames are immutable values: every
-operation returns a new frame.  ``frame_expectation`` reads any
-observable, such as the ``pauli.witness_observable`` witness, off a frame.
-Its two steps, the observable's Heisenberg image (``observable_image``) and
+z-descriptors: the Heisenberg images of its initial X and Z (Deutsch and
+Hayden, quant-ph/9906007), while the reference state stays fixed.  Every
+unitary gate G acts the same way: each qubit q of G takes the image of
+G^dagger X_q G and of G^dagger Z_q G under the current frame.  Those
+conjugations are expanded into Pauli words once per gate kind and exponent
+(``gate_images``), from the matrix of the gate table
+``circuits.local_unitary`` that the density engine embeds.  Clifford entries
+are integers there, so a Clifford gate maps descriptors to exact signed
+products of descriptors and evolution stays exact and symbolic; a partial
+swap mixes them with rounded real weights.  The dephasing channel acts as an
+effective attenuation of the dephased qubit's own descriptors.  Frames are
+immutable values: every operation returns a new frame.  ``frame_expectation``
+reads any observable, such as the ``pauli.witness_observable`` witness, off a
+frame.  Its two steps, the observable's Heisenberg image (``observable_image``) and
 the image's value on the pseudo-pure input (``pseudo_pure_expectation``), are
 public too, as is the commutator behind ``nonclassicality_degree``: an image or
 commutator taken once off a frame evolved with a symbolic intensity gives the
@@ -16,11 +23,14 @@ value at any p by ``substitute``, as if the frame had been evolved at that p.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import product
 from typing import Mapping, Sequence
 
-from .circuits import SYMBOLIC_P, Circuit, GateOp, TimeSlice
+import numpy as np
+
+from .circuits import SYMBOLIC_P, Circuit, GateOp, TimeSlice, local_unitary
 from .pauli import (
     PRUNE_TOL,
     BasisState,
@@ -37,27 +47,22 @@ __all__ = [
     "ATTENUATION",
     "AttenuationPoly",
     "DescriptorFrame",
-    "UnsupportedGateError",
     "apply_dephasing_frame",
     "apply_gate_frame",
     "descriptor_commutator",
     "frame_expectation",
     "frame_observable",
     "frames_to_dict",
+    "gate_images",
     "init_frame",
     "nonclassicality_degree",
     "observable_image",
-    "parse_word",
     "pseudo_pure_expectation",
     "render_sum",
     "render_table",
     "run_network_frames",
     "substitute",
 ]
-
-
-class UnsupportedGateError(ValueError):
-    """Raised when a circuit element cannot be tracked by the descriptor engine."""
 
 
 class AttenuationPoly:
@@ -207,47 +212,57 @@ def init_frame(n: int) -> DescriptorFrame:
     )
 
 
-def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
-    """Advance every descriptor through one Clifford gate.
+@lru_cache(maxsize=256)
+def gate_images(kind: str, alpha: float | None = None) -> tuple[tuple[PauliSum, PauliSum], ...]:
+    """(G^dagger X_q G, G^dagger Z_q G) for each qubit q of a unitary gate
+    kind, as Pauli sums on the gate's own qubits in their order.
 
-    Substitution rules, expressed in current-frame descriptors:
-    H(a) swaps the pair; CNOT(c,t) maps x_c -> x_c*x_t and z_t -> z_c*z_t;
-    CPHASE(a,b) maps x_a -> x_a*z_b and x_b -> z_a*x_b; Z(a) negates x_a;
-    SWAP exchanges the two descriptor pairs.
+    With (m, s) the kind's ``local_unitary``, the coefficient of word w in
+    the image of P is Tr(P_w m^dagger P m) / (s 2^k) on k qubits.  It is real,
+    since the image is Hermitian; and for integer m every step is exact, so a
+    Clifford kind's images are signed single words.
     """
-    if gate.kind == "PARTIAL_SWAP":
-        raise UnsupportedGateError(
-            "partial swap is not a Clifford gate and cannot be tracked by descriptors; "
-            "run it on the density engine instead"
-        )
+    matrix, scale = local_unitary(kind, alpha)
+    k = len(matrix).bit_length() - 1
+    paulis = {word: PauliSum(k, {word: 1}).dense()
+              for word in map("".join, product("IXYZ", repeat=k))}
+
+    def image(letters: str) -> PauliSum:
+        conjugated = matrix.conj().T @ paulis[letters] @ matrix / scale
+        return PauliSum(k, {w: np.vdot(p, conjugated).real / 2 ** k for w, p in paulis.items()})
+
+    def letter(q: int, axis: str) -> str:
+        return "I" * q + axis + "I" * (k - q - 1)
+
+    return tuple((image(letter(q, "X")), image(letter(q, "Z"))) for q in range(k))
+
+
+def _on_register(local: PauliSum, qubits: tuple[int, ...], n: int) -> PauliSum:
+    """A Pauli sum on a gate's qubits, as one on the n-qubit register."""
+    terms = {}
+    for word, coeff in local.items():
+        letters = ["I"] * n
+        for q, letter in zip(qubits, word):
+            letters[q] = letter
+        terms["".join(letters)] = coeff
+    return PauliSum(n, terms)
+
+
+def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
+    """Advance every descriptor through one unitary gate G: each qubit q of
+    G takes ``observable_image`` of G^dagger X_q G and of G^dagger Z_q G
+    (``gate_images``) under the frame before the gate; the descriptors of
+    every other qubit are unchanged.  A phase flip is a channel, not a gate.
+    """
     if gate.kind == "PHASE_FLIP":
-        raise UnsupportedGateError(
-            "phase flip is a channel, not a unitary; use apply_dephasing_frame"
-        )
+        raise ValueError("phase flip is a channel, not a unitary; use apply_dephasing_frame")
     if any(q >= frame.n for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for n={frame.n}")
     x = list(frame.x)
     z = list(frame.z)
-    if gate.kind == "H":
-        (q,) = gate.qubits
-        x[q], z[q] = z[q], x[q]
-    elif gate.kind == "Z":
-        (q,) = gate.qubits
-        x[q] = -x[q]
-    elif gate.kind == "CNOT":
-        c, t = gate.qubits
-        x[c] = frame.x[c] * frame.x[t]
-        z[t] = frame.z[c] * frame.z[t]
-    elif gate.kind == "CPHASE":
-        a, b = gate.qubits
-        x[a] = frame.x[a] * frame.z[b]
-        x[b] = frame.z[a] * frame.x[b]
-    elif gate.kind == "SWAP":
-        a, b = gate.qubits
-        x[a], x[b] = x[b], x[a]
-        z[a], z[b] = z[b], z[a]
-    else:  # pragma: no cover - kinds are validated upstream
-        raise UnsupportedGateError(f"unhandled gate kind {gate.kind!r}")
+    for q, (x_image, z_image) in zip(gate.qubits, gate_images(gate.kind, gate.alpha)):
+        x[q] = observable_image(frame, _on_register(x_image, gate.qubits, frame.n))
+        z[q] = observable_image(frame, _on_register(z_image, gate.qubits, frame.n))
     return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
 
 
@@ -371,7 +386,7 @@ def substitute(obj, p: float):
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing of the canonical table format
+# rendering of the canonical table format
 # ---------------------------------------------------------------------------
 
 _NUM_FMT = "{:.12g}"
@@ -478,63 +493,3 @@ def frames_to_dict(frames: Sequence[DescriptorFrame]) -> dict:
         ]
     }
 
-
-_TOKEN_RE = re.compile(r"q_([xyz])([A-Z])")
-_NUM_RE = re.compile(r"^\d+(?:\.\d+)?")
-_ATT_RE = re.compile(r"^\(1-2p\)(?:\^(\d+))?")
-
-
-def _parse_coefficient(text: str):
-    s = text.replace(" ", "")
-    sign = 1.0
-    if s.startswith("+"):
-        s = s[1:]
-    if s.startswith("-"):
-        sign = -1.0
-        s = s[1:]
-    value = 1 + 0j
-    if s.startswith("i") and not s.startswith("id"):
-        value = 1j
-        s = s[1:]
-    m = _NUM_RE.match(s)
-    if m:
-        value *= float(m.group())
-        s = s[m.end():]
-    power = 0
-    m = _ATT_RE.match(s)
-    if m:
-        power = int(m.group(1) or 1)
-        s = s[m.end():]
-    if s:
-        raise ValueError(f"cannot parse coefficient {text!r}")
-    value *= sign
-    return AttenuationPoly({power: value}) if power else value
-
-
-def parse_word(text: str, n: int) -> PauliSum:
-    """Parse one rendered descriptor word back into a PauliSum.
-
-    Factors multiply left to right, so commuting factors may appear in any
-    order and repeated-qubit products pick up their algebraic phase.
-    """
-    labels = "".join(qubit_label(q) for q in range(n))
-    text = text.strip()
-    if not text:
-        raise ValueError("empty descriptor word")
-    first = len(text)
-    for probe in ("q_", "id"):
-        pos = text.find(probe)
-        if pos >= 0:
-            first = min(first, pos)
-    coeff_text, body = text[:first], text[first:]
-    coeff = _parse_coefficient(coeff_text) if coeff_text.strip(" ") else 1 + 0j
-    body = body.strip()
-    word = PauliSum(n, {"I" * n: 1})
-    if body != "id":
-        consumed = _TOKEN_RE.sub("", body).strip()
-        if consumed:
-            raise ValueError(f"cannot parse descriptor word {text!r}")
-        for axis, label in _TOKEN_RE.findall(body):
-            qubit = labels.index(label)
-            word = word * single(n, qubit, axis)
-    return coeff * word

@@ -1,7 +1,6 @@
 import pytest
 
-from helpers import brute_force_average
-from medwit.density import basis_density
+from helpers import basis_density, brute_force_average
 from medwit.pauli import BasisState
 
 

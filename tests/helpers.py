@@ -16,11 +16,19 @@ at a time with Python integers (``unrank_combination``), the reference for the v
 circuit: it builds (``pattern_circuit``) and evolves one concrete circuit per
 pattern, one at a time.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it builds and evolves one
-circuit per grid point on both engines.
+circuit per grid point on both engines.  ``random_unitary_circuit`` draws
+circuits of every unitary kind, partial swaps included, for the cross-engine
+properties.
+
+The rest is test-only code moved out of the package: ``basis_density``,
+``apply_phase_flip`` (the package's channel, run as a one-gate circuit),
+``slice_count``, ``is_balanced`` and ``parse_word``, the parser of the
+rendered descriptor format that the table regressions read.
 """
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from math import comb
 
@@ -35,6 +43,7 @@ from medwit.circuits import (
     DephasingPattern,
     GateOp,
     SLICE,
+    TimeSlice,
     build_staged,
     build_symmetric,
     cnot,
@@ -43,6 +52,7 @@ from medwit.circuits import (
     h,
     partial_swap,
     pattern_population,
+    phase_flip,
     swap,
     z,
 )
@@ -56,8 +66,13 @@ from medwit.density import (
     run_network_density,
     temporal_average,
 )
-from medwit.heisenberg import frame_expectation, nonclassicality_degree, run_network_frames
-from medwit.pauli import BasisState, PauliSum, witness_observable
+from medwit.heisenberg import (
+    AttenuationPoly,
+    frame_expectation,
+    nonclassicality_degree,
+    run_network_frames,
+)
+from medwit.pauli import BasisState, PauliSum, qubit_label, single, witness_observable
 
 #: the four phases a product of Pauli words can carry
 PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
@@ -128,6 +143,35 @@ def ref_basis_vector(bits) -> np.ndarray:
     return vec
 
 
+def basis_density(bits: BasisState) -> DensityMatrix:
+    """Projector |bits><bits|."""
+    dim = 2 ** bits.n
+    entries = np.zeros((dim, dim), dtype=complex)
+    entries[bits.index, bits.index] = 1.0
+    return DensityMatrix(entries)
+
+
+def apply_phase_flip(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
+    """The package's phase-flip channel (1-p) rho + p Z rho Z on one state,
+    run as a one-gate circuit."""
+    return run_network_density(Circuit(rho.n, (phase_flip(qubit, p), SLICE)), rho)[-1]
+
+
+def slice_count(circuit: Circuit) -> int:
+    """Number of labelled times, t_0 included."""
+    return 1 + sum(1 for op in circuit.ops if isinstance(op, TimeSlice))
+
+
+def is_balanced(pattern: DephasingPattern) -> bool:
+    """Whether each link dephases exactly half of an even stage count."""
+    half = pattern.stages // 2
+    return (
+        pattern.stages % 2 == 0
+        and sum(pattern.bc_choices) == half
+        and sum(pattern.cd_choices) == half
+    )
+
+
 def random_term(rng: np.random.Generator, n: int) -> PauliSum:
     letters = "".join(rng.choice(list("IXYZ")) for _ in range(n))
     return one_word(letters, PHASES[rng.integers(4)])
@@ -160,6 +204,22 @@ def random_clifford_gates(rng: np.random.Generator, n: int, depth: int) -> list[
 def random_clifford_circuit(rng: np.random.Generator, n: int, max_depth: int) -> Circuit:
     depth = int(rng.integers(1, max_depth + 1))
     return Circuit(n, tuple(random_clifford_gates(rng, n, depth)) + (SLICE,))
+
+
+def random_unitary_circuit(rng: np.random.Generator, n: int, max_depth: int) -> Circuit:
+    """Up to ``max_depth`` gates, each with even odds a random Clifford gate
+    or a partial swap at an exponent drawn from (0, 1], and each followed by
+    a slice with even odds."""
+    ops: list = []
+    for _ in range(int(rng.integers(1, max_depth + 1))):
+        if rng.random() < 0.5:
+            ops += random_clifford_gates(rng, n, 1)
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(partial_swap(int(a), int(b), 1.0 - rng.random()))
+        if rng.random() < 0.5:
+            ops.append(SLICE)
+    return Circuit(n, tuple(ops) + (SLICE,))
 
 
 def haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -330,3 +390,64 @@ def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = 
         )
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+_TOKEN_RE = re.compile(r"q_([xyz])([A-Z])")
+_NUM_RE = re.compile(r"^\d+(?:\.\d+)?")
+_ATT_RE = re.compile(r"^\(1-2p\)(?:\^(\d+))?")
+
+
+def _parse_coefficient(text: str):
+    s = text.replace(" ", "")
+    sign = 1.0
+    if s.startswith("+"):
+        s = s[1:]
+    if s.startswith("-"):
+        sign = -1.0
+        s = s[1:]
+    value = 1 + 0j
+    if s.startswith("i") and not s.startswith("id"):
+        value = 1j
+        s = s[1:]
+    m = _NUM_RE.match(s)
+    if m:
+        value *= float(m.group())
+        s = s[m.end():]
+    power = 0
+    m = _ATT_RE.match(s)
+    if m:
+        power = int(m.group(1) or 1)
+        s = s[m.end():]
+    if s:
+        raise ValueError(f"cannot parse coefficient {text!r}")
+    value *= sign
+    return AttenuationPoly({power: value}) if power else value
+
+
+def parse_word(text: str, n: int) -> PauliSum:
+    """Parse one rendered descriptor word back into a PauliSum.
+
+    Factors multiply left to right, so commuting factors may appear in any
+    order and repeated-qubit products pick up their algebraic phase.
+    """
+    labels = "".join(qubit_label(q) for q in range(n))
+    text = text.strip()
+    if not text:
+        raise ValueError("empty descriptor word")
+    first = len(text)
+    for probe in ("q_", "id"):
+        pos = text.find(probe)
+        if pos >= 0:
+            first = min(first, pos)
+    coeff_text, body = text[:first], text[first:]
+    coeff = _parse_coefficient(coeff_text) if coeff_text.strip(" ") else 1 + 0j
+    body = body.strip()
+    word = PauliSum(n, {"I" * n: 1})
+    if body != "id":
+        consumed = _TOKEN_RE.sub("", body).strip()
+        if consumed:
+            raise ValueError(f"cannot parse descriptor word {text!r}")
+        for axis, label in _TOKEN_RE.findall(body):
+            qubit = labels.index(label)
+            word = word * single(n, qubit, axis)
+    return coeff * word

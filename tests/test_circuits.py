@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import scalar_pattern, scalar_sample_patterns
+from helpers import basis_density, is_balanced, scalar_pattern, scalar_sample_patterns, slice_count
 from medwit.circuits import (
     Circuit,
     GateOp,
@@ -20,7 +20,7 @@ from medwit.circuits import (
     phase_flip,
     sample_patterns,
 )
-from medwit.density import basis_density, partial_trace, run_network_density
+from medwit.density import partial_trace, run_network_density
 from medwit.pauli import BasisState
 
 ZERO4 = BasisState.from_string("0000")
@@ -47,7 +47,7 @@ class TestBuildSymmetric:
     def test_shape_without_dephasing(self):
         circuit = build_symmetric()
         assert len(circuit.gates) == 7
-        assert circuit.slice_count == 4
+        assert slice_count(circuit) == 4
 
     def test_shape_with_dephasing(self):
         circuit = build_symmetric(0.3)
@@ -73,7 +73,7 @@ class TestBuildAsymmetric:
         circuit = build_asymmetric()
         kinds = [g.kind for g in circuit.gates]
         assert kinds == ["H", "CNOT", "SWAP", "SWAP"]
-        assert circuit.slice_count == 4
+        assert slice_count(circuit) == 4
 
 
 class TestBuildStaged:
@@ -105,7 +105,7 @@ class TestPatterns:
         patterns = sample_patterns(8, 16, seed=5)
         assert len(set(patterns)) == 16
         for pattern in patterns:
-            assert pattern.balanced
+            assert is_balanced(pattern)
 
     def test_sampling_is_deterministic_in_seed(self):
         a = sample_patterns(8, 16, seed=3)

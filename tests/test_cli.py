@@ -9,6 +9,10 @@ import table_data
 from medwit import cli
 from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
 from test_tables import split_cells
+from test_tooling import ROOT, _load
+
+#: the benchmark's output checks, whose ENGINE_TOL bounds the engines' gap
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +49,7 @@ class TestTableCommand:
         code, out, err = run_cli(capsys, "table", "--network", "staged")
         assert code == EXIT_CONFIG
         assert "--network staged does not apply to table" in err and out == ""
+        assert "run --network staged" in err
         config = tmp_path / "table.cfg"
         config.write_text("network = staged\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "table", "--config", str(config))
@@ -340,13 +345,20 @@ class TestRunCommand:
             "so it misses the A-D entanglement",
         ]
 
-    def test_staged_network_runs_density_only(self, capsys):
-        code, out, _ = run_cli(capsys, "run", "--network", "staged", "--stages", "4")
+    @pytest.mark.parametrize("stages", ["2", "4", "8", "34"])
+    def test_staged_network_runs_both_engines(self, capsys, stages):
+        code, out, _ = run_cli(capsys, "run", "--network", "staged", "--stages", stages)
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["engines"]["heisenberg"] is False
-        assert report["slices"][-1]["witness"]["heisenberg"] is None
+        assert report["engines"] == {"heisenberg": True, "density": True}
         assert abs(abs(report["slices"][-1]["witness"]["density"]) - 2.0) < 1e-10
+        assert len(report["slices"]) == 4
+        for entry in report["slices"]:
+            for key in ("witness", "witness_alt"):
+                w = entry[key]
+                assert abs(w["heisenberg"] - w["density"]) <= workloads.ENGINE_TOL
+            assert entry["nonclassicality"]["engine"] == "heisenberg"
+        assert workloads.check_run_json(out) is None
 
     @pytest.mark.parametrize("network", ["symmetric", "asymmetric"])
     def test_stages_flag_off_the_staged_network_is_named(self, capsys, network):
@@ -570,14 +582,13 @@ def key_tree(value):
     return None
 
 
-def run_slice(nonclassicality):
-    return {
-        "time": None,
-        "witness": RUN_WITNESS,
-        "witness_alt": RUN_WITNESS,
-        "negativity_AD": NEGATIVITY,
-        "nonclassicality": nonclassicality,
-    }
+RUN_SLICE = {
+    "time": None,
+    "witness": RUN_WITNESS,
+    "witness_alt": RUN_WITNESS,
+    "negativity_AD": NEGATIVITY,
+    "nonclassicality": {"engine": None, "B": None, "C": None},
+}
 
 
 class TestDeterminismAndSchema:
@@ -598,25 +609,19 @@ class TestDeterminismAndSchema:
         assert first[0] == EXIT_OK
         assert first == second
 
-    @pytest.mark.parametrize(
-        "network, heisenberg, nonclassicality",
-        [
-            ("symmetric", True, {"engine": None, "B": None, "C": None}),
-            ("staged", False, None),
-        ],
-    )
-    def test_run_report_keys(self, capsys, network, heisenberg, nonclassicality):
+    @pytest.mark.parametrize("network", ["symmetric", "staged"])
+    def test_run_report_keys(self, capsys, network):
         stages = ["--stages", "2"] if network == "staged" else []
         code, out, _ = run_cli(capsys, "run", "--network", network, *stages)
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["engines"]["heisenberg"] is heisenberg
+        assert report["engines"] == {"heisenberg": True, "density": True}
         assert key_tree(report) == {
             "version": None,
             "command": None,
             "config": CONFIG,
             "engines": {"density": None, "heisenberg": None},
-            "slices": [run_slice(nonclassicality)] * len(report["slices"]),
+            "slices": [RUN_SLICE] * len(report["slices"]),
             "multiplet": MULTIPLET,
             "notes": [None] * len(report["notes"]),
         }

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_phase_flip,
+    basis_density,
     one_word,
     per_circuit_average,
     ref_gate_unitary,
@@ -37,8 +39,6 @@ from medwit.density import (
     _BATCH,
     DensityMatrix,
     apply_gate,
-    apply_phase_flip,
-    basis_density,
     exhaustive_average,
     expectation,
     gate_unitary,

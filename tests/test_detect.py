@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import basis_density
 from medwit.circuits import SLICE, Circuit, build_asymmetric, cnot, h
-from medwit.density import DensityMatrix, basis_density, run_network_density
+from medwit.density import DensityMatrix, run_network_density
 from medwit.detect import antiphase_amplitudes
 from medwit.pauli import BasisState
 

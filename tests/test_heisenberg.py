@@ -1,11 +1,20 @@
-"""Descriptor-engine tests: gate rules, dephasing, witness, cross-engine checks."""
+"""Descriptor-engine tests: gate rules, the gate table's Pauli images,
+dephasing, witness, cross-engine checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_word, random_clifford_circuit
+from helpers import (
+    REF_LOCAL,
+    basis_density,
+    one_word,
+    parse_word,
+    random_clifford_circuit,
+    random_unitary_circuit,
+    ref_partial_swap,
+)
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -20,7 +29,6 @@ from medwit.circuits import (
     z,
 )
 from medwit.density import (
-    basis_density,
     expectation,
     pseudo_pure,
     run_network_density,
@@ -28,20 +36,19 @@ from medwit.density import (
 from medwit.heisenberg import (
     ATTENUATION,
     AttenuationPoly,
-    UnsupportedGateError,
     apply_dephasing_frame,
     apply_gate_frame,
     frame_expectation,
     frame_observable,
     frames_to_dict,
+    gate_images,
     init_frame,
     nonclassicality_degree,
-    parse_word,
     render_sum,
     run_network_frames,
     substitute,
 )
-from medwit.pauli import BasisState, PauliSum, single, witness_observable
+from medwit.pauli import BasisState, PauliSum, expectation_basis, single, witness_observable
 
 P_GRID = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
 
@@ -97,13 +104,36 @@ class TestGateRules:
         assert frame.x[1] == single(2, 0, "z")
         assert frame.x[0] == single(2, 1, "x")
 
-    def test_partial_swap_rejected_naming_density_engine(self):
-        with pytest.raises(UnsupportedGateError, match="density engine"):
-            apply_gate_frame(init_frame(4), partial_swap(1, 2, 0.125))
+    def test_partial_swaps_compose_to_the_swap(self):
+        frame = apply_gate_frame(init_frame(4), h(1))
+        half = partial_swap(1, 2, 0.5)
+        halves = apply_gate_frame(apply_gate_frame(frame, half), half)
+        whole = apply_gate_frame(frame, swap(1, 2))
+        for got, want in zip(halves.x + halves.z, whole.x + whole.z):
+            assert not got - want  # every coefficient within PRUNE_TOL
 
     def test_phase_flip_rejected_as_gate(self):
-        with pytest.raises(UnsupportedGateError, match="channel"):
+        with pytest.raises(ValueError, match="channel"):
             apply_gate_frame(init_frame(4), phase_flip(1, 0.2))
+
+
+class TestGateImages:
+    @pytest.mark.parametrize("kind", sorted(REF_LOCAL))
+    def test_clifford_images_are_exact_signed_words(self, kind):
+        for x_image, z_image in gate_images(kind):
+            for image in (x_image, z_image):
+                ((_, coeff),) = image.items()
+                assert coeff in (1, -1, 1j, -1j)
+
+    @pytest.mark.parametrize("kind, alpha", [(kind, None) for kind in sorted(REF_LOCAL)]
+                             + [("PARTIAL_SWAP", alpha) for alpha in (0.125, 1 / 3, 0.5, 1.0)])
+    def test_images_equal_dense_conjugation(self, kind, alpha):
+        u = ref_partial_swap(alpha) if kind == "PARTIAL_SWAP" else REF_LOCAL[kind]
+        k = len(u).bit_length() - 1
+        for q, images in enumerate(gate_images(kind, alpha)):
+            for axis, image in zip("xz", images):
+                letter = single(k, q, axis).dense()
+                assert np.abs(image.dense() - u.conj().T @ letter @ u).max() <= 1e-15
 
 
 class TestDephasing:
@@ -202,6 +232,33 @@ class TestWitness:
             got = frame_expectation(frame, obs, basis, epsilon)
             assert abs(got - expectation(final, obs)) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        epsilon=st.one_of(st.just(1.0), st.floats(0, 1)),
+        probes=st.permutations(range(4)),
+        letters=st.tuples(st.sampled_from("XYZ"), st.sampled_from("XYZ")),
+    )
+    def test_engines_agree_at_every_slice_on_every_unitary_kind(
+        self, seed, bits, epsilon, probes, letters
+    ):
+        # both witnesses, and a correlator that may hold Y: real observables
+        # on a real input cannot tell an evolution from its complex conjugate
+        circuit = random_unitary_circuit(np.random.default_rng(seed), 4, 10)
+        basis = BasisState(tuple(bits))
+        word = ["I"] * 4
+        word[probes[0]], word[probes[1]] = letters
+        observables = [witness_observable(4, 0, 3, XZ_ZX), witness_observable(4, 0, 3, XX_ZZ),
+                       one_word("".join(word))]
+        frames = run_network_frames(circuit)
+        states = run_network_density(circuit, pseudo_pure(epsilon, basis))
+        assert len(frames) == len(states)
+        for frame, rho in zip(frames, states):
+            for obs in observables:
+                got = frame_expectation(frame, obs, basis, epsilon)
+                assert abs(got - expectation(rho, obs)) <= 1e-12
+
 
 class TestEffectiveDephasingAgainstChannel:
     @settings(max_examples=25, deadline=None)
@@ -276,8 +333,6 @@ class TestCliffordInvariants:
                     assert not (x * zq + zq * x)  # anticommute
 
     def test_expectations_match_density_engine(self):
-        from medwit.pauli import expectation_basis
-
         rng = np.random.default_rng(31)
         state = BasisState.from_string("0000")
         initial = basis_density(state)
@@ -354,7 +409,14 @@ class TestRunNetworkFrames:
         frames = run_network_frames(build_symmetric())
         assert [f.time_index for f in frames] == [0, 1, 2, 3]
 
-    def test_unsupported_network_propagates(self):
-        circuit = Circuit(4, (partial_swap(1, 2, 0.5), SLICE))
-        with pytest.raises(UnsupportedGateError):
-            run_network_frames(circuit)
+    def test_partial_swap_network_matches_density_at_every_slice(self):
+        circuit = Circuit(4, (h(1), partial_swap(1, 2, 0.5), SLICE, partial_swap(2, 3, 0.3), SLICE))
+        state = BasisState.from_string("0110")
+        states = run_network_density(circuit, basis_density(state))
+        frames = run_network_frames(circuit)
+        assert [f.time_index for f in frames] == [0, 1, 2]
+        for frame, rho in zip(frames, states):
+            for q in range(4):
+                for axis in "xyz":
+                    got = expectation_basis(state, frame_observable(frame, [(q, axis)]))
+                    assert abs(got - expectation(rho, single(4, q, axis))) <= 1e-12

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_average, dense_branch_average
+from helpers import basis_density, brute_force_average, dense_branch_average
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -27,7 +27,6 @@ from medwit.circuits import (
     sample_patterns,
 )
 from medwit.density import (
-    basis_density,
     exhaustive_average,
     expectation,
     negativity,

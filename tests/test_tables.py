@@ -12,7 +12,8 @@ import pytest
 
 import table_data
 from medwit.circuits import build_asymmetric, build_symmetric
-from medwit.heisenberg import parse_word, render_table, run_network_frames, substitute
+from helpers import parse_word
+from medwit.heisenberg import render_table, run_network_frames, substitute
 
 _CELL_RE = re.compile(r"\{([^}]*)\}")
 

@@ -9,6 +9,7 @@ deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ SRC = ROOT / "src" / "medwit"
 def _load(name: str, path: Path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # registered first, as a dataclass in the module looks itself up there
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -82,9 +82,14 @@ DEPHASING = [
     ["staged", "--stages", "10", "--patterns", "exhaustive", "--initial-bits", "1100",
      "--epsilon", "0.7"],
 ]
+#: the deepest descriptor walk: the partial swaps of the largest staged
+#: network, read on the other axes
+FRAMES = [
+    ["run", "--network", "staged", "--stages", "34", "--axes", "xz-zx"],
+]
 ARGVS = (
     [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING
+    + STACKS + DEPHASING + FRAMES
 )
 
 
