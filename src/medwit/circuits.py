@@ -303,7 +303,9 @@ def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPat
 
 @dataclass
 class ExperimentConfig:
-    """Flat description of one experiment run; maps 1:1 onto the CLI config file."""
+    """Flat description of one experiment run.  Its fields are the CLI config
+    keys; each command reads a subset of them (``cli.COMMAND_KEYS``), and the
+    rest keep the command's defaults."""
 
     network: str = "symmetric"
     p: float | str | None = None

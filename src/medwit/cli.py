@@ -1,11 +1,14 @@
 """Experiment runner CLI: descriptor tables, dephasing sweeps, staged-swap runs.
 
-Every command runs one pipeline.  ``_effective_config`` validates and parses
-the flags and config file once; ``_build_network`` builds the circuit, and
-each command runs the engines it reports: ``run`` and ``sweep`` both, since
-the descriptor engine steps every gate of every built-in network, partial
-swaps included; ``staged`` the density engine alone, as its pattern averages
-have no descriptor counterpart; ``table`` the descriptor engine alone.  One
+Every command runs one pipeline.  ``COMMAND_KEYS`` names the config keys each
+command reads: the parser registers a flag for each, the config-file reader
+accepts no other key, and any other flag or key is exit 2 naming it.
+``_effective_config`` validates and parses the values and their combinations
+once; ``_build_network`` builds the circuit, and each command runs the
+engines it reports: ``run`` and ``sweep`` both, since the descriptor engine
+steps every gate of every built-in network, partial swaps included;
+``staged`` the density engine alone, as its pattern averages have no
+descriptor counterpart; ``table`` the descriptor engine alone.  One
 observation layer serves every command, both engines evaluating the one
 witness ``pauli.witness_observable``:
 ``_density_values`` reads the witnesses and negativity_AD off a
@@ -120,7 +123,35 @@ class ConfigError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"network", "p", "epsilon", "initial_bits", "stages", "patterns", "seed", "axes"}
+NETWORKS = ("symmetric", "asymmetric", "staged")
+
+#: the config keys each command reads, and the network it runs when neither a
+#: flag nor the config file names one.  The parser registers a flag for these
+#: keys alone and the config-file reader accepts these keys alone, so any other
+#: is an error naming it.  table and sweep keep seed, which neither uses nor
+#: records, because perfbench's cli-mix passes --seed to every command it runs.
+COMMAND_KEYS = {
+    "table": (("network", "p", "seed"), "symmetric"),
+    "sweep": (("epsilon", "initial_bits", "axes", "seed"), "symmetric"),
+    "staged": (("epsilon", "initial_bits", "axes", "stages", "patterns", "seed"), "staged"),
+    "run": (("network", "p", "epsilon", "initial_bits", "axes", "stages", "seed"), "symmetric"),
+}
+
+#: each key's flag: its choices and a help text true on every command that reads it
+KEY_FLAGS = {
+    "network": {"choices": NETWORKS, "help": "built-in network (default symmetric)"},
+    "p": {"help": "dephasing intensity of the symmetric network in [0, 1]; "
+                  "table also takes 'symbolic'"},
+    "epsilon": {"help": "pseudo-pure purity fraction in [0, 1] (default 1)"},
+    "initial_bits": {"help": "initial basis state, e.g. 0000"},
+    "axes": {"choices": sorted(AXES_CHOICES), "help": "witness axes pair"},
+    "stages": {"help": "partial-swap stages per link of the staged network (default 8)"},
+    "patterns": {"help": "dephasing pattern mode: none (default), sampled:N, or exhaustive "
+                         "(the exact average over all balanced pattern pairs, by dynamic "
+                         "programming); both averaging modes take at most 34 stages"},
+    "seed": {"help": "seed of the sampled dephasing patterns (default 0); staged and run "
+                     "record it in their reports, table and sweep accept it unused"},
+}
 
 
 @dataclass(frozen=True)
@@ -137,8 +168,12 @@ class Setup:
         return pseudo_pure(self.cfg.epsilon, self.basis)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, command: str) -> dict[str, str]:
+    """The file's key = value pairs; a key the command does not read, or one
+    set twice, is an error naming it and its lines."""
+    keys = COMMAND_KEYS[command][0]
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -148,8 +183,13 @@ def _load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: config key {key!r} does not apply to "
+                                      f"{command}, which reads {', '.join(keys)}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: config key {key!r} is set again, "
+                                      f"first on line {first_line[key]}")
+                first_line[key] = lineno
                 values[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -269,12 +309,12 @@ def _resolve(args, file_cfg: dict[str, str], key: str, fallback):
 
 
 def _effective_config(args) -> Setup:
-    """Validate flags and config file, generic rules first, then the command's own."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    # with neither flag nor file value, staged runs its own network, the rest the symmetric one
-    fallback = "staged" if args.command == "staged" else "symmetric"
-    network = _resolve(args, file_cfg, "network", fallback)
-    if network not in ("symmetric", "asymmetric", "staged"):
+    """Resolve and validate every value, then the combinations of values.
+    The parser and ``_load_config_file`` admit only the keys the command
+    reads (``COMMAND_KEYS``); any other key resolves to its default."""
+    file_cfg = _load_config_file(args.config, args.command) if args.config else {}
+    network = _resolve(args, file_cfg, "network", COMMAND_KEYS[args.command][1])
+    if network not in NETWORKS:
         raise ConfigError(f"unknown network {network!r}")
     axes = _resolve(args, file_cfg, "axes", DEFAULT_AXES_BY_NETWORK[network])
     if axes not in AXES_CHOICES:
@@ -295,51 +335,23 @@ def _effective_config(args) -> Setup:
         seed=seed,
         axes=axes,
     )
-    if args.command in ("table", "sweep"):
-        for key in ("stages", "patterns"):
-            if key in file_cfg:
-                raise ConfigError(
-                    f"config key {key!r} does not apply to {args.command}, which takes "
-                    "no partial-swap stages or dephasing patterns (staged and run do)"
-                )
     if cfg.p is not None and cfg.network != "symmetric":
         raise ConfigError(
             f"--p {cfg.p} applies to the symmetric network only; the {cfg.network} network "
             "takes no dephasing intensity (the staged command models dephasing via --patterns)"
         )
-    if args.command == "sweep":
-        if cfg.network != "symmetric":
-            raise ConfigError("sweep supports only the symmetric network (its builder takes p)")
-        if cfg.p is not None:
-            raise ConfigError(
-                f"sweep takes its dephasing intensities from --p-grid, not --p "
-                f"(got --p {cfg.p} from the flag or the config file)"
-            )
-    elif args.command == "table":
-        if cfg.network == "staged":
-            raise ConfigError(
-                "--network staged does not apply to table: table takes no --stages, and "
-                "the partial swaps' descriptors carry rounded weights that its 12-digit "
-                "rendering would show as exact; run --network staged reports the "
-                "descriptor engine's witness and nonclassicality for it"
-            )
-        for key in ("epsilon", "axes", "initial_bits"):
-            if getattr(args, key) is not None or key in file_cfg:
-                raise ConfigError(
-                    f"--{key.replace('_', '-')} does not apply to table, which renders the "
-                    "descriptor frames of the network alone (got it from the flag or the "
-                    "config file)"
-                )
-    elif args.command == "run":
+    if args.command == "table" and cfg.network == "staged":
+        raise ConfigError(
+            "--network staged does not apply to table: table takes no --stages, and "
+            "the partial swaps' descriptors carry rounded weights that its 12-digit "
+            "rendering would show as exact; run --network staged reports the "
+            "descriptor engine's witness and nonclassicality for it"
+        )
+    if args.command == "run":
         if cfg.network != "staged" and (args.stages is not None or "stages" in file_cfg):
             raise ConfigError(
                 f"--stages applies to the staged network only; the {cfg.network} network "
                 "has no partial swaps (got it from the flag or the config file)"
-            )
-        if cfg.patterns != "none":
-            raise ConfigError(
-                f"--patterns {cfg.patterns} is not supported by run, which evaluates the "
-                "undephased network; use the staged command for pattern averages"
             )
         if cfg.p == SYMBOLIC_P:
             raise ConfigError(
@@ -351,12 +363,7 @@ def _effective_config(args) -> Setup:
                 "--timing adds a field to the JSON report; it cannot be combined "
                 "with --format text"
             )
-    elif args.command == "staged":
-        if cfg.network != "staged":
-            raise ConfigError(
-                f"the staged command runs the staged network only, got --network {cfg.network}"
-            )
-        if mode != "none":
+    if mode != "none":
             if stages % 2:
                 raise ConfigError("balanced dephasing patterns need an even stage count")
             population = pattern_population(stages)
@@ -575,32 +582,17 @@ def _execute(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, report: bool) -> None:
-    """Options every command takes; ``report`` adds those of the JSON-report
-    commands (staged and run): stages, patterns, --dump-state and --timing."""
+def _add_common(subs, command: str, func, summary: str) -> argparse.ArgumentParser:
+    """The command's subparser: --config, a flag for each config key the
+    command reads, and --out.  No flag is expanded from an abbreviation, which
+    would read ``sweep --p`` as --p-grid."""
+    sub = subs.add_parser(command, help=summary, allow_abbrev=False)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="key = value config file; flags override file values")
-    sub.add_argument("--network", choices=["symmetric", "asymmetric", "staged"])
-    sub.add_argument("--p", help="dephasing intensity in [0, 1], or 'symbolic'")
-    sub.add_argument("--epsilon", help="pseudo-pure purity fraction in [0, 1] (default 1)")
-    sub.add_argument("--initial-bits", dest="initial_bits", help="initial basis state, e.g. 0000")
-    sub.add_argument("--axes", choices=sorted(AXES_CHOICES), help="witness axes pair")
-    sub.add_argument("--seed", help="RNG seed recorded in every report (default 0)")
-    if report:
-        sub.add_argument(
-            "--stages", help="partial-swap stages per link of the staged network (default 8)"
-        )
-        sub.add_argument(
-            "--patterns",
-            help=(
-                "dephasing pattern mode: none, sampled:N, or exhaustive (the exact "
-                "average over all balanced pattern pairs, by dynamic programming; "
-                "staged command only, at most 34 stages)"
-            ),
-        )
-        sub.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
-        sub.add_argument("--timing", action="store_true",
-                         help="include wall-clock timing in the report (non-deterministic)")
+    for key in COMMAND_KEYS[command][0]:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, **KEY_FLAGS[key])
     sub.add_argument("--out", help="write output to this path instead of stdout")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,30 +609,24 @@ def build_parser() -> argparse.ArgumentParser:
             "--dump-state writes the final density matrix as row-major little-endian "
             "float64 (re, im) pairs, 16*4^n bytes."
         ),
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"medwit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_table = subs.add_parser("table", help="print a descriptor table for a network")
-    _add_common(p_table, report=False)
+    p_table = _add_common(subs, "table", cmd_table, "print a descriptor table for a network")
     p_table.add_argument("--format", choices=["text", "json"], default="text")
-    p_table.set_defaults(func=cmd_table)
-
-    p_sweep = subs.add_parser("sweep", help="sweep the dephasing intensity, emit CSV")
-    _add_common(p_sweep, report=False)
+    p_sweep = _add_common(subs, "sweep", cmd_sweep, "sweep the dephasing intensity, emit CSV")
     p_sweep.add_argument("--p-grid", dest="p_grid", default="0:0.5:0.05",
                          help=("grid as start:stop:step or comma list, at most "
                                f"{MAX_GRID_POINTS} points (default 0:0.5:0.05)"))
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_staged = subs.add_parser("staged", help="staged-swap run with dephasing patterns")
-    _add_common(p_staged, report=True)
-    p_staged.set_defaults(func=cmd_staged)
-
-    p_run = subs.add_parser("run", help="run one network end to end, emit a full report")
-    _add_common(p_run, report=True)
+    p_staged = _add_common(subs, "staged", cmd_staged, "staged-swap run with dephasing patterns")
+    p_run = _add_common(subs, "run", cmd_run, "run one network end to end, emit a full report")
     p_run.add_argument("--format", choices=["json", "text"], default="json")
-    p_run.set_defaults(func=cmd_run)
+    for sub in (p_staged, p_run):
+        sub.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
+        sub.add_argument("--timing", action="store_true",
+                         help="include wall-clock timing in the JSON report (non-deterministic)")
     return parser
 
 

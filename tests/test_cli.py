@@ -132,16 +132,17 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("p", ["0.3", "symbolic"])
     def test_intensity_flag_rejected(self, capsys, p):
-        code, _, err = run_cli(capsys, "sweep", "--p", p)
-        assert code == EXIT_CONFIG
-        assert "--p " in err and "--p-grid" in err
+        """--p is not expanded to --p-grid, which would run a one-point grid."""
+        code, out, err = run_cli(capsys, "sweep", "--p", p)
+        assert code == EXIT_CONFIG and out == ""
+        assert f"unrecognized arguments: --p {p}" in err
 
     def test_intensity_from_config_file_rejected(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("p = 0.3\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
-        assert code == EXIT_CONFIG
-        assert "--p " in err and "--p-grid" in err
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert "config key 'p' does not apply to sweep" in err
 
     @pytest.mark.parametrize("grid, points", [("0:1:1e-9", "1000000000"), ("0:1:5e-324", "inf")])
     def test_point_count_is_capped_before_the_grid_is_built(self, capsys, grid, points):
@@ -273,7 +274,7 @@ class TestStagedCommand:
         config.write_text(f"network = {network}\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "staged", "--config", str(config))
         assert code == EXIT_CONFIG
-        assert "the staged command runs the staged network only" in err
+        assert "config key 'network' does not apply to staged" in err
         assert out == ""
 
     @pytest.mark.parametrize("stages", ["14", "34"])
@@ -393,7 +394,7 @@ class TestRunCommand:
         config.write_text("network = staged\npatterns = exhaustive\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "run", "--config", str(config))
         assert code == EXIT_CONFIG
-        assert "--patterns" in err
+        assert "config key 'patterns' does not apply to run" in err
 
 
     def test_symbolic_intensity_is_a_config_error(self, capsys, tmp_path):
@@ -427,7 +428,9 @@ class TestInitialBits:
     def test_wrong_length_flag_is_a_config_error(self, capsys, command, bits):
         code, out, err = run_cli(capsys, command, "--initial-bits", bits)
         assert code == EXIT_CONFIG
-        assert "--initial-bits" in err and "4 bits" in err
+        # table reads no initial state, so its parser takes no --initial-bits
+        named = "unrecognized arguments: --initial-bits" if command == "table" else "4 bits"
+        assert "--initial-bits" in err and named in err
         assert out == ""
 
     @pytest.mark.parametrize("command", ["table", "sweep", "staged", "run"])
@@ -436,7 +439,8 @@ class TestInitialBits:
         config.write_text("initial_bits = 011\n", encoding="utf-8")
         code, _, err = run_cli(capsys, command, "--config", str(config))
         assert code == EXIT_CONFIG
-        assert "--initial-bits" in err
+        named = "config key 'initial_bits' does not apply" if command == "table" else "4 bits"
+        assert named in err
 
 
 class TestSeed:
@@ -486,31 +490,45 @@ class TestIntegerFlags:
         self.check(err, key, value)
 
 
-class TestTableRejectsUnusedFlags:
-    @pytest.mark.parametrize(
-        "key, value", [("epsilon", "0.5"), ("axes", "xx-zz"), ("initial_bits", "1111")]
-    )
-    def test_flag_and_file_value_are_named(self, capsys, tmp_path, key, value):
+#: the config keys each command reads, written out here so that the test
+#: checks ``cli.COMMAND_KEYS`` instead of reading it
+READS = {
+    "table": ["network", "p", "seed"],
+    "sweep": ["epsilon", "initial_bits", "axes", "seed"],
+    "staged": ["epsilon", "initial_bits", "axes", "stages", "patterns", "seed"],
+    "run": ["network", "p", "epsilon", "initial_bits", "axes", "stages", "seed"],
+}
+KEYS = ["network", "p", "epsilon", "initial_bits", "axes", "stages", "patterns", "seed"]
+VALUES = {"network": "asymmetric", "p": "0.2", "epsilon": "0.5", "initial_bits": "1010",
+          "axes": "xx-zz", "stages": "4", "patterns": "sampled:4", "seed": "3"}
+#: where a command does not read the key, the one value it runs anyway
+IMPLIED = {("sweep", "network"): "symmetric", ("staged", "network"): "staged",
+           ("run", "patterns"): "none"}
+#: flags a case needs beside the key: run takes --stages on the staged network only
+CONTEXT = {("run", "stages"): ("--network", "staged")}
+
+
+class TestCommandKeys:
+    """Every (command, config key) pair: a key the command reads gives the same
+    stdout from the flag and from the config file; any other key is exit 2
+    naming it, from either, with nothing on stdout."""
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in READS for k in KEYS])
+    def test_flag_and_file_key(self, capsys, tmp_path, command, key):
+        value = IMPLIED.get((command, key), VALUES[key])
+        context = CONTEXT.get((command, key), ())
         flag = "--" + key.replace("_", "-")
-        code, out, err = run_cli(capsys, "table", flag, value)
-        assert code == EXIT_CONFIG
-        assert f"{flag} does not apply to table" in err and out == ""
-        config = tmp_path / "table.cfg"
+        config = tmp_path / "key.cfg"
         config.write_text(f"{key} = {value}\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "table", "--config", str(config))
-        assert code == EXIT_CONFIG
-        assert f"{flag} does not apply to table" in err and out == ""
-
-
-class TestStagesAndPatternsKeys:
-    @pytest.mark.parametrize("command", ["table", "sweep"])
-    @pytest.mark.parametrize("key, value", [("stages", "4"), ("patterns", "exhaustive")])
-    def test_file_key_is_named(self, capsys, tmp_path, command, key, value):
-        config = tmp_path / "unused.cfg"
-        config.write_text(f"{key} = {value}\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, command, "--config", str(config))
-        assert code == EXIT_CONFIG
-        assert f"config key {key!r} does not apply to {command}" in err and out == ""
+        by_flag = run_cli(capsys, command, *context, flag, value)
+        by_file = run_cli(capsys, command, *context, "--config", str(config))
+        if key in READS[command]:
+            assert by_flag[0] == by_file[0] == EXIT_OK
+            assert by_flag[1] == by_file[1] != ""
+        else:
+            assert by_flag[:2] == by_file[:2] == (EXIT_CONFIG, "")
+            assert f"unrecognized arguments: {flag} {value}" in by_flag[2]
+            assert f"{config}:1: config key {key!r} does not apply to {command}" in by_file[2]
 
 
 class TestConfigFile:
@@ -536,9 +554,16 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("networ = symmetric\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "run", "--config", str(config))
-        assert code == EXIT_CONFIG
-        assert "unknown config key" in err
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert f"{config}:1: config key 'networ' does not apply to run" in err
+
+    def test_repeated_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "twice.cfg"
+        config.write_text("p = 0.1\n# a comment\np = 0.3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert f"{config}:3: config key 'p' is set again, first on line 1" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.cfg"))
@@ -553,6 +578,38 @@ class TestArgparseBehaviour:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("medwit ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "--eps", "0.5"), ("staged", "--stag", "2"), ("sweep", "--p-g", "0.1"),
+         ("table", "--net", "asymmetric")],
+        ids=["run", "staged", "sweep", "table"],
+    )
+    def test_abbreviated_flag_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("table", "--network --p --seed --format"),
+            ("sweep", "--epsilon --initial-bits --axes --seed --p-grid"),
+            ("staged", "--epsilon --initial-bits --axes --stages --patterns --seed "
+                       "--dump-state --timing"),
+            ("run", "--network --p --epsilon --initial-bits --axes --stages --seed --format "
+                    "--dump-state --timing"),
+        ],
+        ids=["table", "sweep", "staged", "run"],
+    )
+    def test_help_lists_exactly_the_command_flags(self, capsys, command, flags):
+        assert main([command, "-h"]) == EXIT_OK
+        # an option line starts with two spaces, its flags before the next two
+        options = [line.split("  ")[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  -")]
+        listed = {word.rstrip(",") for option in options for word in option.split()
+                  if word.startswith("-")}
+        assert listed == {"-h", "--help", "--config", "--out", *flags.split()}
 
 
 LINE = {"antiphase": None, "inphase": None}

@@ -87,9 +87,20 @@ DEPHASING = [
 FRAMES = [
     ["run", "--network", "staged", "--stages", "34", "--axes", "xz-zx"],
 ]
+#: per command, every config key it reads set off its default (table's
+#: network stays symmetric, the one network that takes --p)
+EVERY_KEY = [
+    ["table", "--network", "symmetric", "--p", "0.3", "--seed", "9", "--format", "json"],
+    ["sweep", "--p-grid", "0:0.2:0.1", "--epsilon", "0.6", "--initial-bits", "0110",
+     "--axes", "xx-zz", "--seed", "9"],
+    ["staged", "--stages", "6", "--patterns", "sampled:5", "--epsilon", "0.8",
+     "--initial-bits", "0011", "--axes", "xz-zx", "--seed", "9"],
+    ["run", "--network", "staged", "--stages", "5", "--epsilon", "0.9", "--initial-bits",
+     "1001", "--axes", "xz-zx", "--format", "text", "--seed", "9"],
+]
 ARGVS = (
     [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING + FRAMES
+    + STACKS + DEPHASING + FRAMES + EVERY_KEY
 )
 
 
