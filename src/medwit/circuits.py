@@ -1,6 +1,10 @@
 """Gate and circuit types, the gate table, builders for the built-in networks,
 dephasing patterns.
 
+A set of dephasing patterns of the staged network is one (k, 2, stages) bool
+array: row j of pattern i gives the stages of link j (0 for B-C, 1 for C-D)
+after whose partial swap pattern i puts a Z on C.
+
 The built-in networks act on a four-qubit chain A-B-C-D (indices 0-3).  A and D
 are the probes to be entangled; B and C form the mediator through which every
 interaction is routed (there is no direct A-D gate anywhere below).
@@ -20,8 +24,6 @@ import numpy as np
 __all__ = [
     "A", "B", "C", "D",
     "Circuit",
-    "DephasingPattern",
-    "ExperimentConfig",
     "GateOp",
     "SLICE",
     "TimeSlice",
@@ -43,7 +45,7 @@ __all__ = [
 
 A, B, C, D = 0, 1, 2, 3
 
-GATE_KINDS = frozenset({"H", "CNOT", "CPHASE", "SWAP", "PARTIAL_SWAP", "Z", "PHASE_FLIP"})
+#: the qubit count of each gate kind, and so the table of gate kinds
 _ARITY = {"H": 1, "Z": 1, "PHASE_FLIP": 1, "CNOT": 2, "CPHASE": 2, "SWAP": 2, "PARTIAL_SWAP": 2}
 
 SYMBOLIC_P = "symbolic"
@@ -78,7 +80,7 @@ class GateOp:
     p: float | str | None = None  # PHASE_FLIP intensity in [0, 1], or "symbolic"
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         qubits = tuple(int(q) for q in self.qubits)
         object.__setattr__(self, "qubits", qubits)
@@ -200,43 +202,21 @@ def build_asymmetric() -> Circuit:
     return Circuit(4, (h(A), cnot(A, B), SLICE, swap(B, C), SLICE, swap(C, D), SLICE))
 
 
-def build_staged(stages: int, interleaved: bool = False) -> Circuit:
+def build_staged(stages: int) -> Circuit:
     """Asymmetric network with each swap split into ``stages`` partial swaps.
 
-    Every stage applies ``SWAP^(1/stages)`` on its link.  By default all B-C
-    stages complete before the C-D stages begin; ``interleaved`` alternates the
-    two links stage by stage (single combined slice).  Dephasing patterns act
-    on this circuit through ``density.temporal_average`` and
+    Every stage applies ``SWAP^(1/stages)`` on its link, and all B-C stages
+    complete before the C-D stages begin, so the partial swaps run in the
+    order of a pattern array's flattened rows.  Dephasing patterns act on
+    this circuit through ``density.temporal_average`` and
     ``density.exhaustive_average``.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
     alpha = 1.0 / stages
     u_bc, u_cd = partial_swap(B, C, alpha), partial_swap(C, D, alpha)
-    ops: list = [h(A), cnot(A, B), SLICE]
-    if interleaved:
-        ops += [u_bc, u_cd] * stages + [SLICE]
-    else:
-        ops += [u_bc] * stages + [SLICE] + [u_cd] * stages + [SLICE]
+    ops = [h(A), cnot(A, B), SLICE] + [u_bc] * stages + [SLICE] + [u_cd] * stages + [SLICE]
     return Circuit(4, tuple(ops))
-
-
-@dataclass(frozen=True)
-class DephasingPattern:
-    """Per-stage gate choices for the two swap links; True selects the dephased gate."""
-
-    bc_choices: tuple[bool, ...]
-    cd_choices: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bc_choices", tuple(bool(b) for b in self.bc_choices))
-        object.__setattr__(self, "cd_choices", tuple(bool(b) for b in self.cd_choices))
-        if len(self.bc_choices) != len(self.cd_choices):
-            raise ValueError("both links must have the same stage count")
-
-    @property
-    def stages(self) -> int:
-        return len(self.bc_choices)
 
 
 def pattern_population(stages: int) -> int:
@@ -246,8 +226,9 @@ def pattern_population(stages: int) -> int:
     return comb(stages, stages // 2) ** 2
 
 
-def _patterns_from_indices(indices: np.ndarray, stages: int) -> list[DephasingPattern]:
-    """The balanced pattern pair of each canonical index (int64), in one pass.
+def _patterns_from_indices(indices: np.ndarray, stages: int) -> np.ndarray:
+    """The balanced pattern pair of each canonical index (int64), in one pass,
+    as a (len(indices), 2, stages) bool array.
 
     Index i is the pair of per-link ranks divmod(i, C(stages, stages/2)), and
     each rank names its link's dephased stages in lexicographic order: at
@@ -267,19 +248,18 @@ def _patterns_from_indices(indices: np.ndarray, stages: int) -> list[DephasingPa
         chosen[:, t] = ranks < below
         ranks -= np.where(chosen[:, t], 0, below)
         left -= chosen[:, t]
-    count = len(indices)
-    return [DephasingPattern(bc.tolist(), cd.tolist())
-            for bc, cd in zip(chosen[:count], chosen[count:])]
+    return np.stack(np.split(chosen, 2), axis=1)
 
 
-def exhaustive_patterns(stages: int) -> list[DephasingPattern]:
-    """Every balanced pattern pair in canonical (lexicographic) order."""
+def exhaustive_patterns(stages: int) -> np.ndarray:
+    """Every balanced pattern pair in canonical (lexicographic) order, as a
+    (k, 2, stages) bool array."""
     return _patterns_from_indices(np.arange(pattern_population(stages)), stages)
 
 
-def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPattern]:
-    """Draw ``count`` distinct balanced pattern pairs uniformly; a seed always
-    draws the same pairs.
+def sample_patterns(stages: int, count: int, seed: int = 0) -> np.ndarray:
+    """Draw ``count`` distinct balanced pattern pairs uniformly, as a
+    (count, 2, stages) bool array; a seed always draws the same pairs.
 
     Asking for the whole population returns it exhaustively in canonical order.
     """
@@ -300,30 +280,3 @@ def sample_patterns(stages: int, count: int, seed: int = 0) -> list[DephasingPat
             order.append(idx)
     return _patterns_from_indices(np.array(order, dtype=np.int64), stages)
 
-
-@dataclass
-class ExperimentConfig:
-    """Flat description of one experiment run.  Its fields are the CLI config
-    keys; each command reads a subset of them (``cli.COMMAND_KEYS``), and the
-    rest keep the command's defaults."""
-
-    network: str = "symmetric"
-    p: float | str | None = None
-    epsilon: float = 1.0
-    initial_bits: str = "0000"
-    stages: int = 8
-    patterns: str = "none"  # none | sampled:N | exhaustive
-    seed: int = 0
-    axes: str | None = None  # xz-zx | xx-zz; default chosen per network
-
-    def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "initial_bits": self.initial_bits,
-            "stages": self.stages,
-            "patterns": self.patterns,
-            "seed": self.seed,
-            "axes": self.axes,
-        }

@@ -43,7 +43,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ from . import __version__
 from .circuits import (
     SYMBOLIC_P,
     Circuit,
-    ExperimentConfig,
     build_asymmetric,
     build_staged,
     build_symmetric,
@@ -152,6 +151,25 @@ KEY_FLAGS = {
     "seed": {"help": "seed of the sampled dephasing patterns (default 0); staged and run "
                      "record it in their reports, table and sweep accept it unused"},
 }
+
+
+@dataclass
+class ExperimentConfig:
+    """Flat description of one experiment run.  Its fields are the config
+    keys; each command reads a subset of them (``COMMAND_KEYS``), and the
+    rest keep the command's defaults."""
+
+    network: str = "symmetric"
+    p: float | str | None = None
+    epsilon: float = 1.0
+    initial_bits: str = "0000"
+    stages: int = 8
+    patterns: str = "none"  # none | sampled:N | exhaustive
+    seed: int = 0
+    axes: str | None = None  # xz-zx | xx-zz; default chosen per network
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -364,21 +382,21 @@ def _effective_config(args) -> Setup:
                 "with --format text"
             )
     if mode != "none":
-            if stages % 2:
-                raise ConfigError("balanced dephasing patterns need an even stage count")
-            population = pattern_population(stages)
-            if population >= SAMPLE_INDEX_LIMIT:
-                raise ConfigError(
-                    f"--stages {stages} gives {population} balanced pattern pairs, beyond "
-                    "the 2**63 the seeded sampler can index; use at most 34 stages"
-                )
-            if count > population:
-                raise ConfigError(
-                    f"sampled:{count} exceeds the pattern population {population} "
-                    f"for {stages} stages"
-                )
-            if mode == "exhaustive":
-                count = min(PREVIEW_PATTERNS, population)
+        if stages % 2:
+            raise ConfigError("balanced dephasing patterns need an even stage count")
+        population = pattern_population(stages)
+        if population >= SAMPLE_INDEX_LIMIT:
+            raise ConfigError(
+                f"--stages {stages} gives {population} balanced pattern pairs, beyond "
+                "the 2**63 the seeded sampler can index; use at most 34 stages"
+            )
+        if count > population:
+            raise ConfigError(
+                f"sampled:{count} exceeds the pattern population {population} "
+                f"for {stages} stages"
+            )
+        if mode == "exhaustive":
+            count = min(PREVIEW_PATTERNS, population)
     return Setup(cfg, basis, mode, count)
 
 

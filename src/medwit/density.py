@@ -26,7 +26,8 @@ stack, and one state is a stack of one.  The report layer (``expectation``,
 of a stack, and the constructor and ``validate`` check every state of it.
 ``exhaustive_average`` walks the same circuit for the exact average over all
 C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
-(O(s^3) with interleaved links) instead of one circuit per pattern pair.
+instead of one circuit per pattern pair: one stack of state sums per link,
+row i summing the patterns that have dephased ``low + i`` of its stages.
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ import numpy as np
 
 from .circuits import (
     SYMBOLIC_P,
-    B,
     C,
-    D,
     Circuit,
-    DephasingPattern,
     GateOp,
     TimeSlice,
     build_staged,
@@ -322,110 +320,75 @@ def run_intensity_grid(
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 
-def temporal_average(
-    stages: int,
-    patterns: Sequence[DephasingPattern],
-    initial: DensityMatrix,
-    *,
-    interleaved: bool = False,
-    z_first: bool = False,
-) -> DensityMatrix:
-    """Uniform average over ``patterns`` of the final state of each pattern's
-    circuit: ``build_staged(stages, interleaved=...)`` with a Z on C after each
-    partial swap the pattern dephases (before it with ``z_first``).
+def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) -> DensityMatrix:
+    """Uniform average over ``patterns``, a (k, 2, stages) bool array, of the
+    final state of each pattern's circuit: ``build_staged(stages)`` with a Z
+    on C after each partial swap the pattern dephases.
 
     Each batch of ``_BATCH`` patterns walks the undephased circuit once.
     Every gate ahead of the first dephasing choice acts on the one initial
     state; that choice broadcasts it to a stack of the batch, and each later
     gate acts on the whole stack.  Z on C is a sign flip (``_dephase``) of
-    the states of the patterns that dephase that stage, after its partial
-    swap or before it with ``z_first``.  Each state sees exactly the
-    arithmetic of its own circuit and accumulation follows pattern order, so
-    the result is bit-identical to evolving the circuits one by one, run
-    after run.
+    the states of the patterns that dephase that stage.  Each state sees
+    exactly the arithmetic of its own circuit and accumulation follows
+    pattern order, so the result is bit-identical to evolving the circuits
+    one by one, run after run.
     """
-    if not patterns:
-        raise ValueError("at least one pattern is required")
-    for pattern in patterns:
-        if pattern.stages != stages:
-            raise ValueError(f"pattern length {pattern.stages} does not match stage count {stages}")
-    circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
+    patterns = np.asarray(patterns)
+    if patterns.dtype != bool or patterns.shape[1:] != (2, stages) or not len(patterns):
+        raise ValueError(f"patterns must be a nonempty (k, 2, {stages}) bool array, "
+                         f"got {patterns.dtype} of shape {patterns.shape}")
+    circuit = _same_size(build_staged(stages), initial)
     n = circuit.n
     mask = _dephase_mask(n, C)
     weight = 1.0 / len(patterns)
     accumulated = None
     for start in range(0, len(patterns), _BATCH):
         batch = patterns[start:start + _BATCH]
-        # per link, stage by stage: the mask of the batch's patterns that dephase it
-        members = {(B, C): iter(np.array([pattern.bc_choices for pattern in batch]).T),
-                   (C, D): iter(np.array([pattern.cd_choices for pattern in batch]).T)}
+        # the batch's flips at each partial swap, in circuit order: B-C, then C-D
+        flips = iter(batch.reshape(len(batch), -1).T[:, :, np.newaxis, np.newaxis] & mask)
         stack = initial.entries
         for op in circuit.gates:
-            if op.kind != "PARTIAL_SWAP":
-                stack = _apply_raw(op, stack, n)
-                continue
-            flips = next(members[op.qubits])[:, np.newaxis, np.newaxis] & mask
-            if z_first:
-                stack = _dephase(stack, flips)
             stack = _apply_raw(op, stack, n)
-            if not z_first:
-                stack = _dephase(stack, flips)
+            if op.kind == "PARTIAL_SWAP":
+                stack = _dephase(stack, next(flips))
         for final in stack:
             accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)
 
 
-def exhaustive_average(
-    stages: int,
-    initial: DensityMatrix,
-    *,
-    interleaved: bool = False,
-    z_first: bool = False,
-) -> DensityMatrix:
+def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
     """Exact uniform average of the staged network over every balanced pattern pair.
 
-    Equals ``temporal_average`` over ``exhaustive_patterns(stages)`` with the
-    same options, up to floating-point summation order.
-    The undephased circuit is walked once while a table of unnormalised
-    state sums, keyed by the dephased-stage counts on the B-C and C-D links,
-    branches at each partial swap into its plain and its dephased child.
-    The dephased child is the plain one's sign flip (``_dephase``), so each
-    sum takes one partial swap; with ``z_first`` the sum is flipped first and
-    both children take the swap.  Counts that can no longer end at stages/2
-    on their link are dropped.  Reduction order is fixed, so the result is
-    bit-stable run to run.
+    Equals ``temporal_average`` over ``exhaustive_patterns(stages)`` up to
+    floating-point summation order.  The undephased circuit is walked once
+    with one stack of unnormalised state sums per link: row i sums the
+    patterns that have dephased ``low + i`` of the link's stages so far.  At
+    each partial swap, row i becomes the swapped row i plus the sign flip
+    (``_dephase``) of the swapped row i-1, and rows whose count can no longer
+    end at stages/2 are dropped; so the link ends on one row, which starts
+    the next.  A row adds at most two terms, whose IEEE sum does not depend
+    on their order, so the result is bit-stable run to run.
     """
     if stages < 2 or stages % 2:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
-    circuit = _same_size(build_staged(stages, interleaved=interleaved), initial)
+    circuit = _same_size(build_staged(stages), initial)
     half = stages // 2
-    link_of = {(B, C): 0, (C, D): 1}
-    left = [stages, stages]
     mask = _dephase_mask(circuit.n, C)
-    sums = {(0, 0): initial.entries}
+    stack, low, left = initial.entries, 0, stages
     for op in circuit.gates:
-        u = gate_unitary(op, circuit.n)
+        stack = _apply_raw(op, stack, circuit.n)
         if op.kind != "PARTIAL_SWAP":
-            sums = {key: u @ rho @ u.conj().T for key, rho in sums.items()}
             continue
-        link = link_of[op.qubits]
-        left[link] -= 1
-        grown: dict[tuple[int, ...], np.ndarray] = {}
-        for key, rho in sums.items():
-            # every kept sum has a child to keep, so the plain swap is never wasted
-            swapped = None if z_first else u @ rho @ u.conj().T
-            for dephased in (False, True):
-                count = key[link] + dephased
-                if count > half or count + left[link] < half:
-                    continue
-                if z_first:
-                    child = u @ (_dephase(rho, mask) if dephased else rho) @ u.conj().T
-                else:
-                    child = _dephase(swapped, mask) if dephased else swapped
-                child_key = key[:link] + (count,) + key[link + 1:]
-                grown[child_key] = grown[child_key] + child if child_key in grown else child
-        sums = grown
-    return DensityMatrix(sums[(half, half)] / comb(stages, half) ** 2)
+        flipped = _dephase(stack, mask)
+        stack = np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])
+        left -= 1
+        # keep the counts in [half - left, half]; the stack now spans low .. low + len - 1
+        drop = max(half - left - low, 0)
+        stack, low = stack[drop:half - low + 1], low + drop
+        if not left:
+            low, left = 0, stages
+    return DensityMatrix(stack / comb(stages, half) ** 2)
 
 
 def state_to_bytes(rho: DensityMatrix) -> bytes:

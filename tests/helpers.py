@@ -7,10 +7,12 @@ and a qubit permutation, independently of the package's index arithmetic.
 ``brute_force_average`` is the reference for the package's dynamic-programming
 exhaustive average: it averages over every balanced pattern pair with
 ``temporal_average``.  ``dense_branch_average`` is the same dynamic program
-with each dephased branch a dense unitary, Z on C times the partial swap, the
-byte reference for the sign-flip branches of ``exhaustive_average``.
-``scalar_sample_patterns`` and ``scalar_pattern`` draw and unrank patterns one
-at a time with Python integers (``unrank_combination``), the reference for the vectorised unranking of
+as a table of state sums keyed by the dephased-stage counts on both links,
+with each dephased branch a dense unitary, Z on C times the partial swap: the
+byte reference for the per-link count stacks and sign-flip branches of
+``exhaustive_average``.  ``scalar_sample_patterns`` and ``scalar_pattern``
+draw and unrank patterns one at a time with Python integers
+(``unrank_combination``), the reference for the vectorised unranking of
 ``sample_patterns`` and ``exhaustive_patterns``.  ``per_circuit_average`` is the reference for
 ``temporal_average``, which walks one stack of patterns through the staged
 circuit: it builds (``pattern_circuit``) and evolves one concrete circuit per
@@ -40,7 +42,6 @@ from medwit.circuits import (
     C,
     D,
     Circuit,
-    DephasingPattern,
     GateOp,
     SLICE,
     TimeSlice,
@@ -162,14 +163,11 @@ def slice_count(circuit: Circuit) -> int:
     return 1 + sum(1 for op in circuit.ops if isinstance(op, TimeSlice))
 
 
-def is_balanced(pattern: DephasingPattern) -> bool:
-    """Whether each link dephases exactly half of an even stage count."""
-    half = pattern.stages // 2
-    return (
-        pattern.stages % 2 == 0
-        and sum(pattern.bc_choices) == half
-        and sum(pattern.cd_choices) == half
-    )
+def is_balanced(pattern: np.ndarray) -> bool:
+    """Whether each link of a (2, stages) pattern dephases exactly half of an
+    even stage count."""
+    stages = pattern.shape[1]
+    return stages % 2 == 0 and bool(np.all(pattern.sum(axis=1) == stages // 2))
 
 
 def random_term(rng: np.random.Generator, n: int) -> PauliSum:
@@ -237,22 +235,16 @@ def random_density(rng: np.random.Generator, n: int, rank: int = 3) -> DensityMa
     return DensityMatrix(entries)
 
 
-def brute_force_average(
-    stages: int, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
-) -> DensityMatrix:
+def brute_force_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
     """Uniform average of the staged network over all C(s, s/2)^2 balanced pattern pairs."""
-    return temporal_average(
-        stages, exhaustive_patterns(stages), initial, interleaved=interleaved, z_first=z_first
-    )
+    return temporal_average(stages, exhaustive_patterns(stages), initial)
 
 
-def dense_branch_average(
-    stages: int, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
-) -> DensityMatrix:
+def dense_branch_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
     """The count-keyed exhaustive average, each partial swap branching into
-    its plain unitary u and its dephased one, Z on C after it (``z u``) or
-    before it with ``z_first`` (``u z``), both applied as dense conjugations."""
-    circuit = build_staged(stages, interleaved=interleaved)
+    its plain unitary u and its dephased one, Z on C after it (``z u``), both
+    applied as dense conjugations."""
+    circuit = build_staged(stages)
     half = stages // 2
     link_of = {(B, C): 0, (C, D): 1}
     left = [stages, stages]
@@ -265,7 +257,7 @@ def dense_branch_average(
             continue
         link = link_of[op.qubits]
         left[link] -= 1
-        branches = ((u, 0), (u @ zc if z_first else zc @ u, 1))
+        branches = ((u, 0), (zc @ u, 1))
         grown = {}
         for key, rho in sums.items():
             for v, dephased in branches:
@@ -295,15 +287,16 @@ def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
-def scalar_pattern(index: int, stages: int) -> DephasingPattern:
-    """The balanced pattern pair of one canonical index, one link rank at a time."""
+def scalar_pattern(index: int, stages: int) -> np.ndarray:
+    """The balanced pattern pair of one canonical index, one link rank at a
+    time, as a (2, stages) bool row."""
     per_link = comb(stages, stages // 2)
     chosen = [set(unrank_combination(rank, stages, stages // 2))
               for rank in divmod(index, per_link)]
-    return DephasingPattern(*(tuple(k in link for k in range(stages)) for link in chosen))
+    return np.array([[k in link for k in range(stages)] for link in chosen])
 
 
-def scalar_sample_patterns(stages: int, count: int, seed: int) -> list[DephasingPattern]:
+def scalar_sample_patterns(stages: int, count: int, seed: int) -> list[np.ndarray]:
     """``count`` distinct pattern pairs drawn by the package's seeded loop and
     unranked one at a time; the whole population in canonical order."""
     population = pattern_population(stages)
@@ -320,43 +313,27 @@ def scalar_sample_patterns(stages: int, count: int, seed: int) -> list[Dephasing
     return [scalar_pattern(i, stages) for i in order]
 
 
-def pattern_circuit(
-    stages: int, pattern, interleaved: bool = False, z_first: bool = False
-) -> Circuit:
-    """The staged network as one concrete circuit for ``pattern``: every stage
-    is ``SWAP^(1/stages)`` on its link, followed by a Z on C where the pattern
-    dephases that stage, or preceded by it with ``z_first``."""
+def pattern_circuit(stages: int, pattern) -> Circuit:
+    """The staged network as one concrete circuit for a (2, stages)
+    ``pattern``: every stage is ``SWAP^(1/stages)`` on its link, followed by
+    a Z on C where the pattern dephases that stage."""
     alpha = 1.0 / stages
-    u_bc, u_cd, z_c = partial_swap(B, C, alpha), partial_swap(C, D, alpha), z(C)
-
-    def stage(u: GateOp, dephased: bool) -> list[GateOp]:
-        if not dephased:
-            return [u]
-        return [z_c, u] if z_first else [u, z_c]
-
-    ops: list = [h(A), cnot(A, B), SLICE]
-    if interleaved:
-        for bc, cd in zip(pattern.bc_choices, pattern.cd_choices):
-            ops += stage(u_bc, bc) + stage(u_cd, cd)
-    else:
-        for bc in pattern.bc_choices:
-            ops += stage(u_bc, bc)
+    ops: list = [h(A), cnot(A, B)]
+    for u, choices in zip((partial_swap(B, C, alpha), partial_swap(C, D, alpha)), pattern):
         ops.append(SLICE)
-        for cd in pattern.cd_choices:
-            ops += stage(u_cd, cd)
+        for dephased in choices:
+            ops += [u, z(C)] if dephased else [u]
     ops.append(SLICE)
     return Circuit(4, tuple(ops))
 
 
-def per_circuit_average(
-    stages: int, patterns, initial: DensityMatrix, interleaved: bool = False, z_first: bool = False
-) -> DensityMatrix:
+def per_circuit_average(stages: int, patterns, initial: DensityMatrix) -> DensityMatrix:
     """Uniform average of each pattern's ``pattern_circuit`` final state,
     evolved alone by ``run_network_density`` and accumulated in pattern order."""
     weight = 1.0 / len(patterns)
     accumulated = None
     for pattern in patterns:
-        circuit = pattern_circuit(stages, pattern, interleaved=interleaved, z_first=z_first)
+        circuit = pattern_circuit(stages, pattern)
         final = run_network_density(circuit, initial)[-1].entries
         accumulated = weight * final if accumulated is None else accumulated + weight * final
     return DensityMatrix(accumulated)

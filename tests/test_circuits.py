@@ -89,11 +89,6 @@ class TestBuildStaged:
         )
         assert diff < 1e-10
 
-    def test_interleaved_ordering(self):
-        circuit = build_staged(2, interleaved=True)
-        links = [g.qubits for g in circuit.gates if g.kind == "PARTIAL_SWAP"]
-        assert links == [(1, 2), (2, 3), (1, 2), (2, 3)]
-
 
 class TestPatterns:
     def test_population_counts(self):
@@ -103,7 +98,7 @@ class TestPatterns:
 
     def test_sampled_patterns_are_distinct_and_balanced(self):
         patterns = sample_patterns(8, 16, seed=5)
-        assert len(set(patterns)) == 16
+        assert len(np.unique(patterns.reshape(16, -1), axis=0)) == 16
         for pattern in patterns:
             assert is_balanced(pattern)
 
@@ -111,13 +106,13 @@ class TestPatterns:
         a = sample_patterns(8, 16, seed=3)
         b = sample_patterns(8, 16, seed=3)
         c = sample_patterns(8, 16, seed=4)
-        assert a == b
-        assert a != c
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_full_population_request_is_exhaustive(self):
         patterns = sample_patterns(8, 4900, seed=0)
-        assert patterns == exhaustive_patterns(8)
-        assert len(set(patterns)) == 4900
+        assert np.array_equal(patterns, exhaustive_patterns(8))
+        assert len(np.unique(patterns.reshape(4900, -1), axis=0)) == 4900
 
     def test_count_beyond_population_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -125,8 +120,11 @@ class TestPatterns:
 
     @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10])
     def test_every_rank_equals_scalar_unranking(self, stages):
-        want = [scalar_pattern(i, stages) for i in range(pattern_population(stages))]
-        assert exhaustive_patterns(stages) == want
+        got = exhaustive_patterns(stages)
+        assert got.dtype == bool
+        assert got.shape == (pattern_population(stages), 2, stages)
+        for i, row in enumerate(got):
+            assert np.array_equal(row, scalar_pattern(i, stages))
 
     @pytest.mark.parametrize(
         "stages, count, seed",
@@ -137,10 +135,14 @@ class TestPatterns:
          (4, 36, 0)],
     )
     def test_samples_equal_scalar_reference(self, stages, count, seed):
-        assert sample_patterns(stages, count, seed) == scalar_sample_patterns(stages, count, seed)
+        got = sample_patterns(stages, count, seed)
+        assert got.dtype == bool
+        assert got.shape == (count, 2, stages)
+        for row, want in zip(got, scalar_sample_patterns(stages, count, seed), strict=True):
+            assert np.array_equal(row, want)
 
     def test_exhaustive_enumeration_matches_itertools(self):
-        got = {p.bc_choices for p in exhaustive_patterns(4)}
+        got = {tuple(p[0]) for p in exhaustive_patterns(4)}
         want = set()
         for positions in combinations(range(4), 2):
             want.add(tuple(k in positions for k in range(4)))

@@ -1,6 +1,7 @@
 """Density-engine tests: gates, channels, expectations, negativity, averaging."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from medwit.circuits import (
     SLICE,
     SYMBOLIC_P,
     Circuit,
-    DephasingPattern,
     GateOp,
     build_staged,
     build_symmetric,
@@ -120,7 +120,7 @@ class TestStacks:
         [
             lambda rho: run_network_density(build_staged(2), rho),
             lambda rho: next(run_intensity_grid(build_symmetric(SYMBOLIC_P), rho, [0.1])),
-            lambda rho: temporal_average(2, [DephasingPattern((True, False), (False, True))], rho),
+            lambda rho: temporal_average(2, np.array([[[True, False], [False, True]]]), rho),
             lambda rho: exhaustive_average(2, rho),
         ],
         ids=["run_network_density", "run_intensity_grid", "temporal_average",
@@ -314,10 +314,12 @@ class TestPseudoPure:
 
 
 #: one B-C stage quiet or dephased, the C-D stage quiet in both
-BRANCHES = [
-    DephasingPattern((False, False), (False, False)),
-    DephasingPattern((True, False), (False, False)),
-]
+BRANCHES = np.array([
+    [[False, False], [False, False]],
+    [[True, False], [False, False]],
+])
+#: one pattern that dephases no stage of the 8-stage network
+QUIET_8 = np.zeros((1, 2, 8), dtype=bool)
 
 
 class TestTemporalAverage:
@@ -335,49 +337,54 @@ class TestTemporalAverage:
 
     def test_single_all_quiet_pattern_matches_undephased_run(self):
         initial = basis_density(BasisState.from_string("1100"))
-        quiet = DephasingPattern((False,) * 8, (False,) * 8)
-        averaged = temporal_average(8, [quiet], initial)
+        averaged = temporal_average(8, QUIET_8, initial)
         undephased = run_network_density(build_staged(8), initial)[-1]
         assert np.max(np.abs(averaged.entries - undephased.entries)) < 1e-14
 
     def test_circuit_size_must_match_initial_state(self):
-        quiet = DephasingPattern((False,) * 8, (False,) * 8)
         with pytest.raises(ValueError, match="initial state has n=3, circuit has n=4"):
-            temporal_average(8, [quiet], basis_density(BasisState.from_string("110")))
+            temporal_average(8, QUIET_8, basis_density(BasisState.from_string("110")))
 
-    def test_pattern_stage_count_must_match(self):
-        patterns = [DephasingPattern((False,) * 8, (False,) * 8)] * 3
-        patterns.insert(2, DephasingPattern((True, False) * 2, (False, True) * 2))
-        with pytest.raises(ValueError, match="pattern length 4 does not match stage count 8"):
+    @pytest.mark.parametrize(
+        "patterns, described",
+        [
+            (QUIET_8.astype(int), "int64 of shape (1, 2, 8)"),
+            (np.zeros((3, 2, 4), dtype=bool), "bool of shape (3, 2, 4)"),
+            (np.zeros((3, 16), dtype=bool), "bool of shape (3, 16)"),
+            (np.zeros((0, 2, 8), dtype=bool), "bool of shape (0, 2, 8)"),
+        ],
+        ids=["wrong-dtype", "wrong-stage-count", "flat-rows", "empty"],
+    )
+    def test_patterns_must_be_a_nonempty_bool_array_of_the_stage_count(self, patterns, described):
+        message = f"patterns must be a nonempty (k, 2, 8) bool array, got {described}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             temporal_average(8, patterns, basis_density(BasisState.from_string("1100")))
 
 
-def _unbalanced_patterns(rng: np.random.Generator, stages: int, count: int):
-    return [
-        DephasingPattern(tuple(rng.integers(2, size=stages)), tuple(rng.integers(2, size=stages)))
-        for _ in range(count)
-    ]
+def _unbalanced_patterns(rng: np.random.Generator, stages: int, count: int) -> np.ndarray:
+    return np.array(
+        [[rng.integers(2, size=stages), rng.integers(2, size=stages)] for _ in range(count)]
+    ).astype(bool)
 
 
 class TestBatchedAverage:
     """The stacked walk of ``temporal_average`` is bit-identical to one circuit at a time."""
 
     @pytest.mark.parametrize(
-        "stages, patterns, options",
+        "stages, patterns",
         [
-            (8, sample_patterns(8, 16, seed=0), {}),
+            (8, sample_patterns(8, 16, seed=0)),
             # two full batches and a partial third
-            (24, sample_patterns(24, 2 * _BATCH + 5, seed=1), {}),
-            (4, exhaustive_patterns(4), {"interleaved": True, "z_first": True}),
-            # per-link dephased counts other than stages/2, links interleaved
-            (6, _unbalanced_patterns(np.random.default_rng(5), 6, 40), {"interleaved": True}),
+            (24, sample_patterns(24, 2 * _BATCH + 5, seed=1)),
+            # per-link dephased counts other than stages/2
+            (6, _unbalanced_patterns(np.random.default_rng(5), 6, 40)),
         ],
-        ids=["sampled-16", "batch-boundaries", "interleaved-z-first", "unbalanced"],
+        ids=["sampled-16", "batch-boundaries", "unbalanced"],
     )
-    def test_equals_per_circuit_reference(self, stages, patterns, options):
+    def test_equals_per_circuit_reference(self, stages, patterns):
         initial = pseudo_pure(0.7, BasisState.from_string("1100"))
-        batched = temporal_average(stages, patterns, initial, **options)
-        reference = per_circuit_average(stages, patterns, initial, **options)
+        batched = temporal_average(stages, patterns, initial)
+        reference = per_circuit_average(stages, patterns, initial)
         # tobytes, not array_equal, which would pass -0.0 for 0.0
         assert batched.entries.tobytes() == reference.entries.tobytes()
 
@@ -385,16 +392,13 @@ class TestBatchedAverage:
     @given(
         stages=st.sampled_from([2, 4, 6]),
         ranks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=_BATCH + 8),
-        interleaved=st.booleans(),
-        z_first=st.booleans(),
     )
-    def test_random_balanced_pattern_lists(self, stages, ranks, interleaved, z_first):
+    def test_random_balanced_pattern_lists(self, stages, ranks):
         population = exhaustive_patterns(stages)
-        patterns = [population[rank % len(population)] for rank in ranks]
-        options = {"interleaved": interleaved, "z_first": z_first}
+        patterns = population[np.array(ranks) % len(population)]
         initial = basis_density(BasisState.from_string("1100"))
-        batched = temporal_average(stages, patterns, initial, **options)
-        reference = per_circuit_average(stages, patterns, initial, **options)
+        batched = temporal_average(stages, patterns, initial)
+        reference = per_circuit_average(stages, patterns, initial)
         # tobytes, not array_equal, which would pass -0.0 for 0.0
         assert batched.entries.tobytes() == reference.entries.tobytes()
 

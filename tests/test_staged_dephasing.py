@@ -124,12 +124,6 @@ class TestExhaustiveAverage:
         again = exhaustive_average(8, basis_density(INITIAL))
         assert np.array_equal(again.entries, first.entries)
 
-    def test_z_order_variants_agree_on_the_exhaustive_average(self, exhaustive_average_1100):
-        # individual pattern circuits differ between the two orderings, but
-        # the balanced-exhaustive ensemble average does not
-        flipped = exhaustive_average(8, basis_density(INITIAL), z_first=True)
-        assert np.max(np.abs(flipped.entries - exhaustive_average_1100.entries)) < 1e-12
-
 
 class TestDynamicProgrammingAverage:
     def test_matches_the_oracle_and_every_pin(self, exhaustive_average_1100):
@@ -158,27 +152,25 @@ class TestDynamicProgrammingAverage:
     @settings(max_examples=10, deadline=None)
     @given(
         stages=st.sampled_from([2, 4, 6]),
-        interleaved=st.booleans(),
-        z_first=st.booleans(),
         bits=st.text(alphabet="01", min_size=4, max_size=4),
         epsilon=st.floats(0.0, 1.0),
     )
-    def test_equals_brute_force(self, stages, interleaved, z_first, bits, epsilon):
+    def test_equals_brute_force(self, stages, bits, epsilon):
         initial = pseudo_pure(epsilon, BasisState.from_string(bits))
-        dp = exhaustive_average(stages, initial, interleaved=interleaved, z_first=z_first)
-        oracle = brute_force_average(stages, initial, interleaved=interleaved, z_first=z_first)
+        dp = exhaustive_average(stages, initial)
+        oracle = brute_force_average(stages, initial)
         assert np.max(np.abs(dp.entries - oracle.entries)) < 1e-12
 
-    @pytest.mark.parametrize("z_first", [False, True], ids=["z-after", "z-first"])
-    @pytest.mark.parametrize("interleaved", [False, True], ids=["sequential", "interleaved"])
-    @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10, 12])
-    def test_bytes_equal_dense_branch_reference(self, stages, interleaved, z_first):
-        """The sign-flip branches give the bytes of dense Z-on-C branch unitaries."""
-        options = {"interleaved": interleaved, "z_first": z_first}
+    # 16 and 34 stages grow each link's count stack to 9 and 18 rows, and
+    # drop rows from both of its ends over many partial swaps
+    @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10, 12, 16, 34])
+    def test_bytes_equal_dense_branch_reference(self, stages):
+        """The per-link count stacks and their sign-flip branches give the
+        bytes of the count-keyed table with dense Z-on-C branch unitaries."""
         for initial in (basis_density(INITIAL), pseudo_pure(0.7, BasisState.from_string("0110")),
                         pseudo_pure(0.3, BasisState.from_string("1011"))):
-            dp = exhaustive_average(stages, initial, **options)
-            reference = dense_branch_average(stages, initial, **options)
+            dp = exhaustive_average(stages, initial)
+            reference = dense_branch_average(stages, initial)
             # tobytes, not array_equal, which would pass -0.0 for 0.0
             assert dp.entries.tobytes() == reference.entries.tobytes()
 

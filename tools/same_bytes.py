@@ -98,9 +98,16 @@ EVERY_KEY = [
     ["run", "--network", "staged", "--stages", "5", "--epsilon", "0.9", "--initial-bits",
      "1001", "--axes", "xz-zx", "--format", "text", "--seed", "9"],
 ]
+#: the exhaustive average's per-link count stacks off their defaults: deeper
+#: stacks from other initial states, epsilon and axes
+COUNT_STACKS = [
+    ["staged", "--stages", "16", "--patterns", "exhaustive", "--initial-bits", "0111",
+     "--epsilon", "0.5", "--axes", "xz-zx"],
+    ["staged", "--stages", "32", "--patterns", "exhaustive", "--initial-bits", "0011"],
+]
 ARGVS = (
     [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING + FRAMES + EVERY_KEY
+    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS
 )
 
 
