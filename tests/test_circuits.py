@@ -89,6 +89,14 @@ class TestBuildStaged:
         )
         assert diff < 1e-10
 
+    def test_sequential_ordering(self):
+        # every B-C stage precedes every C-D stage, the order in which
+        # temporal_average reads a pattern's flattened rows
+        circuit = build_staged(2)
+        links = [g.qubits for g in circuit.gates if g.kind == "PARTIAL_SWAP"]
+        assert links == [(1, 2), (1, 2), (2, 3), (2, 3)]
+        assert slice_count(circuit) == 4
+
 
 class TestPatterns:
     def test_population_counts(self):

@@ -376,10 +376,11 @@ class TestBatchedAverage:
             (8, sample_patterns(8, 16, seed=0)),
             # two full batches and a partial third
             (24, sample_patterns(24, 2 * _BATCH + 5, seed=1)),
+            (4, exhaustive_patterns(4)),
             # per-link dephased counts other than stages/2
             (6, _unbalanced_patterns(np.random.default_rng(5), 6, 40)),
         ],
-        ids=["sampled-16", "batch-boundaries", "unbalanced"],
+        ids=["sampled-16", "batch-boundaries", "exhaustive-4", "unbalanced"],
     )
     def test_equals_per_circuit_reference(self, stages, patterns):
         initial = pseudo_pure(0.7, BasisState.from_string("1100"))

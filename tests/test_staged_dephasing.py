@@ -161,18 +161,22 @@ class TestDynamicProgrammingAverage:
         oracle = brute_force_average(stages, initial)
         assert np.max(np.abs(dp.entries - oracle.entries)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "initial",
+        [basis_density(INITIAL), pseudo_pure(0.7, BasisState.from_string("0110")),
+         pseudo_pure(0.3, BasisState.from_string("1011"))],
+        ids=["1100", "0110-pp0.7", "1011-pp0.3"],
+    )
     # 16 and 34 stages grow each link's count stack to 9 and 18 rows, and
     # drop rows from both of its ends over many partial swaps
     @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10, 12, 16, 34])
-    def test_bytes_equal_dense_branch_reference(self, stages):
+    def test_bytes_equal_dense_branch_reference(self, stages, initial):
         """The per-link count stacks and their sign-flip branches give the
         bytes of the count-keyed table with dense Z-on-C branch unitaries."""
-        for initial in (basis_density(INITIAL), pseudo_pure(0.7, BasisState.from_string("0110")),
-                        pseudo_pure(0.3, BasisState.from_string("1011"))):
-            dp = exhaustive_average(stages, initial)
-            reference = dense_branch_average(stages, initial)
-            # tobytes, not array_equal, which would pass -0.0 for 0.0
-            assert dp.entries.tobytes() == reference.entries.tobytes()
+        dp = exhaustive_average(stages, initial)
+        reference = dense_branch_average(stages, initial)
+        # tobytes, not array_equal, which would pass -0.0 for 0.0
+        assert dp.entries.tobytes() == reference.entries.tobytes()
 
     @pytest.mark.parametrize("stages", [0, 3])
     def test_stage_count_must_be_even_and_positive(self, stages):
