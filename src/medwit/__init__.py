@@ -7,6 +7,14 @@ physical channels, fractional swaps, temporal averaging).  Everything the
 descriptor engine claims can be cross-checked against the dense oracle.
 """
 
+import os
+
 __version__ = "0.1.0"
 
-from . import circuits, density, detect, heisenberg, pauli  # noqa: F401
+# The largest product medwit hands BLAS is 16x16.  Without this pin OpenBLAS
+# starts a worker thread when numpy loads, and the idle worker costs CPU in
+# every process.  It must precede the first import of numpy; a value the
+# user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import circuits, density, detect, heisenberg, pauli  # noqa: E402, F401

@@ -10,11 +10,12 @@ of spins outside the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import hypot
 
 from .circuits import h
 from .density import DensityMatrix, apply_gate, expectation
-from .pauli import qubit_label, single
+from .pauli import PauliSum, qubit_label, single
 
 __all__ = ["MultipletLine", "MultipletReport", "antiphase_amplitudes"]
 
@@ -49,6 +50,22 @@ class MultipletReport:
         return out
 
 
+@lru_cache(maxsize=None)
+def _readout_observables(n: int) -> tuple[tuple[PauliSum, PauliSum, tuple], ...]:
+    """Per spin r: X_r, Y_r and, for every other spin s, (s, X_r Z_s, Y_r Z_s)."""
+    return tuple(
+        (
+            single(n, r, "x"),
+            single(n, r, "y"),
+            tuple(
+                (s, single(n, r, "x") * single(n, s, "z"), single(n, r, "y") * single(n, s, "z"))
+                for s in range(n) if s != r
+            ),
+        )
+        for r in range(n)
+    )
+
+
 def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
     """Apply a Hadamard readout to one state and report every spin's multiplet amplitudes.
 
@@ -69,17 +86,15 @@ def antiphase_amplitudes(rho: DensityMatrix, readout: int) -> MultipletReport:
 
     lines: dict[str, dict[str, MultipletLine]] = {}
     classification: dict[str, str] = {}
-    for r in range(n):
-        x_r, = expectation(pulsed, single(n, r, "x"))
-        y_r, = expectation(pulsed, single(n, r, "y"))
+    for r, (x_obs, y_obs, pairs) in enumerate(_readout_observables(n)):
+        x_r, = expectation(pulsed, x_obs)
+        y_r, = expectation(pulsed, y_obs)
         inphase = hypot(x_r, y_r)
         partners: dict[str, MultipletLine] = {}
         best_partner, best_amp = None, 0.0
-        for s in range(n):
-            if s == r:
-                continue
-            xz, = expectation(pulsed, single(n, r, "x") * single(n, s, "z"))
-            yz, = expectation(pulsed, single(n, r, "y") * single(n, s, "z"))
+        for s, xz_obs, yz_obs in pairs:
+            xz, = expectation(pulsed, xz_obs)
+            yz, = expectation(pulsed, yz_obs)
             amp = hypot(2.0 * xz, 2.0 * yz)
             partners[qubit_label(s)] = MultipletLine(inphase, amp)
             if amp > best_amp:

@@ -24,7 +24,7 @@ value at any p by ``substitute``, as if the frame had been evolved at that p.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -253,16 +253,19 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
     G takes ``observable_image`` of G^dagger X_q G and of G^dagger Z_q G
     (``gate_images``) under the frame before the gate; the descriptors of
     every other qubit are unchanged.  A phase flip is a channel, not a gate.
+    The images of a two-qubit gate share their words, so each descriptor
+    product is taken once per gate.
     """
     if gate.kind == "PHASE_FLIP":
         raise ValueError("phase flip is a channel, not a unitary; use apply_dephasing_frame")
     if any(q >= frame.n for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for n={frame.n}")
+    product_of = cache(partial(frame_observable, frame))
     x = list(frame.x)
     z = list(frame.z)
     for q, (x_image, z_image) in zip(gate.qubits, gate_images(gate.kind, gate.alpha)):
-        x[q] = observable_image(frame, _on_register(x_image, gate.qubits, frame.n))
-        z[q] = observable_image(frame, _on_register(z_image, gate.qubits, frame.n))
+        x[q] = _image(_on_register(x_image, gate.qubits, frame.n), product_of)
+        z[q] = _image(_on_register(z_image, gate.qubits, frame.n), product_of)
     return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
 
 
@@ -333,10 +336,16 @@ def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]])
 def observable_image(frame: DescriptorFrame, obs: PauliSum) -> PauliSum:
     """Heisenberg-picture image O_H of ``obs`` at the frame's time: each Pauli
     word of ``obs`` maps to the product of its letters' descriptors."""
-    image = PauliSum.zero(frame.n)
+    return _image(obs, partial(frame_observable, frame))
+
+
+def _image(obs: PauliSum, product_of) -> PauliSum:
+    """Sum over the words of ``obs`` of coefficient times ``product_of`` the
+    word's (qubit, axis) factors, in word order."""
+    image = PauliSum.zero(obs.n)
     for word, coeff in obs.items():
-        factors = [(q, letter.lower()) for q, letter in enumerate(word) if letter != "I"]
-        image = image + coeff * frame_observable(frame, factors)
+        factors = tuple((q, letter.lower()) for q, letter in enumerate(word) if letter != "I")
+        image = image + coeff * product_of(factors)
     return image
 
 

@@ -142,7 +142,7 @@ class PauliSum:
     (used for symbolically attenuated descriptors).
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_dense")
 
     def __init__(self, n: int, terms: Mapping[str, complex] | None = None):
         if n < 1:
@@ -157,6 +157,7 @@ class PauliSum:
         object.__setattr__(
             self, "_terms", {w: c for w, c in merged.items() if abs(c) > PRUNE_TOL}
         )
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -224,14 +225,18 @@ class PauliSum:
         """Dense matrix realization; requires numeric coefficients.
 
         Each term is scattered from its word's index-flip action into a zero
-        matrix, one entry per column, accumulating in insertion order."""
-        dim = 2 ** self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for word, coeff in self._terms.items():
-            rows, phases = _word_action(word)
-            out[rows, cols] += complex(coeff) * phases
-        return out
+        matrix, one entry per column, accumulating in insertion order.  The
+        matrix is built once per sum and shared, so it is read-only."""
+        if self._dense is None:
+            dim = 2 ** self.n
+            out = np.zeros((dim, dim), dtype=complex)
+            cols = np.arange(dim)
+            for word, coeff in self._terms.items():
+                rows, phases = _word_action(word)
+                out[rows, cols] += complex(coeff) * phases
+            out.setflags(write=False)
+            object.__setattr__(self, "_dense", out)
+        return self._dense
 
     def __repr__(self) -> str:
         if not self._terms:

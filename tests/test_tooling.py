@@ -1,6 +1,7 @@
 """The benchmark tracer's targets and every module's public names exist in
 medwit, no module of the package or the tests imports a name it never reads,
-and ``tools/same_bytes.py`` reports a failing command.
+``tools/same_bytes.py`` reports a failing command, and importing medwit pins
+OpenBLAS to one thread unless the environment already sets a count.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -9,6 +10,9 @@ deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +89,33 @@ def test_same_bytes_reports_a_failing_command(tmp_path):
     reports its exit code and no state instead of raising."""
     code, stdout, state = same_bytes.run(ROOT / "src", ["run", "--p", "2"], tmp_path)
     assert (code, stdout, state) == (2, b"", None)
+
+
+def _after_import(preset: str | None) -> tuple[str | None, int | None]:
+    """OPENBLAS_NUM_THREADS and, on Linux, the thread count of a fresh
+    interpreter after ``import medwit``, started with the variable set to
+    ``preset`` or, for None, removed from its environment."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import json, os, sys, medwit\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return tuple(json.loads(done.stdout))
+
+
+def test_import_pins_blas_to_one_thread():
+    value, tasks = _after_import(None)
+    assert value == "1"
+    if tasks is not None:
+        assert tasks == 1
+
+
+def test_import_keeps_a_blas_thread_count_the_user_set():
+    value, _ = _after_import("2")
+    assert value == "2"

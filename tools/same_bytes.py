@@ -7,6 +7,11 @@ Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
 ``PYTHONPATH`` set to that tree; ``staged`` and ``run`` argvs also write
 ``--dump-state``.  The script prints one line per argv and exits 1 if any
 stdout, exit code or dumped state differs between the trees, else 0.
+
+The children run with ``OPENBLAS_NUM_THREADS`` removed from their
+environment, whatever this script's own environment holds, so both trees
+are compared as a user runs them by default: a tree that sets its own BLAS
+thread count is compared at that count.
 """
 
 from __future__ import annotations
@@ -119,6 +124,7 @@ def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | 
         dump.unlink()
     extra = ["--dump-state", str(dump)] if argv[0] in ("staged", "run") else []
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("OPENBLAS_NUM_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-m", "medwit", *argv, *extra],
         capture_output=True, env=env, cwd=workdir, check=False,
