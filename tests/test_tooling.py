@@ -1,7 +1,9 @@
 """The benchmark tracer's targets and every module's public names exist in
 medwit, no module of the package or the tests imports a name it never reads,
-``tools/same_bytes.py`` reports a failing command, and importing medwit pins
-OpenBLAS to one thread unless the environment already sets a count.
+``tools/same_bytes.py`` reports a failing command, every one of its argvs
+gives the output digests committed in ``tests/output_digests.json``, and
+importing medwit pins OpenBLAS to one thread unless the environment already
+sets a count.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -89,6 +91,31 @@ def test_same_bytes_reports_a_failing_command(tmp_path):
     reports its exit code and no state instead of raising."""
     code, stdout, state = same_bytes.run(ROOT / "src", ["run", "--p", "2"], tmp_path)
     assert (code, stdout, state) == (2, b"", None)
+
+
+def _committed_digests() -> dict:
+    return json.loads(same_bytes.DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_digest_file_lists_every_argv():
+    """Rewrite the file with ``python tools/same_bytes.py --write`` after
+    changing ``ARGVS``."""
+    assert [entry["argv"] for entry in _committed_digests()["argvs"]] == same_bytes.ARGVS
+
+
+def test_every_argv_gives_its_committed_digests():
+    """Exit code, stdout and --dump-state bytes of every argv, run in process,
+    against the committed digests.  An intended output change rewrites the
+    file with ``python tools/same_bytes.py --write``; the digests belong to
+    the Python, NumPy and BLAS build the file records."""
+    committed, taken = _committed_digests(), same_bytes.digests()
+    by_argv = {tuple(entry["argv"]): entry for entry in committed["argvs"]}
+    differ = [" ".join(entry["argv"]) for entry in taken["argvs"]
+              if by_argv.get(tuple(entry["argv"])) != entry]
+    assert differ == [], (
+        f"{len(differ)} argvs differ from {same_bytes.DIGESTS.name}, which was written with "
+        f"{committed['environment']}; this run has {taken['environment']}"
+    )
 
 
 def _after_import(preset: str | None) -> tuple[str | None, int | None]:

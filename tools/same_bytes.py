@@ -1,6 +1,8 @@
-"""Compare medwit's output between two source trees, byte for byte.
+"""Compare medwit's output between two source trees, byte for byte, or
+write the digests of this checkout's output.
 
 Usage: python tools/same_bytes.py PARENT_SRC CHANGE_SRC
+       python tools/same_bytes.py --write
 
 Each SRC is a directory holding the ``medwit`` package (a checkout's ``src``).
 Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
@@ -12,15 +14,30 @@ The children run with ``OPENBLAS_NUM_THREADS`` removed from their
 environment, whatever this script's own environment holds, so both trees
 are compared as a user runs them by default: a tree that sets its own BLAS
 thread count is compared at that count.
+
+``--write`` runs every argv in process on the ``src`` of the checkout that
+holds this script and writes ``DIGESTS``: per argv its exit code and the
+sha256 of its stdout and of its dumped state, with the Python, NumPy and
+BLAS build they were taken with.  A tier-1 test compares the same digests
+with that file, so an intended output change shows as its diff, argv by argv.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+#: the committed output digests of every argv
+DIGESTS = ROOT / "tests" / "output_digests.json"
 
 #: the eleven perfbench cli-mix commands, at seed 1
 CLI_MIX = [
@@ -116,13 +133,19 @@ ARGVS = (
 )
 
 
-def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
-    """Exit code, stdout and dumped state bytes (None without --dump-state,
-    or when the command wrote no state, as a failing one does not)."""
+def _dump_flag(argv: list[str], workdir: Path) -> tuple[Path, list[str]]:
+    """The state file of one run, removed if a run left it, and the flag
+    that writes it (none for a command without --dump-state)."""
     dump = workdir / "state.bin"
     if dump.exists():
         dump.unlink()
-    extra = ["--dump-state", str(dump)] if argv[0] in ("staged", "run") else []
+    return dump, ["--dump-state", str(dump)] if argv[0] in ("staged", "run") else []
+
+
+def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
+    """Exit code, stdout and dumped state bytes (None without --dump-state,
+    or when the command wrote no state, as a failing one does not)."""
+    dump, extra = _dump_flag(argv, workdir)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("OPENBLAS_NUM_THREADS", None)
     done = subprocess.run(
@@ -132,9 +155,54 @@ def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | 
     return done.returncode, done.stdout, dump.read_bytes() if dump.exists() else None
 
 
+def run_in_process(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
+    """``run`` through the ``medwit.cli.main`` this interpreter imports."""
+    from medwit.cli import main
+
+    dump, extra = _dump_flag(argv, workdir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, *extra])
+    return code, out.getvalue().encode(), dump.read_bytes() if dump.exists() else None
+
+
+def environment() -> dict[str, str]:
+    """The Python, NumPy and BLAS build that output digests belong to."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": " ".join(str(blas.get(key, "?")) for key in ("name", "version",
+                                                               "openblas configuration")),
+    }
+
+
+def digests() -> dict:
+    """Every ``ARGVS`` entry run in process: its exit code and the sha256 of
+    its stdout and of its dumped state (None where it wrote none), with the
+    ``environment`` they were taken in."""
+    def sha256(data: bytes | None) -> str | None:
+        return None if data is None else hashlib.sha256(data).hexdigest()
+
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in ARGVS:
+            code, stdout, state = run_in_process(argv, Path(tmp))
+            entries.append({"argv": argv, "exit": code, "stdout": sha256(stdout),
+                            "state": sha256(state)})
+    return {"environment": environment(), "argvs": entries}
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote the digests of {len(ARGVS)} argvs to {DIGESTS}")
+        return 0
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[3:5]), file=sys.stderr)
         return 2
     trees = [Path(arg).resolve() for arg in argv]
     for tree in trees:
