@@ -10,18 +10,19 @@ steps every gate of every built-in network, partial swaps included;
 ``staged`` the density engine alone, as its pattern averages have no
 descriptor counterpart; ``table`` the descriptor engine alone.  One
 observation layer serves every command, both engines evaluating the one
-witness ``pauli.witness_observable``:
-``_density_values`` reads the witnesses and negativity_AD off a
-``DensityMatrix``, one stack of states, and ``_descriptor_values`` the
-witnesses and the mediators' nonclassicality off a frame, at each dephasing
-intensity.  ``run`` reads its stack of slices, ``staged`` its variants' final
-states in one stack, and ``sweep`` each stack of grid points: its network
-depends on p only through two phase flips, so it is built once with a
-symbolic intensity, evolved a stack of points at a time
-(``density.run_intensity_grid``) and read off one symbolic final frame, with
-CSV byte-identical to one circuit per point.  A ``cmd_*`` only picks what to
-observe and formats it, and ``_execute`` handles --timing, --dump-state and
-the output for all of them.
+witness ``pauli.witness_observable``: ``_density_values`` reads the
+witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
+``detect.antiphase_amplitudes`` the multiplet off such a stack, and
+``_descriptor_values`` the witnesses and the mediators' nonclassicality off
+a frame, at each dephasing intensity.  ``run`` reads its stack of slices
+(the multiplet off the final slice, a stack of one), ``staged`` its
+variants' final states in one stack for both reads, and ``sweep`` each
+stack of grid points: its network depends on p only through two phase
+flips, so it is built once with a symbolic intensity, evolved a stack of
+points at a time (``density.run_intensity_grid``) and read off one symbolic
+final frame, with CSV byte-identical to one circuit per point.  A ``cmd_*``
+only picks what to observe and formats it, and ``_execute`` handles
+--timing, --dump-state and the output for all of them.
 
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
@@ -156,17 +157,17 @@ KEY_FLAGS = {
 @dataclass
 class ExperimentConfig:
     """Flat description of one experiment run.  Its fields are the config
-    keys; each command reads a subset of them (``COMMAND_KEYS``), and the
-    rest keep the command's defaults."""
+    keys; each command reads a subset of them (``COMMAND_KEYS``), and
+    ``_effective_config`` resolves the rest to the command's defaults."""
 
-    network: str = "symmetric"
-    p: float | str | None = None
-    epsilon: float = 1.0
-    initial_bits: str = "0000"
-    stages: int = 8
-    patterns: str = "none"  # none | sampled:N | exhaustive
-    seed: int = 0
-    axes: str | None = None  # xz-zx | xx-zz; default chosen per network
+    network: str
+    p: float | str | None
+    epsilon: float
+    initial_bits: str
+    stages: int
+    patterns: str  # none | sampled:N | exhaustive
+    seed: int
+    axes: str  # xz-zx | xx-zz
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,7 +210,7 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
                                       f"first on line {first_line[key]}")
                 first_line[key] = lineno
                 values[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -436,10 +437,6 @@ def _descriptor_values(
         yield witness, {"B": operator_norm(c_b), "C": operator_norm(c_c)}
 
 
-def _multiplet(rho: DensityMatrix) -> dict:
-    return {"engine": "density", **antiphase_amplitudes(rho, PROBE_1).to_dict()}
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -521,14 +518,15 @@ def cmd_staged(setup: Setup, args):
                        {"pattern_count": pattern_population(cfg.stages)}))
     stack = DensityMatrix(np.concatenate([rho.entries for _, rho, _ in finals]))
     density = _density_values(stack, [cfg.axes])
+    multiplets = antiphase_amplitudes(stack, PROBE_1)
     variants = {
         name: {
             "witness": {"axes": cfg.axes, "engine": "density", "value": witness[cfg.axes]},
             "negativity_AD": {"engine": "density", "value": neg},
-            "multiplet": _multiplet(rho),
+            "multiplet": {"engine": "density", **multiplet},
             **extra,
         }
-        for (name, rho, extra), (witness, neg) in zip(finals, density)
+        for (name, _, extra), (witness, neg), multiplet in zip(finals, density, multiplets)
     }
     report = {"version": __version__, "command": "staged", "config": cfg.to_dict()}
     return {**report, "variants": variants}, finals[-1][1]
@@ -559,7 +557,7 @@ def cmd_run(setup: Setup, args):
         # both engines run on every network; the constant keeps the report's layout
         "engines": {"heisenberg": True, "density": True},
         "slices": slices,
-        "multiplet": _multiplet(states[-1]),
+        "multiplet": {"engine": "density", **antiphase_amplitudes(states[-1], PROBE_1)[0]},
         "notes": _final_slice_notes(slices[-1]),
     }
     if args.format == "json":

@@ -110,15 +110,6 @@ class AttenuationPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return (-1) * self + other
-
-    def __neg__(self):
-        return self._wrap({k: -v for k, v in self._coeffs.items()})
-
     def __mul__(self, other):
         try:
             lifted = self._lift(other)
@@ -147,9 +138,6 @@ class AttenuationPoly:
             return self._coeffs == self._lift(other)
         except TypeError:
             return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._coeffs.items())))
 
     def powers(self) -> list[tuple[int, complex]]:
         return sorted(self._coeffs.items())

@@ -7,7 +7,11 @@ import pytest
 
 import table_data
 from medwit import cli
+from medwit.circuits import build_staged, sample_patterns
 from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
+from medwit.density import exhaustive_average, pseudo_pure, run_network_density, temporal_average
+from medwit.detect import antiphase_amplitudes
+from medwit.pauli import BasisState
 from test_tables import split_cells
 from test_tooling import ROOT, _load
 
@@ -235,6 +239,26 @@ class TestStagedCommand:
         report = json.loads(out)
         assert set(report["variants"]) == {"undephased", "sampled", "exhaustive"}
         assert report["variants"]["exhaustive"]["pattern_count"] == 4
+
+    def test_every_variant_multiplet_reads_its_final_state(self, capsys):
+        """The one multiplet read of the variants' stack gives each variant
+        the report of its final state read alone."""
+        code, out, _ = run_cli(capsys, "staged", "--stages", "4", "--patterns", "exhaustive",
+                               "--epsilon", "0.7", "--initial-bits", "0110")
+        assert code == EXIT_OK
+        variants = json.loads(out)["variants"]
+        initial = pseudo_pure(0.7, BasisState.from_string("0110"))
+        finals = {
+            "undephased": run_network_density(build_staged(4), initial)[-1],
+            "sampled": temporal_average(
+                4, sample_patterns(4, cli.PREVIEW_PATTERNS, seed=0), initial
+            ),
+            "exhaustive": exhaustive_average(4, initial),
+        }
+        assert set(variants) == set(finals)
+        for name, rho in finals.items():
+            report, = antiphase_amplitudes(rho, readout=cli.PROBE_1)
+            assert variants[name]["multiplet"] == {"engine": "density", **report}
 
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -568,6 +592,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.cfg"))
         assert code == EXIT_CONFIG
+
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"epsilon = 0.5\xff\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert f"config error: cannot read config file {config}: 'utf-8' codec" in err
 
 
 class TestArgparseBehaviour:

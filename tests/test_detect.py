@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import basis_density
-from medwit.circuits import SLICE, Circuit, build_asymmetric, cnot, h
-from medwit.density import DensityMatrix, run_network_density
+from medwit.circuits import SLICE, Circuit, build_asymmetric, build_staged, cnot, h
+from medwit.density import DensityMatrix, pseudo_pure, run_network_density
 from medwit.detect import antiphase_amplitudes
 from medwit.pauli import BasisState
 
@@ -16,31 +16,36 @@ def singlet_prep(initial_bits: str = "1100") -> DensityMatrix:
 
 
 class TestSingletDetection:
-    def test_reads_one_state(self):
-        rho = singlet_prep()
-        antiphase_amplitudes(rho, readout=0)
-        two = DensityMatrix(np.concatenate([rho.entries, rho.entries]))
-        with pytest.raises(ValueError, match="reads one state, got a stack of 2"):
-            antiphase_amplitudes(two, readout=0)
+    def test_reads_a_stack_as_its_states_one_by_one(self):
+        """A stack of three mixed states, A paired with B, C and D in turn
+        (the slices of a one-stage staged run), reads exactly as each state
+        does alone."""
+        initial = pseudo_pure(0.3, BasisState.from_string("0110"))
+        stack = run_network_density(build_staged(1), initial)[1:]
+        reports = antiphase_amplitudes(stack, readout=0)
+        assert reports == [antiphase_amplitudes(stack[k], readout=0)[0] for k in range(3)]
+        assert [report["classification"]["A"] for report in reports] == [
+            "antiphase(B)", "antiphase(C)", "antiphase(D)"
+        ]
 
     def test_pair_members_show_antiphase_others_silent(self):
-        report = antiphase_amplitudes(singlet_prep(), readout=0)
-        assert report.classification == {
+        report, = antiphase_amplitudes(singlet_prep(), readout=0)
+        assert report["classification"] == {
             "A": "antiphase(B)",
             "B": "antiphase(A)",
             "C": "silent",
             "D": "silent",
         }
-        assert report.lines["A"]["B"].antiphase == pytest.approx(2.0, abs=1e-10)
-        assert report.lines["B"]["A"].antiphase == pytest.approx(2.0, abs=1e-10)
-        assert report.lines["A"]["B"].inphase < 1e-10
+        assert report["A"]["B"]["antiphase"] == pytest.approx(2.0, abs=1e-10)
+        assert report["B"]["A"]["antiphase"] == pytest.approx(2.0, abs=1e-10)
+        assert report["A"]["B"]["inphase"] < 1e-10
 
     def test_after_entanglement_transfer(self):
         final = run_network_density(
             build_asymmetric(), basis_density(BasisState.from_string("1100"))
         )[-1]
-        report = antiphase_amplitudes(final, readout=0)
-        assert report.classification == {
+        report, = antiphase_amplitudes(final, readout=0)
+        assert report["classification"] == {
             "A": "antiphase(D)",
             "B": "silent",
             "C": "silent",
@@ -59,21 +64,21 @@ class TestEmbeddedBellPairs:
         rho = run_network_density(circuit, basis_density(BasisState.from_string("".join(bits))))[
             -1
         ]
-        report = antiphase_amplitudes(rho, readout=a)
+        report, = antiphase_amplitudes(rho, readout=a)
         labels = "ABCD"
         for q in range(4):
             if q == a:
-                assert report.classification[labels[q]] == f"antiphase({labels[b]})"
+                assert report["classification"][labels[q]] == f"antiphase({labels[b]})"
             elif q == b:
-                assert report.classification[labels[q]] == f"antiphase({labels[a]})"
+                assert report["classification"][labels[q]] == f"antiphase({labels[a]})"
             else:
-                assert report.classification[labels[q]] == "silent"
+                assert report["classification"][labels[q]] == "silent"
 
 
 class TestInvariances:
     def test_z_rotations_outside_the_pair_leave_amplitudes_unchanged(self):
         rho = singlet_prep()
-        report = antiphase_amplitudes(rho, readout=0)
+        report, = antiphase_amplitudes(rho, readout=0)
         rng = np.random.default_rng(17)
         for _ in range(5):
             rotated = rho.entries
@@ -85,16 +90,16 @@ class TestInvariances:
                     np.eye(2 ** (3 - q), dtype=complex),
                 )
                 rotated = full @ rotated @ full.conj().T
-            other = antiphase_amplitudes(DensityMatrix(rotated), readout=0)
+            other, = antiphase_amplitudes(DensityMatrix(rotated), readout=0)
             for spin in "ABCD":
                 for partner in "ABCD":
                     if spin == partner:
                         continue
-                    assert other.lines[spin][partner].antiphase == pytest.approx(
-                        report.lines[spin][partner].antiphase, abs=1e-10
+                    assert other[spin][partner]["antiphase"] == pytest.approx(
+                        report[spin][partner]["antiphase"], abs=1e-10
                     )
-                    assert other.lines[spin][partner].inphase == pytest.approx(
-                        report.lines[spin][partner].inphase, abs=1e-10
+                    assert other[spin][partner]["inphase"] == pytest.approx(
+                        report[spin][partner]["inphase"], abs=1e-10
                     )
 
     def test_readout_validation(self):
@@ -104,8 +109,7 @@ class TestInvariances:
 
 class TestSerialization:
     def test_json_schema(self):
-        report = antiphase_amplitudes(singlet_prep(), readout=0)
-        data = report.to_dict()
+        data, = antiphase_amplitudes(singlet_prep(), readout=0)
         assert set(data) == {"A", "B", "C", "D", "classification"}
         assert set(data["A"]) == {"B", "C", "D"}
         assert set(data["A"]["B"]) == {"inphase", "antiphase"}

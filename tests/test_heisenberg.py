@@ -352,7 +352,6 @@ class TestSymbolicAttenuation:
         two = ATTENUATION + ATTENUATION
         assert two == AttenuationPoly({1: 2.0})
         assert ATTENUATION * ATTENUATION == AttenuationPoly({2: 1.0})
-        assert (ATTENUATION - ATTENUATION) == 0
         assert complex(AttenuationPoly({0: 2.5})) == 2.5
         with pytest.raises(TypeError, match="substitute"):
             complex(ATTENUATION)

@@ -112,12 +112,12 @@ class TestExhaustiveAverage:
                 assert abs(expectation(avg, observable(a_axis, 0, d_axis, 3))) < 0.05
 
     def test_multiplet_report(self, exhaustive_average_1100):
-        report = antiphase_amplitudes(exhaustive_average_1100, readout=0)
-        assert report.classification["D"] == "silent"
-        assert report.classification["B"] == "antiphase(A)"
-        assert report.lines["B"]["A"].antiphase == pytest.approx(EXH_B_ANTIPHASE_A, abs=PIN_TOL)
-        assert report.lines["A"]["B"].antiphase == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
-        assert report.lines["D"]["A"].antiphase == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
+        report, = antiphase_amplitudes(exhaustive_average_1100, readout=0)
+        assert report["classification"]["D"] == "silent"
+        assert report["classification"]["B"] == "antiphase(A)"
+        assert report["B"]["A"]["antiphase"] == pytest.approx(EXH_B_ANTIPHASE_A, abs=PIN_TOL)
+        assert report["A"]["B"]["antiphase"] == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
+        assert report["D"]["A"]["antiphase"] == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
 
     def test_average_is_bit_stable(self):
         first = exhaustive_average(8, basis_density(INITIAL))
@@ -144,10 +144,10 @@ class TestDynamicProgrammingAverage:
         ):
             got = expectation(dp, observable(a_axis, a_qubit, b_axis, b_qubit))
             assert got == pytest.approx(pin, abs=PIN_TOL)
-        lines = antiphase_amplitudes(dp, readout=0).lines
-        assert lines["B"]["A"].antiphase == pytest.approx(EXH_B_ANTIPHASE_A, abs=PIN_TOL)
-        assert lines["A"]["B"].antiphase == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
-        assert lines["D"]["A"].antiphase == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
+        report, = antiphase_amplitudes(dp, readout=0)
+        assert report["B"]["A"]["antiphase"] == pytest.approx(EXH_B_ANTIPHASE_A, abs=PIN_TOL)
+        assert report["A"]["B"]["antiphase"] == pytest.approx(EXH_A_ANTIPHASE_B, abs=PIN_TOL)
+        assert report["D"]["A"]["antiphase"] == pytest.approx(EXH_D_ANTIPHASE_A, abs=PIN_TOL)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -205,26 +205,26 @@ class TestSampledAverage:
 
     def test_transfer_suppressed_in_multiplet(self, sampled_average):
         undephased = run_network_density(build_staged(8), basis_density(INITIAL))[-1]
-        full = antiphase_amplitudes(undephased, readout=0).lines["D"]["A"].antiphase
+        full = antiphase_amplitudes(undephased, readout=0)[0]["D"]["A"]["antiphase"]
         assert full == pytest.approx(2.0, abs=1e-10)
-        report = antiphase_amplitudes(sampled_average, readout=0)
-        got = report.lines["D"]["A"].antiphase
+        report, = antiphase_amplitudes(sampled_average, readout=0)
+        got = report["D"]["A"]["antiphase"]
         assert got == pytest.approx(S16_D_ANTIPHASE_A, abs=PIN_TOL)
         # a 16-sample average suppresses D's signal roughly eightfold but
         # leaves it above the silence threshold; exhaustive averaging (above)
         # silences it completely
         assert got < full / 8
-        assert report.lines["B"]["A"].antiphase == pytest.approx(S16_B_ANTIPHASE_A, abs=PIN_TOL)
+        assert report["B"]["A"]["antiphase"] == pytest.approx(S16_B_ANTIPHASE_A, abs=PIN_TOL)
 
 
 class TestChannelizedLimit:
     def test_full_strength_channels_kill_the_transfer_exactly(self):
         final = run_network_density(staged_with_channels(8), basis_density(INITIAL))[-1]
         assert negativity(partial_trace(final, [0, 3]), [0]) == 0.0
-        report = antiphase_amplitudes(final, readout=0)
-        assert report.classification["D"] == "silent"
-        assert report.classification["C"] == "silent"
-        assert report.classification["B"] == "antiphase(A)"
+        report, = antiphase_amplitudes(final, readout=0)
+        assert report["classification"]["D"] == "silent"
+        assert report["classification"]["C"] == "silent"
+        assert report["classification"]["B"] == "antiphase(A)"
         assert expectation(final, observable("z", 0, "z", 1)) == pytest.approx(
             CHAN_ZA_ZB, abs=PIN_TOL
         )

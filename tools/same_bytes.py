@@ -170,7 +170,10 @@ def environment() -> dict[str, str]:
     """The Python, NumPy and BLAS build that output digests belong to."""
     import numpy as np
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy before 1.26 only prints its build configuration
+        blas = {}
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
