@@ -9,17 +9,21 @@ A gate's full-register unitary is its local 2x2 or 4x4 matrix, read from the
 gate table ``circuits.local_unitary`` that the descriptor engine reads too,
 with each entry copied to its place by basis-index arithmetic, and +0
 everywhere else.
-All operations are pure functions on immutable values; pattern averages reduce
-in the caller-supplied pattern order, so averaged results are bit-stable.
-``temporal_average`` walks the undephased staged circuit once per batch of
-patterns: the gates ahead of the first dephasing choice act on the one initial
-state, which that choice broadcasts to a stack of the batch, bit-identical to
-one circuit per pattern; ``run_intensity_grid`` evolves one circuit at many
-dephasing intensities as a stack too, p broadcast along it.
-Every conjugation by Z, in the phase-flip channel and in both pattern
-averages (Z on C), is an exact sign flip of the entries whose row and column
+All operations are pure functions on immutable values, and every result is
+bit-stable run to run.
+``temporal_average`` walks the undephased staged circuit once on state
+vectors: every pattern's circuit is unitary and fixes I, so the initial
+state's part above its smallest eigenvalue is a few weighted vectors, each
+copied once per pattern into one 2^n x (columns * k) array, and the average is
+one product of that array with its adjoint, which reduces in pattern order
+and differs from evolving one circuit at a time in the last digits.
+``run_intensity_grid`` evolves one circuit at many dephasing intensities as a
+stack, p broadcast along it.
+Every conjugation by Z, in the phase-flip channel and in the exhaustive
+average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
-that +-1 diagonal at no matrix product.
+that +-1 diagonal at no matrix product; on the vectors of ``temporal_average``
+it negates the rows with C's bit set.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -68,12 +72,10 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: patterns per stack of ``temporal_average`` and grid points per stack of
-#: ``run_intensity_grid``.  Best of 7 in-process runs on a shared 2-core host
-#: (peak RSS of the process after them): the 1000-pattern, 24-stage walk takes
-#: 1.07 s at 1, 0.24 s at 32 (36.6 MB), and 0.28 s and 0.30 s at 64 and 128
-#: (37.2 and 38.2 MB); the 1001-point grid takes 0.46 s at 1, 0.087 s at 32
-#: (35.3 MB), and 0.083 s and 0.089 s at 64 and 128 (36.3 and 37.0 MB)
+#: grid points per stack of ``run_intensity_grid``.  Best of 7 in-process
+#: runs on a shared 2-core host (peak RSS of the process after them): the
+#: 1001-point grid takes 0.46 s at 1, 0.087 s at 32 (35.3 MB), and 0.083 s
+#: and 0.089 s at 64 and 128 (36.3 and 37.0 MB)
 _BATCH = 32
 
 _HERM_TOL = 1e-10
@@ -325,36 +327,39 @@ def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) 
     final state of each pattern's circuit: ``build_staged(stages)`` with a Z
     on C after each partial swap the pattern dephases.
 
-    Each batch of ``_BATCH`` patterns walks the undephased circuit once.
-    Every gate ahead of the first dephasing choice acts on the one initial
-    state; that choice broadcasts it to a stack of the batch, and each later
-    gate acts on the whole stack.  Z on C is a sign flip (``_dephase``) of
-    the states of the patterns that dephase that stage.  Each state sees
-    exactly the arithmetic of its own circuit and accumulation follows
-    pattern order, so the result is bit-identical to evolving the circuits
-    one by one, run after run.
+    Every such circuit is unitary, and a unitary fixes I.  So one ``eigh``
+    splits ``initial`` as ``l * I + sum_i w_i |v_i><v_i|``, l its smallest
+    eigenvalue and ``w_i = l_i - l >= 0``, and the average is
+    ``l * I + Psi W Psi^dagger / k``: Psi holds each pattern's evolved copy
+    of every ``v_i`` with ``w_i > 0`` (one for a pseudo-pure state of
+    eps > 0, none for I / 2^n).  The undephased circuit is walked once on
+    all the columns of Psi, each gate one matrix product; Z on C negates the
+    rows with C's bit set, in the columns of the patterns that dephase that
+    stage.  The sum over patterns is the final product, which reduces in
+    pattern order, so the result is bit-stable run to run; it differs from
+    evolving the circuits one by one in the last digits.
     """
     patterns = np.asarray(patterns)
     if patterns.dtype != bool or patterns.shape[1:] != (2, stages) or not len(patterns):
         raise ValueError(f"patterns must be a nonempty (k, 2, {stages}) bool array, "
                          f"got {patterns.dtype} of shape {patterns.shape}")
     circuit = _same_size(build_staged(stages), initial)
-    n = circuit.n
-    mask = _dephase_mask(n, C)
-    weight = 1.0 / len(patterns)
-    accumulated = None
-    for start in range(0, len(patterns), _BATCH):
-        batch = patterns[start:start + _BATCH]
-        # the batch's flips at each partial swap, in circuit order: B-C, then C-D
-        flips = iter(batch.reshape(len(batch), -1).T[:, :, np.newaxis, np.newaxis] & mask)
-        stack = initial.entries
-        for op in circuit.gates:
-            stack = _apply_raw(op, stack, n)
-            if op.kind == "PARTIAL_SWAP":
-                stack = _dephase(stack, next(flips))
-        for final in stack:
-            accumulated = weight * final if accumulated is None else accumulated + weight * final
-    return DensityMatrix(accumulated)
+    n, k = circuit.n, len(patterns)
+    values, vectors = np.linalg.eigh(initial.entries[0])
+    weights = values - values[0]
+    kept = weights > 0
+    # column r * k + j of psi is pattern j's copy of the r-th kept eigenvector
+    psi = np.repeat(vectors[:, kept], k, axis=1)
+    # each partial swap's flips in circuit order, B-C then C-D, tiled over the kept columns
+    flips = iter(np.tile(patterns.reshape(k, -1).T, kept.sum()))
+    for op in circuit.gates:
+        psi = gate_unitary(op, n) @ psi
+        if op.kind == "PARTIAL_SWAP":
+            # the rows with C's bit set, as a view of psi
+            on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), psi.shape[1])[:, 1]
+            np.negative(on_c, out=on_c, where=next(flips))
+    spread = (psi * np.repeat(weights[kept] / k, k)) @ psi.conj().T
+    return DensityMatrix(values[0] * np.eye(2 ** n) + spread)
 
 
 def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:

@@ -14,9 +14,9 @@ byte reference for the per-link count stacks and sign-flip branches of
 draw and unrank patterns one at a time with Python integers
 (``unrank_combination``), the reference for the vectorised unranking of
 ``sample_patterns`` and ``exhaustive_patterns``.  ``per_circuit_average`` is the reference for
-``temporal_average``, which walks one stack of patterns through the staged
-circuit: it builds (``pattern_circuit``) and evolves one concrete circuit per
-pattern, one at a time.  ``per_point_sweep``
+``temporal_average``, which walks state vectors of every pattern through the
+staged circuit at once: it builds (``pattern_circuit``) and evolves one
+concrete circuit per pattern on its density matrix, one at a time.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it builds and evolves one
 circuit per grid point on both engines.  ``random_unitary_circuit`` draws
 circuits of every unitary kind, partial swaps included, for the cross-engine
