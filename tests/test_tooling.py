@@ -1,7 +1,8 @@
 """The benchmark tracer's targets and every module's public names exist in
 medwit, no module of the package or the tests imports a name it never reads,
-``tools/same_bytes.py`` reports a failing command, every one of its argvs
-gives the output digests committed in ``tests/output_digests.json``, and
+``tools/same_bytes.py`` reports a failing command and measures how far two
+outputs differ, every one of its argvs gives the output digests committed
+in ``tests/output_digests.json``, and
 importing medwit pins OpenBLAS to one thread unless the environment already
 sets a count.
 
@@ -18,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,3 +148,21 @@ def test_import_pins_blas_to_one_thread():
 def test_import_keeps_a_blas_thread_count_the_user_set():
     value, _ = _after_import("2")
     assert value == "2"
+
+
+def test_same_bytes_measures_how_far_outputs_differ():
+    """The largest gap over numeric JSON leaves and CSV cells, None where the
+    outputs differ in more than numbers, and the largest complex gap of two
+    dumped states."""
+    report = b'{"a": [1.0, 2.5], "b": {"c": "x", "d": 0.25}}'
+    assert same_bytes.stdout_gap(report, report) == 0.0
+    moved = b'{"a": [1.0, 2.5000000000000004], "b": {"c": "x", "d": 0.2500000000000001}}'
+    assert same_bytes.stdout_gap(report, moved) == 2.5000000000000004 - 2.5
+    assert same_bytes.stdout_gap(report, b'{"a": [1.0, 2.5], "b": {"c": "y", "d": 0.25}}') is None
+    assert same_bytes.stdout_gap(report, b'{"a": [1.0], "b": {"c": "x", "d": 0.25}}') is None
+    assert same_bytes.stdout_gap(b"p,w\n0,0.5\n0.1,0.25\n", b"p,w\n0,0.5\n0.1,0.375\n") == 0.125
+    assert same_bytes.stdout_gap(b"p,w\n0,0.5\n", b"p,v\n0,0.5\n") is None
+    state = np.array([[0.5, 0.25j], [-0.25j, 0.5]], dtype="<c16")
+    shifted = state + np.array([[0, 3e-16 + 4e-16j], [0, 0]])
+    assert same_bytes.state_gap(state.tobytes(), shifted.tobytes()) == pytest.approx(5e-16)
+    assert same_bytes.state_gap(state.tobytes(), state[0].tobytes()) is None

@@ -8,7 +8,11 @@ Each SRC is a directory holding the ``medwit`` package (a checkout's ``src``).
 Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
 ``PYTHONPATH`` set to that tree; ``staged`` and ``run`` argvs also write
 ``--dump-state``.  The script prints one line per argv and exits 1 if any
-stdout, exit code or dumped state differs between the trees, else 0.
+stdout, exit code or dumped state differs between the trees, else 0.  A
+line whose stdout or state differs ends with the largest absolute
+difference: over the numeric leaves of JSON output or the numeric cells of
+other (CSV) output, and over the complex128 entries of the dumped states;
+"not numeric" where the outputs differ in more than numbers.
 
 The children run with ``OPENBLAS_NUM_THREADS`` removed from their
 environment, whatever this script's own environment holds, so both trees
@@ -34,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 #: the committed output digests of every argv
@@ -166,10 +172,80 @@ def run_in_process(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | 
     return code, out.getvalue().encode(), dump.read_bytes() if dump.exists() else None
 
 
+def _leaves(stdout: bytes) -> list:
+    """The keys and leaves of JSON output in document order, or else the
+    comma-separated cells of the output, line by line."""
+    text = stdout.decode()
+    try:
+        tree = json.loads(text)
+    except ValueError:
+        return [cell for line in text.splitlines() for cell in line.split(",")]
+    leaves = []
+
+    def walk(node) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                leaves.append(key)
+                walk(value)
+        elif isinstance(node, list):
+            leaves.append(len(node))
+            for value in node:
+                walk(value)
+        else:
+            leaves.append(node)
+
+    walk(tree)
+    return leaves
+
+
+def _number(leaf) -> float | None:
+    if isinstance(leaf, bool) or leaf is None:
+        return None
+    try:
+        return float(leaf)
+    except ValueError:
+        return None
+
+
+def stdout_gap(parent: bytes, change: bytes) -> float | None:
+    """Largest absolute difference between two outputs' numeric leaves or
+    cells; None if they differ anywhere else."""
+    left, right = _leaves(parent), _leaves(change)
+    if len(left) != len(right):
+        return None
+    gap = 0.0
+    for a, b in zip(left, right):
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            return None
+        gap = max(gap, abs(x - y))
+    return gap
+
+
+def state_gap(parent: bytes, change: bytes) -> float | None:
+    """Largest absolute difference between two dumped states' complex128
+    entries; None if they differ in size."""
+    if len(parent) != len(change):
+        return None
+    left, right = (np.frombuffer(data, dtype="<c16") for data in (parent, change))
+    return float(np.abs(left - right).max(initial=0.0))
+
+
+def _gaps(parent: tuple, change: tuple) -> str:
+    """The largest differences of two runs' stdout and state, where they differ."""
+    gaps = []
+    if parent[1] != change[1]:
+        gaps.append(("stdout", stdout_gap(parent[1], change[1])))
+    if parent[2] != change[2] and None not in (parent[2], change[2]):
+        gaps.append(("state", state_gap(parent[2], change[2])))
+    words = [f"{name} {'not numeric' if gap is None else f'{gap:.2g}'}" for name, gap in gaps]
+    return f"  max |diff| {', '.join(words)}" if words else ""
+
+
 def environment() -> dict[str, str]:
     """The Python, NumPy and BLAS build that output digests belong to."""
-    import numpy as np
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # NumPy before 1.26 only prints its build configuration
@@ -221,7 +297,7 @@ def main(argv: list[str]) -> int:
                       if a != b]
             differ += bool(fields)
             verdict = "differ: " + ", ".join(fields) if fields else "same"
-            print(f"{verdict:<8} exit {change[0]}  {' '.join(args)}")
+            print(f"{verdict:<8} exit {change[0]}  {' '.join(args)}{_gaps(parent, change)}")
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} argvs identical")
     return 1 if differ else 0
 
