@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -696,6 +699,23 @@ class TestDeterminismAndSchema:
         second = run_cli(capsys, *argv)
         assert first[0] == EXIT_OK
         assert first == second
+
+    def test_sampled_average_does_not_depend_on_blas_threads(self, tmp_path):
+        """The sampled average ends in one product over 1000 pattern columns,
+        where a BLAS that splits work between threads could sum differently;
+        stdout and the dumped state are the same bytes on one and two."""
+        def staged(threads: str) -> tuple[bytes, bytes]:
+            dump = tmp_path / f"state-{threads}.bin"
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "medwit", "staged", "--stages", "24", "--patterns",
+                 "sampled:1000", "--seed", "3", "--dump-state", str(dump)],
+                env=env, capture_output=True, check=True,
+            )
+            return done.stdout, dump.read_bytes()
+
+        assert staged("1") == staged("2")
 
     @pytest.mark.parametrize("network", ["symmetric", "staged"])
     def test_run_report_keys(self, capsys, network):
