@@ -10,20 +10,15 @@ gate table ``circuits.local_unitary`` that the descriptor engine reads too,
 with each entry copied to its place by basis-index arithmetic, and +0
 everywhere else.
 All operations are pure functions on immutable values, and every result is
-bit-stable run to run.
-``temporal_average`` walks the undephased staged circuit once on state
-vectors: every pattern's circuit is unitary and fixes I, so the initial
-state's part above its smallest eigenvalue is a few weighted vectors, each
-copied once per pattern into one 2^n x (columns * k) array, and the average is
-one product of that array with its adjoint, which reduces in pattern order
-and differs from evolving one circuit at a time in the last digits.
-``run_intensity_grid`` evolves one circuit at many dephasing intensities as a
-stack, p broadcast along it.
+bit-stable run to run.  ``temporal_average`` walks the undephased staged
+circuit once, on state vectors: the initial state's eigenvectors above its
+smallest eigenvalue, one copy per pattern (each pattern's circuit is unitary,
+so it fixes I); ``run_intensity_grid`` evolves one circuit at many dephasing
+intensities as a stack, p broadcast along it.
 Every conjugation by Z, in the phase-flip channel and in the exhaustive
 average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
-that +-1 diagonal at no matrix product; on the vectors of ``temporal_average``
-it negates the rows with C's bit set.
+that +-1 diagonal at no matrix product.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -358,8 +353,10 @@ def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) 
             # the rows with C's bit set, as a view of psi
             on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), psi.shape[1])[:, 1]
             np.negative(on_c, out=on_c, where=next(flips))
-    spread = (psi * np.repeat(weights[kept] / k, k)) @ psi.conj().T
-    return DensityMatrix(values[0] * np.eye(2 ** n) + spread)
+    # each column times the square root of its weight over k, in place: no
+    # temporary of psi's size at the peak of the final product
+    psi *= np.repeat(np.sqrt(weights[kept] / k), k)
+    return DensityMatrix(values[0] * np.eye(2 ** n) + psi @ psi.conj().T)
 
 
 def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:

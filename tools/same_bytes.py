@@ -39,8 +39,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 #: the committed output digests of every argv
 DIGESTS = ROOT / "tests" / "output_digests.json"
@@ -227,6 +225,9 @@ def stdout_gap(parent: bytes, change: bytes) -> float | None:
 def state_gap(parent: bytes, change: bytes) -> float | None:
     """Largest absolute difference between two dumped states' complex128
     entries; None if they differ in size."""
+    # imported here: --write must load numpy through medwit, which pins BLAS first
+    import numpy as np
+
     if len(parent) != len(change):
         return None
     left, right = (np.frombuffer(data, dtype="<c16") for data in (parent, change))
@@ -246,6 +247,8 @@ def _gaps(parent: tuple, change: tuple) -> str:
 
 def environment() -> dict[str, str]:
     """The Python, NumPy and BLAS build that output digests belong to."""
+    import numpy as np
+
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # NumPy before 1.26 only prints its build configuration
