@@ -196,15 +196,6 @@ def _leaves(stdout: bytes) -> list:
     return leaves
 
 
-def _number(leaf) -> float | None:
-    if isinstance(leaf, bool) or leaf is None:
-        return None
-    try:
-        return float(leaf)
-    except ValueError:
-        return None
-
-
 def stdout_gap(parent: bytes, change: bytes) -> float | None:
     """Largest absolute difference between two outputs' numeric leaves or
     cells; None if they differ anywhere else."""
@@ -215,10 +206,12 @@ def stdout_gap(parent: bytes, change: bytes) -> float | None:
     for a, b in zip(left, right):
         if a == b:
             continue
-        x, y = _number(a), _number(b)
-        if x is None or y is None:
+        if isinstance(a, bool) or isinstance(b, bool):
             return None
-        gap = max(gap, abs(x - y))
+        try:
+            gap = max(gap, abs(float(a) - float(b)))
+        except (TypeError, ValueError):
+            return None
     return gap
 
 
