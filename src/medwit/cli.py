@@ -3,12 +3,15 @@
 Every command runs one pipeline.  ``COMMAND_KEYS`` names the config keys each
 command reads: the parser registers a flag for each, the config-file reader
 accepts no other key, and any other flag or key is exit 2 naming it.
-``_effective_config`` validates and parses the values and their combinations
-once; ``_build_network`` builds the circuit, and each command runs the
-engines it reports: ``run`` and ``sweep`` both, since the descriptor engine
-steps every gate of every built-in network, partial swaps included;
-``staged`` the density engine alone, as its pattern averages have no
-descriptor counterpart; ``table`` the descriptor engine alone.  One
+``_effective_config`` resolves each value (a flag over the config file over
+the default) and validates the values and their combinations once, into
+one frozen ``ExperimentConfig``: its fields are the report's ``config``, and
+the input state and the sample size derive from them.  ``_build_network``
+builds the circuit, and each command runs the engines it reports: ``run``
+and ``sweep`` both, since the descriptor engine steps every gate of every
+built-in network, partial swaps included; ``staged`` the density engine
+alone, as its pattern averages have no descriptor counterpart; ``table``
+the descriptor engine alone.  One
 observation layer serves every command, both engines evaluating the one
 witness ``pauli.witness_observable``: ``_density_values`` reads the
 witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
@@ -52,6 +55,10 @@ import numpy as np
 from . import __version__
 from .circuits import (
     SYMBOLIC_P,
+    A,
+    B,
+    C,
+    D,
     Circuit,
     build_asymmetric,
     build_staged,
@@ -107,8 +114,8 @@ DEFAULT_BITS_BY_NETWORK = {"symmetric": "0000", "asymmetric": "0000", "staged": 
 
 #: every built-in network acts on the four-qubit chain A-B-C-D
 CHAIN_QUBITS = 4
-PROBE_1, PROBE_2 = 0, 3
-MEDIATORS = (1, 2)
+PROBE_1, PROBE_2 = A, D
+MEDIATORS = (B, C)
 WITNESSES = {
     name: witness_observable(CHAIN_QUBITS, PROBE_1, PROBE_2, axes)
     for name, axes in AXES_CHOICES.items()
@@ -154,11 +161,13 @@ KEY_FLAGS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one experiment run.  Its fields are the config
-    keys; each command reads a subset of them (``COMMAND_KEYS``), and
-    ``_effective_config`` resolves the rest to the command's defaults."""
+    """Flat description of one validated experiment run.  Its fields are the
+    config keys and the report's ``config``; each command reads a subset of
+    them (``COMMAND_KEYS``), and ``_effective_config`` resolves the rest to
+    the command's defaults.  The input state and the sample size derive
+    from the fields."""
 
     network: str
     p: float | str | None
@@ -172,19 +181,22 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-
-@dataclass(frozen=True)
-class Setup:
-    """A validated configuration with its parsed values."""
-
-    cfg: ExperimentConfig
-    basis: BasisState  # basis state of the pseudo-pure input
-    mode: str  # pattern mode: none | sampled | exhaustive
-    count: int  # patterns in the seeded sample (0 in mode none)
+    @property
+    def basis(self) -> BasisState:
+        """Basis state of the pseudo-pure input."""
+        return BasisState.from_string(self.initial_bits)
 
     @property
     def initial(self) -> DensityMatrix:
-        return pseudo_pure(self.cfg.epsilon, self.basis)
+        return pseudo_pure(self.epsilon, self.basis)
+
+    @property
+    def count(self) -> int:
+        """Patterns in the seeded sample: N of sampled:N, the preview beside
+        an exhaustive average, 0 for none."""
+        if self.patterns == "exhaustive":
+            return min(PREVIEW_PATTERNS, pattern_population(self.stages))
+        return int(self.patterns.partition(":")[2] or 0)
 
 
 def _load_config_file(path: str, command: str) -> dict[str, str]:
@@ -272,14 +284,14 @@ def _check_grid_size(text: str, points: int | float) -> None:
         )
 
 
-def _parse_bits(text: str) -> BasisState:
+def _parse_bits(text: str) -> str:
     if not text or any(c not in "01" for c in text):
         raise ConfigError(f"--initial-bits must be a 0/1 string, got {text!r}")
     if len(text) != CHAIN_QUBITS:
         raise ConfigError(
             f"--initial-bits must give {CHAIN_QUBITS} bits, one per chain qubit, got {text!r}"
         )
-    return BasisState.from_string(text)
+    return text
 
 
 def _parse_epsilon(value) -> float:
@@ -302,57 +314,44 @@ def _parse_int(value, flag: str, least: int) -> int:
     return number
 
 
-def _parse_patterns(text: str) -> tuple[str, int]:
-    if text == "none":
-        return "none", 0
-    if text == "exhaustive":
-        return "exhaustive", 0
+def _parse_patterns(text: str) -> str:
+    if text in ("none", "exhaustive"):
+        return text
     if text.startswith("sampled:"):
         try:
-            count = int(text.split(":", 1)[1])
+            if int(text.partition(":")[2]) >= 1:
+                return text
         except ValueError:
-            count = -1
-        if count >= 1:
-            return "sampled", count
+            pass
     raise ConfigError(f"--patterns must be none, sampled:N or exhaustive, got {text!r}")
 
 
-def _resolve(args, file_cfg: dict[str, str], key: str, fallback):
-    """Precedence: explicit flag > config file > fallback default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return fallback
-
-
-def _effective_config(args) -> Setup:
-    """Resolve and validate every value, then the combinations of values.
-    The parser and ``_load_config_file`` admit only the keys the command
-    reads (``COMMAND_KEYS``); any other key resolves to its default."""
-    file_cfg = _load_config_file(args.config, args.command) if args.config else {}
-    network = _resolve(args, file_cfg, "network", COMMAND_KEYS[args.command][1])
+def _effective_config(args) -> ExperimentConfig:
+    """Resolve every value, a flag over the config file over the default,
+    validate it, then validate the combinations of values.  The parser and
+    ``_load_config_file`` admit only the keys the command reads
+    (``COMMAND_KEYS``); any other key resolves to its default."""
+    keys, network = COMMAND_KEYS[args.command]
+    given = _load_config_file(args.config, args.command) if args.config else {}
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    network = given.get("network", network)
     if network not in NETWORKS:
         raise ConfigError(f"unknown network {network!r}")
-    axes = _resolve(args, file_cfg, "axes", DEFAULT_AXES_BY_NETWORK[network])
-    if axes not in AXES_CHOICES:
-        raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, got {axes!r}")
-    bits = _resolve(args, file_cfg, "initial_bits", DEFAULT_BITS_BY_NETWORK[network])
-    basis = _parse_bits(bits)
-    stages = _parse_int(_resolve(args, file_cfg, "stages", 8), "--stages", 1)
-    seed = _parse_int(_resolve(args, file_cfg, "seed", 0), "--seed", 0)
-    patterns = _resolve(args, file_cfg, "patterns", "none")
-    mode, count = _parse_patterns(patterns)
+    values = {"p": None, "epsilon": 1.0, "initial_bits": DEFAULT_BITS_BY_NETWORK[network],
+              "stages": 8, "patterns": "none", "seed": 0,
+              "axes": DEFAULT_AXES_BY_NETWORK[network], **given}
+    if values["axes"] not in AXES_CHOICES:
+        raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, got {values['axes']!r}")
+    # validated in the order of the keywords
     cfg = ExperimentConfig(
         network=network,
-        p=_parse_p(_resolve(args, file_cfg, "p", None)),
-        epsilon=_parse_epsilon(_resolve(args, file_cfg, "epsilon", 1.0)),
-        initial_bits=bits,
-        stages=stages,
-        patterns=patterns,
-        seed=seed,
-        axes=axes,
+        axes=values["axes"],
+        initial_bits=_parse_bits(values["initial_bits"]),
+        stages=_parse_int(values["stages"], "--stages", 1),
+        seed=_parse_int(values["seed"], "--seed", 0),
+        patterns=_parse_patterns(values["patterns"]),
+        p=_parse_p(values["p"]),
+        epsilon=_parse_epsilon(values["epsilon"]),
     )
     if cfg.p is not None and cfg.network != "symmetric":
         raise ConfigError(
@@ -367,7 +366,7 @@ def _effective_config(args) -> Setup:
             "descriptor engine's witness and nonclassicality for it"
         )
     if args.command == "run":
-        if cfg.network != "staged" and (args.stages is not None or "stages" in file_cfg):
+        if cfg.network != "staged" and "stages" in given:
             raise ConfigError(
                 f"--stages applies to the staged network only; the {cfg.network} network "
                 "has no partial swaps (got it from the flag or the config file)"
@@ -382,23 +381,21 @@ def _effective_config(args) -> Setup:
                 "--timing adds a field to the JSON report; it cannot be combined "
                 "with --format text"
             )
-    if mode != "none":
-        if stages % 2:
+    if cfg.patterns != "none":
+        if cfg.stages % 2:
             raise ConfigError("balanced dephasing patterns need an even stage count")
-        population = pattern_population(stages)
+        population = pattern_population(cfg.stages)
         if population >= SAMPLE_INDEX_LIMIT:
             raise ConfigError(
-                f"--stages {stages} gives {population} balanced pattern pairs, beyond "
+                f"--stages {cfg.stages} gives {population} balanced pattern pairs, beyond "
                 "the 2**63 the seeded sampler can index; use at most 34 stages"
             )
-        if count > population:
+        if cfg.count > population:
             raise ConfigError(
-                f"sampled:{count} exceeds the pattern population {population} "
-                f"for {stages} stages"
+                f"sampled:{cfg.count} exceeds the pattern population {population} "
+                f"for {cfg.stages} stages"
             )
-        if mode == "exhaustive":
-            count = min(PREVIEW_PATTERNS, population)
-    return Setup(cfg, basis, mode, count)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tu
 
 
 def _descriptor_values(
-    setup: Setup, frame: DescriptorFrame, axes_names: Sequence[str], intensities=(None,)
+    cfg: ExperimentConfig, frame: DescriptorFrame, axes_names: Sequence[str], intensities=(None,)
 ) -> Iterator[tuple[dict, dict]]:
     """Per dephasing intensity in turn: the witness for each named axes pair,
     and the mediators' nonclassicality by label.  The witness images and the
@@ -430,9 +427,10 @@ def _descriptor_values(
     read at each intensity by ``substitute``, a numeric one at intensity None."""
     taken = [observable_image(frame, WITNESSES[name]) for name in axes_names]
     taken += [descriptor_commutator(frame, q) for q in MEDIATORS]
+    basis = cfg.basis
     for p in intensities:
         *images, c_b, c_c = taken if p is None else [substitute(obj, p) for obj in taken]
-        witness = {name: pseudo_pure_expectation(image, setup.basis, setup.cfg.epsilon)
+        witness = {name: pseudo_pure_expectation(image, basis, cfg.epsilon)
                    for name, image in zip(axes_names, images)}
         yield witness, {"B": operator_norm(c_b), "C": operator_norm(c_c)}
 
@@ -481,23 +479,23 @@ def _final_slice_notes(entry: dict) -> list[str]:
 # commands: each returns (a JSON report dict or finished text, the final state)
 # ---------------------------------------------------------------------------
 
-def cmd_table(setup: Setup, args):
-    frames = run_network_frames(_build_network(setup.cfg))
+def cmd_table(cfg: ExperimentConfig, args):
+    frames = run_network_frames(_build_network(cfg))
     if args.format == "json":
         return frames_to_dict(frames), None
     return render_table(frames) + "\n", None
 
 
-def cmd_sweep(setup: Setup, args):
-    axes = setup.cfg.axes
+def cmd_sweep(cfg: ExperimentConfig, args):
+    axes = cfg.axes
     grid = _parse_grid(args.p_grid)
     circuit = build_symmetric(SYMBOLIC_P)
     density = (
         values
-        for states in run_intensity_grid(circuit, setup.initial, grid)
+        for states in run_intensity_grid(circuit, cfg.initial, grid)
         for values in _density_values(states, [axes])
     )
-    heisenberg = _descriptor_values(setup, run_network_frames(circuit)[-1], [axes], grid)
+    heisenberg = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes], grid)
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
     for p, (w_density, neg), (w_heisenberg, nc) in zip(grid, density, heisenberg):
         row = (p, w_heisenberg[axes], w_density[axes], neg, nc["B"], nc["C"])
@@ -505,16 +503,15 @@ def cmd_sweep(setup: Setup, args):
     return "\n".join(lines) + "\n", None
 
 
-def cmd_staged(setup: Setup, args):
-    cfg = setup.cfg
-    states = run_network_density(_build_network(cfg), setup.initial)
+def cmd_staged(cfg: ExperimentConfig, args):
+    states = run_network_density(_build_network(cfg), cfg.initial)
     finals = [("undephased", states[-1], {})]
-    if setup.mode != "none":
-        patterns = sample_patterns(cfg.stages, setup.count, seed=cfg.seed)
-        finals.append(("sampled", temporal_average(cfg.stages, patterns, setup.initial),
-                       {"pattern_count": setup.count, "seed": cfg.seed}))
-    if setup.mode == "exhaustive":
-        finals.append(("exhaustive", exhaustive_average(cfg.stages, setup.initial),
+    if cfg.patterns != "none":
+        patterns = sample_patterns(cfg.stages, cfg.count, seed=cfg.seed)
+        finals.append(("sampled", temporal_average(cfg.stages, patterns, cfg.initial),
+                       {"pattern_count": cfg.count, "seed": cfg.seed}))
+    if cfg.patterns == "exhaustive":
+        finals.append(("exhaustive", exhaustive_average(cfg.stages, cfg.initial),
                        {"pattern_count": pattern_population(cfg.stages)}))
     stack = DensityMatrix(np.concatenate([rho.entries for _, rho, _ in finals]))
     density = _density_values(stack, [cfg.axes])
@@ -532,15 +529,14 @@ def cmd_staged(setup: Setup, args):
     return {**report, "variants": variants}, finals[-1][1]
 
 
-def cmd_run(setup: Setup, args):
-    cfg = setup.cfg
+def cmd_run(cfg: ExperimentConfig, args):
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     circuit = _build_network(cfg)
-    states = run_network_density(circuit, setup.initial)
+    states = run_network_density(circuit, cfg.initial)
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
-        w_heisenberg, nc = next(_descriptor_values(setup, frame, names))
+        w_heisenberg, nc = next(_descriptor_values(cfg, frame, names))
         witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
                    for name in names]
         slices.append({
@@ -578,9 +574,9 @@ def cmd_run(setup: Setup, args):
 def _execute(args) -> int:
     """Config, then the command, then the steps every command shares: the
     --timing field, the --dump-state file and the output."""
-    setup = _effective_config(args)
+    cfg = _effective_config(args)
     started = time.perf_counter()
-    output, final = args.func(setup, args)
+    output, final = args.func(cfg, args)
     if isinstance(output, dict):
         if getattr(args, "timing", False):
             output["timing_seconds"] = time.perf_counter() - started

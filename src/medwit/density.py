@@ -2,19 +2,21 @@
 
 Exact dense gates (including fractional swaps), physical Kraus channels,
 pseudo-pure states, temporal averaging over dephasing patterns, expectation
-values, and the negativity entanglement monotone.  The witness is the observable built
-by ``pauli.witness_observable``; ``expectation`` reads it here, and
-``heisenberg.frame_expectation`` reads the same one on the descriptor engine.
+values, and the negativity entanglement monotone.  The witness is the
+observable built by ``pauli.witness_observable``; ``expectation`` reads it
+here, and ``heisenberg.pseudo_pure_expectation`` reads its Heisenberg image
+on the descriptor engine.
 A gate's full-register unitary is its local 2x2 or 4x4 matrix, read from the
 gate table ``circuits.local_unitary`` that the descriptor engine reads too,
 with each entry copied to its place by basis-index arithmetic, and +0
 everywhere else.
 All operations are pure functions on immutable values, and every result is
 bit-stable run to run.  ``temporal_average`` walks the undephased staged
-circuit once, on state vectors: the initial state's eigenvectors above its
-smallest eigenvalue, one copy per pattern (each pattern's circuit is unitary,
-so it fixes I); ``run_intensity_grid`` evolves one circuit at many dephasing
-intensities as a stack, p broadcast along it.
+circuit once, on state vectors: the initial state's eigenvectors whose
+eigenvalues lie above its smallest by more than rounding, one copy per
+pattern (each pattern's circuit is unitary, so it fixes I);
+``run_intensity_grid`` evolves one circuit at many dephasing intensities as
+a stack, p broadcast along it.
 Every conjugation by Z, in the phase-flip channel and in the exhaustive
 average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
@@ -26,14 +28,13 @@ of a stack, and the constructor and ``validate`` check every state of it.
 ``exhaustive_average`` walks the same circuit for the exact average over all
 C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
 instead of one circuit per pattern pair: one stack of state sums per link,
-row i summing the patterns that have dephased ``low + i`` of its stages.
+row i summing the patterns that have dephased i of its stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from .circuits import (
     TimeSlice,
     build_staged,
     local_unitary,
+    pattern_population,
 )
 from .pauli import BasisState, PauliSum
 
@@ -326,11 +328,13 @@ def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) 
     splits ``initial`` as ``l * I + sum_i w_i |v_i><v_i|``, l its smallest
     eigenvalue and ``w_i = l_i - l >= 0``, and the average is
     ``l * I + Psi W Psi^dagger / k``: Psi holds each pattern's evolved copy
-    of every ``v_i`` with ``w_i > 0`` (one for a pseudo-pure state of
-    eps > 0, none for I / 2^n).  The undephased circuit is walked once on
-    all the columns of Psi, each gate one matrix product; Z on C negates the
-    rows with C's bit set, in the columns of the patterns that dephase that
-    stage.  The sum over patterns is the final product, which reduces in
+    of every ``v_i`` whose weight is above 2^n machine epsilons of the
+    largest eigenvalue (one for a pseudo-pure state of purity above 0, none
+    for I / 2^n); a smaller weight is ``eigh``'s rounding of equal
+    eigenvalues, so a state of rank r < 2^n walks r columns, not 2^n - 1.
+    The undephased circuit is walked once on all the columns of Psi, each
+    gate one matrix product; Z on C negates the rows with C's bit set, in
+    the columns of the patterns that dephase that stage.  The sum over patterns is the final product, which reduces in
     pattern order, so the result is bit-stable run to run; it differs from
     evolving the circuits one by one in the last digits.
     """
@@ -342,7 +346,7 @@ def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) 
     n, k = circuit.n, len(patterns)
     values, vectors = np.linalg.eigh(initial.entries[0])
     weights = values - values[0]
-    kept = weights > 0
+    kept = weights > 2 ** n * np.finfo(float).eps * values[-1]
     # column r * k + j of psi is pattern j's copy of the r-th kept eigenvector
     psi = np.repeat(vectors[:, kept], k, axis=1)
     # each partial swap's flips in circuit order, B-C then C-D, tiled over the kept columns
@@ -364,33 +368,31 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
 
     Equals ``temporal_average`` over ``exhaustive_patterns(stages)`` up to
     floating-point summation order.  The undephased circuit is walked once
-    with one stack of unnormalised state sums per link: row i sums the
-    patterns that have dephased ``low + i`` of the link's stages so far.  At
-    each partial swap, row i becomes the swapped row i plus the sign flip
-    (``_dephase``) of the swapped row i-1, and rows whose count can no longer
-    end at stages/2 are dropped; so the link ends on one row, which starts
-    the next.  A row adds at most two terms, whose IEEE sum does not depend
-    on their order, so the result is bit-stable run to run.
+    with one stack of unnormalised state sums per link, indexed by count:
+    row i sums the patterns that have dephased i of the link's stages so far.
+    At each partial swap, row i becomes the swapped row i plus the sign flip
+    (``_dephase``) of the swapped row i-1, and rows above stages/2 are cut.
+    Each link ends at a slice of ``build_staged``, where its last row, row
+    stages/2, alone goes on; the first slice, before any link, holds the
+    initial state alone.
+    A row adds at most two terms, whose IEEE sum does not depend on their
+    order, so the result is bit-stable run to run.
     """
     if stages < 2 or stages % 2:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
     circuit = _same_size(build_staged(stages), initial)
     half = stages // 2
     mask = _dephase_mask(circuit.n, C)
-    stack, low, left = initial.entries, 0, stages
-    for op in circuit.gates:
-        stack = _apply_raw(op, stack, circuit.n)
-        if op.kind != "PARTIAL_SWAP":
+    stack = initial.entries
+    for op in circuit.ops:
+        if isinstance(op, TimeSlice):
+            stack = stack[-1:]
             continue
-        flipped = _dephase(stack, mask)
-        stack = np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])
-        left -= 1
-        # keep the counts in [half - left, half]; the stack now spans low .. low + len - 1
-        drop = max(half - left - low, 0)
-        stack, low = stack[drop:half - low + 1], low + drop
-        if not left:
-            low, left = 0, stages
-    return DensityMatrix(stack / comb(stages, half) ** 2)
+        stack = _apply_raw(op, stack, circuit.n)
+        if op.kind == "PARTIAL_SWAP":
+            flipped = _dephase(stack, mask)
+            stack = np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])[:half + 1]
+    return DensityMatrix(stack / pattern_population(stages))
 
 
 def state_to_bytes(rho: DensityMatrix) -> bytes:

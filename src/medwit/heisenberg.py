@@ -5,20 +5,21 @@ z-descriptors: the Heisenberg images of its initial X and Z (Deutsch and
 Hayden, quant-ph/9906007), while the reference state stays fixed.  Every
 unitary gate G acts the same way: each qubit q of G takes the image of
 G^dagger X_q G and of G^dagger Z_q G under the current frame.  Those
-conjugations are expanded into Pauli words once per gate kind and exponent
-(``gate_images``), from the matrix of the gate table
-``circuits.local_unitary`` that the density engine embeds.  Clifford entries
+conjugations are expanded into Pauli words on the gate's own qubits once per
+gate kind and exponent (``gate_images``), from the matrix of the gate table
+``circuits.local_unitary`` that the density engine embeds, and each word is
+read in place, its letters naming the gate's qubits.  Clifford entries
 are integers there, so a Clifford gate maps descriptors to exact signed
 products of descriptors and evolution stays exact and symbolic; a partial
 swap mixes them with rounded real weights.  The dephasing channel acts as an
 effective attenuation of the dephased qubit's own descriptors.  Frames are
-immutable values: every operation returns a new frame.  ``frame_expectation``
-reads any observable, such as the ``pauli.witness_observable`` witness, off a
-frame.  Its two steps, the observable's Heisenberg image (``observable_image``) and
-the image's value on the pseudo-pure input (``pseudo_pure_expectation``), are
-public too, as is the commutator behind ``nonclassicality_degree``: an image or
-commutator taken once off a frame evolved with a symbolic intensity gives the
-value at any p by ``substitute``, as if the frame had been evolved at that p.
+immutable values: every operation returns a new frame.  An observable, such
+as the ``pauli.witness_observable`` witness, is read off a frame in two
+steps: its Heisenberg image (``observable_image``), then the image's value
+on the pseudo-pure input (``pseudo_pure_expectation``).  An image, or the
+commutator behind ``nonclassicality_degree``, taken once off a frame evolved
+with a symbolic intensity gives the value at any p by ``substitute``, as if
+the frame had been evolved at that p.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "apply_dephasing_frame",
     "apply_gate_frame",
     "descriptor_commutator",
-    "frame_expectation",
     "frame_observable",
     "frames_to_dict",
     "gate_images",
@@ -225,22 +225,12 @@ def gate_images(kind: str, alpha: float | None = None) -> tuple[tuple[PauliSum, 
     return tuple((image(letter(q, "X")), image(letter(q, "Z"))) for q in range(k))
 
 
-def _on_register(local: PauliSum, qubits: tuple[int, ...], n: int) -> PauliSum:
-    """A Pauli sum on a gate's qubits, as one on the n-qubit register."""
-    terms = {}
-    for word, coeff in local.items():
-        letters = ["I"] * n
-        for q, letter in zip(qubits, word):
-            letters[q] = letter
-        terms["".join(letters)] = coeff
-    return PauliSum(n, terms)
-
-
 def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
     """Advance every descriptor through one unitary gate G: each qubit q of
     G takes ``observable_image`` of G^dagger X_q G and of G^dagger Z_q G
-    (``gate_images``) under the frame before the gate; the descriptors of
-    every other qubit are unchanged.  A phase flip is a channel, not a gate.
+    (``gate_images``, whose letters act on G's qubits in their order) under
+    the frame before the gate; the descriptors of every other qubit are
+    unchanged.  A phase flip is a channel, not a gate.
     The images of a two-qubit gate share their words, so each descriptor
     product is taken once per gate.
     """
@@ -252,8 +242,8 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
     x = list(frame.x)
     z = list(frame.z)
     for q, (x_image, z_image) in zip(gate.qubits, gate_images(gate.kind, gate.alpha)):
-        x[q] = _image(_on_register(x_image, gate.qubits, frame.n), product_of)
-        z[q] = _image(_on_register(z_image, gate.qubits, frame.n), product_of)
+        x[q] = _image(x_image, gate.qubits, frame.n, product_of)
+        z[q] = _image(z_image, gate.qubits, frame.n, product_of)
     return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
 
 
@@ -324,15 +314,16 @@ def frame_observable(frame: DescriptorFrame, factors: Sequence[tuple[int, str]])
 def observable_image(frame: DescriptorFrame, obs: PauliSum) -> PauliSum:
     """Heisenberg-picture image O_H of ``obs`` at the frame's time: each Pauli
     word of ``obs`` maps to the product of its letters' descriptors."""
-    return _image(obs, partial(frame_observable, frame))
+    return _image(obs, range(obs.n), obs.n, partial(frame_observable, frame))
 
 
-def _image(obs: PauliSum, product_of) -> PauliSum:
-    """Sum over the words of ``obs`` of coefficient times ``product_of`` the
-    word's (qubit, axis) factors, in word order."""
-    image = PauliSum.zero(obs.n)
+def _image(obs: PauliSum, qubits: Sequence[int], n: int, product_of) -> PauliSum:
+    """Sum over the words of ``obs``, whose letters act on ``qubits`` of an
+    n-qubit register, of coefficient times ``product_of`` the word's
+    (qubit, axis) factors, in word order."""
+    image = PauliSum.zero(n)
     for word, coeff in obs.items():
-        factors = tuple((q, letter.lower()) for q, letter in enumerate(word) if letter != "I")
+        factors = tuple((q, letter.lower()) for q, letter in zip(qubits, word) if letter != "I")
         image = image + coeff * product_of(factors)
     return image
 
@@ -343,14 +334,6 @@ def pseudo_pure_expectation(image: PauliSum, basis: BasisState, epsilon: float) 
     (1 - eps) * Tr(O_H) / 2^n."""
     mixed = identity_component(image).real
     return epsilon * expectation_basis(basis, image) + (1.0 - epsilon) * mixed
-
-
-def frame_expectation(
-    frame: DescriptorFrame, obs: PauliSum, basis: BasisState, epsilon: float
-) -> float:
-    """Expectation of ``obs`` at the frame's time, from the pseudo-pure state
-    eps * |basis><basis| + (1 - eps) * I / 2^n."""
-    return pseudo_pure_expectation(observable_image(frame, obs), basis, epsilon)
 
 
 def descriptor_commutator(frame: DescriptorFrame, qubit: int) -> PauliSum:
@@ -365,21 +348,9 @@ def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
     return operator_norm(descriptor_commutator(frame, qubit))
 
 
-def substitute(obj, p: float):
+def substitute(operator: PauliSum, p: float) -> PauliSum:
     """Replace symbolic attenuation factors by their value at intensity ``p``."""
-
-    def numeric(c):
-        return c.at(p) if isinstance(c, AttenuationPoly) else c
-
-    if isinstance(obj, PauliSum):
-        return obj.map_coefficients(numeric)
-    if isinstance(obj, DescriptorFrame):
-        return DescriptorFrame(
-            obj.time_index,
-            tuple(s.map_coefficients(numeric) for s in obj.x),
-            tuple(s.map_coefficients(numeric) for s in obj.z),
-        )
-    raise TypeError(f"cannot substitute into {type(obj).__name__}")
+    return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, AttenuationPoly) else c)
 
 
 # ---------------------------------------------------------------------------

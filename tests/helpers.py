@@ -69,8 +69,9 @@ from medwit.density import (
 )
 from medwit.heisenberg import (
     AttenuationPoly,
-    frame_expectation,
     nonclassicality_degree,
+    observable_image,
+    pseudo_pure_expectation,
     run_network_frames,
 )
 from medwit.pauli import BasisState, PauliSum, qubit_label, single, witness_observable
@@ -359,7 +360,7 @@ def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = 
         frame = run_network_frames(circuit)[-1]
         row = (
             p,
-            frame_expectation(frame, witness, basis, epsilon),
+            pseudo_pure_expectation(observable_image(frame, witness), basis, epsilon),
             expectation(rho, witness)[0],
             negativity(partial_trace(rho, [0, 3]), [0])[0],
             nonclassicality_degree(frame, 1),

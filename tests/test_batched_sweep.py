@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import per_point_sweep
 from medwit import cli, density
-from medwit.circuits import SYMBOLIC_P, build_symmetric
+from medwit.circuits import SYMBOLIC_P, build_asymmetric, build_symmetric
 from medwit.cli import EXIT_OK, _parse_grid, main
 from medwit.density import _BATCH, DensityMatrix, pseudo_pure, run_intensity_grid
 from medwit.heisenberg import (
@@ -107,6 +107,18 @@ def test_grid_states_equal_one_run_per_point():
     for p, state in zip(grid, states):
         alone = density.run_network_density(build_symmetric(p), initial)[-1].entries
         assert state.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "circuit", [build_symmetric(0.2), build_asymmetric()], ids=["symmetric-0.2", "asymmetric"]
+)
+def test_grid_without_a_symbolic_flip_repeats_the_one_final_state(circuit):
+    """Every point of every stack is the final state of the one numeric run."""
+    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
+    chunks = list(run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3)))
+    assert [len(stack) for stack in chunks] == [_BATCH, 3]
+    alone = density.run_network_density(circuit, initial)[-1].entries.tobytes()
+    assert all(state.tobytes() == alone for stack in chunks for state in stack.entries)
 
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)

@@ -35,6 +35,7 @@ from medwit.circuits import (
     swap,
     z,
 )
+from medwit import density
 from medwit.density import (
     DensityMatrix,
     apply_gate,
@@ -396,8 +397,8 @@ class TestAgainstPerCircuitReference:
     @pytest.mark.parametrize(
         "initial",
         [
-            # three weighted eigenvalues and twelve of rounding size above the
-            # smallest: the general split keeps fifteen columns
+            # three weighted eigenvalues above the smallest, and twelve that
+            # differ from it by rounding alone: the general split keeps three
             random_density(np.random.default_rng(7), 4, rank=3),
             pseudo_pure(1.0, BasisState.from_string("0110")),
         ],
@@ -408,6 +409,34 @@ class TestAgainstPerCircuitReference:
         averaged = temporal_average(8, patterns, initial)
         reference = per_circuit_average(8, patterns, initial)
         assert np.max(np.abs(averaged.entries - reference.entries)) <= REFERENCE_TOL
+
+    @pytest.mark.parametrize(
+        "initial, columns",
+        [
+            (random_density(np.random.default_rng(7), 4, rank=3), 3),
+            (pseudo_pure(1e-12, BasisState.from_string("1100")), 1),
+            (pseudo_pure(0.0, BasisState.from_string("1100")), 0),
+        ],
+        ids=["mixed-rank-3", "pseudo-pure-1e-12", "maximally-mixed"],
+    )
+    def test_walk_keeps_one_column_per_weighted_eigenvector(self, monkeypatch, initial, columns):
+        """Columns walked per pattern: a rank-3 mixed state's twelve
+        eigenvalues within rounding of the smallest go into its multiple of
+        I, while a weight of 1e-12 is kept."""
+        widths = []
+        unitary = density.gate_unitary
+
+        class Counted:
+            def __init__(self, u):
+                self.u = u
+
+            def __matmul__(self, psi):
+                widths.append(psi.shape[1])
+                return self.u @ psi
+
+        monkeypatch.setattr(density, "gate_unitary", lambda op, n: Counted(unitary(op, n)))
+        temporal_average(8, sample_patterns(8, 16, seed=0), initial)
+        assert set(widths) == {columns * 16}
 
     def test_maximally_mixed_state_is_fixed_exactly(self):
         """I/16 keeps no eigenvector: the result is its smallest eigenvalue times I."""

@@ -4,10 +4,13 @@ The constants below were computed once by the dense engine by averaging over
 the complete balanced pattern population (70 x 70 pairs, 8 stages, initial
 |1100>, Z applied after each dephased partial swap) and are pinned here as
 regression values.  Every exhaustive pin is checked against both the
-brute-force oracle (one circuit per pattern pair, ``helpers.brute_force_average``)
-and the dynamic-programming ``density.exhaustive_average``.  Tolerance 1e-12
-guards against summation-order variation between the two; exact
-bit-stability across repeated runs is asserted separately.
+brute-force oracle (``helpers.brute_force_average``: ``temporal_average``,
+the state-vector walk, over every pattern pair) and the dynamic-programming
+``density.exhaustive_average``.  Tolerance 1e-12 guards against
+summation-order variation between the two; exact bit-stability across
+repeated runs is asserted separately.  The one-circuit-per-pattern reference
+is ``helpers.per_circuit_average``, which ``test_density.py`` compares the
+walk with.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import basis_density, brute_force_average, dense_branch_average
+from helpers import basis_density, brute_force_average, dense_branch_average, random_density
 from medwit.circuits import (
     SLICE,
     Circuit,
@@ -164,11 +167,12 @@ class TestDynamicProgrammingAverage:
     @pytest.mark.parametrize(
         "initial",
         [basis_density(INITIAL), pseudo_pure(0.7, BasisState.from_string("0110")),
-         pseudo_pure(0.3, BasisState.from_string("1011"))],
-        ids=["1100", "0110-pp0.7", "1011-pp0.3"],
+         pseudo_pure(0.3, BasisState.from_string("1011")),
+         random_density(np.random.default_rng(7), 4, rank=3)],
+        ids=["1100", "0110-pp0.7", "1011-pp0.3", "mixed-rank-3"],
     )
-    # 16 and 34 stages grow each link's count stack to 9 and 18 rows, and
-    # drop rows from both of its ends over many partial swaps
+    # 16 and 34 stages grow each link's count stack to its 9 and 18 rows,
+    # and cut rows above stages/2 over many partial swaps
     @pytest.mark.parametrize("stages", [2, 4, 6, 8, 10, 12, 16, 34])
     def test_bytes_equal_dense_branch_reference(self, stages, initial):
         """The per-link count stacks and their sign-flip branches give the

@@ -7,9 +7,10 @@ Usage: python tools/same_bytes.py PARENT_SRC CHANGE_SRC
 Each SRC is a directory holding the ``medwit`` package (a checkout's ``src``).
 Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
 ``PYTHONPATH`` set to that tree; ``staged`` and ``run`` argvs also write
-``--dump-state``.  The script prints one line per argv and exits 1 if any
-stdout, exit code or dumped state differs between the trees, else 0.  A
-line whose stdout or state differs ends with the largest absolute
+``--dump-state``.  The first argvs are perfbench's cli-mix commands, read
+from ``perfbench/workloads.py``.  The script prints one line per argv and
+exits 1 if any stdout, exit code or dumped state differs between the
+trees, else 0.  A line whose stdout or state differs ends with the largest absolute
 difference: over the numeric leaves of JSON output or the numeric cells of
 other (CSV) output, and over the complex128 entries of the dumped states;
 "not numeric" where the outputs differ in more than numbers.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -43,20 +45,20 @@ ROOT = Path(__file__).resolve().parents[1]
 #: the committed output digests of every argv
 DIGESTS = ROOT / "tests" / "output_digests.json"
 
-#: the eleven perfbench cli-mix commands, at seed 1
-CLI_MIX = [
-    ["table"],
-    ["table", "--p", "symbolic"],
-    ["table", "--network", "asymmetric", "--format", "json"],
-    ["run"],
-    ["run", "--network", "asymmetric"],
-    ["run", "--p", "0.1"],
-    ["run", "--network", "staged", "--format", "text"],
-    ["sweep"],
-    ["staged", "--stages", "8"],
-    ["staged", "--stages", "8", "--patterns", "sampled:16"],
-    ["staged", "--stages", "4", "--patterns", "exhaustive"],
-]
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first, as a dataclass in the module looks itself up there
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the perfbench cli-mix commands, at seed 1
+CLI_MIX = [command.argv(1) for command in _workloads().CLI_MIX]
 #: grids of one point, one density stack (32), one more than a stack, the
 #: perfbench sweep-fine grid, a comma list, and non-default epsilon and axes
 SWEEPS = [
@@ -132,7 +134,7 @@ COUNT_STACKS = [
     ["staged", "--stages", "32", "--patterns", "exhaustive", "--initial-bits", "0011"],
 ]
 ARGVS = (
-    [argv + ["--seed", "1"] for argv in CLI_MIX] + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
+    CLI_MIX + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
     + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS
 )
 
