@@ -17,13 +17,16 @@ witness ``pauli.witness_observable``: ``_density_values`` reads the
 witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
 ``detect.antiphase_amplitudes`` the multiplet off such a stack, and
 ``_descriptor_values`` the witnesses and the mediators' nonclassicality off
-a frame, at each dephasing intensity.  ``run`` reads its stack of slices
-(the multiplet off the final slice, a stack of one), ``staged`` its
-variants' final states in one stack for both reads, and ``sweep`` each
-stack of grid points: its network depends on p only through two phase
-flips, so it is built once with a symbolic intensity, evolved a stack of
-points at a time (``density.run_intensity_grid``) and read off one symbolic
-final frame, with CSV byte-identical to one circuit per point.  A ``cmd_*``
+the sums ``_descriptor_sums`` takes from a frame: a numeric frame's once, a
+symbolic frame's at a stack of dephasing intensities.  ``run`` reads its
+stack of slices (the multiplet off the final slice, a stack of one) and
+each slice's frame, ``staged`` its variants' final states in one stack for
+both reads, and ``sweep`` each stack of grid points: its network depends on
+p only through two phase flips, so it is built once with a symbolic
+intensity, evolved a stack of points at a time
+(``density.run_intensity_grid``), and its one symbolic final frame's sums
+are read at the same stack of points as numpy arrays, with CSV
+byte-identical to one circuit per point.  A ``cmd_*``
 only picks what to observe and formats it, and ``_execute`` handles
 --timing, --dump-state and the output for all of them.
 
@@ -45,10 +48,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,12 +88,13 @@ from .heisenberg import (
     descriptor_commutator,
     frames_to_dict,
     observable_image,
+    operator_norm_at,
     pseudo_pure_expectation,
+    pseudo_pure_expectation_at,
     render_table,
     run_network_frames,
-    substitute,
 )
-from .pauli import BasisState, operator_norm, witness_observable
+from .pauli import BasisState, PauliSum, operator_norm, witness_observable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -315,15 +320,12 @@ def _parse_int(value, flag: str, least: int) -> int:
 
 
 def _parse_patterns(text: str) -> str:
-    if text in ("none", "exhaustive"):
+    """The pattern mode, spelt one way only, since the report echoes it: N of
+    sampled:N is ASCII digits with no leading zero."""
+    if text in ("none", "exhaustive") or re.fullmatch("sampled:[1-9][0-9]*", text):
         return text
-    if text.startswith("sampled:"):
-        try:
-            if int(text.partition(":")[2]) >= 1:
-                return text
-        except ValueError:
-            pass
-    raise ConfigError(f"--patterns must be none, sampled:N or exhaustive, got {text!r}")
+    raise ConfigError(f"--patterns must be none, sampled:N with N a positive integer in "
+                      f"ASCII digits and no leading zero, or exhaustive, got {text!r}")
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -418,21 +420,32 @@ def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tu
     return [(dict(zip(axes_names, values)), neg) for *values, neg in zip(*witnesses, negs)]
 
 
+def _descriptor_sums(frame: DescriptorFrame, axes_names: Sequence[str]) -> list[PauliSum]:
+    """What the descriptor engine reads off a frame: the witness image for
+    each named axes pair, then the mediators' commutators."""
+    return ([observable_image(frame, WITNESSES[name]) for name in axes_names]
+            + [descriptor_commutator(frame, q) for q in MEDIATORS])
+
+
 def _descriptor_values(
-    cfg: ExperimentConfig, frame: DescriptorFrame, axes_names: Sequence[str], intensities=(None,)
-) -> Iterator[tuple[dict, dict]]:
-    """Per dephasing intensity in turn: the witness for each named axes pair,
-    and the mediators' nonclassicality by label.  The witness images and the
-    mediator commutators are taken off the frame once; a symbolic frame is
-    read at each intensity by ``substitute``, a numeric one at intensity None."""
-    taken = [observable_image(frame, WITNESSES[name]) for name in axes_names]
-    taken += [descriptor_commutator(frame, q) for q in MEDIATORS]
-    basis = cfg.basis
-    for p in intensities:
-        *images, c_b, c_c = taken if p is None else [substitute(obj, p) for obj in taken]
-        witness = {name: pseudo_pure_expectation(image, basis, cfg.epsilon)
-                   for name, image in zip(axes_names, images)}
-        yield witness, {"B": operator_norm(c_b), "C": operator_norm(c_c)}
+    cfg: ExperimentConfig, sums: list[PauliSum], axes_names: Sequence[str], p=None
+) -> list[tuple[dict, dict]]:
+    """Per point: the witness for each named axes pair, and the mediators'
+    nonclassicality by label, read off ``_descriptor_sums``.  A numeric
+    frame's sums give one point (p None), read as PauliSums; a symbolic
+    frame's give one point per intensity of the array p, read at all of
+    them at once (``pseudo_pure_expectation_at``, ``operator_norm_at``)
+    with the bytes that ``substitute`` would give each point."""
+    *images, c_b, c_c = sums
+    if p is None:
+        columns = [[pseudo_pure_expectation(image, cfg.basis, cfg.epsilon)] for image in images]
+        columns += [[operator_norm(c_b)], [operator_norm(c_c)]]
+    else:
+        columns = [pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p).tolist()
+                   for image in images]
+        columns += [operator_norm_at(c_b, p).tolist(), operator_norm_at(c_c, p).tolist()]
+    return [(dict(zip(axes_names, witnesses)), {"B": nc_b, "C": nc_c})
+            for *witnesses, nc_b, nc_c in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +503,17 @@ def cmd_sweep(cfg: ExperimentConfig, args):
     axes = cfg.axes
     grid = _parse_grid(args.p_grid)
     circuit = build_symmetric(SYMBOLIC_P)
-    density = (
-        values
-        for states in run_intensity_grid(circuit, cfg.initial, grid)
-        for values in _density_values(states, [axes])
-    )
-    heisenberg = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes], grid)
+    sums = _descriptor_sums(run_network_frames(circuit)[-1], [axes])
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    for p, (w_density, neg), (w_heisenberg, nc) in zip(grid, density, heisenberg):
-        row = (p, w_heisenberg[axes], w_density[axes], neg, nc["B"], nc["C"])
-        lines.append(",".join(_fmt(v) for v in row))
+    start = 0
+    for states in run_intensity_grid(circuit, cfg.initial, grid):
+        stack = grid[start:start + len(states)]
+        start += len(states)
+        density = _density_values(states, [axes])
+        heisenberg = _descriptor_values(cfg, sums, [axes], np.array(stack))
+        for p, (w_density, neg), (w_heisenberg, nc) in zip(stack, density, heisenberg):
+            row = (p, w_heisenberg[axes], w_density[axes], neg, nc["B"], nc["C"])
+            lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n", None
 
 
@@ -536,7 +550,7 @@ def cmd_run(cfg: ExperimentConfig, args):
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
-        w_heisenberg, nc = next(_descriptor_values(cfg, frame, names))
+        ((w_heisenberg, nc),) = _descriptor_values(cfg, _descriptor_sums(frame, names), names)
         witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
                    for name in names]
         slices.append({

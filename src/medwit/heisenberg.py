@@ -18,8 +18,11 @@ as the ``pauli.witness_observable`` witness, is read off a frame in two
 steps: its Heisenberg image (``observable_image``), then the image's value
 on the pseudo-pure input (``pseudo_pure_expectation``).  An image, or the
 commutator behind ``nonclassicality_degree``, taken once off a frame evolved
-with a symbolic intensity gives the value at any p by ``substitute``, as if
-the frame had been evolved at that p.
+with a symbolic intensity gives its value at any p as if the frame had been
+evolved at that p: ``substitute`` gives the numeric sum at one p, and
+``pseudo_pure_expectation_at`` and ``operator_norm_at`` read the values at a
+whole array of intensities at once, each point with the bytes that
+``substitute`` then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .pauli import (
     PRUNE_TOL,
     BasisState,
     PauliSum,
+    basis_sign,
     commutator,
     expectation_basis,
     identity_component,
@@ -57,7 +61,9 @@ __all__ = [
     "init_frame",
     "nonclassicality_degree",
     "observable_image",
+    "operator_norm_at",
     "pseudo_pure_expectation",
+    "pseudo_pure_expectation_at",
     "render_sum",
     "render_table",
     "run_network_frames",
@@ -142,21 +148,24 @@ class AttenuationPoly:
     def powers(self) -> list[tuple[int, complex]]:
         return sorted(self._coeffs.items())
 
-    def at(self, p: float) -> complex:
-        """Numeric value with the channel intensity substituted.
+    def at(self, p: float | np.ndarray) -> complex | np.ndarray:
+        """Numeric value with the channel intensity substituted: a complex
+        number at one p, an array of them at an array of intensities.
 
         A power of (1 - 2p) at or below ``PRUNE_TOL`` in modulus counts as 0,
         as in a frame evolved at that p, where a descriptor term is a unit
         phase times such a power and is pruned as soon as the channel or a
         product makes it that small, before a commutator or a sum of terms
-        could double it back above the tolerance.
+        could double it back above the tolerance.  The powers are summed in
+        the polynomial's order, each skipped where it is pruned, so every
+        point of an array gets the bytes it gets alone.
         """
-        base = 1.0 - 2.0 * p
-        return sum(
-            v * base ** k
-            for k, v in self._coeffs.items()
-            if k == 0 or abs(base ** k) > PRUNE_TOL
-        )
+        base = 1.0 - 2.0 * np.asarray(p, dtype=float)
+        total = np.zeros(base.shape, dtype=complex)
+        for k, v in self._coeffs.items():
+            power = np.power(base, k)
+            np.add(total, v * power, out=total, where=np.abs(power) > PRUNE_TOL)
+        return total if total.ndim else complex(total)
 
     def __repr__(self) -> str:
         return f"AttenuationPoly({self._coeffs!r})"
@@ -351,6 +360,52 @@ def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
 def substitute(operator: PauliSum, p: float) -> PauliSum:
     """Replace symbolic attenuation factors by their value at intensity ``p``."""
     return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, AttenuationPoly) else c)
+
+
+def _coefficient_at(coeff, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A term's coefficient in ``substitute(operator, p)`` at every intensity
+    of ``p``, and its modulus, which PauliSum's prune compares with
+    ``PRUNE_TOL``."""
+    values = coeff.at(p) if isinstance(coeff, AttenuationPoly) else np.full(p.shape, complex(coeff))
+    return values, np.hypot(values.real, values.imag)
+
+
+def pseudo_pure_expectation_at(
+    image: PauliSum, basis: BasisState, epsilon: float, p: np.ndarray
+) -> np.ndarray:
+    """``pseudo_pure_expectation`` of ``substitute(image, p)`` at every
+    intensity of the array ``p``, with the bytes of each point alone: the
+    I/Z words' signed coefficients are summed in ``items()`` order, each
+    skipped where the prune drops it.  It reads the real parts alone, which
+    are the value of a Hermitian image."""
+    total = np.zeros(p.shape)
+    mixed = np.zeros(p.shape)
+    for word, coeff in image.items():
+        sign = basis_sign(basis, word)
+        if sign:
+            values, modulus = _coefficient_at(coeff, p)
+            kept = modulus > PRUNE_TOL
+            np.add(total, sign * values.real, out=total, where=kept)
+            if word == "I" * image.n:
+                mixed = np.where(kept, values.real, 0.0)
+    return epsilon * total + (1.0 - epsilon) * mixed
+
+
+def operator_norm_at(operator: PauliSum, p: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of ``substitute(operator, p)`` at every intensity of
+    the array ``p``: 0 where the prune drops every term, the modulus of the
+    one term left where one is, since a Pauli word is unitary, and
+    ``operator_norm`` of that point's substituted sum where several are."""
+    norms = np.zeros(p.shape)
+    left = np.zeros(p.shape, dtype=int)
+    for _, coeff in operator.items():
+        _, modulus = _coefficient_at(coeff, p)
+        kept = modulus > PRUNE_TOL
+        np.copyto(norms, modulus, where=kept)
+        left += kept
+    for i in np.flatnonzero(left > 1):
+        norms[i] = operator_norm(substitute(operator, p[i]))
+    return norms
 
 
 # ---------------------------------------------------------------------------

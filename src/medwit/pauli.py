@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "BasisState",
     "PauliSum",
+    "basis_sign",
     "commutator",
     "expectation_basis",
     "identity_component",
@@ -279,21 +280,28 @@ def operator_norm(a: PauliSum) -> float:
     return float(np.linalg.norm(a.dense(), ord=2))
 
 
+def basis_sign(state: BasisState, word: str) -> int:
+    """<state|P|state> for a Pauli word P: 0 if P has an X or Y letter, else
+    the parity (-1)^(the state's bits on P's Z letters)."""
+    if any(l in "XY" for l in word):
+        return 0
+    return (-1) ** (sum(b for b, l in zip(state.bits, word) if l == "Z") % 2)
+
+
 def expectation_basis(state: BasisState, a: PauliSum) -> float:
     """<state|a|state> for a computational-basis state.
 
-    A term contributes only if its word lies in {I, Z}; it then contributes
-    its coefficient times the parity (-1)^(bits on Z positions).  An imaginary
-    residue above tolerance means the input was not Hermitian and is reported.
+    Each term contributes its coefficient times ``basis_sign``, so only the
+    words in {I, Z} contribute.  An imaginary residue above tolerance means
+    the input was not Hermitian and is reported.
     """
     if state.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={state.n}, operator n={a.n}")
     total = 0j
     for word, coeff in a.items():
-        if any(l in "XY" for l in word):
-            continue
-        parity = sum(b for b, l in zip(state.bits, word) if l == "Z") % 2
-        total += complex(coeff) * (-1) ** parity
+        sign = basis_sign(state, word)
+        if sign:
+            total += complex(coeff) * sign
     if abs(total.imag) > _IMAG_TOL:
         raise ValueError(
             f"expectation has imaginary residue {total.imag:g}; operator is not Hermitian"

@@ -1,8 +1,10 @@
 """The batched sweep against one circuit per grid point, and its checks.
 
 ``sweep`` evolves the whole grid as stacks of ``density._BATCH`` points and
-reads the descriptor engine off one symbolic run; ``helpers.per_point_sweep``
-builds and evolves one circuit per point.  The CSVs must be equal as strings.
+reads the descriptor engine off one symbolic run, a stack of intensities at
+a time; ``helpers.per_point_sweep`` builds and evolves one circuit per point.
+The CSVs must be equal as strings, and the stacked descriptor reads must give
+the bytes of ``substitute`` at every point.
 """
 
 import io
@@ -14,17 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import per_point_sweep
-from medwit import cli, density
+from medwit import cli, density, heisenberg, pauli
 from medwit.circuits import SYMBOLIC_P, build_asymmetric, build_symmetric
 from medwit.cli import EXIT_OK, _parse_grid, main
 from medwit.density import _BATCH, DensityMatrix, pseudo_pure, run_intensity_grid
 from medwit.heisenberg import (
+    ATTENUATION,
+    DescriptorFrame,
     descriptor_commutator,
     nonclassicality_degree,
+    observable_image,
+    operator_norm_at,
+    pseudo_pure_expectation,
+    pseudo_pure_expectation_at,
     run_network_frames,
     substitute,
 )
-from medwit.pauli import BasisState, operator_norm
+from medwit.pauli import PRUNE_TOL, BasisState, PauliSum, operator_norm, single
 
 #: 1 - 2p lies in (PRUNE_TOL / 2, PRUNE_TOL], where a numeric frame prunes
 #: the attenuated descriptors that the commutator would double
@@ -96,6 +104,25 @@ def test_one_descriptor_run_and_no_per_point_density_run(monkeypatch):
     out = sweep_csv("--p-grid", "0:0.5:0.005")
     assert len(out.splitlines()) == 102
     assert calls == {"frames": 1, "density": 0}
+
+
+def test_no_per_point_descriptor_read(monkeypatch):
+    """The 1001-point grid reads the descriptor engine a stack at a time,
+    with no substituted PauliSum, no basis expectation and no norm per point."""
+    originals = {"substitute": heisenberg.substitute, "operator_norm": pauli.operator_norm,
+                 "expectation_basis": pauli.expectation_basis}
+    calls = dict.fromkeys(originals, 0)
+    for name, function in originals.items():
+        def counted(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        for module in (cli, heisenberg, pauli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    out = sweep_csv("--p-grid", "0:0.5:0.0005")
+    assert len(out.splitlines()) == 1002
+    assert calls == {"substitute": 0, "operator_norm": 0, "expectation_basis": 0}
 
 
 def test_grid_states_equal_one_run_per_point():
@@ -178,3 +205,85 @@ class TestBatchedChecks:
         bad = DensityMatrix(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex))
         grid = run_intensity_grid(build_symmetric(SYMBOLIC_P), bad, [0.1, 0.2])
         assert "negative eigenvalue" in self.message(lambda: next(grid))
+
+
+def hand_built_frame() -> DescriptorFrame:
+    """A two-qubit symbolic frame whose sums the symmetric network never
+    makes.  Qubit 0's commutator keeps five words of five moduli and two
+    powers, so several survive the prune at most p and fewer near p = 1/2;
+    its z-descriptor gives four I/Z words, the identity among them, inserted
+    out of word order.  Qubit 1's commutator is one word, -0.6i (1-2p) IY,
+    which the prune drops where its power of (1 - 2p) alone is kept.  Every
+    coefficient has modulus below 1, so the prune of a term and of its
+    power differ."""
+    a = ATTENUATION
+    x0 = PauliSum(2, {"XI": 0.5 * a, "ZY": 0.75})
+    z0 = PauliSum(2, {"ZZ": 0.1 * a + 0.02 * a * a * a, "ZI": 0.7, "IZ": 0.35 * a * a,
+                      "II": 0.05 * a, "YZ": 0.25 * a})
+    return DescriptorFrame(0, (x0, 0.3 * a * single(2, 1, "x")), (z0, single(2, 1, "z")))
+
+
+def near_prune(coefficients) -> list[float]:
+    """Intensities on both sides of where each (modulus, power) term's
+    modulus, or its power of (1 - 2p), crosses ``PRUNE_TOL``, for either sign
+    of 1 - 2p."""
+    ps = []
+    for modulus, power in coefficients:
+        for scale in (1.0, modulus):
+            base = (PRUNE_TOL / scale) ** (1 / power)
+            ps += [(1 - sign * base * f) / 2 for sign in (1, -1) for f in (0.9, 1.1)]
+    return ps
+
+
+def assert_grid_reads_equal_substitute(image, commutators, basis, epsilon, ps):
+    """The stacked reads against ``substitute`` at each point, as float.hex."""
+    p = np.array(ps, dtype=float)
+    got = [list(map(float.hex, pseudo_pure_expectation_at(image, basis, epsilon, p).tolist()))]
+    got += [list(map(float.hex, operator_norm_at(c, p).tolist())) for c in commutators]
+    want = [[pseudo_pure_expectation(substitute(image, x), basis, epsilon).hex() for x in ps]]
+    want += [[operator_norm(substitute(c, x)).hex() for x in ps] for c in commutators]
+    assert got == want
+
+
+SYMMETRIC = run_network_frames(build_symmetric(SYMBOLIC_P))[-1]
+
+
+@pytest.mark.parametrize("axes", sorted(cli.AXES_CHOICES))
+@pytest.mark.parametrize("bits, epsilon", [("0000", 1.0), ("1010", 0.3), ("0110", 0.0)])
+def test_symmetric_grid_reads_equal_substitute(axes, bits, epsilon):
+    image = observable_image(SYMMETRIC, cli.WITNESSES[axes])
+    commutators = [descriptor_commutator(SYMMETRIC, q) for q in cli.MEDIATORS]
+    ps = [*PRUNE_WINDOW, 0.0, 0.5, 1.0, *near_prune([(1.0, 1), (2.0, 1)]),
+          *np.linspace(0, 1, 101).tolist()]
+    assert_grid_reads_equal_substitute(image, commutators, BasisState.from_string(bits),
+                                       epsilon, ps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ps=st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0, *PRUNE_WINDOW])),
+                min_size=1, max_size=2 * _BATCH),
+    epsilon=st.floats(0, 1),
+    bits=st.sampled_from(["0000", "1111", "1010", "0110", "1001"]),
+    axes=st.sampled_from(sorted(cli.AXES_CHOICES)),
+)
+def test_symmetric_grid_reads_equal_substitute_on_random_grids(ps, epsilon, bits, axes):
+    image = observable_image(SYMMETRIC, cli.WITNESSES[axes])
+    commutators = [descriptor_commutator(SYMMETRIC, q) for q in cli.MEDIATORS]
+    assert_grid_reads_equal_substitute(image, commutators, BasisState.from_string(bits),
+                                       epsilon, ps)
+
+
+@pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
+@pytest.mark.parametrize("epsilon", [1.0, 0.6])
+def test_hand_built_grid_reads_equal_substitute(bits, epsilon):
+    frame = hand_built_frame()
+    commutators = [descriptor_commutator(frame, q) for q in (0, 1)]
+    ps = [*PRUNE_WINDOW, 0.0, 0.5, 1.0, *np.linspace(0, 1, 201).tolist(),
+          *near_prune([(0.15, 1), (0.7, 1), (0.1, 2), (0.525, 2), (0.25, 2), (0.6, 1),
+                       (0.1, 1), (0.02, 3), (0.35, 2), (0.05, 1)])]
+    survivors = [len(substitute(commutators[0], p)) for p in ps]
+    assert max(survivors) == 5 and 1 in survivors and 0 in survivors
+    assert len(commutators[1]) == 1
+    assert_grid_reads_equal_substitute(observable_image(frame, single(2, 0, "z")), commutators,
+                                       BasisState.from_string(bits), epsilon, ps)

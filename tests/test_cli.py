@@ -517,6 +517,38 @@ class TestIntegerFlags:
         self.check(err, key, value)
 
 
+class TestPatternsSpelling:
+    """sampled:N takes one spelling of N, ASCII digits with no leading zero,
+    since the report echoes the mode: any other spelling that ``int`` reads
+    is exit 2 naming --patterns, from the flag and from the config file."""
+
+    SPELLINGS = ["sampled: 3", "sampled:+3", "sampled:1_0", "sampled:010", "sampled:0",
+                 "sampled:\uff13", "sampled:\u0663", "sampled:3 ", "sampled:"]
+    IDS = ["space", "plus", "underscore", "leading-zero", "zero", "fullwidth", "arabic-indic",
+           "trailing-space", "empty"]
+
+    @pytest.mark.parametrize("value", SPELLINGS, ids=IDS)
+    def test_flag(self, capsys, value):
+        code, out, err = run_cli(capsys, "staged", "--stages", "4", "--patterns", value)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--patterns must be none, sampled:N" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", [v for v in SPELLINGS if v == v.strip()],
+                             ids=[i for v, i in zip(SPELLINGS, IDS) if v == v.strip()])
+    def test_config_file_key(self, capsys, tmp_path, value):
+        config = tmp_path / "patterns.cfg"
+        config.write_text(f"patterns = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "staged", "--stages", "4", "--config", str(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert "--patterns must be none, sampled:N" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["sampled:1", "sampled:10", "sampled:36"])
+    def test_canonical_spelling_is_echoed(self, capsys, value):
+        code, out, _ = run_cli(capsys, "staged", "--stages", "4", "--patterns", value)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["patterns"] == value
+
+
 #: the config keys each command reads, written out here so that the test
 #: checks ``cli.COMMAND_KEYS`` instead of reading it
 READS = {
