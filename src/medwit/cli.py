@@ -17,8 +17,9 @@ witness ``pauli.witness_observable``: ``_density_values`` reads the
 witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
 ``detect.antiphase_amplitudes`` the multiplet off such a stack, and
 ``_descriptor_values`` the witnesses and the mediators' nonclassicality off
-the sums ``_descriptor_sums`` takes from a frame: a numeric frame's once, a
-symbolic frame's at a stack of dephasing intensities.  ``run`` reads its
+the sums ``_descriptor_sums`` takes from a frame, read as numpy arrays at an
+array of dephasing intensities: a numeric frame's at its one intensity, a
+symbolic frame's at a stack of them.  ``run`` reads its
 stack of slices (the multiplet off the final slice, a stack of one) and
 each slice's frame, ``staged`` its variants' final states in one stack for
 both reads, and ``sweep`` each stack of grid points: its network depends on
@@ -89,12 +90,11 @@ from .heisenberg import (
     frames_to_dict,
     observable_image,
     operator_norm_at,
-    pseudo_pure_expectation,
     pseudo_pure_expectation_at,
     render_table,
     run_network_frames,
 )
-from .pauli import BasisState, PauliSum, operator_norm, witness_observable
+from .pauli import BasisState, PauliSum, witness_observable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -428,22 +428,17 @@ def _descriptor_sums(frame: DescriptorFrame, axes_names: Sequence[str]) -> list[
 
 
 def _descriptor_values(
-    cfg: ExperimentConfig, sums: list[PauliSum], axes_names: Sequence[str], p=None
+    cfg: ExperimentConfig, sums: list[PauliSum], axes_names: Sequence[str], p: np.ndarray
 ) -> list[tuple[dict, dict]]:
-    """Per point: the witness for each named axes pair, and the mediators'
-    nonclassicality by label, read off ``_descriptor_sums``.  A numeric
-    frame's sums give one point (p None), read as PauliSums; a symbolic
-    frame's give one point per intensity of the array p, read at all of
-    them at once (``pseudo_pure_expectation_at``, ``operator_norm_at``)
-    with the bytes that ``substitute`` would give each point."""
+    """Per intensity of the array p: the witness for each named axes pair,
+    and the mediators' nonclassicality by label, read off ``_descriptor_sums``
+    at all of them at once (``pseudo_pure_expectation_at``,
+    ``operator_norm_at``), each with the bytes that ``substitute`` would give
+    that point.  A numeric frame's sums are read at its one intensity."""
     *images, c_b, c_c = sums
-    if p is None:
-        columns = [[pseudo_pure_expectation(image, cfg.basis, cfg.epsilon)] for image in images]
-        columns += [[operator_norm(c_b)], [operator_norm(c_c)]]
-    else:
-        columns = [pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p).tolist()
-                   for image in images]
-        columns += [operator_norm_at(c_b, p).tolist(), operator_norm_at(c_c, p).tolist()]
+    columns = [pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p).tolist()
+               for image in images]
+    columns += [operator_norm_at(c_b, p).tolist(), operator_norm_at(c_c, p).tolist()]
     return [(dict(zip(axes_names, witnesses)), {"B": nc_b, "C": nc_c})
             for *witnesses, nc_b, nc_c in zip(*columns)]
 
@@ -550,7 +545,8 @@ def cmd_run(cfg: ExperimentConfig, args):
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
-        ((w_heisenberg, nc),) = _descriptor_values(cfg, _descriptor_sums(frame, names), names)
+        ((w_heisenberg, nc),) = _descriptor_values(cfg, _descriptor_sums(frame, names), names,
+                                                   np.array([cfg.p]))
         witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
                    for name in names]
         slices.append({

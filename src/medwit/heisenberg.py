@@ -23,6 +23,8 @@ evolved at that p: ``substitute`` gives the numeric sum at one p, and
 ``pseudo_pure_expectation_at`` and ``operator_norm_at`` read the values at a
 whole array of intensities at once, each point with the bytes that
 ``substitute`` then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
+A numeric frame's sums have no intensity left to substitute, so the same
+reads at a one-point array give their values.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .pauli import (
     basis_sign,
     commutator,
     expectation_basis,
+    hermitian_value,
     identity_component,
     operator_norm,
     qubit_label,
@@ -376,26 +379,30 @@ def pseudo_pure_expectation_at(
     """``pseudo_pure_expectation`` of ``substitute(image, p)`` at every
     intensity of the array ``p``, with the bytes of each point alone: the
     I/Z words' signed coefficients are summed in ``items()`` order, each
-    skipped where the prune drops it.  It reads the real parts alone, which
-    are the value of a Hermitian image."""
-    total = np.zeros(p.shape)
+    skipped where the prune drops it.  As ``expectation_basis`` does, it
+    refuses a basis state of another size, and an imaginary residue at any
+    point (``hermitian_value``)."""
+    if basis.n != image.n:
+        raise ValueError(f"qubit count mismatch: state n={basis.n}, operator n={image.n}")
+    total = np.zeros(p.shape, dtype=complex)
     mixed = np.zeros(p.shape)
     for word, coeff in image.items():
         sign = basis_sign(basis, word)
         if sign:
             values, modulus = _coefficient_at(coeff, p)
             kept = modulus > PRUNE_TOL
-            np.add(total, sign * values.real, out=total, where=kept)
+            np.add(total, sign * values, out=total, where=kept)
             if word == "I" * image.n:
                 mixed = np.where(kept, values.real, 0.0)
-    return epsilon * total + (1.0 - epsilon) * mixed
+    return epsilon * hermitian_value(total) + (1.0 - epsilon) * mixed
 
 
 def operator_norm_at(operator: PauliSum, p: np.ndarray) -> np.ndarray:
     """``operator_norm`` of ``substitute(operator, p)`` at every intensity of
-    the array ``p``: 0 where the prune drops every term, the modulus of the
-    one term left where one is, since a Pauli word is unitary, and
-    ``operator_norm`` of that point's substituted sum where several are."""
+    the array ``p``: 0 where the prune drops every term, and where one term
+    is left its modulus, ``hypot`` of its real and imaginary parts, which is
+    what ``operator_norm`` returns for a one-word sum.  Where several are
+    left it is ``operator_norm`` of that point's substituted sum."""
     norms = np.zeros(p.shape)
     left = np.zeros(p.shape, dtype=int)
     for _, coeff in operator.items():

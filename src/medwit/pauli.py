@@ -30,6 +30,7 @@ __all__ = [
     "basis_sign",
     "commutator",
     "expectation_basis",
+    "hermitian_value",
     "identity_component",
     "operator_norm",
     "qubit_label",
@@ -292,8 +293,7 @@ def expectation_basis(state: BasisState, a: PauliSum) -> float:
     """<state|a|state> for a computational-basis state.
 
     Each term contributes its coefficient times ``basis_sign``, so only the
-    words in {I, Z} contribute.  An imaginary residue above tolerance means
-    the input was not Hermitian and is reported.
+    words in {I, Z} contribute; ``hermitian_value`` takes the real part.
     """
     if state.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={state.n}, operator n={a.n}")
@@ -302,11 +302,20 @@ def expectation_basis(state: BasisState, a: PauliSum) -> float:
         sign = basis_sign(state, word)
         if sign:
             total += complex(coeff) * sign
-    if abs(total.imag) > _IMAG_TOL:
+    return float(hermitian_value(total))
+
+
+def hermitian_value(total):
+    """The real part of an expectation, a complex number or an array of them.
+    An imaginary residue above tolerance means the operator was not
+    Hermitian and is reported."""
+    residue = np.ravel(np.imag(total))
+    beyond = np.flatnonzero(np.abs(residue) > _IMAG_TOL)
+    if beyond.size:
         raise ValueError(
-            f"expectation has imaginary residue {total.imag:g}; operator is not Hermitian"
+            f"expectation has imaginary residue {residue[beyond[0]]:g}; operator is not Hermitian"
         )
-    return float(total.real)
+    return np.real(total)
 
 
 def identity_component(a: PauliSum) -> complex:

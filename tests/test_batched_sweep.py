@@ -287,3 +287,46 @@ def test_hand_built_grid_reads_equal_substitute(bits, epsilon):
     assert len(commutators[1]) == 1
     assert_grid_reads_equal_substitute(observable_image(frame, single(2, 0, "z")), commutators,
                                        BasisState.from_string(bits), epsilon, ps)
+
+
+def test_complex_coefficients_read_equal_substitute():
+    """Coefficients with both a real and an imaginary part: a one-word sum,
+    whose norm is the modulus of its coefficient, and a sum of several words
+    with complex powers of (1 - 2p), read against ``substitute`` as float.hex."""
+    a = ATTENUATION
+    one_word = PauliSum(2, {"XY": (0.3 + 0.4j) * a})
+    several = PauliSum(2, {"XY": (0.3 + 0.4j) * a, "ZX": (-0.7 + 0.1j) * a * a, "IZ": 0.2j})
+    image = PauliSum(2, {"ZZ": 0.6 * a, "II": 0.4 * a * a, "XI": (0.3 + 0.4j) * a})
+    ps = [*PRUNE_WINDOW, 0.0, 0.5, 1.0, *np.linspace(0, 1, 201).tolist(),
+          *near_prune([(0.5, 1), (0.7071, 2), (0.6, 1), (0.4, 2)])]
+    for bits in ("00", "01", "11"):
+        assert_grid_reads_equal_substitute(image, [one_word, several],
+                                           BasisState.from_string(bits), 0.7, ps)
+
+
+class TestGridReadGuards:
+    """The grid read refuses what ``expectation_basis`` refuses at one point."""
+
+    def test_basis_of_another_size(self):
+        image = observable_image(SYMMETRIC, cli.WITNESSES["xz-zx"])
+        for bits in ("000", "00000"):
+            basis = BasisState.from_string(bits)
+            with pytest.raises(ValueError, match="qubit count mismatch"):
+                pseudo_pure_expectation_at(image, basis, 1.0, np.array([0.1, 0.2]))
+            with pytest.raises(ValueError, match="qubit count mismatch"):
+                pseudo_pure_expectation(substitute(image, 0.1), basis, 1.0)
+
+    def test_imaginary_residue(self):
+        """A non-Hermitian I/Z word raises at any point where the prune keeps
+        it, with the message of the point read alone, and not where the prune
+        drops it."""
+        image = PauliSum(2, {"ZI": 0.5 * ATTENUATION, "IZ": 1e-3j * ATTENUATION})
+        basis = BasisState.from_string("10")
+        with pytest.raises(ValueError) as alone:
+            pseudo_pure_expectation(substitute(image, 0.1), basis, 1.0)
+        with pytest.raises(ValueError) as stacked:
+            pseudo_pure_expectation_at(image, basis, 1.0, np.array([0.5, 0.1, 0.2]))
+        assert str(stacked.value) == str(alone.value)
+        assert "not Hermitian" in str(stacked.value)
+        got = pseudo_pure_expectation_at(image, basis, 1.0, np.array([0.5]))
+        assert got.tolist() == [pseudo_pure_expectation(substitute(image, 0.5), basis, 1.0)]
