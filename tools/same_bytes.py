@@ -133,9 +133,20 @@ COUNT_STACKS = [
      "--epsilon", "0.5", "--axes", "xz-zx"],
     ["staged", "--stages", "32", "--patterns", "exhaustive", "--initial-bits", "0011"],
 ]
+#: the intensity's ends and middle on table and run: the undephased table as
+#: JSON, p = 0, 0.5 and 1 as text and JSON, and run at both ends off its
+#: default epsilon, bits and axes
+INTENSITIES = [
+    ["table", "--format", "json"],
+    ["table", "--p", "0"],
+    ["table", "--p", "0.5"],
+    ["table", "--p", "1", "--format", "json"],
+    ["run", "--p", "0", "--epsilon", "0.3", "--initial-bits", "1011", "--axes", "xx-zz"],
+    ["run", "--p", "1", "--format", "text"],
+]
 ARGVS = (
     CLI_MIX + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS
+    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS + INTENSITIES
 )
 
 
