@@ -9,6 +9,9 @@ The built-in networks act on a four-qubit chain A-B-C-D (indices 0-3).  A and D
 are the probes to be entangled; B and C form the mediator through which every
 interaction is routed (there is no direct A-D gate anywhere below).
 
+A phase flip carries no intensity: each built-in network is one circuit at
+every dephasing intensity p, which the engines take when they evaluate it.
+
 ``local_unitary`` is the one definition of each unitary gate: the density
 engine embeds its matrix on the register, and the descriptor engine expands
 the gate's conjugation of each Pauli letter from the same matrix.
@@ -48,8 +51,6 @@ A, B, C, D = 0, 1, 2, 3
 #: the qubit count of each gate kind, and so the table of gate kinds
 _ARITY = {"H": 1, "Z": 1, "PHASE_FLIP": 1, "CNOT": 2, "CPHASE": 2, "SWAP": 2, "PARTIAL_SWAP": 2}
 
-SYMBOLIC_P = "symbolic"
-
 
 def _exact(rows) -> np.ndarray:
     matrix = np.array(rows, dtype=complex)
@@ -77,7 +78,6 @@ class GateOp:
     kind: str
     qubits: tuple[int, ...]
     alpha: float | None = None  # PARTIAL_SWAP exponent, in (0, 1]
-    p: float | str | None = None  # PHASE_FLIP intensity in [0, 1], or "symbolic"
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -95,13 +95,6 @@ class GateOp:
                 raise ValueError(f"partial swap exponent must lie in (0, 1], got {self.alpha!r}")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} takes no exponent")
-        if self.kind == "PHASE_FLIP":
-            if self.p != SYMBOLIC_P and (
-                not isinstance(self.p, (int, float)) or not 0 <= self.p <= 1
-            ):
-                raise ValueError(f"phase-flip intensity must lie in [0, 1], got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} takes no intensity")
 
 
 def local_unitary(kind: str, alpha: float | None = None) -> tuple[np.ndarray, int]:
@@ -152,8 +145,8 @@ def partial_swap(a: int, b: int, alpha: float) -> GateOp:
     return GateOp("PARTIAL_SWAP", (a, b), alpha=alpha)
 
 
-def phase_flip(q: int, p) -> GateOp:
-    return GateOp("PHASE_FLIP", (q,), p=p)
+def phase_flip(q: int) -> GateOp:
+    return GateOp("PHASE_FLIP", (q,))
 
 
 @dataclass(frozen=True)
@@ -178,23 +171,18 @@ class Circuit:
         return tuple(op for op in self.ops if isinstance(op, GateOp))
 
 
-def build_symmetric(p=None) -> Circuit:
+def build_symmetric() -> Circuit:
     """Symmetric entangling network on the A-B-C-D chain.
 
     Bell stages on (A,B) and (D,C), a controlled phase across the mediator
-    link B-C, then closing CNOTs.  With ``p`` given, phase-flip channels of
-    intensity p hit both mediator qubits between the phase gate and the
-    closing CNOTs; the t_2 snapshot is taken after those channels so the
-    reported descriptors carry their attenuation.  ``p`` may be the string
-    "symbolic" to carry the attenuation factor formally.
+    link B-C, then closing CNOTs.  Phase-flip channels hit both mediator
+    qubits between the phase gate and the closing CNOTs; the t_2 snapshot is
+    taken after those channels so the reported descriptors carry their
+    attenuation.  The engines take the channels' intensity p when they
+    evaluate the circuit, and at p = 0 the channels act as the identity.
     """
-    if p is not None and p != SYMBOLIC_P and not 0 <= p <= 1:
-        raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
-    ops: list = [h(A), cnot(A, B), h(D), cnot(D, C), SLICE, cphase(B, C)]
-    if p is not None:
-        ops += [phase_flip(B, p), phase_flip(C, p)]
-    ops += [SLICE, cnot(A, B), cnot(D, C), SLICE]
-    return Circuit(4, tuple(ops))
+    return Circuit(4, (h(A), cnot(A, B), h(D), cnot(D, C), SLICE, cphase(B, C),
+                       phase_flip(B), phase_flip(C), SLICE, cnot(A, B), cnot(D, C), SLICE))
 
 
 def build_asymmetric() -> Circuit:

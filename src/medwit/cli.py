@@ -18,16 +18,15 @@ witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
 ``detect.antiphase_amplitudes`` the multiplet off such a stack, and
 ``_descriptor_values`` the witnesses and the mediators' nonclassicality off
 the sums ``_descriptor_sums`` takes from a frame, read as numpy arrays at an
-array of dephasing intensities: a numeric frame's at its one intensity, a
-symbolic frame's at a stack of them.  ``run`` reads its
-stack of slices (the multiplet off the final slice, a stack of one) and
-each slice's frame, ``staged`` its variants' final states in one stack for
-both reads, and ``sweep`` each stack of grid points: its network depends on
-p only through two phase flips, so it is built once with a symbolic
-intensity, evolved a stack of points at a time
-(``density.run_intensity_grid``), and its one symbolic final frame's sums
-are read at the same stack of points as numpy arrays, with CSV
-byte-identical to one circuit per point.  A ``cmd_*``
+array of dephasing intensities p.  Each network is one circuit at every p,
+which the engines take when they evaluate it; with no --p they read p = 0,
+the undephased network.  ``run`` reads its stack of slices (the multiplet
+off the final slice, a stack of one) and each slice's frame at its p,
+``staged`` its variants' final states in one stack for both reads,
+``sweep`` each stack of grid points (``density.run_intensity_grid``), with
+CSV byte-identical to one circuit per point, and ``table`` the frames
+``heisenberg.substitute`` gives at p, or with --p symbolic the frames
+themselves.  A ``cmd_*``
 only picks what to observe and formats it, and ``_execute`` handles
 --timing, --dump-state and the output for all of them.
 
@@ -59,7 +58,6 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
-    SYMBOLIC_P,
     A,
     B,
     C,
@@ -93,6 +91,7 @@ from .heisenberg import (
     pseudo_pure_expectation_at,
     render_table,
     run_network_frames,
+    substitute,
 )
 from .pauli import BasisState, PauliSum, witness_observable
 
@@ -109,6 +108,8 @@ ZERO_TOL = 1e-10
 #: largest --p-grid point count; a finer grid is a config error, not a run
 #: that asks for unbounded memory
 MAX_GRID_POINTS = 10 ** 6
+#: the --p value with which table renders the formal factor (1 - 2p)
+SYMBOLIC_P = "symbolic"
 
 AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
@@ -194,6 +195,11 @@ class ExperimentConfig:
     @property
     def initial(self) -> DensityMatrix:
         return pseudo_pure(self.epsilon, self.basis)
+
+    @property
+    def intensity(self) -> float | str:
+        """The p the engines read: 0, the undephased network, if none is given."""
+        return 0.0 if self.p is None else self.p
 
     @property
     def count(self) -> int:
@@ -406,7 +412,7 @@ def _effective_config(args) -> ExperimentConfig:
 
 def _build_network(cfg: ExperimentConfig) -> Circuit:
     if cfg.network == "symmetric":
-        return build_symmetric(cfg.p)
+        return build_symmetric()
     if cfg.network == "asymmetric":
         return build_asymmetric()
     return build_staged(cfg.stages)
@@ -434,7 +440,7 @@ def _descriptor_values(
     and the mediators' nonclassicality by label, read off ``_descriptor_sums``
     at all of them at once (``pseudo_pure_expectation_at``,
     ``operator_norm_at``), each with the bytes that ``substitute`` would give
-    that point.  A numeric frame's sums are read at its one intensity."""
+    that point."""
     *images, c_b, c_c = sums
     columns = [pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p).tolist()
                for image in images]
@@ -489,6 +495,8 @@ def _final_slice_notes(entry: dict) -> list[str]:
 
 def cmd_table(cfg: ExperimentConfig, args):
     frames = run_network_frames(_build_network(cfg))
+    if cfg.p != SYMBOLIC_P:
+        frames = [substitute(frame, cfg.intensity) for frame in frames]
     if args.format == "json":
         return frames_to_dict(frames), None
     return render_table(frames) + "\n", None
@@ -497,7 +505,7 @@ def cmd_table(cfg: ExperimentConfig, args):
 def cmd_sweep(cfg: ExperimentConfig, args):
     axes = cfg.axes
     grid = _parse_grid(args.p_grid)
-    circuit = build_symmetric(SYMBOLIC_P)
+    circuit = _build_network(cfg)
     sums = _descriptor_sums(run_network_frames(circuit)[-1], [axes])
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
     start = 0
@@ -541,12 +549,12 @@ def cmd_staged(cfg: ExperimentConfig, args):
 def cmd_run(cfg: ExperimentConfig, args):
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     circuit = _build_network(cfg)
-    states = run_network_density(circuit, cfg.initial)
+    states = run_network_density(circuit, cfg.initial, cfg.intensity)
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
         ((w_heisenberg, nc),) = _descriptor_values(cfg, _descriptor_sums(frame, names), names,
-                                                   np.array([cfg.p]))
+                                                   np.array([cfg.intensity]))
         witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
                    for name in names]
         slices.append({

@@ -14,9 +14,10 @@ All operations are pure functions on immutable values, and every result is
 bit-stable run to run.  ``temporal_average`` walks the undephased staged
 circuit once, on state vectors: the initial state's eigenvectors whose
 eigenvalues lie above its smallest by more than rounding, one copy per
-pattern (each pattern's circuit is unitary, so it fixes I);
-``run_intensity_grid`` evolves one circuit at many dephasing intensities as
-a stack, p broadcast along it.
+pattern (each pattern's circuit is unitary, so it fixes I).  Phase flips
+carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
+apply, and ``run_intensity_grid`` evolves a circuit at many intensities as a
+stack, p broadcast along it.
 Every conjugation by Z, in the phase-flip channel and in the exhaustive
 average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
@@ -40,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .circuits import (
-    SYMBOLIC_P,
     C,
     Circuit,
     GateOp,
@@ -264,12 +264,10 @@ def _same_size(circuit: Circuit, initial: DensityMatrix) -> Circuit:
 
 def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
     """One gate or channel on a state, or on each state of a stack along axis 0;
-    a symbolic phase flip takes intensity ``p``, one per state as a (k, 1, 1) array."""
+    a phase flip takes the dephasing intensity ``p``, one per state as a (k, 1, 1) array."""
     if op.kind == "PHASE_FLIP":
-        if op.p != SYMBOLIC_P:
-            p = float(op.p)
-        elif p is None:
-            raise ValueError("the density engine needs a numeric dephasing intensity")
+        if p is None:
+            raise ValueError("a phase flip needs a dephasing intensity p")
         # the phase-flip channel (1-p) rho + p Z rho Z; p may be a (k, 1, 1) array
         return (1.0 - p) * entries + p * _dephase(entries, _dephase_mask(n, op.qubits[0]))
     u = gate_unitary(op, n)
@@ -286,10 +284,13 @@ def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.
             entries = _apply_raw(op, entries, circuit.n, p)
 
 
-def run_network_density(circuit: Circuit, initial: DensityMatrix) -> DensityMatrix:
-    """The states at each labelled time of the circuit, t_0 included, as one validated stack."""
+def run_network_density(circuit: Circuit, initial: DensityMatrix, p=None) -> DensityMatrix:
+    """The states at each labelled time of the circuit, t_0 included, as one
+    validated stack; every phase flip has dephasing intensity ``p`` in [0, 1]."""
+    if p is not None and not 0 <= p <= 1:
+        raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
     _same_size(circuit, initial)
-    states = DensityMatrix(np.concatenate(list(_slice_states(circuit, initial.entries))))
+    states = DensityMatrix(np.concatenate(list(_slice_states(circuit, initial.entries, p))))
     states.validate()
     return states
 
@@ -298,13 +299,13 @@ def run_intensity_grid(
     circuit: Circuit, initial: DensityMatrix, intensities: Sequence[float]
 ) -> Iterator[DensityMatrix]:
     """The state at the last labelled time of ``circuit`` at each dephasing
-    intensity in turn, every symbolic phase flip taking that intensity.
+    intensity in turn, every phase flip taking that intensity.
 
     Yields stacks of ``_BATCH`` points or fewer, in grid order.  Gates ahead
-    of the first symbolic flip act once on the state every point shares; that
-    flip broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and
-    each later gate is one broadcast matmul.  Every point sees exactly the
-    arithmetic of ``run_network_density`` on the circuit with its own p, so
+    of the first flip act once on the state every point shares; that flip
+    broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and each
+    later gate is one broadcast matmul.  Every point sees exactly the
+    arithmetic of ``run_network_density`` on the circuit at its own p, so
     the states are bit-identical to it; and every labelled slice of every
     point passes the same checks, a slice that the points share once per stack.
     """
@@ -315,7 +316,7 @@ def run_intensity_grid(
         for state in _slice_states(circuit, initial.entries, p):
             states = DensityMatrix(state)
             states.validate()
-        # a final slice that the points share (no symbolic flip) is repeated for each
+        # a final slice that the points share (no flip) is repeated for each
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 

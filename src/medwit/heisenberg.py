@@ -12,19 +12,18 @@ read in place, its letters naming the gate's qubits.  Clifford entries
 are integers there, so a Clifford gate maps descriptors to exact signed
 products of descriptors and evolution stays exact and symbolic; a partial
 swap mixes them with rounded real weights.  The dephasing channel acts as an
-effective attenuation of the dephased qubit's own descriptors.  Frames are
+effective attenuation of the dephased qubit's own descriptors, always by the
+formal factor (1 - 2p): a frame holds every intensity at once.  Frames are
 immutable values: every operation returns a new frame.  An observable, such
 as the ``pauli.witness_observable`` witness, is read off a frame in two
 steps: its Heisenberg image (``observable_image``), then the image's value
-on the pseudo-pure input (``pseudo_pure_expectation``).  An image, or the
-commutator behind ``nonclassicality_degree``, taken once off a frame evolved
-with a symbolic intensity gives its value at any p as if the frame had been
-evolved at that p: ``substitute`` gives the numeric sum at one p, and
-``pseudo_pure_expectation_at`` and ``operator_norm_at`` read the values at a
-whole array of intensities at once, each point with the bytes that
-``substitute`` then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
-A numeric frame's sums have no intensity left to substitute, so the same
-reads at a one-point array give their values.
+on the pseudo-pure input (``pseudo_pure_expectation``).  A frame, an image,
+or the commutator behind ``nonclassicality_degree`` gives its value at any p
+as if the attenuation had been applied at that p: ``substitute`` gives the
+numeric frame or sum at one p, and ``pseudo_pure_expectation_at`` and
+``operator_norm_at`` read the values at a whole array of intensities at
+once, each point with the bytes that ``substitute`` then
+``pseudo_pure_expectation`` or ``operator_norm`` give it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuits import SYMBOLIC_P, Circuit, GateOp, TimeSlice, local_unitary
+from .circuits import Circuit, GateOp, TimeSlice, local_unitary
 from .pauli import (
     PRUNE_TOL,
     BasisState,
@@ -77,8 +76,8 @@ __all__ = [
 class AttenuationPoly:
     """Polynomial in the formal dephasing attenuation factor (1 - 2p).
 
-    Used as a descriptor coefficient when the channel intensity is carried
-    symbolically; substitute a numeric p to recover a plain complex number.
+    Used as a descriptor coefficient once a dephasing channel has attenuated
+    it; substitute a numeric p to recover a plain complex number.
     """
 
     __slots__ = ("_coeffs",)
@@ -259,40 +258,35 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
     return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
 
 
-def _attenuate(descriptor: PauliSum, qubit: int, factor) -> PauliSum:
+def _attenuate(descriptor: PauliSum, qubit: int) -> PauliSum:
     terms = {}
     for word, coeff in descriptor.items():
-        terms[word] = coeff * factor if word[qubit] in "XY" else coeff
+        terms[word] = coeff * ATTENUATION if word[qubit] in "XY" else coeff
     return PauliSum(descriptor.n, terms)
 
 
-def apply_dephasing_frame(frame: DescriptorFrame, qubit: int, p) -> DescriptorFrame:
+def apply_dephasing_frame(frame: DescriptorFrame, qubit: int) -> DescriptorFrame:
     """Effective dephasing of one qubit's own descriptor pair.
 
     Every term of the target qubit's descriptors whose letter on that qubit
-    is X or Y is attenuated by (1 - 2p); letters I and Z pass through, and all
-    other qubits' descriptors are untouched.  This is the effective "dressed
+    is X or Y is attenuated by the formal factor (1 - 2p), ``ATTENUATION``,
+    whose intensity ``substitute`` or the array reads set later; letters I
+    and Z pass through, and all other qubits' descriptors are untouched.
+    This is the effective "dressed
     mediator" description: the physically exact channel lives in the density
     engine, and both agree on the built-in witness of the symmetric network at
     every slice, for any p, purity and basis input.  They can differ once a
     gate has changed the dephased qubit's own letters: after a Hadamard on
     qubit q its x-descriptor is Z_q, which this map leaves alone, so H(q) then
     a phase flip of intensity p gives <X_q> = 1 from |0>, where the exact
-    channel gives 1 - 2p.  ``p`` may be "symbolic" to carry the attenuation
-    factor formally for table rendering.
+    channel gives 1 - 2p.
     """
     if not 0 <= qubit < frame.n:
         raise ValueError(f"qubit {qubit} out of range for n={frame.n}")
-    if p == SYMBOLIC_P:
-        factor = ATTENUATION
-    else:
-        if not 0 <= p <= 1:
-            raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
-        factor = 1.0 - 2.0 * p
     x = list(frame.x)
     z = list(frame.z)
-    x[qubit] = _attenuate(x[qubit], qubit, factor)
-    z[qubit] = _attenuate(z[qubit], qubit, factor)
+    x[qubit] = _attenuate(x[qubit], qubit)
+    z[qubit] = _attenuate(z[qubit], qubit)
     return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
 
 
@@ -307,7 +301,7 @@ def run_network_frames(circuit: Circuit) -> list[DescriptorFrame]:
             current = replace(current, time_index=t)
             frames.append(current)
         elif op.kind == "PHASE_FLIP":
-            current = apply_dephasing_frame(current, op.qubits[0], op.p)
+            current = apply_dephasing_frame(current, op.qubits[0])
         else:
             current = apply_gate_frame(current, op)
     return frames
@@ -360,8 +354,13 @@ def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
     return operator_norm(descriptor_commutator(frame, qubit))
 
 
-def substitute(operator: PauliSum, p: float) -> PauliSum:
-    """Replace symbolic attenuation factors by their value at intensity ``p``."""
+def substitute(operator: PauliSum | DescriptorFrame, p: float) -> PauliSum | DescriptorFrame:
+    """Replace symbolic attenuation factors by their value at intensity ``p``,
+    in a sum or in every descriptor of a frame."""
+    if isinstance(operator, DescriptorFrame):
+        return DescriptorFrame(operator.time_index,
+                               tuple(substitute(d, p) for d in operator.x),
+                               tuple(substitute(d, p) for d in operator.z))
     return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, AttenuationPoly) else c)
 
 

@@ -17,8 +17,14 @@ draw and unrank patterns one at a time with Python integers
 ``temporal_average``, which walks state vectors of every pattern through the
 staged circuit at once: it builds (``pattern_circuit``) and evolves one
 concrete circuit per pattern on its density matrix, one at a time.  ``per_point_sweep``
-is the reference for the batched ``sweep`` command: it builds and evolves one
-circuit per grid point on both engines.  ``random_unitary_circuit`` draws
+is the reference for the batched ``sweep`` command: it evolves the circuit
+once per grid point on both engines.  ``numeric_frames`` is the byte
+reference for ``heisenberg.substitute``: the descriptor engine with each
+phase flip multiplying by the float 1 - 2p as it goes, where the package
+carries the formal factor (1 - 2p) and substitutes p afterwards.
+``undephased_symmetric`` is the symmetric network built by hand without
+its two phase flips, the reference for those flips at p = 0.
+``random_unitary_circuit`` draws
 circuits of every unitary kind, partial swaps included, for the cross-engine
 properties.
 
@@ -69,10 +75,12 @@ from medwit.density import (
 )
 from medwit.heisenberg import (
     AttenuationPoly,
+    DescriptorFrame,
+    apply_gate_frame,
+    init_frame,
     nonclassicality_degree,
     observable_image,
     pseudo_pure_expectation,
-    run_network_frames,
 )
 from medwit.pauli import BasisState, PauliSum, qubit_label, single, witness_observable
 
@@ -156,7 +164,39 @@ def basis_density(bits: BasisState) -> DensityMatrix:
 def apply_phase_flip(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     """The package's phase-flip channel (1-p) rho + p Z rho Z on one state,
     run as a one-gate circuit."""
-    return run_network_density(Circuit(rho.n, (phase_flip(qubit, p), SLICE)), rho)[-1]
+    return run_network_density(Circuit(rho.n, (phase_flip(qubit), SLICE)), rho, p)[-1]
+
+
+def undephased_symmetric() -> Circuit:
+    """The symmetric network's seven gates and three slices, with no phase flip."""
+    return Circuit(4, (h(A), cnot(A, B), h(D), cnot(D, C), SLICE, cphase(B, C), SLICE,
+                       cnot(A, B), cnot(D, C), SLICE))
+
+
+def numeric_frames(circuit: Circuit, p: float) -> list[DescriptorFrame]:
+    """The descriptor frames at every labelled time of ``circuit``, t_0
+    included, with each phase flip multiplying the X/Y terms of the flipped
+    qubit's own descriptors by the float 1 - 2p."""
+    factor = 1.0 - 2.0 * p
+
+    def attenuate(descriptor: PauliSum, qubit: int) -> PauliSum:
+        return PauliSum(descriptor.n, {word: coeff * factor if word[qubit] in "XY" else coeff
+                                       for word, coeff in descriptor.items()})
+
+    current = init_frame(circuit.n)
+    frames = [current]
+    for op in circuit.ops:
+        if isinstance(op, TimeSlice):
+            current = DescriptorFrame(len(frames), current.x, current.z)
+            frames.append(current)
+        elif op.kind == "PHASE_FLIP":
+            q = op.qubits[0]
+            x, z = list(current.x), list(current.z)
+            x[q], z[q] = attenuate(x[q], q), attenuate(z[q], q)
+            current = DescriptorFrame(current.time_index, tuple(x), tuple(z))
+        else:
+            current = apply_gate_frame(current, op)
+    return frames
 
 
 def slice_count(circuit: Circuit) -> int:
@@ -347,17 +387,17 @@ SWEEP_AXES = {"xz-zx": (("x", "z"), ("z", "x")), "xx-zz": (("x", "x"), ("z", "z"
 
 
 def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = "xz-zx") -> str:
-    """The ``sweep`` CSV, one symmetric-network circuit built and evolved per
-    grid point on both engines, each value read off that point's own state
-    and final frame."""
+    """The ``sweep`` CSV, the symmetric network evolved once per grid point
+    on both engines, each value read off that point's own state and its
+    ``numeric_frames`` final frame."""
     basis = BasisState.from_string(bits)
     witness = witness_observable(4, 0, 3, SWEEP_AXES[axes])
     initial = pseudo_pure(epsilon, basis)
+    circuit = build_symmetric()
     lines = [SWEEP_HEADER]
     for p in grid:
-        circuit = build_symmetric(p)
-        rho = run_network_density(circuit, initial)[-1]
-        frame = run_network_frames(circuit)[-1]
+        rho = run_network_density(circuit, initial, p)[-1]
+        frame = numeric_frames(circuit, p)[-1]
         row = (
             p,
             pseudo_pure_expectation(observable_image(frame, witness), basis, epsilon),

@@ -1,8 +1,9 @@
 """The batched sweep against one circuit per grid point, and its checks.
 
 ``sweep`` evolves the whole grid as stacks of ``density._BATCH`` points and
-reads the descriptor engine off one symbolic run, a stack of intensities at
-a time; ``helpers.per_point_sweep`` builds and evolves one circuit per point.
+reads the descriptor engine off one run, a stack of intensities at a time;
+``helpers.per_point_sweep`` evolves the circuit once per point, its frames
+attenuated by the float 1 - 2p (``helpers.numeric_frames``).
 The CSVs must be equal as strings, and the stacked descriptor reads must give
 the bytes of ``substitute`` at every point.
 """
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_point_sweep
+from helpers import numeric_frames, per_point_sweep, undephased_symmetric
 from medwit import cli, density, heisenberg, pauli
-from medwit.circuits import SYMBOLIC_P, build_asymmetric, build_symmetric
+from medwit.circuits import build_asymmetric, build_symmetric
 from medwit.cli import EXIT_OK, _parse_grid, main
 from medwit.density import _BATCH, DensityMatrix, pseudo_pure, run_intensity_grid
 from medwit.heisenberg import (
@@ -128,19 +129,20 @@ def test_no_per_point_descriptor_read(monkeypatch):
 def test_grid_states_equal_one_run_per_point():
     grid = [k / (2 * _BATCH + 6) for k in range(2 * _BATCH + 7)]
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
-    chunks = list(run_intensity_grid(build_symmetric(SYMBOLIC_P), initial, grid))
+    chunks = list(run_intensity_grid(build_symmetric(), initial, grid))
     assert [len(stack) for stack in chunks] == [_BATCH, _BATCH, 7]
     states = np.concatenate([stack.entries for stack in chunks])
     for p, state in zip(grid, states):
-        alone = density.run_network_density(build_symmetric(p), initial)[-1].entries
+        alone = density.run_network_density(build_symmetric(), initial, p)[-1].entries
         assert state.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize(
-    "circuit", [build_symmetric(0.2), build_asymmetric()], ids=["symmetric-0.2", "asymmetric"]
+    "circuit", [undephased_symmetric(), build_asymmetric()],
+    ids=["undephased-symmetric", "asymmetric"]
 )
-def test_grid_without_a_symbolic_flip_repeats_the_one_final_state(circuit):
-    """Every point of every stack is the final state of the one numeric run."""
+def test_grid_without_a_flip_repeats_the_one_final_state(circuit):
+    """Every point of every stack is the final state of the one run."""
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
     chunks = list(run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3)))
     assert [len(stack) for stack in chunks] == [_BATCH, 3]
@@ -150,8 +152,8 @@ def test_grid_without_a_symbolic_flip_repeats_the_one_final_state(circuit):
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)
 def test_substituted_commutator_matches_a_frame_evolved_at_p(p):
-    symbolic = run_network_frames(build_symmetric(SYMBOLIC_P))[-1]
-    numeric = run_network_frames(build_symmetric(p))[-1]
+    symbolic = run_network_frames(build_symmetric())[-1]
+    numeric = numeric_frames(build_symmetric(), p)[-1]
     for q in (1, 2):
         image = substitute(descriptor_commutator(symbolic, q), p)
         assert operator_norm(image) == nonclassicality_degree(numeric, q) == 0.0
@@ -203,7 +205,7 @@ class TestBatchedChecks:
 
     def test_non_positive_initial_state_stops_the_grid(self):
         bad = DensityMatrix(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex))
-        grid = run_intensity_grid(build_symmetric(SYMBOLIC_P), bad, [0.1, 0.2])
+        grid = run_intensity_grid(build_symmetric(), bad, [0.1, 0.2])
         assert "negative eigenvalue" in self.message(lambda: next(grid))
 
 
@@ -245,7 +247,7 @@ def assert_grid_reads_equal_substitute(image, commutators, basis, epsilon, ps):
     assert got == want
 
 
-SYMMETRIC = run_network_frames(build_symmetric(SYMBOLIC_P))[-1]
+SYMMETRIC = run_network_frames(build_symmetric())[-1]
 
 
 @pytest.mark.parametrize("axes", sorted(cli.AXES_CHOICES))

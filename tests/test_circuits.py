@@ -6,7 +6,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import basis_density, is_balanced, scalar_pattern, scalar_sample_patterns, slice_count
+from helpers import (
+    basis_density,
+    is_balanced,
+    random_density,
+    scalar_pattern,
+    scalar_sample_patterns,
+    slice_count,
+    undephased_symmetric,
+)
 from medwit.circuits import (
     Circuit,
     GateOp,
@@ -17,10 +25,9 @@ from medwit.circuits import (
     exhaustive_patterns,
     partial_swap,
     pattern_population,
-    phase_flip,
     sample_patterns,
 )
-from medwit.density import partial_trace, run_network_density
+from medwit.density import partial_trace, pseudo_pure, run_network_density
 from medwit.pauli import BasisState
 
 ZERO4 = BasisState.from_string("0000")
@@ -34,9 +41,6 @@ class TestGateOp:
             GateOp("H", (0, 1))
         with pytest.raises(ValueError):
             partial_swap(0, 1, 0.0)
-        with pytest.raises(ValueError):
-            phase_flip(0, 1.5)
-        assert phase_flip(2, "symbolic").p == "symbolic"
 
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
@@ -44,28 +48,31 @@ class TestGateOp:
 
 
 class TestBuildSymmetric:
-    def test_shape_without_dephasing(self):
-        circuit = build_symmetric()
-        assert len(circuit.gates) == 7
-        assert slice_count(circuit) == 4
-
     def test_shape_with_dephasing(self):
-        circuit = build_symmetric(0.3)
+        circuit = build_symmetric()
         assert len(circuit.gates) == 9
+        assert slice_count(circuit) == 4
         kinds = [g.kind for g in circuit.gates]
         assert kinds.count("PHASE_FLIP") == 2
         # channels precede the closing CNOTs
         assert kinds.index("PHASE_FLIP") < kinds.index("CNOT", kinds.index("CPHASE"))
 
     def test_p_zero_matches_undephased_outputs(self):
-        states_none = run_network_density(build_symmetric(), basis_density(ZERO4))
-        states_zero = run_network_density(build_symmetric(0.0), basis_density(ZERO4))
-        for a, b in zip(states_none, states_zero):
-            assert np.array_equal(a.entries, b.entries)
+        """At p = 0 the flips leave the bytes of the seven-gate circuit, on
+        mixed states and on every pseudo-pure basis input."""
+        rng = np.random.default_rng(47)
+        initials = [random_density(rng, 4, rank=int(rng.integers(1, 17))) for _ in range(40)]
+        initials += [pseudo_pure(eps, BasisState(tuple(int(b) for b in f"{i:04b}")))
+                     for i in range(16) for eps in (0.3, 1.0)]
+        for initial in initials:
+            flipped = run_network_density(build_symmetric(), initial, 0.0)
+            plain = run_network_density(undephased_symmetric(), initial)
+            assert flipped.entries.tobytes() == plain.entries.tobytes()
 
-    def test_intensity_validated(self):
-        with pytest.raises(ValueError):
-            build_symmetric(-0.1)
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_intensity_validated(self, p):
+        with pytest.raises(ValueError, match=r"intensity must lie in \[0, 1\]"):
+            run_network_density(build_symmetric(), basis_density(ZERO4), p)
 
 
 class TestBuildAsymmetric:

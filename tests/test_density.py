@@ -21,7 +21,6 @@ from helpers import (
 )
 from medwit.circuits import (
     SLICE,
-    SYMBOLIC_P,
     Circuit,
     GateOp,
     build_staged,
@@ -119,7 +118,7 @@ class TestStacks:
         "evolve",
         [
             lambda rho: run_network_density(build_staged(2), rho),
-            lambda rho: next(run_intensity_grid(build_symmetric(SYMBOLIC_P), rho, [0.1])),
+            lambda rho: next(run_intensity_grid(build_symmetric(), rho, [0.1])),
             lambda rho: temporal_average(2, np.array([[[True, False], [False, True]]]), rho),
             lambda rho: exhaustive_average(2, rho),
         ],
@@ -158,7 +157,7 @@ class TestGateUnitaries:
 
     def test_channel_is_not_a_unitary(self):
         with pytest.raises(ValueError, match="channel"):
-            gate_unitary(phase_flip(0, 0.5), 2)
+            gate_unitary(phase_flip(0), 2)
 
     def test_embedding_matches_kronecker_reference(self):
         checked = 0
@@ -258,9 +257,9 @@ class TestExpectation:
 
     def test_symmetric_network_witness(self):
         obs = witness_observable(4, 0, 3)
-        final = run_network_density(build_symmetric(), basis_density(ZERO4))[-1]
+        final = run_network_density(build_symmetric(), basis_density(ZERO4), 0.0)[-1]
         assert expectation(final, obs) == pytest.approx(2.0, abs=1e-10)
-        dephased = run_network_density(build_symmetric(0.25), basis_density(ZERO4))[-1]
+        dephased = run_network_density(build_symmetric(), basis_density(ZERO4), 0.25)[-1]
         assert expectation(dephased, obs) == pytest.approx(1.0, abs=1e-10)
 
     def test_non_hermitian_reported(self):
@@ -278,7 +277,7 @@ class TestNegativity:
         assert negativity(rho, [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_dephased_network_output_is_separable(self):
-        final = run_network_density(build_symmetric(0.5), basis_density(ZERO4))[-1]
+        final = run_network_density(build_symmetric(), basis_density(ZERO4), 0.5)[-1]
         reduced = partial_trace(final, [0, 3])
         assert negativity(reduced, [0]) <= 1e-10
 
@@ -296,15 +295,15 @@ class TestPseudoPure:
 
     def test_maximally_mixed_gives_zero_witness(self):
         rho = pseudo_pure(0.0, ZERO4)
-        final = run_network_density(build_symmetric(), rho)[-1]
+        final = run_network_density(build_symmetric(), rho, 0.0)[-1]
         assert expectation(final, witness_observable(4, 0, 3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_witness_scales_linearly_with_purity(self):
         obs = witness_observable(4, 0, 3)
-        pure = expectation(run_network_density(build_symmetric(), basis_density(ZERO4))[-1], obs)
+        pure = expectation(run_network_density(build_symmetric(), basis_density(ZERO4), 0.0)[-1], obs)
         for eps in (0.0, 0.3, 1.0):
             mixed = expectation(
-                run_network_density(build_symmetric(), pseudo_pure(eps, ZERO4))[-1], obs
+                run_network_density(build_symmetric(), pseudo_pure(eps, ZERO4), 0.0)[-1], obs
             )
             assert mixed == pytest.approx(eps * pure, abs=1e-12)
 
@@ -328,9 +327,9 @@ class TestTemporalAverage:
         averaged = temporal_average(2, BRANCHES, initial)
         u_bc, u_cd = partial_swap(1, 2, 0.5), partial_swap(2, 3, 0.5)
         channel = Circuit(4, (
-            h(0), cnot(0, 1), SLICE, u_bc, phase_flip(2, 0.5), u_bc, SLICE, u_cd, u_cd, SLICE,
+            h(0), cnot(0, 1), SLICE, u_bc, phase_flip(2), u_bc, SLICE, u_cd, u_cd, SLICE,
         ))
-        expected = run_network_density(channel, initial)[-1]
+        expected = run_network_density(channel, initial, 0.5)[-1]
         assert np.max(np.abs(averaged.entries - expected.entries)) < 1e-12
         undephased = run_network_density(build_staged(2), initial)[-1]
         assert np.max(np.abs(averaged.entries - undephased.entries)) > 0.1
@@ -460,21 +459,21 @@ class TestAgainstPerCircuitReference:
 
 class TestRunNetworkDensity:
     def test_snapshots_satisfy_invariants(self):
-        for circuit in (build_symmetric(), build_symmetric(0.3)):
-            states = run_network_density(circuit, basis_density(ZERO4))
+        for p in (0.0, 0.3):
+            states = run_network_density(build_symmetric(), basis_density(ZERO4), p)
             assert len(states) == 4
             for rho in states:
                 rho.validate()
                 assert abs(np.trace(rho.entries[0]) - 1) < 1e-10
 
-    def test_symbolic_intensity_rejected(self):
-        with pytest.raises(ValueError, match="numeric"):
-            run_network_density(build_symmetric("symbolic"), basis_density(ZERO4))
+    def test_flip_without_intensity_rejected(self):
+        with pytest.raises(ValueError, match="phase flip needs a dephasing intensity p"):
+            run_network_density(build_symmetric(), basis_density(ZERO4))
 
 
 class TestStateBytes:
     def test_round_trip_and_size(self):
-        rho = run_network_density(build_symmetric(), basis_density(ZERO4))[-1]
+        rho = run_network_density(build_symmetric(), basis_density(ZERO4), 0.0)[-1]
         blob = state_to_bytes(rho)
         assert len(blob) == 16 * 4 ** 4
         back = np.frombuffer(blob, dtype="<f8").reshape(16, 16, 2)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from helpers import (
     REF_LOCAL,
     basis_density,
+    numeric_frames,
     one_word,
     parse_word,
     random_clifford_circuit,
     random_unitary_circuit,
     ref_partial_swap,
+    undephased_symmetric,
 )
 from medwit.circuits import (
     SLICE,
@@ -115,7 +117,7 @@ class TestGateRules:
 
     def test_phase_flip_rejected_as_gate(self):
         with pytest.raises(ValueError, match="channel"):
-            apply_gate_frame(init_frame(4), phase_flip(1, 0.2))
+            apply_gate_frame(init_frame(4), phase_flip(1))
 
 
 class TestGateImages:
@@ -139,32 +141,31 @@ class TestGateImages:
 
 class TestDephasing:
     def _t2_frame(self):
-        frames = run_network_frames(build_symmetric())
+        frames = run_network_frames(undephased_symmetric())
         return frames[2]
 
     def test_scales_only_xy_supported_terms_of_own_descriptors(self):
         frame = self._t2_frame()
-        p = 0.2
-        dephased = apply_dephasing_frame(apply_dephasing_frame(frame, 1, p), 2, p)
-        assert dephased.x[1] == (1 - 2 * p) * frame.x[1]
+        dephased = apply_dephasing_frame(apply_dephasing_frame(frame, 1), 2)
+        assert dephased.x[1] == ATTENUATION * frame.x[1]
         assert dephased.z[1] == frame.z[1]  # letter on B is Z: untouched
-        assert dephased.x[2] == (1 - 2 * p) * frame.x[2]
+        assert dephased.x[2] == ATTENUATION * frame.x[2]
         assert dephased.z[2] == frame.z[2]
         assert dephased.x[0] == frame.x[0] and dephased.x[3] == frame.x[3]
 
     def test_p_zero_is_identity(self):
         frame = self._t2_frame()
-        dephased = apply_dephasing_frame(frame, 1, 0.0)
+        dephased = substitute(apply_dephasing_frame(frame, 1), 0.0)
         assert dephased.x == frame.x and dephased.z == frame.z
 
     def test_full_dephasing_erases_xy_supported_terms(self):
-        frame = apply_dephasing_frame(self._t2_frame(), 1, 0.5)
+        frame = substitute(apply_dephasing_frame(self._t2_frame(), 1), 0.5)
         assert not frame.x[1]
         assert frame.z[1] == self._t2_frame().z[1]
 
-    def test_intensity_range_checked(self):
-        with pytest.raises(ValueError):
-            apply_dephasing_frame(init_frame(2), 0, 1.5)
+    def test_qubit_range_checked(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_dephasing_frame(init_frame(2), 2)
 
 
 XZ_ZX = (("x", "z"), ("z", "x"))
@@ -180,15 +181,15 @@ def descriptor_witness(frame, state, axes=XZ_ZX):
 
 class TestWitness:
     def test_symmetric_network_reaches_two(self):
-        frames = run_network_frames(build_symmetric())
+        frames = run_network_frames(undephased_symmetric())
         state = BasisState.from_string("0000")
         assert descriptor_witness(frames[-1], state) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.4, 0.5])
     def test_dephased_witness_follows_attenuation(self, p):
-        frames = run_network_frames(build_symmetric(p))
+        frames = run_network_frames(build_symmetric())
         state = BasisState.from_string("0000")
-        got = descriptor_witness(frames[-1], state)
+        got = descriptor_witness(substitute(frames[-1], p), state)
         assert got == pytest.approx(2 * (1 - 2 * p), abs=1e-12)
 
     def test_asymmetric_axes_cross_checked_against_density(self):
@@ -272,22 +273,23 @@ class TestEffectiveDephasingAgainstChannel:
         axes=st.sampled_from([XZ_ZX, XX_ZZ]),
     )
     def test_agree_on_witness_at_every_slice(self, p, epsilon, bits, axes):
-        circuit = build_symmetric(p)
+        circuit = build_symmetric()
         basis = BasisState(tuple(bits))
         obs = witness_observable(4, 0, 3, axes)
-        states = run_network_density(circuit, pseudo_pure(epsilon, basis))
+        states = run_network_density(circuit, pseudo_pure(epsilon, basis), p)
         for frame, rho in zip(run_network_frames(circuit), states):
-            got = pseudo_pure_expectation(observable_image(frame, obs), basis, epsilon)
+            image = observable_image(substitute(frame, p), obs)
+            got = pseudo_pure_expectation(image, basis, epsilon)
             assert abs(got - expectation(rho, obs)) <= 1e-12
 
     def test_differ_on_x_after_hadamard(self):
         # after H(B) the x-descriptor of B is Z_B, which the effective map leaves
         # alone; the exact channel dephases the |+> state it stands for
         p = 0.2
-        circuit = Circuit(4, (h(1), phase_flip(1, p), SLICE))
+        circuit = Circuit(4, (h(1), phase_flip(1), SLICE))
         obs = single(4, 1, "x")
-        frame = run_network_frames(circuit)[-1]
-        rho = run_network_density(circuit, basis_density(BasisState((0,) * 4)))[-1]
+        frame = substitute(run_network_frames(circuit)[-1], p)
+        rho = run_network_density(circuit, basis_density(BasisState((0,) * 4)), p)[-1]
         image = observable_image(frame, obs)
         assert pseudo_pure_expectation(image, BasisState.from_string("0000"), 1.0) == 1.0
         assert expectation(rho, obs) == pytest.approx(1 - 2 * p, abs=1e-12)
@@ -301,15 +303,15 @@ class TestNonclassicality:
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_dephased_degree_follows_attenuation(self, p):
-        frames = run_network_frames(build_symmetric(p))
+        final = substitute(run_network_frames(build_symmetric())[-1], p)
         for q in (1, 2):
-            assert nonclassicality_degree(frames[-1], q) == pytest.approx(
+            assert nonclassicality_degree(final, q) == pytest.approx(
                 2 * abs(1 - 2 * p), abs=1e-12
             )
 
     def test_fully_dephased_qubit_is_classical(self):
-        frames = run_network_frames(build_symmetric(0.5))
-        assert nonclassicality_degree(frames[-1], 1) == 0.0
+        final = substitute(run_network_frames(build_symmetric())[-1], 0.5)
+        assert nonclassicality_degree(final, 1) == 0.0
 
 
 class TestCliffordInvariants:
@@ -361,11 +363,10 @@ class TestSymbolicAttenuation:
             complex(ATTENUATION)
 
     def test_substitution_matches_numeric_run(self):
-        symbolic = run_network_frames(build_symmetric("symbolic"))[-1]
+        symbolic = run_network_frames(build_symmetric())
         for p in (0.0, 0.2, 0.5):
-            numeric = run_network_frames(build_symmetric(p))[-1]
-            assert [substitute(d, p) for d in symbolic.x] == list(numeric.x)
-            assert [substitute(d, p) for d in symbolic.z] == list(numeric.z)
+            numeric = numeric_frames(build_symmetric(), p)
+            assert [substitute(frame, p) for frame in symbolic] == numeric
 
     def test_attenuation_value(self):
         poly = AttenuationPoly({2: 3.0})
@@ -377,7 +378,7 @@ class TestRenderingAndParsing:
         assert render_sum(PauliSum.zero(4)) == "0"
 
     def test_parse_round_trip(self):
-        frames = run_network_frames(build_symmetric("symbolic"))
+        frames = run_network_frames(build_symmetric())
         for frame in frames:
             for descriptor in frame.x + frame.z:
                 text = render_sum(descriptor)
@@ -397,7 +398,7 @@ class TestRenderingAndParsing:
             parse_word("(1-3p)q_xA", 4)
 
     def test_structured_dump(self):
-        frames = run_network_frames(build_symmetric("symbolic"))
+        frames = run_network_frames(build_symmetric())
         dump = frames_to_dict(frames)
         assert len(dump["slices"]) == 4
         cell = dump["slices"][3]["qubits"][1]  # qubit B at the final time

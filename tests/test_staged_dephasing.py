@@ -77,10 +77,10 @@ def staged_with_channels(stages: int) -> Circuit:
     alpha = 1.0 / stages
     ops = [h(0), cnot(0, 1), SLICE]
     for _ in range(stages):
-        ops += [partial_swap(1, 2, alpha), phase_flip(2, 0.5)]
+        ops += [partial_swap(1, 2, alpha), phase_flip(2)]
     ops.append(SLICE)
     for _ in range(stages):
-        ops += [partial_swap(2, 3, alpha), phase_flip(2, 0.5)]
+        ops += [partial_swap(2, 3, alpha), phase_flip(2)]
     ops.append(SLICE)
     return Circuit(4, tuple(ops))
 
@@ -223,7 +223,7 @@ class TestSampledAverage:
 
 class TestChannelizedLimit:
     def test_full_strength_channels_kill_the_transfer_exactly(self):
-        final = run_network_density(staged_with_channels(8), basis_density(INITIAL))[-1]
+        final = run_network_density(staged_with_channels(8), basis_density(INITIAL), 0.5)[-1]
         assert negativity(partial_trace(final, [0, 3]), [0]) == 0.0
         report, = antiphase_amplitudes(final, readout=0)
         assert report["classification"]["D"] == "silent"
