@@ -244,7 +244,7 @@ def _parse_p(text):
     if text == SYMBOLIC_P:
         return SYMBOLIC_P
     try:
-        p = float(text)
+        p = float(text) or 0.0  # -0 reads as 0, the one spelling the report echoes
     except ValueError:
         raise ConfigError(f"--p must be a number in [0, 1] or 'symbolic', got {text!r}")
     if not 0 <= p <= 1:
@@ -278,7 +278,7 @@ def _parse_grid(text: str) -> list[float]:
         else:
             values = [v for v in text.split(",") if v.strip()]
             _check_grid_size(text, len(values))
-            grid = [float(v) for v in values]
+            grid = [float(v) or 0.0 for v in values]  # -0 reads as 0, as in _parse_p
     except ValueError as exc:
         raise ConfigError(f"bad --p-grid {text!r}: {exc}") from exc
     if not grid:
@@ -307,7 +307,7 @@ def _parse_bits(text: str) -> str:
 
 def _parse_epsilon(value) -> float:
     try:
-        eps = float(value)
+        eps = float(value) or 0.0  # -0 reads as 0, as in _parse_p
     except (TypeError, ValueError):
         raise ConfigError(f"--epsilon must be a number in [0, 1], got {value!r}")
     if not 0 <= eps <= 1:

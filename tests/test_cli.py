@@ -549,6 +549,37 @@ class TestPatternsSpelling:
         assert json.loads(out)["config"]["patterns"] == value
 
 
+class TestNegativeZero:
+    """-0 reads as 0, so every output spells it one way: the report's config,
+    run's text header and the sweep's p column, from the flag and from the
+    config file."""
+
+    CASES = [(("staged", "--stages", "2"), "epsilon"), (("run",), "p"),
+             (("run", "--format", "text"), "p")]
+    IDS = ["staged-epsilon", "run-p", "run-text-p"]
+
+    @pytest.mark.parametrize("argv, key", CASES, ids=IDS)
+    def test_flag(self, capsys, argv, key):
+        negative = run_cli(capsys, *argv, f"--{key}", "-0")
+        assert negative == run_cli(capsys, *argv, f"--{key}", "0")
+        assert negative[0] == EXIT_OK and "-0" not in negative[1]
+
+    @pytest.mark.parametrize("argv, key", CASES, ids=IDS)
+    def test_config_file_key(self, capsys, tmp_path, argv, key):
+        config = tmp_path / "zero.cfg"
+        config.write_text(f"{key} = -0\n", encoding="utf-8")
+        negative = run_cli(capsys, *argv, "--config", str(config))
+        assert negative == run_cli(capsys, *argv, f"--{key}", "0")
+        assert negative[0] == EXIT_OK and "-0" not in negative[1]
+
+    @pytest.mark.parametrize("grid", ["-0,0", "-0:0.1:0.1"], ids=["comma", "range"])
+    def test_grid_point(self, capsys, grid):
+        code, out, _ = run_cli(capsys, "sweep", f"--p-grid={grid}")
+        rows = out.splitlines()[1:]
+        assert code == EXIT_OK and rows[0].startswith("0,")
+        assert not any(row.startswith("-") for row in rows)
+
+
 #: the config keys each command reads, written out here so that the test
 #: checks ``cli.COMMAND_KEYS`` instead of reading it
 READS = {
