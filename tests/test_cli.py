@@ -335,6 +335,12 @@ class TestRunCommand:
         assert abs(final["witness"]["heisenberg"] - 2 * (1 - 2 * 0.2)) < 1e-10
         assert final["nonclassicality"]["engine"] == "heisenberg"
 
+    def test_no_intensity_reads_the_undephased_network(self, capsys):
+        """Without --p both engines read p = 0, and the report echoes null."""
+        plain, zero = (json.loads(run_cli(capsys, "run", *argv)[1]) for argv in ([], ["--p", "0"]))
+        assert plain["config"].pop("p") is None and zero["config"].pop("p") == 0.0
+        assert plain == zero
+
     def test_asymmetric_reports_both_axes_with_note(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--network", "asymmetric")
         assert code == EXIT_OK
