@@ -144,9 +144,18 @@ INTENSITIES = [
     ["run", "--p", "0", "--epsilon", "0.3", "--initial-bits", "1011", "--axes", "xx-zz"],
     ["run", "--p", "1", "--format", "text"],
 ]
+#: seeds of more than one 32-bit word, through the seed hash of the sampler:
+#: two words (2**32) on the 32-bit bounded draw, three (2**64 + 1), and 2**200,
+#: longer than the hash's four-word pool, on the 64-bit bounded draw
+SEEDS = [
+    ["staged", "--stages", "8", "--patterns", "sampled:16", "--seed", "4294967296"],
+    ["staged", "--stages", "16", "--patterns", "sampled:40", "--seed", "18446744073709551617"],
+    ["staged", "--stages", "34", "--patterns", "sampled:5", "--seed",
+     "1606938044258990275541962092341162602522202993782792835301376"],
+]
 ARGVS = (
     CLI_MIX + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS + INTENSITIES
+    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS + INTENSITIES + SEEDS
 )
 
 
