@@ -245,26 +245,116 @@ def exhaustive_patterns(stages: int) -> np.ndarray:
     return _patterns_from_indices(np.arange(pattern_population(stages)), stages)
 
 
+#: numpy's ``SeedSequence`` hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s hashmix: each call hashes one 32-bit word and steps
+    the hash constant that the calls share."""
+    def hashmix(word: int) -> int:
+        nonlocal const
+        word ^= const
+        const = const * mult & _MASK32
+        word = word * const & _MASK32
+        return word ^ word >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    word = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return word ^ word >> 16
+
+
+class _PCG64:
+    """The integers of numpy's ``default_rng(seed)``, bit for bit, from the
+    PCG64 stream that numpy fixes (O'Neill 2014).
+
+    ``SeedSequence(seed)`` mixes the seed's 32-bit words, least significant
+    first, into a pool of four and hashes the pool into the 128-bit initial
+    state and stream; each step is the LCG then the XSL-RR output of 64 bits.
+    A 32-bit draw takes the low half of a step and keeps the high half for
+    the next 32-bit draw.
+    """
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        out = [hashmix(pool[i % 4]) for i in range(8)]
+        state = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        self.inc = (state[2] << 64 | state[3]) << 1 & _MASK128 | 1
+        self.state = ((self.inc + (state[0] << 64 | state[1])) * _PCG_MULT + self.inc) & _MASK128
+        self.half: int | None = None
+
+    def next64(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word, rot = (self.state >> 64 ^ self.state) & _MASK64, self.state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & _MASK32
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)``: Lemire's bounded draw (arXiv:1805.10941)
+        on 32-bit draws when n <= 2**32, else on 64-bit ones."""
+        if n == 1:
+            return 0
+        bits, draw = (32, self.next32) if n <= 2 ** 32 else (64, self.next64)
+        mask = (1 << bits) - 1
+        product = draw() * n
+        if product & mask < n:
+            threshold = (mask + 1 - n) % n
+            while product & mask < threshold:
+                product = draw() * n
+        return product >> bits
+
+
 def sample_patterns(stages: int, count: int, seed: int = 0) -> np.ndarray:
     """Draw ``count`` distinct balanced pattern pairs uniformly, as a
     (count, 2, stages) bool array; a seed always draws the same pairs.
 
-    Asking for the whole population returns it exhaustively in canonical order.
+    Each pair is an index drawn uniformly below the population, a repeat
+    drawn again.  The draws reproduce numpy's
+    ``default_rng(seed).integers(population)`` bit for bit, so a seed keeps
+    the sample that numpy drew for it, without importing numpy's random
+    module, which costs a sampling command about 18 ms and 5 MB.  The indices
+    are unranked as int64, which bounds the population at 2**63.  Asking for
+    the whole population returns it exhaustively in canonical order.
     """
     population = pattern_population(stages)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > population:
         raise ValueError(f"count {count} exceeds the pattern population {population}")
+    if population > 2 ** 63:
+        raise ValueError(f"{stages} stages give {population} pattern pairs, beyond int64 indices")
     if count == population:
         return exhaustive_patterns(stages)
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     seen: set[int] = set()
     order: list[int] = []
     while len(order) < count:
-        idx = int(rng.integers(population))
+        idx = rng.integers(population)
         if idx not in seen:
             seen.add(idx)
             order.append(idx)
     return _patterns_from_indices(np.array(order, dtype=np.int64), stages)
-

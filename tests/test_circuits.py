@@ -16,6 +16,7 @@ from helpers import (
     undephased_symmetric,
 )
 from medwit.circuits import (
+    _PCG64,
     Circuit,
     GateOp,
     build_asymmetric,
@@ -156,9 +157,51 @@ class TestPatterns:
         for row, want in zip(got, scalar_sample_patterns(stages, count, seed), strict=True):
             assert np.array_equal(row, want)
 
+    def test_population_beyond_int64_indices_rejected(self):
+        with pytest.raises(ValueError, match="beyond int64 indices"):
+            sample_patterns(36, 5)
+
     def test_exhaustive_enumeration_matches_itertools(self):
         got = {tuple(p[0]) for p in exhaustive_patterns(4)}
         want = set()
         for positions in combinations(range(4), 2):
             want.add(tuple(k in positions for k in range(4)))
         assert got == want
+
+
+#: seeds of one to eleven 32-bit words: the seed hash's pool holds four, and
+#: 2**200 and larger mix their extra words in after it
+SEEDS = [0, 1, 5, 39, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 1, 2 ** 128 + 3,
+         2 ** 200, 2 ** 200 + 5, 10 ** 40]
+#: one value (no draw), small ranges, both ends of the 32-bit bounded draw,
+#: the first 64-bit one, and the pattern population of every even stage count
+#: the sampler takes, 36 at 4 stages up to 5.4e18 at 34
+RANGES = sorted({1, 2, 36, 4900, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1}
+                | {pattern_population(stages) for stages in range(2, 35, 2)})
+
+
+class TestSeededDraw:
+    """``sample_patterns``' draw against numpy's ``default_rng(seed)
+    .integers(n)``, one value at a time.  This pins the stream of numpy
+    2.4.6, which the output digests were taken with; NEP 19 keeps the PCG64
+    bit stream across releases, but not ``Generator.integers``."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_range_alone(self, seed):
+        for n in RANGES:
+            draw, reference = _PCG64(seed), np.random.default_rng(seed)
+            got = [draw.integers(n) for _ in range(100)]
+            assert got == [int(reference.integers(n)) for _ in range(100)], n
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ranges_alternating_in_one_stream(self, seed):
+        # 32- and 64-bit draws interleave, so a buffered 32-bit half is
+        # held across 64-bit draws
+        draw, reference = _PCG64(seed), np.random.default_rng(seed)
+        ranges = RANGES * 10
+        assert ([draw.integers(n) for n in ranges]
+                == [int(reference.integers(n)) for n in ranges])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _PCG64(-1)

@@ -2,9 +2,9 @@
 medwit, no module of the package or the tests imports a name it never reads,
 ``tools/same_bytes.py`` reports a failing command and measures how far two
 outputs differ, every one of its argvs gives the output digests committed
-in ``tests/output_digests.json``, and
+in ``tests/output_digests.json``,
 importing medwit pins OpenBLAS to one thread unless the environment already
-sets a count.
+sets a count, and no command loads numpy's random module.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -148,6 +148,26 @@ def test_import_pins_blas_to_one_thread():
 def test_import_keeps_a_blas_thread_count_the_user_set():
     value, _ = _after_import("2")
     assert value == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    "staged --patterns sampled:16", "staged --patterns exhaustive", "run", "sweep", "table",
+])
+def test_command_loads_no_numpy_random(argv):
+    """A fresh interpreter runs the command through ``cli.main``: the seeded
+    sample is drawn without ``numpy.random``, whose import costs every
+    sampling command about 18 ms and 5 MB."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "from medwit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv.split()!r}) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_same_bytes_measures_how_far_outputs_differ():
