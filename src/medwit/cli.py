@@ -37,8 +37,10 @@ is the one inherently non-deterministic report field).
 
 ``staged --patterns exhaustive`` reports the exact average over every balanced
 pattern pair, computed by dynamic programming rather than by enumeration.
-Both pattern modes also draw a seeded sample, whose int64 index range bounds
-them at 34 stages.
+Both pattern modes also draw a seeded sample, whose indices are unranked as
+int64, which bounds both modes at 34 stages.  Every size the CLI accepts is
+bounded before any work starts: --stages by ``MAX_STAGES``, sampled:N by
+``MAX_SAMPLED_PATTERNS`` and --p-grid by ``MAX_GRID_POINTS``.
 
 Exit codes: 0 success, 2 configuration error, 3 engine error.
 """
@@ -99,7 +101,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
-#: pattern-pair indices are drawn as int64, so a population must stay below this
+#: pattern-pair indices are unranked as int64, so a population must stay below this
 SAMPLE_INDEX_LIMIT = 2 ** 63
 #: pattern count of the sampled preview shown beside an exhaustive average
 PREVIEW_PATTERNS = 16
@@ -108,6 +110,10 @@ ZERO_TOL = 1e-10
 #: largest --p-grid point count; a finer grid is a config error, not a run
 #: that asks for unbounded memory
 MAX_GRID_POINTS = 10 ** 6
+#: largest --stages: run's descriptor walk takes about 3 s there
+MAX_STAGES = 1000
+#: largest N of --patterns sampled:N: about 3 s and 100 MB at 34 stages
+MAX_SAMPLED_PATTERNS = 10 ** 5
 #: the --p value with which table renders the formal factor (1 - 2p)
 SYMBOLIC_P = "symbolic"
 
@@ -158,10 +164,12 @@ KEY_FLAGS = {
     "epsilon": {"help": "pseudo-pure purity fraction in [0, 1] (default 1)"},
     "initial_bits": {"help": "initial basis state, e.g. 0000"},
     "axes": {"choices": sorted(AXES_CHOICES), "help": "witness axes pair"},
-    "stages": {"help": "partial-swap stages per link of the staged network (default 8)"},
-    "patterns": {"help": "dephasing pattern mode: none (default), sampled:N, or exhaustive "
-                         "(the exact average over all balanced pattern pairs, by dynamic "
-                         "programming); both averaging modes take at most 34 stages"},
+    "stages": {"help": "partial-swap stages per link of the staged network, at most "
+                       f"{MAX_STAGES} (default 8)"},
+    "patterns": {"help": "dephasing pattern mode: none (default), sampled:N with N at most "
+                         f"{MAX_SAMPLED_PATTERNS}, or exhaustive (the exact average over all "
+                         "balanced pattern pairs, by dynamic programming); both averaging "
+                         "modes take at most 34 stages"},
     "seed": {"help": "seed of the sampled dephasing patterns (default 0); staged and run "
                      "record it in their reports, table and sweep accept it unused"},
 }
@@ -315,20 +323,29 @@ def _parse_epsilon(value) -> float:
     return eps
 
 
-def _parse_int(value, flag: str, least: int) -> int:
+def _parse_int(value, flag: str, least: int, most: int | None = None) -> int:
     try:
         number = int(value)
     except ValueError:
         raise ConfigError(f"{flag} must be an integer, got {value!r}") from None
     if number < least:
         raise ConfigError(f"{flag} must be an integer >= {least}, got {number}")
+    if most is not None and number > most:
+        raise ConfigError(f"{flag} {number} is above the limit of {most}")
     return number
 
 
 def _parse_patterns(text: str) -> str:
     """The pattern mode, spelt one way only, since the report echoes it: N of
-    sampled:N is ASCII digits with no leading zero."""
-    if text in ("none", "exhaustive") or re.fullmatch("sampled:[1-9][0-9]*", text):
+    sampled:N is ASCII digits with no leading zero, N at most
+    ``MAX_SAMPLED_PATTERNS``, compared before a long N is read as an int."""
+    if text in ("none", "exhaustive"):
+        return text
+    if re.fullmatch("sampled:[1-9][0-9]*", text):
+        count = text.partition(":")[2]
+        if len(count) > len(str(MAX_SAMPLED_PATTERNS)) or int(count) > MAX_SAMPLED_PATTERNS:
+            raise ConfigError(f"--patterns {text} is above the limit of "
+                              f"{MAX_SAMPLED_PATTERNS} patterns")
         return text
     raise ConfigError(f"--patterns must be none, sampled:N with N a positive integer in "
                       f"ASCII digits and no leading zero, or exhaustive, got {text!r}")
@@ -355,7 +372,7 @@ def _effective_config(args) -> ExperimentConfig:
         network=network,
         axes=values["axes"],
         initial_bits=_parse_bits(values["initial_bits"]),
-        stages=_parse_int(values["stages"], "--stages", 1),
+        stages=_parse_int(values["stages"], "--stages", 1, MAX_STAGES),
         seed=_parse_int(values["seed"], "--seed", 0),
         patterns=_parse_patterns(values["patterns"]),
         p=_parse_p(values["p"]),

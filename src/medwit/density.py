@@ -284,11 +284,16 @@ def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.
             entries = _apply_raw(op, entries, circuit.n, p)
 
 
+def _check_intensity(p) -> None:
+    if not 0 <= p <= 1:
+        raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
+
+
 def run_network_density(circuit: Circuit, initial: DensityMatrix, p=None) -> DensityMatrix:
     """The states at each labelled time of the circuit, t_0 included, as one
     validated stack; every phase flip has dephasing intensity ``p`` in [0, 1]."""
-    if p is not None and not 0 <= p <= 1:
-        raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
+    if p is not None:
+        _check_intensity(p)
     _same_size(circuit, initial)
     states = DensityMatrix(np.concatenate(list(_slice_states(circuit, initial.entries, p))))
     states.validate()
@@ -308,7 +313,10 @@ def run_intensity_grid(
     arithmetic of ``run_network_density`` on the circuit at its own p, so
     the states are bit-identical to it; and every labelled slice of every
     point passes the same checks, a slice that the points share once per stack.
+    Every intensity is checked to lie in [0, 1] before the first stack.
     """
+    for p in intensities:
+        _check_intensity(p)
     _same_size(circuit, initial)
     for start in range(0, len(intensities), _BATCH):
         chunk = intensities[start:start + _BATCH]

@@ -16,7 +16,7 @@ from medwit.density import exhaustive_average, pseudo_pure, run_network_density,
 from medwit.detect import antiphase_amplitudes
 from medwit.pauli import BasisState
 from test_tables import split_cells
-from test_tooling import ROOT, _load
+from test_tooling import ROOT, _load, same_bytes
 
 #: the benchmark's output checks, whose ENGINE_TOL bounds the engines' gap
 workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
@@ -584,6 +584,57 @@ class TestNegativeZero:
         rows = out.splitlines()[1:]
         assert code == EXIT_OK and rows[0].startswith("0,")
         assert not any(row.startswith("-") for row in rows)
+
+
+def effective_config(*argv: str) -> cli.ExperimentConfig:
+    """The validated config of an argv, with no engine run."""
+    return cli._effective_config(cli.build_parser().parse_args(list(argv)))
+
+
+class TestSizeLimits:
+    """--stages above ``MAX_STAGES`` and sampled:N above
+    ``MAX_SAMPLED_PATTERNS`` are config errors naming the flag, from the flag
+    and from the config file, before any work starts; every argv the output
+    digests and the benchmark pin lies within both limits."""
+
+    CASES = [
+        (("run", "--network", "staged"), "stages", str(cli.MAX_STAGES + 1)),
+        (("run", "--network", "staged"), "stages", "100000000"),
+        (("staged",), "stages", "20000"),
+        (("staged", "--stages", "34"), "patterns", f"sampled:{cli.MAX_SAMPLED_PATTERNS + 1}"),
+        (("staged", "--stages", "34"), "patterns", "sampled:5000000000000000000"),
+        # longer than int reads from a string by default
+        (("staged", "--stages", "34"), "patterns", "sampled:" + "9" * 5000),
+    ]
+    IDS = ["run-stages-limit", "run-stages-huge", "staged-stages", "patterns-limit",
+           "patterns-huge", "patterns-5000-digits"]
+
+    @pytest.mark.parametrize("argv, key, value", CASES, ids=IDS)
+    def test_flag(self, argv, key, value):
+        with pytest.raises(cli.ConfigError, match=f"^--{key} .*above the limit"):
+            effective_config(*argv, f"--{key}", value)
+
+    @pytest.mark.parametrize("argv, key, value", CASES, ids=IDS)
+    def test_config_file_key(self, tmp_path, argv, key, value):
+        config = tmp_path / "size.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=f"^--{key} .*above the limit"):
+            effective_config(*argv, "--config", str(config))
+
+    def test_each_limit_is_admitted_and_stated_in_help(self):
+        cfg = effective_config("run", "--network", "staged", "--stages", str(cli.MAX_STAGES))
+        assert cfg.stages == cli.MAX_STAGES
+        cfg = effective_config("staged", "--stages", "34", "--patterns",
+                               f"sampled:{cli.MAX_SAMPLED_PATTERNS}")
+        assert cfg.count == cli.MAX_SAMPLED_PATTERNS
+        assert f"at most {cli.MAX_STAGES} " in cli.KEY_FLAGS["stages"]["help"]
+        assert f"at most {cli.MAX_SAMPLED_PATTERNS}," in cli.KEY_FLAGS["patterns"]["help"]
+
+    def test_pinned_argvs_lie_within_the_limits(self):
+        argvs = same_bytes.ARGVS + [command.argv(1) for workload in workloads.WORKLOADS.values()
+                                    for command in workload.commands]
+        for argv in argvs:
+            effective_config(*argv)
 
 
 #: the config keys each command reads, written out here so that the test

@@ -470,6 +470,16 @@ class TestRunNetworkDensity:
         with pytest.raises(ValueError, match="phase flip needs a dephasing intensity p"):
             run_network_density(build_symmetric(), basis_density(ZERO4))
 
+    @pytest.mark.parametrize("p", [1.5, -0.2, float("nan")])
+    def test_intensity_outside_unit_interval_is_named(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 1], got {p!r}")):
+            run_network_density(build_symmetric(), basis_density(ZERO4), p)
+        # the grid is checked before its first stack, also where the bad
+        # point lies in a later stack
+        for grid in ([p], [0.1] * density._BATCH + [p]):
+            with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 1], got {p!r}")):
+                next(run_intensity_grid(build_symmetric(), basis_density(ZERO4), grid))
+
 
 class TestStateBytes:
     def test_round_trip_and_size(self):
