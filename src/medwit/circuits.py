@@ -28,6 +28,7 @@ __all__ = [
     "A", "B", "C", "D",
     "Circuit",
     "GateOp",
+    "SAMPLE_INDEX_LIMIT",
     "SLICE",
     "TimeSlice",
     "build_asymmetric",
@@ -245,6 +246,8 @@ def exhaustive_patterns(stages: int) -> np.ndarray:
     return _patterns_from_indices(np.arange(pattern_population(stages)), stages)
 
 
+#: pattern-pair indices are unranked as int64, so a population must stay below this
+SAMPLE_INDEX_LIMIT = 2 ** 63
 #: numpy's ``SeedSequence`` hash constants and PCG64's 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -336,16 +339,17 @@ def sample_patterns(stages: int, count: int, seed: int = 0) -> np.ndarray:
     drawn again.  The draws reproduce numpy's
     ``default_rng(seed).integers(population)`` bit for bit, so a seed keeps
     the sample that numpy drew for it, without importing numpy's random
-    module, which costs a sampling command about 18 ms and 5 MB.  The indices
-    are unranked as int64, which bounds the population at 2**63.  Asking for
-    the whole population returns it exhaustively in canonical order.
+    module, which costs a sampling command about 18 ms and 5 MB.  The
+    indices are unranked as int64, which bounds the population below
+    ``SAMPLE_INDEX_LIMIT``.  Asking for the whole population returns it
+    exhaustively in canonical order.
     """
     population = pattern_population(stages)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > population:
         raise ValueError(f"count {count} exceeds the pattern population {population}")
-    if population > 2 ** 63:
+    if population >= SAMPLE_INDEX_LIMIT:
         raise ValueError(f"{stages} stages give {population} pattern pairs, beyond int64 indices")
     if count == population:
         return exhaustive_patterns(stages)

@@ -64,6 +64,7 @@ from .circuits import (
     B,
     C,
     D,
+    SAMPLE_INDEX_LIMIT,
     Circuit,
     build_asymmetric,
     build_staged,
@@ -101,8 +102,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
-#: pattern-pair indices are unranked as int64, so a population must stay below this
-SAMPLE_INDEX_LIMIT = 2 ** 63
 #: pattern count of the sampled preview shown beside an exhaustive average
 PREVIEW_PATTERNS = 16
 #: a witness or negativity within this of 0 is reported as 0
