@@ -17,7 +17,7 @@ eigenvalues lie above its smallest by more than rounding, one copy per
 pattern (each pattern's circuit is unitary, so it fixes I).  Phase flips
 carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
 apply, and ``run_intensity_grid`` evolves a circuit at many intensities as a
-stack, p broadcast along it.
+stack, p broadcast along it, and the ops ahead of its first flip once per grid.
 Every conjugation by Z, in the phase-flip channel and in the exhaustive
 average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
@@ -25,7 +25,9 @@ that +-1 diagonal at no matrix product.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
-of a stack, and the constructor and ``validate`` check every state of it.
+of a stack, and the constructor and ``validate`` check every state of it:
+``validate`` passes a stack that a Cholesky factorisation certifies, and
+``eigvalsh`` decides any other.
 ``exhaustive_average`` walks the same circuit for the exact average over all
 C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
 instead of one circuit per pattern pair: one stack of state sums per link,
@@ -69,10 +71,11 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: grid points per stack of ``run_intensity_grid``.  Best of 7 in-process
-#: runs on a shared 2-core host (peak RSS of the process after them): the
-#: 1001-point grid takes 0.46 s at 1, 0.087 s at 32 (35.3 MB), and 0.083 s
-#: and 0.089 s at 64 and 128 (36.3 and 37.0 MB)
+#: grid points per stack of ``run_intensity_grid``.  Best of 15 in-process
+#: runs of the 1001-point sweep on a shared 2-core host (peak RSS of the
+#: process after them): 0.27 s at 1, 0.047 s at 32 (33.2 MB) and 0.044 s at
+#: 64 (34.9 MB); 128 peaks at 36.6 MB, and the host's spread between runs
+#: of one setting, up to 0.03 s, hides any gain above 32
 _BATCH = 32
 
 _HERM_TOL = 1e-10
@@ -117,9 +120,23 @@ class DensityMatrix:
         return DensityMatrix(self.entries[index])
 
     def validate(self) -> None:
-        """Positivity check in addition to the constructor's Hermiticity/trace
-        checks, by one ``eigvalsh``: the first state with an eigenvalue below
-        -_PSD_TOL is an error naming its lowest eigenvalue."""
+        """Positivity check in addition to the constructor's Hermiticity and
+        trace checks.  A Cholesky factorisation of every state plus
+        ``_PSD_TOL / 2`` times I that completes with a finite factor
+        certifies each lowest eigenvalue above -_PSD_TOL / 2 less rounding,
+        which a backward-stable ``eigvalsh`` reads above -_PSD_TOL, so the
+        stack passes.  Otherwise one ``eigvalsh`` decides, as if the
+        factorisation had not been tried: the first state with an eigenvalue
+        below -_PSD_TOL is an error naming its lowest eigenvalue.  The
+        factor must be finite because ``cholesky`` can return NaN for a NaN
+        or infinite entry without raising, where ``eigvalsh`` raises.  Both
+        read the lower triangle."""
+        shifted = self.entries + (_PSD_TOL / 2) * np.eye(self.entries.shape[-1])
+        try:
+            if np.isfinite(np.linalg.cholesky(shifted)).all():
+                return
+        except np.linalg.LinAlgError:
+            pass
         lowest = np.linalg.eigvalsh(self.entries)[:, 0]
         negative = lowest < -_PSD_TOL
         if np.any(negative):
@@ -274,14 +291,16 @@ def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
     return u @ entries @ u.conj().T
 
 
-def _slice_states(circuit: Circuit, entries: np.ndarray, p=None) -> Iterator[np.ndarray]:
-    """Raw state at each labelled time of the circuit, t_0 included."""
-    yield entries
-    for op in circuit.ops:
+def _walk(ops: Sequence, entries: np.ndarray, n: int, p=None) -> tuple[list, np.ndarray]:
+    """The raw state at each slice among ``ops``, from ``entries`` before the
+    first of them, and the raw state after the last."""
+    labelled = []
+    for op in ops:
         if isinstance(op, TimeSlice):
-            yield entries
+            labelled.append(entries)
         else:
-            entries = _apply_raw(op, entries, circuit.n, p)
+            entries = _apply_raw(op, entries, n, p)
+    return labelled, entries
 
 
 def _check_intensity(p) -> None:
@@ -295,7 +314,8 @@ def run_network_density(circuit: Circuit, initial: DensityMatrix, p=None) -> Den
     if p is not None:
         _check_intensity(p)
     _same_size(circuit, initial)
-    states = DensityMatrix(np.concatenate(list(_slice_states(circuit, initial.entries, p))))
+    labelled, _ = _walk(circuit.ops, initial.entries, circuit.n, p)
+    states = DensityMatrix(np.concatenate([initial.entries, *labelled]))
     states.validate()
     return states
 
@@ -306,25 +326,34 @@ def run_intensity_grid(
     """The state at the last labelled time of ``circuit`` at each dephasing
     intensity in turn, every phase flip taking that intensity.
 
-    Yields stacks of ``_BATCH`` points or fewer, in grid order.  Gates ahead
-    of the first flip act once on the state every point shares; that flip
-    broadcasts p along the stack, ``(1-p) stack + p (Z stack Z)``, and each
-    later gate is one broadcast matmul.  Every point sees exactly the
-    arithmetic of ``run_network_density`` on the circuit at its own p, so
-    the states are bit-identical to it; and every labelled slice of every
-    point passes the same checks, a slice that the points share once per stack.
+    Yields stacks of ``_BATCH`` points or fewer, in grid order.  The ops
+    ahead of the first flip act alike at every p, so they run once per grid
+    on the one state every point shares; that flip broadcasts p along a
+    stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
+    broadcast matmul.  Every point sees exactly the arithmetic of
+    ``run_network_density`` on the circuit at its own p, so the states are
+    bit-identical to it; and every labelled slice of every point passes the
+    same checks, a slice ahead of the first flip once per grid.
     Every intensity is checked to lie in [0, 1] before the first stack.
     """
     for p in intensities:
         _check_intensity(p)
     _same_size(circuit, initial)
+    n, ops = circuit.n, circuit.ops
+    first = next((i for i, op in enumerate(ops)
+                  if isinstance(op, GateOp) and op.kind == "PHASE_FLIP"), len(ops))
+    labelled, shared = _walk(ops[:first], initial.entries, n)
+    for state in [initial.entries, *labelled]:
+        final = DensityMatrix(state)
+        final.validate()
     for start in range(0, len(intensities), _BATCH):
         chunk = intensities[start:start + _BATCH]
         p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
-        for state in _slice_states(circuit, initial.entries, p):
+        states = final
+        for state in _walk(ops[first:], shared, n, p)[0]:
             states = DensityMatrix(state)
             states.validate()
-        # a final slice that the points share (no flip) is repeated for each
+        # a final slice that the points share (none after a flip) is repeated for each
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 
 

@@ -24,6 +24,10 @@ phase flip multiplying by the float 1 - 2p as it goes, where the package
 carries the formal factor (1 - 2p) and substitutes p afterwards.
 ``undephased_symmetric`` is the symmetric network built by hand without
 its two phase flips, the reference for those flips at p = 0.
+``eigvalsh_validate`` is the reference for ``DensityMatrix.validate``: its
+positivity check by ``eigvalsh`` alone, with no Cholesky certificate ahead
+of it; ``unchecked_density`` wraps a stack without the constructor's checks,
+so that ``validate`` sees any entries.
 ``random_unitary_circuit`` draws
 circuits of every unitary kind, partial swaps included, for the cross-engine
 properties.
@@ -64,6 +68,7 @@ from medwit.circuits import (
     z,
 )
 from medwit.density import (
+    _PSD_TOL,
     DensityMatrix,
     expectation,
     gate_unitary,
@@ -274,6 +279,26 @@ def random_density(rng: np.random.Generator, n: int, rank: int = 3) -> DensityMa
         vec = haar_vector(rng, dim)
         entries += w * np.outer(vec, vec.conj())
     return DensityMatrix(entries)
+
+
+def eigvalsh_validate(entries: np.ndarray) -> None:
+    """The positivity check of ``DensityMatrix.validate`` on a stack, by one
+    ``eigvalsh`` alone: the first state with an eigenvalue below -_PSD_TOL
+    is an error naming its lowest eigenvalue."""
+    lowest = np.linalg.eigvalsh(entries)[:, 0]
+    negative = lowest < -_PSD_TOL
+    if np.any(negative):
+        raise ValueError(
+            f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
+        )
+
+
+def unchecked_density(entries: np.ndarray) -> DensityMatrix:
+    """A ``DensityMatrix`` holding the stack ``entries`` as given, with none
+    of the constructor's checks."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "entries", entries)
+    return rho
 
 
 def brute_force_average(stages: int, initial: DensityMatrix) -> DensityMatrix:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import numeric_frames, per_point_sweep, undephased_symmetric
+from helpers import numeric_frames, per_point_sweep, unchecked_density, undephased_symmetric
 from medwit import cli, density, heisenberg, pauli
 from medwit.circuits import build_asymmetric, build_symmetric
 from medwit.cli import EXIT_OK, _parse_grid, main
@@ -150,6 +150,41 @@ def test_grid_without_a_flip_repeats_the_one_final_state(circuit):
     assert all(state.tobytes() == alone for stack in chunks for state in stack.entries)
 
 
+@pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])
+@pytest.mark.parametrize(
+    "circuit, shared, per_stack",
+    [(build_symmetric(), (2, 5), (2, 2)), (build_asymmetric(), (4, 4), (0, 0))],
+    ids=["symmetric", "asymmetric"],
+)
+def test_every_slice_checked_and_shared_gates_run_once_per_grid(
+    monkeypatch, points, circuit, shared, per_stack
+):
+    """(validate, gate_unitary) calls: the slices and gates ahead of the
+    first flip once per grid (the symmetric network's t_0 and t_1 and its 5
+    gates; every slice and gate of the asymmetric one, which has no flip),
+    the later ones once per stack."""
+    calls = [0, 0]
+    validate, gate_unitary = DensityMatrix.validate, density.gate_unitary
+
+    def counted_validate(self):
+        calls[0] += 1
+        return validate(self)
+
+    def counted_gate_unitary(gate, n):
+        calls[1] += 1
+        return gate_unitary(gate, n)
+
+    monkeypatch.setattr(DensityMatrix, "validate", counted_validate)
+    monkeypatch.setattr(density, "gate_unitary", counted_gate_unitary)
+    grid = [k / (2 * points) for k in range(points)]
+    chunks = list(run_intensity_grid(circuit, pseudo_pure(0.8, BasisState.from_string("0110")),
+                                     grid))
+    stacks = -(-points // _BATCH)
+    assert [len(stack) for stack in chunks] == [min(_BATCH, points - start)
+                                                for start in range(0, points, _BATCH)]
+    assert calls == [once + stacks * each for once, each in zip(shared, per_stack)]
+
+
 @pytest.mark.parametrize("p", PRUNE_WINDOW)
 def test_substituted_commutator_matches_a_frame_evolved_at_p(p):
     symbolic = run_network_frames(build_symmetric())[-1]
@@ -184,8 +219,7 @@ class TestBatchedChecks:
         assert self.message(lambda: DensityMatrix(stack)) == expected
         # partial_trace checks the reduced states itself, even of a stack
         # that never passed the constructor
-        unchecked = object.__new__(DensityMatrix)
-        object.__setattr__(unchecked, "entries", stack)
+        unchecked = unchecked_density(stack)
         assert self.message(lambda: density.partial_trace(unchecked, [0, 3])) == expected
 
     def test_off_trace_slice(self):

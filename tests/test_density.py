@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     apply_phase_flip,
     basis_density,
+    eigvalsh_validate,
     one_word,
     per_circuit_average,
     ref_gate_unitary,
@@ -18,6 +19,7 @@ from helpers import (
     random_density,
     random_sum,
     ref_sum_matrix,
+    unchecked_density,
 )
 from medwit.circuits import (
     SLICE,
@@ -76,6 +78,94 @@ class TestDensityMatrixType:
         rho = basis_density(ZERO4)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
+
+
+def decision(check, entries: np.ndarray):
+    """What a positivity check does with a stack: None where it passes, else
+    the type and message of what it raises (``LinAlgError`` is a ValueError)."""
+    try:
+        check(entries)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def validate(entries: np.ndarray) -> None:
+    unchecked_density(entries).validate()
+
+
+def frame_state(rng: np.random.Generator, lowest: float, dim: int = 16) -> np.ndarray:
+    """A Hermitian trace-one dim x dim matrix with eigenvalue ``lowest`` and
+    dim - 1 positive ones, in a random unitary frame."""
+    values = np.concatenate([[lowest], rng.dirichlet(np.ones(dim - 1)) * (1 - lowest)])
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    rho = (u * values) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+class TestValidateDecisions:
+    """``validate`` passes or raises exactly where ``eigvalsh`` alone does,
+    with the same message, whether or not its Cholesky certificate of
+    rho + _PSD_TOL/2 I completes."""
+
+    TOL = density._PSD_TOL
+
+    @staticmethod
+    def certified(entries: np.ndarray) -> bool:
+        try:
+            factor = np.linalg.cholesky(entries + density._PSD_TOL / 2 * np.eye(entries.shape[-1]))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(factor).all())
+
+    def test_lowest_eigenvalue_around_the_tolerance(self):
+        rng = np.random.default_rng(2201)
+        outcomes = {"certified": 0, "passed": 0, "raised": 0}
+        for s in np.linspace(0.2, 3.0, 301) * self.TOL:
+            entries = frame_state(rng, -s)[np.newaxis]
+            want = decision(eigvalsh_validate, entries)
+            assert decision(validate, entries) == want
+            outcomes["certified" if self.certified(entries) else
+                     "raised" if want else "passed"] += 1
+        # each way to decide is taken: the certificate, eigvalsh passing, eigvalsh raising
+        assert min(outcomes.values()) > 20
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imaginary"])
+    @pytest.mark.parametrize("places", [[(3, 3)], [(5, 2)], [(2, 5)], [(5, 2), (2, 5)]],
+                             ids=["diagonal", "lower", "upper", "both-triangles"])
+    def test_non_finite_entries(self, value, places):
+        entries = np.repeat(pseudo_pure(0.5, ZERO4).entries, 3, axis=0)
+        for row, col in places:
+            entries[1, row, col] = value
+        assert decision(validate, entries) == decision(eigvalsh_validate, entries)
+
+    def test_nan_state_is_refused(self):
+        """A NaN state passes the constructor, and ``cholesky`` returns a NaN
+        factor for it without raising; ``validate`` still refuses it."""
+        entries = np.eye(16, dtype=complex) / 16
+        entries[3, 3] = np.nan
+        rho = DensityMatrix(entries)
+        with pytest.raises(np.linalg.LinAlgError):
+            rho.validate()
+
+    @pytest.mark.parametrize("s", [0.4, 0.8, 1.5, 5e9], ids=["certified", "eigvalsh-passes",
+                                                             "just-below", "far-below"])
+    def test_bad_state_last_of_a_stack_of_32(self, s):
+        rng = np.random.default_rng(2202)
+        entries = np.stack([frame_state(rng, 0.0) for _ in range(31)]
+                           + [frame_state(rng, -s * self.TOL)])
+        want = decision(eigvalsh_validate, entries)
+        assert (want is None) == (s < 1)
+        assert decision(validate, entries) == want
+
+    def test_imaginary_diagonal(self):
+        rng = np.random.default_rng(2203)
+        for s in np.linspace(0.2, 3.0, 57) * self.TOL:
+            entries = frame_state(rng, -s)[np.newaxis]
+            entries[0] += np.diag(1j * rng.uniform(-1e-10, 1e-10, 16))
+            assert decision(validate, entries) == decision(eigvalsh_validate, entries)
 
 
 class TestStacks:
