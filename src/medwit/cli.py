@@ -23,8 +23,9 @@ which the engines take when they evaluate it; with no --p they read p = 0,
 the undephased network.  ``run`` reads its stack of slices (the multiplet
 off the final slice, a stack of one) and each slice's frame at its p,
 ``staged`` its variants' final states in one stack for both reads,
-``sweep`` each stack of grid points (``density.run_intensity_grid``), with
-CSV byte-identical to one circuit per point, and ``table`` the frames
+``sweep`` each stack of grid points (``density.run_intensity_grid``) and
+its final frame once at the whole grid, with CSV byte-identical to one
+circuit per point, and ``table`` the frames
 ``heisenberg.substitute`` gives at p, or with --p symbolic the frames
 themselves.  A ``cmd_*``
 only picks what to observe and formats it, and ``_execute`` handles
@@ -40,7 +41,9 @@ pattern pair, computed by dynamic programming rather than by enumeration.
 Both pattern modes also draw a seeded sample, whose indices are unranked as
 int64, which bounds both modes at 34 stages.  Every size the CLI accepts is
 bounded before any work starts: --stages by ``MAX_STAGES``, sampled:N by
-``MAX_SAMPLED_PATTERNS`` and --p-grid by ``MAX_GRID_POINTS``.
+``MAX_SAMPLED_PATTERNS`` and --p-grid by ``MAX_GRID_POINTS``.  A --stages
+or --seed too long for ``int`` is named by that limit or by its digit
+count, and a config error echoes at most ``ECHO_CHARS`` characters of a value.
 
 Exit codes: 0 success, 2 configuration error, 3 engine error.
 """
@@ -115,6 +118,8 @@ MAX_STAGES = 1000
 MAX_SAMPLED_PATTERNS = 10 ** 5
 #: the --p value with which table renders the formal factor (1 - 2p)
 SYMBOLIC_P = "symbolic"
+#: characters of a value that a config error echoes at most
+ECHO_CHARS = 40
 
 AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
@@ -245,6 +250,14 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
     return values
 
 
+def _shown(text: str) -> str:
+    """``text`` as a config error echoes it: cut after ``ECHO_CHARS``
+    characters, then followed by its length."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _parse_p(text):
     if text is None:
         return None
@@ -253,7 +266,9 @@ def _parse_p(text):
     try:
         p = float(text) or 0.0  # -0 reads as 0, the one spelling the report echoes
     except ValueError:
-        raise ConfigError(f"--p must be a number in [0, 1] or 'symbolic', got {text!r}")
+        raise ConfigError(
+            f"--p must be a number in [0, 1] or 'symbolic', got {_shown(repr(text))}"
+        )
     if not 0 <= p <= 1:
         raise ConfigError(f"--p must lie in [0, 1], got {p}")
     return p
@@ -304,10 +319,11 @@ def _check_grid_size(text: str, points: int | float) -> None:
 
 def _parse_bits(text: str) -> str:
     if not text or any(c not in "01" for c in text):
-        raise ConfigError(f"--initial-bits must be a 0/1 string, got {text!r}")
+        raise ConfigError(f"--initial-bits must be a 0/1 string, got {_shown(repr(text))}")
     if len(text) != CHAIN_QUBITS:
         raise ConfigError(
-            f"--initial-bits must give {CHAIN_QUBITS} bits, one per chain qubit, got {text!r}"
+            f"--initial-bits must give {CHAIN_QUBITS} bits, one per chain qubit, "
+            f"got {_shown(repr(text))}"
         )
     return text
 
@@ -316,21 +332,42 @@ def _parse_epsilon(value) -> float:
     try:
         eps = float(value) or 0.0  # -0 reads as 0, as in _parse_p
     except (TypeError, ValueError):
-        raise ConfigError(f"--epsilon must be a number in [0, 1], got {value!r}")
+        raise ConfigError(f"--epsilon must be a number in [0, 1], got {_shown(repr(value))}")
     if not 0 <= eps <= 1:
         raise ConfigError(f"--epsilon must lie in [0, 1], got {eps}")
     return eps
 
 
+#: an integer as ``int`` spells it: sign, then digits of any script with
+#: single underscores between them
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+
+
 def _parse_int(value, flag: str, least: int, most: int | None = None) -> int:
+    """The integer ``value`` spells, as ``int`` reads it, from ``least`` to
+    ``most``.  A value of ASCII digits is compared with ``most`` by its
+    digit count first, as ``_parse_patterns`` does, so one too long for
+    ``int`` is still named above the limit; any other value with more
+    digits than ``sys.get_int_max_str_digits()`` allows is named by its
+    digit count, since neither ``int`` nor the JSON report could spell it."""
+    text = str(value)
+    spelled = _INTEGER.fullmatch(text)
+    sign, digits = (spelled[1], spelled[2].replace("_", "")) if spelled else ("", "")
+    if (most is not None and sign != "-" and digits.isascii()
+            and len(digits.lstrip("0")) > len(str(most))):
+        raise ConfigError(f"{flag} {_shown(text.strip())} is above the limit of {most}")
     try:
-        number = int(value)
+        number = int(text)
     except ValueError:
-        raise ConfigError(f"{flag} must be an integer, got {value!r}") from None
+        if spelled:  # int refuses a well-spelled integer for its length alone
+            raise ConfigError(f"{flag} has {len(digits)} digits, more than the "
+                              f"{sys.get_int_max_str_digits()} that "
+                              "sys.get_int_max_str_digits() allows") from None
+        raise ConfigError(f"{flag} must be an integer, got {_shown(repr(value))}") from None
     if number < least:
-        raise ConfigError(f"{flag} must be an integer >= {least}, got {number}")
+        raise ConfigError(f"{flag} must be an integer >= {least}, got {_shown(str(number))}")
     if most is not None and number > most:
-        raise ConfigError(f"{flag} {number} is above the limit of {most}")
+        raise ConfigError(f"{flag} {_shown(str(number))} is above the limit of {most}")
     return number
 
 
@@ -343,11 +380,11 @@ def _parse_patterns(text: str) -> str:
     if re.fullmatch("sampled:[1-9][0-9]*", text):
         count = text.partition(":")[2]
         if len(count) > len(str(MAX_SAMPLED_PATTERNS)) or int(count) > MAX_SAMPLED_PATTERNS:
-            raise ConfigError(f"--patterns {text} is above the limit of "
+            raise ConfigError(f"--patterns {_shown(text)} is above the limit of "
                               f"{MAX_SAMPLED_PATTERNS} patterns")
         return text
     raise ConfigError(f"--patterns must be none, sampled:N with N a positive integer in "
-                      f"ASCII digits and no leading zero, or exhaustive, got {text!r}")
+                      f"ASCII digits and no leading zero, or exhaustive, got {_shown(repr(text))}")
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -360,12 +397,13 @@ def _effective_config(args) -> ExperimentConfig:
     given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     network = given.get("network", network)
     if network not in NETWORKS:
-        raise ConfigError(f"unknown network {network!r}")
+        raise ConfigError(f"unknown network {_shown(repr(network))}")
     values = {"p": None, "epsilon": 1.0, "initial_bits": DEFAULT_BITS_BY_NETWORK[network],
               "stages": 8, "patterns": "none", "seed": 0,
               "axes": DEFAULT_AXES_BY_NETWORK[network], **given}
     if values["axes"] not in AXES_CHOICES:
-        raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, got {values['axes']!r}")
+        raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, "
+                          f"got {_shown(repr(values['axes']))}")
     # validated in the order of the keywords
     cfg = ExperimentConfig(
         network=network,
@@ -451,18 +489,17 @@ def _descriptor_sums(frame: DescriptorFrame, axes_names: Sequence[str]) -> list[
 
 def _descriptor_values(
     cfg: ExperimentConfig, sums: list[PauliSum], axes_names: Sequence[str], p: np.ndarray
-) -> list[tuple[dict, dict]]:
-    """Per intensity of the array p: the witness for each named axes pair,
-    and the mediators' nonclassicality by label, read off ``_descriptor_sums``
-    at all of them at once (``pseudo_pure_expectation_at``,
-    ``operator_norm_at``), each with the bytes that ``substitute`` would give
-    that point."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Columns along the array of intensities p: the witness for each named
+    axes pair, and the mediators' nonclassicality by label, read off
+    ``_descriptor_sums`` at all of them at once (``pseudo_pure_expectation_at``,
+    ``operator_norm_at``), each point with the bytes that ``substitute``
+    would give it.  ``run`` reads them at its one p, ``sweep`` once for its
+    whole grid."""
     *images, c_b, c_c = sums
-    columns = [pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p).tolist()
-               for image in images]
-    columns += [operator_norm_at(c_b, p).tolist(), operator_norm_at(c_c, p).tolist()]
-    return [(dict(zip(axes_names, witnesses)), {"B": nc_b, "C": nc_c})
-            for *witnesses, nc_b, nc_c in zip(*columns)]
+    witnesses = {name: pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p)
+                 for name, image in zip(axes_names, images)}
+    return witnesses, {"B": operator_norm_at(c_b, p), "C": operator_norm_at(c_c, p)}
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +560,18 @@ def cmd_sweep(cfg: ExperimentConfig, args):
     grid = _parse_grid(args.p_grid)
     circuit = _build_network(cfg)
     sums = _descriptor_sums(run_network_frames(circuit)[-1], [axes])
+    witnesses, nc = _descriptor_values(cfg, sums, [axes], np.array(grid))
+    columns = (witnesses[axes], nc["B"], nc["C"])
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
     start = 0
     for states in run_intensity_grid(circuit, cfg.initial, grid):
-        stack = grid[start:start + len(states)]
-        start += len(states)
-        density = _density_values(states, [axes])
-        heisenberg = _descriptor_values(cfg, sums, [axes], np.array(stack))
-        for p, (w_density, neg), (w_heisenberg, nc) in zip(stack, density, heisenberg):
-            row = (p, w_heisenberg[axes], w_density[axes], neg, nc["B"], nc["C"])
+        stop = start + len(states)
+        heisenberg = [column[start:stop].tolist() for column in columns]
+        for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
+                grid[start:stop], _density_values(states, [axes]), *heisenberg):
+            row = (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
             lines.append(",".join(_fmt(v) for v in row))
+        start = stop
     return "\n".join(lines) + "\n", None
 
 
@@ -569,16 +608,17 @@ def cmd_run(cfg: ExperimentConfig, args):
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
-        ((w_heisenberg, nc),) = _descriptor_values(cfg, _descriptor_sums(frame, names), names,
-                                                   np.array([cfg.intensity]))
-        witness = [{"axes": name, "density": w_density[name], "heisenberg": w_heisenberg[name]}
-                   for name in names]
+        w_heisenberg, nc = _descriptor_values(cfg, _descriptor_sums(frame, names), names,
+                                              np.array([cfg.intensity]))
+        witness = [{"axes": name, "density": w_density[name],
+                    "heisenberg": w_heisenberg[name].item()} for name in names]
         slices.append({
             "time": frame.time_index,
             "witness": witness[0],
             "witness_alt": witness[1],
             "negativity_AD": {"engine": "density", "value": neg},
-            "nonclassicality": {"engine": "heisenberg", **nc},
+            "nonclassicality": {"engine": "heisenberg",
+                                **{label: value.item() for label, value in nc.items()}},
         })
     report = {
         "version": __version__,

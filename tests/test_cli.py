@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import table_data
 from medwit import cli
@@ -605,9 +608,10 @@ class TestSizeLimits:
         (("staged", "--stages", "34"), "patterns", "sampled:5000000000000000000"),
         # longer than int reads from a string by default
         (("staged", "--stages", "34"), "patterns", "sampled:" + "9" * 5000),
+        (("staged",), "stages", "9" * 5000),
     ]
     IDS = ["run-stages-limit", "run-stages-huge", "staged-stages", "patterns-limit",
-           "patterns-huge", "patterns-5000-digits"]
+           "patterns-huge", "patterns-5000-digits", "stages-5000-digits"]
 
     @pytest.mark.parametrize("argv, key, value", CASES, ids=IDS)
     def test_flag(self, argv, key, value):
@@ -635,6 +639,104 @@ class TestSizeLimits:
                                     for command in workload.commands]
         for argv in argvs:
             effective_config(*argv)
+
+
+#: the most digits ``int`` reads from a string
+INT_DIGITS = sys.get_int_max_str_digits()
+
+
+class TestHugeIntegers:
+    """An integer with more digits than ``int`` reads from a string: an ASCII
+    --stages is above its limit, any other is named by its digit count, and
+    no message echoes more than a prefix of the value, from the flag and
+    from the config file.  The longest seed ``int`` reads is echoed."""
+
+    CASES = [
+        (("run", "--network", "staged"), "stages", "9" * (INT_DIGITS + 1),
+         f"^--stages 9{{40}}\\.\\.\\. \\({INT_DIGITS + 1} characters\\) is above the limit of "
+         f"{cli.MAX_STAGES}$"),
+        (("run", "--network", "staged"), "stages", "0" * INT_DIGITS + "3",
+         f"^--stages has {INT_DIGITS + 1} digits, more than the {INT_DIGITS} "),
+        (("staged",), "seed", "9" * (INT_DIGITS + 1),
+         f"^--seed has {INT_DIGITS + 1} digits, more than the {INT_DIGITS} "),
+        (("run",), "seed", "-" + "9" * (INT_DIGITS + 1),
+         f"^--seed has {INT_DIGITS + 1} digits, more than the {INT_DIGITS} "),
+        (("run",), "seed", "-" + "9" * INT_DIGITS,
+         f"^--seed must be an integer >= 0, "
+         f"got -9{{39}}\\.\\.\\. \\({INT_DIGITS + 1} characters\\)$"),
+    ]
+    IDS = ["stages", "stages-leading-zeros", "seed", "seed-negative", "seed-negative-read"]
+
+    @pytest.mark.parametrize("argv, key, value, message", CASES, ids=IDS)
+    def test_flag(self, argv, key, value, message):
+        with pytest.raises(cli.ConfigError, match=message) as info:
+            effective_config(*argv, f"--{key}={value}")
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("argv, key, value, message", CASES, ids=IDS)
+    def test_config_file_key(self, tmp_path, argv, key, value, message):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=message) as info:
+            effective_config(*argv, "--config", str(config))
+        assert len(str(info.value)) < 200
+
+    def test_longest_seed_is_echoed(self):
+        cfg = effective_config("staged", "--seed", "9" * INT_DIGITS)
+        assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 10 ** INT_DIGITS - 1
+
+
+#: spellings that a config value may arrive in: valid, at a limit, malformed
+SPELLINGS = [
+    "0", "-0", "+3", "1_0", " 2", "2 ", "0.25", "0.2_5", "1", "-1", "1e400", "nan", "-nan",
+    "inf", "", "x", "\u0663", "\uff13", "\u0660.\u0665", str(cli.MAX_STAGES),
+    str(cli.MAX_STAGES + 1), "9" * INT_DIGITS, "9" * (INT_DIGITS + 1), "0" * INT_DIGITS + "4",
+    "-" + "9" * (INT_DIGITS + 1), "none", "exhaustive", "sampled:3", "sampled:03", "sampled:0",
+    f"sampled:{cli.MAX_SAMPLED_PATTERNS + 1}", "sampled:" + "9" * (INT_DIGITS + 1), "symbolic",
+    "0000", "1100", "0110", "01", "0" * (INT_DIGITS + 1),
+]
+#: the keys whose flags take a fixed set of choices, which the parser checks
+CHOICES = {"network": cli.NETWORKS, "axes": sorted(cli.AXES_CHOICES)}
+
+
+@st.composite
+def command_argvs(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMAND_KEYS)))
+    argv = [command]
+    for key in cli.COMMAND_KEYS[command][0]:
+        values = st.sampled_from(CHOICES[key]) if key in CHOICES else st.one_of(
+            st.sampled_from(SPELLINGS), st.text(max_size=4))
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_argvs())
+def test_effective_config_is_refused_or_bounded_and_spelt_once(argv):
+    """Every argv gives a ConfigError with a short message, or a config
+    inside every limit whose echoed values, given back as flags, give the
+    same config: each value is echoed in one spelling."""
+    try:
+        cfg = effective_config(*argv)
+    except cli.ConfigError as exc:
+        assert len(str(exc)) < 400
+        return
+    assert cfg.network in cli.NETWORKS and cfg.axes in cli.AXES_CHOICES
+    assert 1 <= cfg.stages <= cli.MAX_STAGES and cfg.seed >= 0
+    assert re.fullmatch("[01]{4}", cfg.initial_bits)
+    for value in (cfg.epsilon, cfg.p):
+        if value not in (None, cli.SYMBOLIC_P):
+            assert 0 <= value <= 1 and math.copysign(1, value) == 1
+    assert cfg.patterns in ("none", "exhaustive") or re.fullmatch("sampled:[1-9][0-9]*",
+                                                                  cfg.patterns)
+    assert cfg.count <= min(cli.MAX_SAMPLED_PATTERNS, cli.pattern_population(cfg.stages))
+    echoed = json.loads(json.dumps(cfg.to_dict()))
+    given_keys = [flag[2:].partition("=")[0].replace("-", "_") for flag in argv[1:]]
+    again = effective_config(argv[0], *[f"--{key.replace('_', '-')}={echoed[key]}"
+                                        for key in given_keys])
+    assert again == cfg
 
 
 #: the config keys each command reads, written out here so that the test
