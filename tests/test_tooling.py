@@ -90,9 +90,10 @@ def test_no_unread_imports(name):
 
 def test_same_bytes_reports_a_failing_command(tmp_path):
     """A command that exits non-zero writes no --dump-state file; the run
-    reports its exit code and no state instead of raising."""
-    code, stdout, state = same_bytes.run(ROOT / "src", ["run", "--p", "2"], tmp_path)
+    reports its exit code, no state and its error instead of raising."""
+    code, stdout, state, stderr = same_bytes.run(ROOT / "src", ["run", "--p", "2"], tmp_path)
     assert (code, stdout, state) == (2, b"", None)
+    assert stderr == b"medwit: config error: --p must lie in [0, 1], got 2.0\n"
 
 
 def _committed_digests() -> dict:

@@ -8,9 +8,10 @@ Each SRC is a directory holding the ``medwit`` package (a checkout's ``src``).
 Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
 ``PYTHONPATH`` set to that tree; ``staged`` and ``run`` argvs also write
 ``--dump-state``.  The first argvs are perfbench's cli-mix commands, read
-from ``perfbench/workloads.py``.  The script prints one line per argv and
-exits 1 if any stdout, exit code or dumped state differs between the
-trees, else 0.  A line whose stdout or state differs ends with the largest absolute
+from ``perfbench/workloads.py``; the last, ``ERRORS``, are bad flags, whose
+pinned output is the error on stderr.  The script prints one line per argv
+and exits 1 if any exit code, stdout, dumped state or stderr differs
+between the trees, else 0.  A line whose stdout or state differs ends with the largest absolute
 difference: over the numeric leaves of JSON output or the numeric cells of
 other (CSV) output, and over the complex128 entries of the dumped states;
 "not numeric" where the outputs differ in more than numbers.
@@ -22,7 +23,7 @@ thread count is compared at that count.
 
 ``--write`` runs every argv in process on the ``src`` of the checkout that
 holds this script and writes ``DIGESTS``: per argv its exit code and the
-sha256 of its stdout and of its dumped state, with the Python, NumPy and
+sha256 of its stdout, of its dumped state and of its stderr, with the Python, NumPy and
 BLAS build they were taken with.  A tier-1 test compares the same digests
 with that file, so an intended output change shows as its diff, argv by argv.
 """
@@ -153,9 +154,30 @@ SEEDS = [
     ["staged", "--stages", "34", "--patterns", "sampled:5", "--seed",
      "1606938044258990275541962092341162602522202993782792835301376"],
 ]
+#: bad flags, each a config error: --p and --epsilon out of [0, 1] or no
+#: number, and --p-grid without three range fields, above the point limit
+#: (one step finite, one subnormal), with no points, a descending range, a
+#: zero step, a value out of [0, 1] or no number, and --p off the symmetric
+#: network
+ERRORS = [
+    ["run", "--p", "2"],
+    ["run", "--p", "x"],
+    ["run", "--epsilon", "-0.5"],
+    ["run", "--epsilon", "nan"],
+    ["staged", "--epsilon", "abc"],
+    ["sweep", "--p-grid", "0:0.5"],
+    ["sweep", "--p-grid", "0:1:1e-9"],
+    ["sweep", "--p-grid", "0:1:5e-324"],
+    ["sweep", "--p-grid", ""],
+    ["sweep", "--p-grid", "0.5:0:0.1"],
+    ["sweep", "--p-grid", "0:1:0"],
+    ["sweep", "--p-grid", "2,0"],
+    ["sweep", "--p-grid", "0,x"],
+    ["run", "--network", "asymmetric", "--p", "0.1"],
+]
 ARGVS = (
     CLI_MIX + SWEEPS + STAGED + OBSERVED + DESCRIPTORS
-    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS + INTENSITIES + SEEDS
+    + STACKS + DEPHASING + FRAMES + EVERY_KEY + COUNT_STACKS + INTENSITIES + SEEDS + ERRORS
 )
 
 
@@ -168,9 +190,9 @@ def _dump_flag(argv: list[str], workdir: Path) -> tuple[Path, list[str]]:
     return dump, ["--dump-state", str(dump)] if argv[0] in ("staged", "run") else []
 
 
-def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
-    """Exit code, stdout and dumped state bytes (None without --dump-state,
-    or when the command wrote no state, as a failing one does not)."""
+def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None, bytes]:
+    """Exit code, stdout, dumped state bytes (None without --dump-state,
+    or when the command wrote no state, as a failing one does not) and stderr."""
     dump, extra = _dump_flag(argv, workdir)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -178,18 +200,19 @@ def run(src: Path, argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | 
         [sys.executable, "-m", "medwit", *argv, *extra],
         capture_output=True, env=env, cwd=workdir, check=False,
     )
-    return done.returncode, done.stdout, dump.read_bytes() if dump.exists() else None
+    return done.returncode, done.stdout, dump.read_bytes() if dump.exists() else None, done.stderr
 
 
-def run_in_process(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None]:
+def run_in_process(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes | None, bytes]:
     """``run`` through the ``medwit.cli.main`` this interpreter imports."""
     from medwit.cli import main
 
     dump, extra = _dump_flag(argv, workdir)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, *extra])
-    return code, out.getvalue().encode(), dump.read_bytes() if dump.exists() else None
+    state = dump.read_bytes() if dump.exists() else None
+    return code, out.getvalue().encode(), state, err.getvalue().encode()
 
 
 def _leaves(stdout: bytes) -> list:
@@ -278,17 +301,17 @@ def environment() -> dict[str, str]:
 
 def digests() -> dict:
     """Every ``ARGVS`` entry run in process: its exit code and the sha256 of
-    its stdout and of its dumped state (None where it wrote none), with the
-    ``environment`` they were taken in."""
+    its stdout, of its dumped state (None where it wrote none) and of its
+    stderr, with the ``environment`` they were taken in."""
     def sha256(data: bytes | None) -> str | None:
         return None if data is None else hashlib.sha256(data).hexdigest()
 
     entries = []
     with tempfile.TemporaryDirectory() as tmp:
         for argv in ARGVS:
-            code, stdout, state = run_in_process(argv, Path(tmp))
+            code, stdout, state, stderr = run_in_process(argv, Path(tmp))
             entries.append({"argv": argv, "exit": code, "stdout": sha256(stdout),
-                            "state": sha256(state)})
+                            "state": sha256(state), "stderr": sha256(stderr)})
     return {"environment": environment(), "argvs": entries}
 
 
@@ -311,8 +334,8 @@ def main(argv: list[str]) -> int:
         workdir = Path(tmp)
         for args in ARGVS:
             parent, change = (run(tree, args, workdir) for tree in trees)
-            fields = [name for name, a, b in zip(("exit code", "stdout", "state"), parent, change)
-                      if a != b]
+            fields = [name for name, a, b in zip(("exit code", "stdout", "state", "stderr"),
+                                                  parent, change) if a != b]
             differ += bool(fields)
             verdict = "differ: " + ", ".join(fields) if fields else "same"
             print(f"{verdict:<8} exit {change[0]}  {' '.join(args)}{_gaps(parent, change)}")
