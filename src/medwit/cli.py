@@ -11,25 +11,23 @@ builds the circuit, and each command runs the engines it reports: ``run``
 and ``sweep`` both, since the descriptor engine steps every gate of every
 built-in network, partial swaps included; ``staged`` the density engine
 alone, as its pattern averages have no descriptor counterpart; ``table``
-the descriptor engine alone.  One
-observation layer serves every command, both engines evaluating the one
-witness ``pauli.witness_observable``: ``_density_values`` reads the
-witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
-``detect.antiphase_amplitudes`` the multiplet off such a stack, and
-``_descriptor_values`` the witnesses and the mediators' nonclassicality off
-the sums ``_descriptor_sums`` takes from a frame, read as numpy arrays at an
-array of dephasing intensities p.  Each network is one circuit at every p,
-which the engines take when they evaluate it; with no --p they read p = 0,
-the undephased network.  ``run`` reads its stack of slices (the multiplet
-off the final slice, a stack of one) and each slice's frame at its p,
-``staged`` its variants' final states in one stack for both reads,
-``sweep`` each stack of grid points (``density.run_intensity_grid``) and
-its final frame once at the whole grid, with CSV byte-identical to one
-circuit per point, and ``table`` the frames
+the descriptor engine alone.  One observation layer serves every command,
+both engines evaluating the one witness ``pauli.witness_observable``:
+``_density_values`` reads the witnesses and negativity_AD off a
+``DensityMatrix``, one stack of states, ``detect.antiphase_amplitudes`` the
+multiplet off such a stack, and ``_descriptor_values`` the witnesses and the
+mediators' nonclassicality off a frame, as numpy arrays along an array of
+dephasing intensities p.  Each network is one circuit at every p, which the
+engines take when they evaluate it; with no --p they read p = 0, the
+undephased network.  ``run`` reads its stack of slices (the multiplet off the
+final slice, a stack of one) and each slice's frame at its p, ``staged`` its
+variants' final states in one stack for both reads, ``sweep`` one stream of
+rows off the stacks of grid points (``density.run_intensity_grid``) zipped
+with its final frame's columns, read once at the whole grid, with CSV
+byte-identical to one circuit per point, and ``table`` the frames
 ``heisenberg.substitute`` gives at p, or with --p symbolic the frames
-themselves.  A ``cmd_*``
-only picks what to observe and formats it, and ``_execute`` handles
---timing, --dump-state and the output for all of them.
+themselves.  A ``cmd_*`` only picks what to observe and formats it, and
+``_execute`` handles --timing, --dump-state and the output for all of them.
 
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
@@ -99,7 +97,7 @@ from .heisenberg import (
     run_network_frames,
     substitute,
 )
-from .pauli import BasisState, PauliSum, witness_observable
+from .pauli import BasisState, qubit_label, witness_observable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,20 +256,22 @@ def _shown(text: str) -> str:
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
-def _parse_p(text):
-    if text is None:
-        return None
-    if text == SYMBOLIC_P:
-        return SYMBOLIC_P
+def _parse_unit(value, flag: str, expected: str = "a number in [0, 1]") -> float:
+    """``value`` read as a float in [0, 1]; an error names ``flag`` and what
+    it takes."""
     try:
-        p = float(text) or 0.0  # -0 reads as 0, the one spelling the report echoes
-    except ValueError:
-        raise ConfigError(
-            f"--p must be a number in [0, 1] or 'symbolic', got {_shown(repr(text))}"
-        )
-    if not 0 <= p <= 1:
-        raise ConfigError(f"--p must lie in [0, 1], got {p}")
-    return p
+        number = float(value) or 0.0  # -0 reads as 0, the one spelling the report echoes
+    except (TypeError, ValueError):
+        raise ConfigError(f"{flag} must be {expected}, got {_shown(repr(value))}") from None
+    if not 0 <= number <= 1:
+        raise ConfigError(f"{flag} must lie in [0, 1], got {number}")
+    return number
+
+
+def _parse_p(text):
+    if text is None or text == SYMBOLIC_P:
+        return text
+    return _parse_unit(text, "--p", "a number in [0, 1] or 'symbolic'")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -295,12 +295,16 @@ def _parse_grid(text: str) -> list[float]:
             steps = (stop - start) / step + 1e-9
             # a subnormal step overflows the count to inf, which floor rejects
             count = steps if math.isinf(steps) else math.floor(steps) + 1
-            _check_grid_size(text, count)
-            grid = [start + i * step for i in range(count)]
         else:
             values = [v for v in text.split(",") if v.strip()]
-            _check_grid_size(text, len(values))
-            grid = [float(v) or 0.0 for v in values]  # -0 reads as 0, as in _parse_p
+            count = len(values)
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"--p-grid {text!r} gives {count} points, above the limit of {MAX_GRID_POINTS}"
+            )
+        # -0 reads as 0, as in _parse_unit
+        grid = ([start + i * step for i in range(count)] if ":" in text
+                else [float(v) or 0.0 for v in values])
     except ValueError as exc:
         raise ConfigError(f"bad --p-grid {text!r}: {exc}") from exc
     if not grid:
@@ -308,13 +312,6 @@ def _parse_grid(text: str) -> list[float]:
     if any(not 0 <= p <= 1 for p in grid):
         raise ConfigError(f"--p-grid values must lie in [0, 1], got {text!r}")
     return grid
-
-
-def _check_grid_size(text: str, points: int | float) -> None:
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--p-grid {text!r} gives {points} points, above the limit of {MAX_GRID_POINTS}"
-        )
 
 
 def _parse_bits(text: str) -> str:
@@ -326,16 +323,6 @@ def _parse_bits(text: str) -> str:
             f"got {_shown(repr(text))}"
         )
     return text
-
-
-def _parse_epsilon(value) -> float:
-    try:
-        eps = float(value) or 0.0  # -0 reads as 0, as in _parse_p
-    except (TypeError, ValueError):
-        raise ConfigError(f"--epsilon must be a number in [0, 1], got {_shown(repr(value))}")
-    if not 0 <= eps <= 1:
-        raise ConfigError(f"--epsilon must lie in [0, 1], got {eps}")
-    return eps
 
 
 #: an integer as ``int`` spells it: sign, then digits of any script with
@@ -413,7 +400,7 @@ def _effective_config(args) -> ExperimentConfig:
         seed=_parse_int(values["seed"], "--seed", 0),
         patterns=_parse_patterns(values["patterns"]),
         p=_parse_p(values["p"]),
-        epsilon=_parse_epsilon(values["epsilon"]),
+        epsilon=_parse_unit(values["epsilon"], "--epsilon"),
     )
     if cfg.p is not None and cfg.network != "symmetric":
         raise ConfigError(
@@ -480,26 +467,20 @@ def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tu
     return [(dict(zip(axes_names, values)), neg) for *values, neg in zip(*witnesses, negs)]
 
 
-def _descriptor_sums(frame: DescriptorFrame, axes_names: Sequence[str]) -> list[PauliSum]:
-    """What the descriptor engine reads off a frame: the witness image for
-    each named axes pair, then the mediators' commutators."""
-    return ([observable_image(frame, WITNESSES[name]) for name in axes_names]
-            + [descriptor_commutator(frame, q) for q in MEDIATORS])
-
-
 def _descriptor_values(
-    cfg: ExperimentConfig, sums: list[PauliSum], axes_names: Sequence[str], p: np.ndarray
+    cfg: ExperimentConfig, frame: DescriptorFrame, axes_names: Sequence[str], p: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Columns along the array of intensities p: the witness for each named
-    axes pair, and the mediators' nonclassicality by label, read off
-    ``_descriptor_sums`` at all of them at once (``pseudo_pure_expectation_at``,
-    ``operator_norm_at``), each point with the bytes that ``substitute``
-    would give it.  ``run`` reads them at its one p, ``sweep`` once for its
-    whole grid."""
-    *images, c_b, c_c = sums
-    witnesses = {name: pseudo_pure_expectation_at(image, cfg.basis, cfg.epsilon, p)
-                 for name, image in zip(axes_names, images)}
-    return witnesses, {"B": operator_norm_at(c_b, p), "C": operator_norm_at(c_c, p)}
+    axes pair, and the mediators' nonclassicality by label, read off the
+    frame's witness images and the mediators' commutators at all of them at
+    once (``pseudo_pure_expectation_at``, ``operator_norm_at``), each point
+    with the bytes that ``substitute`` would give it.  ``run`` reads them at
+    its one p, ``sweep`` once for its whole grid."""
+    witnesses = {name: pseudo_pure_expectation_at(observable_image(frame, WITNESSES[name]),
+                                                  cfg.basis, cfg.epsilon, p)
+                 for name in axes_names}
+    return witnesses, {qubit_label(q): operator_norm_at(descriptor_commutator(frame, q), p)
+                       for q in MEDIATORS}
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +540,15 @@ def cmd_sweep(cfg: ExperimentConfig, args):
     axes = cfg.axes
     grid = _parse_grid(args.p_grid)
     circuit = _build_network(cfg)
-    sums = _descriptor_sums(run_network_frames(circuit)[-1], [axes])
-    witnesses, nc = _descriptor_values(cfg, sums, [axes], np.array(grid))
-    columns = (witnesses[axes], nc["B"], nc["C"])
+    witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes],
+                                       np.array(grid))
+    density = (row for states in run_intensity_grid(circuit, cfg.initial, grid)
+               for row in _density_values(states, [axes]))
     lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    start = 0
-    for states in run_intensity_grid(circuit, cfg.initial, grid):
-        stop = start + len(states)
-        heisenberg = [column[start:stop].tolist() for column in columns]
-        for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
-                grid[start:stop], _density_values(states, [axes]), *heisenberg):
-            row = (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
-            lines.append(",".join(_fmt(v) for v in row))
-        start = stop
+    for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
+            grid, density, witnesses[axes].tolist(), nc["B"].tolist(), nc["C"].tolist()):
+        row = (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n", None
 
 
@@ -608,8 +585,7 @@ def cmd_run(cfg: ExperimentConfig, args):
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
-        w_heisenberg, nc = _descriptor_values(cfg, _descriptor_sums(frame, names), names,
-                                              np.array([cfg.intensity]))
+        w_heisenberg, nc = _descriptor_values(cfg, frame, names, np.array([cfg.intensity]))
         witness = [{"axes": name, "density": w_density[name],
                     "heisenberg": w_heisenberg[name].item()} for name in names]
         slices.append({

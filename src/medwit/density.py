@@ -51,7 +51,7 @@ from .circuits import (
     local_unitary,
     pattern_population,
 )
-from .pauli import BasisState, PauliSum
+from .pauli import BasisState, PauliSum, hermitian_value
 
 __all__ = [
     "DensityMatrix",
@@ -223,17 +223,11 @@ def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def expectation(rho: DensityMatrix, a: PauliSum) -> np.ndarray:
     """Re Tr(state * a) for each state of ``rho``, by one einsum; an imaginary
-    residue above tolerance is an error."""
+    residue above ``_HERM_TOL``, the skew a state may carry, is an error
+    (``pauli.hermitian_value``)."""
     if rho.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={rho.n}, operator n={a.n}")
-    values = np.einsum("kij,ji->k", rho.entries, a.dense())
-    residue = np.abs(values.imag) > 1e-10
-    if np.any(residue):
-        raise ValueError(
-            f"expectation has imaginary residue {values.imag[np.argmax(residue)]:g}; "
-            "operator is not Hermitian"
-        )
-    return values.real
+    return hermitian_value(np.einsum("kij,ji->k", rho.entries, a.dense()), _HERM_TOL)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

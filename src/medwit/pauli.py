@@ -305,12 +305,14 @@ def expectation_basis(state: BasisState, a: PauliSum) -> float:
     return float(hermitian_value(total))
 
 
-def hermitian_value(total):
+def hermitian_value(total, tol: float = _IMAG_TOL):
     """The real part of an expectation, a complex number or an array of them.
-    An imaginary residue above tolerance means the operator was not
-    Hermitian and is reported."""
+    An imaginary residue above ``tol`` means the operator or the state was
+    not Hermitian and is reported.  The default bounds the rounding of exact
+    descriptor images; ``density.expectation`` passes the larger skew that
+    it admits in a state."""
     residue = np.ravel(np.imag(total))
-    beyond = np.flatnonzero(np.abs(residue) > _IMAG_TOL)
+    beyond = np.flatnonzero(np.abs(residue) > tol)
     if beyond.size:
         raise ValueError(
             f"expectation has imaginary residue {residue[beyond[0]]:g}; operator is not Hermitian"
