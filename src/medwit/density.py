@@ -84,7 +84,7 @@ _PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A stack of k >= 1 Hermitian, trace-one 2^n x 2^n operators, shape
+    """A stack of k >= 1 finite, Hermitian, trace-one 2^n x 2^n operators, shape
     (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack of one.  Entries are read-only."""
 
     entries: np.ndarray
@@ -98,6 +98,8 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if n > MAX_QUBITS:
             raise ValueError(f"dense engine is limited to {MAX_QUBITS} qubits; got n={n}")
+        if not np.isfinite(entries).all():
+            raise ValueError("density matrix has a non-finite (NaN or infinite) entry")
         skew = np.abs(entries - np.swapaxes(entries.conj(), -1, -2)).max(axis=(-2, -1))
         if np.any(skew > _HERM_TOL):
             raise ValueError("density matrix is not Hermitian within tolerance")
@@ -223,8 +225,7 @@ def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def expectation(rho: DensityMatrix, a: PauliSum) -> np.ndarray:
     """Re Tr(state * a) for each state of ``rho``, by one einsum; an imaginary
-    residue above ``_HERM_TOL``, the skew a state may carry, is an error
-    (``pauli.hermitian_value``)."""
+    residue above ``_HERM_TOL`` is an error (``pauli.hermitian_value``)."""
     if rho.n != a.n:
         raise ValueError(f"qubit count mismatch: state n={rho.n}, operator n={a.n}")
     return hermitian_value(np.einsum("kij,ji->k", rho.entries, a.dense()), _HERM_TOL)

@@ -307,10 +307,8 @@ def expectation_basis(state: BasisState, a: PauliSum) -> float:
 
 def hermitian_value(total, tol: float = _IMAG_TOL):
     """The real part of an expectation, a complex number or an array of them.
-    An imaginary residue above ``tol`` means the operator or the state was
-    not Hermitian and is reported.  The default bounds the rounding of exact
-    descriptor images; ``density.expectation`` passes the larger skew that
-    it admits in a state."""
+    An imaginary residue above ``tol`` means the operator was not Hermitian
+    and is reported; ``density.expectation`` passes the skew a state admits."""
     residue = np.ravel(np.imag(total))
     beyond = np.flatnonzero(np.abs(residue) > tol)
     if beyond.size:

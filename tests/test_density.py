@@ -51,7 +51,7 @@ from medwit.density import (
     state_to_bytes,
     temporal_average,
 )
-from medwit.pauli import BasisState, PauliSum, single, witness_observable
+from medwit.pauli import BasisState, PauliSum, hermitian_value, single, witness_observable
 
 ZERO4 = BasisState.from_string("0000")
 XX_ZZ = (("x", "x"), ("z", "z"))
@@ -140,15 +140,19 @@ class TestValidateDecisions:
         for row, col in places:
             entries[1, row, col] = value
         assert decision(validate, entries) == decision(eigvalsh_validate, entries)
+        with pytest.raises(ValueError, match="^density matrix has a non-finite"):
+            DensityMatrix(entries)
 
     def test_nan_state_is_refused(self):
-        """A NaN state passes the constructor, and ``cholesky`` returns a NaN
-        factor for it without raising; ``validate`` still refuses it."""
+        """The constructor refuses a NaN state, and so does ``validate`` on
+        a stack that skips the constructor, though ``cholesky`` returns a NaN
+        factor for it without raising."""
         entries = np.eye(16, dtype=complex) / 16
         entries[3, 3] = np.nan
-        rho = DensityMatrix(entries)
+        with pytest.raises(ValueError, match="^density matrix has a non-finite"):
+            DensityMatrix(entries)
         with pytest.raises(np.linalg.LinAlgError):
-            rho.validate()
+            validate(entries)
 
     @pytest.mark.parametrize("s", [0.4, 0.8, 1.5, 5e9], ids=["certified", "eigvalsh-passes",
                                                              "just-below", "far-below"])
@@ -355,6 +359,21 @@ class TestExpectation:
     def test_non_hermitian_reported(self):
         with pytest.raises(ValueError, match="imaginary residue"):
             expectation(basis_density(BasisState.from_string("0")), PauliSum(1, {"Z": 1j}))
+
+    def test_each_residue_bound_is_its_own(self):
+        """A state may carry a skew up to 1e-10, so ``expectation`` accepts a
+        witness residue of 5e-11, which ``hermitian_value`` at its default
+        bound, the one for descriptor images, refuses."""
+        witness = witness_observable(4, 0, 3).dense()
+        entries = np.eye(16, dtype=complex) / 16
+        row, col = np.argwhere(witness != 0)[0]
+        # Tr(rho W) gains rho[col, row] W[row, col], an imaginary 5e-11 times +-1
+        entries[col, row] += 5e-11j
+        value = np.trace(entries @ witness)
+        assert abs(value.imag) == 5e-11
+        assert expectation(DensityMatrix(entries), witness_observable(4, 0, 3)).tolist() == [0.0]
+        with pytest.raises(ValueError, match="imaginary residue -?5e-11; operator is not"):
+            hermitian_value(value)
 
 
 class TestNegativity:
