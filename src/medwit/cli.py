@@ -233,11 +233,12 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                                      f"got {_shown(repr(raw.rstrip()))}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: config key {key!r} does not apply to "
-                                      f"{command}, which reads {', '.join(keys)}")
+                    raise ConfigError(f"{path}:{lineno}: config key {_shown(repr(key))} does not "
+                                      f"apply to {command}, which reads {', '.join(keys)}")
                 if key in first_line:
                     raise ConfigError(f"{path}:{lineno}: config key {key!r} is set again, "
                                       f"first on line {first_line[key]}")
@@ -274,22 +275,31 @@ def _parse_p(text):
     return _parse_unit(text, "--p", "a number in [0, 1] or 'symbolic'")
 
 
+def _grid_value(field: str) -> float:
+    """A --p-grid number; ``float``'s error, with the field cut as ``_shown`` cuts it."""
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_shown(repr(field))}") from None
+
+
 def _parse_grid(text: str) -> list[float]:
     """Grid spec: 'start:stop:step' (inclusive) or comma-separated values, of
     at most ``MAX_GRID_POINTS`` points, counted before any list is built."""
+    shown = _shown(repr(text))
     try:
         if ":" in text:
             fields = text.split(":")
             if len(fields) != 3:
-                raise ConfigError(f"--p-grid range {text!r} needs three fields "
+                raise ConfigError(f"--p-grid range {shown} needs three fields "
                                   f"start:stop:step, got {len(fields)}")
-            start, stop, step = map(float, fields)
+            start, stop, step = map(_grid_value, fields)
             if not step > 0:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError(f"stop {stop} is below start {start}")
             if not 0 <= start <= stop <= 1:
-                raise ConfigError(f"--p-grid values must lie in [0, 1], got {text!r}")
+                raise ConfigError(f"--p-grid values must lie in [0, 1], got {shown}")
             # floor, so no point passes stop; the slack keeps a stop that
             # lies on the grid up to rounding (0.5 / 0.0005) as its last point
             steps = (stop - start) / step + 1e-9
@@ -299,18 +309,16 @@ def _parse_grid(text: str) -> list[float]:
             values = [v for v in text.split(",") if v.strip()]
             count = len(values)
         if count > MAX_GRID_POINTS:
-            raise ConfigError(
-                f"--p-grid {text!r} gives {count} points, above the limit of {MAX_GRID_POINTS}"
-            )
-        # -0 reads as 0, as in _parse_unit
+            raise ConfigError(f"--p-grid {shown} gives {count} points, above the limit of "
+                              f"{MAX_GRID_POINTS}")
         grid = ([start + i * step for i in range(count)] if ":" in text
-                else [float(v) or 0.0 for v in values])
+                else [_grid_value(v) or 0.0 for v in values])  # -0 reads as 0, as in _parse_unit
     except ValueError as exc:
-        raise ConfigError(f"bad --p-grid {text!r}: {exc}") from exc
+        raise ConfigError(f"bad --p-grid {shown}: {exc}") from exc
     if not grid:
-        raise ConfigError(f"--p-grid {text!r} gives no points")
+        raise ConfigError(f"--p-grid {shown} gives no points")
     if any(not 0 <= p <= 1 for p in grid):
-        raise ConfigError(f"--p-grid values must lie in [0, 1], got {text!r}")
+        raise ConfigError(f"--p-grid values must lie in [0, 1], got {shown}")
     return grid
 
 

@@ -688,6 +688,31 @@ class TestHugeIntegers:
         assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 10 ** INT_DIGITS - 1
 
 
+class TestLongEchoes:
+    """A bad 3000-character --p-grid, config line or config key is echoed
+    cut after ``ECHO_CHARS`` characters, in an error under 300 bytes."""
+
+    @pytest.mark.parametrize("grid", [
+        "x" * 3000, "2," * 1500, ":" * 3000, "," * 3000, "0:1:" + "0" * 2992 + "1e-9",
+        "0.5:0:" + "0" * 2993 + "1",
+    ], ids=["no-number", "out-of-range", "fields", "no-points", "above-the-limit", "descending"])
+    def test_grid(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", f"--p-grid={grid}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "... (3002 characters)" in err and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("line, message", [
+        ("x" * 3000, "expected 'key = value', got 'x"),
+        ("k" * 3000 + " = 1", "config key 'k"),
+    ], ids=["no-equals", "key"])
+    def test_config_file(self, capsys, tmp_path, line, message):
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert message in err and "... (3002 characters)" in err and len(err.encode()) < 300
+
+
 #: spellings that a config value may arrive in: valid, at a limit, malformed
 SPELLINGS = [
     "0", "-0", "+3", "1_0", " 2", "2 ", "0.25", "0.2_5", "1", "-1", "1e400", "nan", "-nan",
