@@ -272,14 +272,11 @@ def apply_dephasing_frame(frame: DescriptorFrame, qubit: int) -> DescriptorFrame
     is X or Y is attenuated by the formal factor (1 - 2p), ``ATTENUATION``,
     whose intensity ``substitute`` or the array reads set later; letters I
     and Z pass through, and all other qubits' descriptors are untouched.
-    This is the effective "dressed mediator" description: the physically
-    exact channel lives in the density engine, and both agree on the
-    built-in witness of the symmetric network at every slice, for any p,
-    purity and basis input.  They can differ once a gate has changed the
-    dephased qubit's own letters: after a Hadamard on qubit q its
-    x-descriptor is Z_q, which this map leaves alone, so H(q) then a phase
-    flip of intensity p gives <X_q> = 1 from |0>, where the exact channel
-    gives 1 - 2p.
+    This is the effective "dressed mediator" description; the exact channel
+    lives in the density engine.  Tests in ``tests/test_heisenberg.py`` show
+    where the two agree: on every Pauli word, slice and basis input of the
+    symmetric network (``test_agree_on_every_word_from_every_basis_input``),
+    not after a Hadamard on the dephased qubit (``test_differ_on_x_after_hadamard``).
     """
     if not 0 <= qubit < frame.n:
         raise ValueError(f"qubit {qubit} out of range for n={frame.n}")

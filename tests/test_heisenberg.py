@@ -1,6 +1,8 @@
 """Descriptor-engine tests: gate rules, the gate table's Pauli images,
 dephasing, witness, cross-engine checks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from medwit.circuits import (
     z,
 )
 from medwit.density import (
+    DensityMatrix,
     expectation,
     pseudo_pure,
     run_network_density,
@@ -281,6 +284,27 @@ class TestEffectiveDephasingAgainstChannel:
             image = observable_image(substitute(frame, p), obs)
             got = pseudo_pure_expectation(image, basis, epsilon)
             assert abs(got - expectation(rho, obs)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.3, 0.499999999999995])
+    def test_agree_on_every_word_from_every_basis_input(self, p):
+        """Each of the 256 four-qubit Pauli words from each of the 16 basis
+        inputs at each of the symmetric network's 4 slices, 16384 cases: the
+        word's image in the frame at p against the exact channel's state."""
+        circuit = build_symmetric()
+        frames = [substitute(frame, p) for frame in run_network_frames(circuit)]
+        bases = [BasisState(bits) for bits in product((0, 1), repeat=4)]
+        # every input's slices in one stack, input by input
+        states = DensityMatrix(np.concatenate(
+            [run_network_density(circuit, pseudo_pure(1.0, basis), p).entries for basis in bases]))
+        gaps = []
+        for letters in map("".join, product("IXYZ", repeat=4)):
+            word = one_word(letters)
+            dense = expectation(states, word).reshape(len(bases), len(frames))
+            images = [observable_image(frame, word) for frame in frames]
+            gaps += [abs(pseudo_pure_expectation(image, basis, 1.0) - value)
+                     for basis, values in zip(bases, dense) for image, value in zip(images, values)]
+        assert len(gaps) == 16384
+        assert max(gaps) <= 1e-12
 
     def test_differ_on_x_after_hadamard(self):
         # after H(B) the x-descriptor of B is Z_B, which the effective map leaves
