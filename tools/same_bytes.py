@@ -11,10 +11,11 @@ Every argv in ``ARGVS`` runs as ``python -m medwit`` once per tree, with
 from ``perfbench/workloads.py``; the last, ``ERRORS``, are bad flags, whose
 pinned output is the error on stderr.  The script prints one line per argv
 and exits 1 if any exit code, stdout, dumped state or stderr differs
-between the trees, else 0.  A line whose stdout or state differs ends with the largest absolute
-difference: over the numeric leaves of JSON output or the numeric cells of
-other (CSV) output, and over the complex128 entries of the dumped states;
-"not numeric" where the outputs differ in more than numbers.
+between the trees, else 0.  A line whose stdout or state differs ends with
+the largest absolute difference: over the numeric leaves of JSON output or
+the numeric cells of other (CSV) output, and over the complex128 entries of
+the dumped states; "not numeric" where the outputs differ in more than
+numbers.
 
 The children run with ``OPENBLAS_NUM_THREADS`` removed from their
 environment, whatever this script's own environment holds, so both trees
@@ -23,9 +24,10 @@ thread count is compared at that count.
 
 ``--write`` runs every argv in process on the ``src`` of the checkout that
 holds this script and writes ``DIGESTS``: per argv its exit code and the
-sha256 of its stdout, of its dumped state and of its stderr, with the Python, NumPy and
-BLAS build they were taken with.  A tier-1 test compares the same digests
-with that file, so an intended output change shows as its diff, argv by argv.
+sha256 of its stdout, of its dumped state and of its stderr, with the
+Python, NumPy and BLAS build they were taken with.  A tier-1 test compares
+the same digests with that file, so an intended output change shows as its
+diff, argv by argv.
 """
 
 from __future__ import annotations
