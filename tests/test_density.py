@@ -364,14 +364,14 @@ class TestExpectation:
         """A state may carry a skew up to 1e-10, so ``expectation`` accepts a
         witness residue of 5e-11, which ``hermitian_value`` at its default
         bound, the one for descriptor images, refuses."""
-        witness = witness_observable(4, 0, 3).dense()
+        witness = witness_observable(4, 0, 3)
         entries = np.eye(16, dtype=complex) / 16
-        row, col = np.argwhere(witness != 0)[0]
+        row, col = np.argwhere(witness.dense() != 0)[0]
         # Tr(rho W) gains rho[col, row] W[row, col], an imaginary 5e-11 times +-1
         entries[col, row] += 5e-11j
-        value = np.trace(entries @ witness)
+        value = np.trace(entries @ witness.dense())
         assert abs(value.imag) == 5e-11
-        assert expectation(DensityMatrix(entries), witness_observable(4, 0, 3)).tolist() == [0.0]
+        assert expectation(DensityMatrix(entries), witness).tolist() == [0.0]
         with pytest.raises(ValueError, match="imaginary residue -?5e-11; operator is not"):
             hermitian_value(value)
 
