@@ -62,8 +62,9 @@ def _workloads():
 
 #: the perfbench cli-mix commands, at seed 1
 CLI_MIX = [command.argv(1) for command in _workloads().CLI_MIX]
-#: grids of one point, one density stack (32), one more than a stack, the
-#: perfbench sweep-fine grid, a comma list, and non-default epsilon and axes
+#: grids of one point, 32 and 33 points, the perfbench sweep-fine grid, a
+#: comma list, non-default epsilon and axes, and 10001 points, which span
+#: hundreds of density stacks
 SWEEPS = [
     ["sweep", "--p-grid", "0.25"],
     ["sweep", "--p-grid", "0:0.31:0.01"],
@@ -71,6 +72,7 @@ SWEEPS = [
     ["sweep", "--p-grid", "0:0.5:0.0005"],
     ["sweep", "--p-grid", "0.5,0.1,0.499999999999995,1,0"],
     ["sweep", "--p-grid", "0:1:0.01", "--epsilon", "0.3", "--axes", "xx-zz"],
+    ["sweep", "--p-grid", "0:1:0.0001"],
 ]
 STAGED = [
     ["staged", "--stages", "8", "--patterns", "exhaustive"],
