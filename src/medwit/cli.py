@@ -117,7 +117,7 @@ ZERO_TOL = 1e-10
 #: largest --p-grid point count; a finer grid is a config error, not a run
 #: that asks for unbounded memory.  The sweep writes its rows a stack at a
 #: time, so at this limit it peaks at 170 MB RSS (482 MB when it held the
-#: whole CSV) and takes about 45 s on a shared 2-core host
+#: whole CSV) and takes about 37 s on a shared 2-core host
 MAX_GRID_POINTS = 10 ** 6
 #: largest --stages: run's descriptor walk takes about 3 s there
 MAX_STAGES = 1000
@@ -231,8 +231,9 @@ class ExperimentConfig:
 
 def _load_config_file(path: str, command: str) -> dict[str, str]:
     """The file's key = value pairs; a key the command does not read, or one
-    set twice, is an error naming it and its lines."""
-    keys = COMMAND_KEYS[command][0]
+    set twice, is an error naming it and its lines.  Every error names the
+    path once, through ``_shown``."""
+    keys, shown = COMMAND_KEYS[command][0], _shown(path)
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
@@ -242,21 +243,21 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                    raise ConfigError(f"{shown}:{lineno}: expected 'key = value', "
                                       f"got {_shown(repr(raw.rstrip()))}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: config key {_shown(repr(key))} does not "
+                    raise ConfigError(f"{shown}:{lineno}: config key {_shown(repr(key))} does not "
                                       f"apply to {command}, which reads {', '.join(keys)}")
                 if key in first_line:
-                    raise ConfigError(f"{path}:{lineno}: config key {key!r} is set again, "
+                    raise ConfigError(f"{shown}:{lineno}: config key {key!r} is set again, "
                                       f"first on line {first_line[key]}")
                 first_line[key] = lineno
                 values[key] = value
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's own text repeats the path; a decode error names none
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ConfigError(f"cannot read config file {_shown(path)}: {reason}") from exc
+        raise ConfigError(f"cannot read config file {shown}: {reason}") from exc
     return values
 
 

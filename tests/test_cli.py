@@ -802,6 +802,16 @@ class TestLongEchoes:
         assert (code, out) == (EXIT_CONFIG, "")
         assert message in err and "... (3002 characters)" in err and len(err.encode()) < 300
 
+    def test_config_file_path(self, capsys, tmp_path):
+        """A long path to a config file with a bad line is echoed once, cut."""
+        config = tmp_path.joinpath(*["d" * 200] * 14, "c.cfg")
+        config.parent.mkdir(parents=True)
+        config.write_text("p = 0.3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"... ({len(str(config))} characters):1: config key 'p'" in err
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize("flag, verb", [
         ("--config", "cannot read config file"), ("--out", "cannot write"),
         ("--dump-state", "cannot write"),
@@ -907,7 +917,7 @@ class TestCommandKeys:
         else:
             assert by_flag[:2] == by_file[:2] == (EXIT_CONFIG, "")
             assert f"unrecognized arguments: {flag} {value}" in by_flag[2]
-            assert f"{config}:1: config key {key!r} does not apply to {command}" in by_file[2]
+            assert f"{cli._shown(str(config))}:1: config key {key!r} does not apply to {command}" in by_file[2]
 
 
 class TestConfigFile:
@@ -935,14 +945,14 @@ class TestConfigFile:
         config.write_text("networ = symmetric\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert code == EXIT_CONFIG and out == ""
-        assert f"{config}:1: config key 'networ' does not apply to run" in err
+        assert f"{cli._shown(str(config))}:1: config key 'networ' does not apply to run" in err
 
     def test_repeated_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "twice.cfg"
         config.write_text("p = 0.1\n# a comment\np = 0.3\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert code == EXIT_CONFIG and out == ""
-        assert f"{config}:3: config key 'p' is set again, first on line 1" in err
+        assert f"{cli._shown(str(config))}:3: config key 'p' is set again, first on line 1" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.cfg"))
