@@ -518,8 +518,14 @@ def _write(path: str, pieces: Iterable[bytes]) -> None:
         raise ConfigError(f"cannot write {_shown(path)}: {exc.strerror}") from exc
 
 
+#: a number as every output spells it, with all 17 significant digits
+_CELL = "%.17g"
+#: one row of the sweep's CSV, six cells
+_SWEEP_ROW = ",".join([_CELL] * 6) + "\n"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return _CELL % value
 
 
 def _final_slice_notes(entry: dict) -> list[str]:
@@ -559,32 +565,24 @@ def cmd_table(cfg: ExperimentConfig, args):
     return render_table(frames) + "\n", None
 
 
-#: one row of the sweep's CSV, each cell spelt as ``_fmt`` spells it
-_SWEEP_ROW = ",".join(["%.17g"] * 6) + "\n"
-
-
 def cmd_sweep(cfg: ExperimentConfig, args):
-    """The CSV as pieces that ``_execute`` writes as they are computed: the
-    header, then the rows of each stack of grid points.  The grid is read
-    first, so a bad --p-grid is a config error before any output is opened."""
-    return _sweep_pieces(cfg, _parse_grid(args.p_grid)), None
+    """The CSV as lines that ``_execute`` writes as they are computed: the
+    header, then a row per grid point.  The grid is read first, so a bad
+    --p-grid is a config error before any output is opened."""
+    return _sweep_lines(cfg, _parse_grid(args.p_grid)), None
 
 
-def _sweep_pieces(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
+def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
     axes = cfg.axes
     circuit = _build_network(cfg)
     witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes],
                                        np.array(grid))
-    columns = (witnesses[axes], nc["B"], nc["C"])
+    density = (row for states in run_intensity_grid(circuit, cfg.initial, grid)
+               for row in _density_values(states, [axes]))
     yield "p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C\n"
-    start = 0
-    for states in run_intensity_grid(circuit, cfg.initial, grid):
-        stop = start + len(states)
-        yield "".join(_SWEEP_ROW % (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
-                      for p, (w_density, neg), w_heisenberg, nc_b, nc_c
-                      in zip(grid[start:stop], _density_values(states, [axes]),
-                             *(column[start:stop].tolist() for column in columns)))
-        start = stop
+    for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
+            grid, density, witnesses[axes], nc["B"], nc["C"]):
+        yield _SWEEP_ROW % (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
 
 
 def cmd_staged(cfg: ExperimentConfig, args):
