@@ -75,8 +75,9 @@ MAX_QUBITS = 10
 #: stack at a time.  The 1001-point sweep on a shared 2-core host, best of
 #: 90 in-process runs and median peak RSS of 9 subprocesses: 45 ms and
 #: 31.1 MB at 8, 34 ms and 31.4 MB at 16, 32 ms and 31.9 MB at 32.  Each
-#: stack costs about 0.2 ms of fixed numpy calls, so on 10^5 points 16
-#: takes about 20% longer than 32; 8 saves too little memory for its time
+#: stack costs about 0.13 ms of fixed numpy calls, so larger grids take
+#: longer at 16 than at 32: 8% at 10^5 points and 14% at 10^6 (medians of
+#: 10 subprocess pairs); 8 saves too little memory for its time
 _BATCH = 16
 
 _HERM_TOL = 1e-10
