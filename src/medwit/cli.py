@@ -116,9 +116,8 @@ PREVIEW_PATTERNS = 16
 ZERO_TOL = 1e-10
 #: largest --p-grid point count; a finer grid is a config error, not a run
 #: that asks for unbounded memory.  The sweep writes its rows a stack at a
-#: time, so at this limit it peaks at 170 MB RSS (483 MB when it held the
-#: whole CSV) and takes about 46 s on a shared 2-core host (40 s then, at 32
-#: points per stack)
+#: time, so at this limit it peaks at 170 MB RSS and takes about 46 s on a
+#: shared 2-core host
 MAX_GRID_POINTS = 10 ** 6
 #: largest --stages: run's descriptor walk takes about 3 s there
 MAX_STAGES = 1000
