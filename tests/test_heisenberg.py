@@ -19,10 +19,12 @@ from helpers import (
     ref_partial_swap,
     undephased_symmetric,
 )
+from medwit import cli
 from medwit.circuits import (
     SLICE,
     Circuit,
     build_asymmetric,
+    build_staged,
     build_symmetric,
     cnot,
     cphase,
@@ -43,6 +45,7 @@ from medwit.heisenberg import (
     AttenuationPoly,
     apply_dephasing_frame,
     apply_gate_frame,
+    descriptor_commutator,
     frame_observable,
     frames_to_dict,
     gate_images,
@@ -395,6 +398,27 @@ class TestSymbolicAttenuation:
     def test_attenuation_value(self):
         poly = AttenuationPoly({2: 3.0})
         assert poly.at(0.25) == pytest.approx(3 * 0.5 ** 2)
+
+
+def command_values():
+    """Every symbolic value a command builds: the descriptors of every frame
+    of every built-in network, and at each slice the witness images of both
+    axes pairs and the commutators of the mediators.  Only the symmetric
+    network has phase flips, and no frame depends on an input; the staged
+    network is taken at a few stage counts."""
+    networks = [build_symmetric(), build_asymmetric(), *map(build_staged, (1, 2, 8))]
+    for frame in (frame for circuit in networks for frame in run_network_frames(circuit)):
+        yield from frame.x + frame.z
+        yield from (observable_image(frame, witness) for witness in cli.WITNESSES.values())
+        yield from (descriptor_commutator(frame, q) for q in cli.MEDIATORS)
+
+
+class TestOnePowerPerTerm:
+    def test_every_command_coefficient_is_a_number_or_one_power(self):
+        coefficients = [c for value in command_values() for _, c in value.items()]
+        symbolic = [c for c in coefficients if not isinstance(c, complex)]
+        assert symbolic and len(symbolic) < len(coefficients)
+        assert all(len(c.powers()) == 1 for c in symbolic)
 
 
 class TestRenderingAndParsing:

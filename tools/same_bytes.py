@@ -115,10 +115,13 @@ DEPHASING = [
     ["staged", "--stages", "10", "--patterns", "exhaustive", "--initial-bits", "1100",
      "--epsilon", "0.7"],
 ]
-#: the deepest descriptor walk: the partial swaps of the largest staged
-#: network, read on the other axes
+#: the deep descriptor walks: 34 stages of partial swaps, read on the other
+#: axes, and 400 stages, where rounding residues leave several words in each
+#: mediator commutator at t2 and t3 (from 369 stages on, by bisection), so
+#: the nonclassicality is read by ``operator_norm``'s dense SVD
 FRAMES = [
     ["run", "--network", "staged", "--stages", "34", "--axes", "xz-zx"],
+    ["run", "--network", "staged", "--stages", "400"],
 ]
 #: per command, every config key it reads set off its default (table's
 #: network stays symmetric, the one network that takes --p)
