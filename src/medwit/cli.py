@@ -48,7 +48,7 @@ int64, which bounds both modes at 34 stages.  Every size the CLI accepts is
 bounded before any work starts: --stages by ``MAX_STAGES``, sampled:N by
 ``MAX_SAMPLED_PATTERNS`` and --p-grid by ``MAX_GRID_POINTS``.  A --stages
 or --seed too long for ``int`` is named by that limit or by its digit
-count, and a config error echoes at most ``ECHO_CHARS`` characters of a value.
+count, and no error echoes more than ``ECHO_CHARS`` characters of a value.
 
 Exit codes: 0 success, 2 configuration error, 3 engine error.
 """
@@ -95,10 +95,9 @@ from .density import (
 from .detect import antiphase_amplitudes
 from .heisenberg import (
     DescriptorFrame,
-    descriptor_commutator,
     frames_to_dict,
+    nonclassicality_degree,
     observable_image,
-    operator_norm_at,
     pseudo_pure_expectation_at,
     render_table,
     run_network_frames,
@@ -125,7 +124,7 @@ MAX_STAGES = 1000
 MAX_SAMPLED_PATTERNS = 10 ** 5
 #: the --p value with which table renders the formal factor (1 - 2p)
 SYMBOLIC_P = "symbolic"
-#: characters of a value that a config error echoes at most
+#: characters of a value that an error echoes at most
 ECHO_CHARS = 40
 
 AXES_CHOICES = {
@@ -493,14 +492,13 @@ def _descriptor_values(
     """Columns along the array of intensities p: the witness for each named
     axes pair, and the mediators' nonclassicality by label, read off the
     frame's witness images and the mediators' commutators at all of them at
-    once (``pseudo_pure_expectation_at``, ``operator_norm_at``), each point
+    once (``pseudo_pure_expectation_at``, ``nonclassicality_degree``), each point
     with the bytes that ``substitute`` would give it.  ``run`` reads them at
     its one p, ``sweep`` once for its whole grid."""
     witnesses = {name: pseudo_pure_expectation_at(observable_image(frame, WITNESSES[name]),
                                                   cfg.basis, cfg.epsilon, p)
                  for name in axes_names}
-    return witnesses, {qubit_label(q): operator_norm_at(descriptor_commutator(frame, q), p)
-                       for q in MEDIATORS}
+    return witnesses, {qubit_label(q): nonclassicality_degree(frame, q, p) for q in MEDIATORS}
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +679,20 @@ def _execute(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+#: a str as ``repr`` spells it, in single or double quotes
+_REPR = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\"""")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose errors echo each value cut as ``_shown`` cuts
+    it: a quoted one, such as an unknown choice, and the unrecognized
+    arguments, which end the message."""
+
+    def error(self, message):
+        head, unread, extras = message.partition("unrecognized arguments: ")
+        super().error(_REPR.sub(lambda value: _shown(value[0]), head) + unread + _shown(extras))
+
+
 def _add_common(subs, command: str, func, summary: str) -> argparse.ArgumentParser:
     """The command's subparser: --config, a flag for each config key the
     command reads, and --out.  No flag is expanded from an abbreviation, which
@@ -695,7 +707,7 @@ def _add_common(subs, command: str, func, summary: str) -> argparse.ArgumentPars
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="medwit",
         description=(
             "Simulate mediated-entanglement witness experiments on a four-qubit chain: "

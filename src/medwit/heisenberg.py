@@ -13,17 +13,18 @@ are integers there, so a Clifford gate maps descriptors to exact signed
 products of descriptors and evolution stays exact and symbolic; a partial
 swap mixes them with rounded real weights.  The dephasing channel acts as an
 effective attenuation of the dephased qubit's own descriptors, always by the
-formal factor (1 - 2p): a frame holds every intensity at once.  Frames are
-immutable values: every operation returns a new frame.  An observable, such
-as the ``pauli.witness_observable`` witness, is read off a frame in two
-steps: its Heisenberg image (``observable_image``), then the image's value
-on the pseudo-pure input (``pseudo_pure_expectation``).  A frame, an image,
-or the commutator behind ``nonclassicality_degree`` gives its value at any p
-as if the attenuation had been applied at that p: ``substitute`` gives the
-numeric frame or sum at one p, and ``pseudo_pure_expectation_at`` and
-``operator_norm_at`` read the values at a whole array of intensities at
-once, each point with the bytes that ``substitute`` then
-``pseudo_pure_expectation`` or ``operator_norm`` give it.
+formal factor (1 - 2p), so a frame holds every intensity at once and a
+coefficient is a complex number or one power of that factor times one
+(``Attenuated``).  Frames are immutable values: every operation returns a
+new frame.  An observable, such as the ``pauli.witness_observable`` witness,
+is read off a frame in two steps: its Heisenberg image (``observable_image``),
+then the image's value on the pseudo-pure input (``pseudo_pure_expectation``).
+A frame, an image or a descriptor commutator gives its value at any p as if
+the attenuation had been applied at that p: ``substitute`` gives the numeric
+frame or sum at one p, and ``pseudo_pure_expectation_at`` and
+``operator_norm_at`` (``nonclassicality_degree``) read the values at a whole
+array of intensities at once, each point with the bytes that ``substitute``
+then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .pauli import (
 
 __all__ = [
     "ATTENUATION",
-    "AttenuationPoly",
+    "Attenuated",
     "DescriptorFrame",
     "apply_dephasing_frame",
     "apply_gate_frame",
@@ -73,82 +74,50 @@ __all__ = [
 ]
 
 
-class AttenuationPoly:
-    """Polynomial in the formal dephasing attenuation factor (1 - 2p).
+@dataclass(frozen=True)
+class Attenuated:
+    """A descriptor coefficient that a dephasing channel has attenuated:
+    ``coeff`` times the formal factor (1 - 2p) to the ``power``, at least 1.
+    A product multiplies the coefficients and adds the powers, and a sum
+    keeps the power; a sum with another power, or with a nonzero number, is
+    a ValueError.  A result of 0 is the plain number 0."""
 
-    Used as a descriptor coefficient once a dephasing channel has attenuated
-    it; substitute a numeric p to recover a plain complex number.
-    """
+    coeff: complex
+    power: int
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, complex]):
-        clean = {}
-        for k, v in coeffs.items():
-            v = complex(v)
-            if v != 0:
-                clean[int(k)] = v
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AttenuationPoly is immutable")
-
-    @staticmethod
-    def _lift(x) -> dict[int, complex]:
-        if isinstance(x, AttenuationPoly):
-            return dict(x._coeffs)
-        return {0: complex(x)}
-
-    def _wrap(self, coeffs: dict[int, complex]):
-        poly = AttenuationPoly(coeffs)
-        # collapse to a plain number once no formal power remains
-        if set(poly._coeffs) <= {0}:
-            return poly._coeffs.get(0, 0j)
-        return poly
+    def __post_init__(self):
+        if self.power < 1:
+            raise ValueError(f"the power of (1 - 2p) must be at least 1, got {self.power}")
 
     def __add__(self, other):
-        try:
-            lifted = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in lifted.items():
-            out[k] = out.get(k, 0j) + v
-        return self._wrap(out)
+        if isinstance(other, Attenuated) and other.power == self.power:
+            total = self.coeff + other.coeff
+            return Attenuated(total, self.power) if total != 0 else 0j
+        if not isinstance(other, Attenuated) and complex(other) == 0:
+            return self
+        raise ValueError(f"cannot add powers {self.power} and {getattr(other, 'power', 0)} "
+                         "of (1 - 2p): a coefficient holds one power")
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        try:
-            lifted = self._lift(other)
-        except TypeError:
+        if isinstance(other, PauliSum):
             return NotImplemented
-        out: dict[int, complex] = {}
-        for ka, va in self._coeffs.items():
-            for kb, vb in lifted.items():
-                out[ka + kb] = out.get(ka + kb, 0j) + va * vb
-        return self._wrap(out)
+        if isinstance(other, Attenuated):
+            coeff, power = other.coeff, self.power + other.power
+        else:
+            coeff, power = complex(other), self.power
+        product = 0j + self.coeff * coeff
+        return Attenuated(product, power) if product != 0 else 0j
 
     __rmul__ = __mul__
 
     def __abs__(self) -> float:
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
+        return abs(self.coeff)
 
     def __complex__(self) -> complex:
-        if set(self._coeffs) <= {0}:
-            return self._coeffs.get(0, 0j)
-        raise TypeError(
-            "coefficient carries a symbolic attenuation factor; substitute a numeric p first"
-        )
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self._coeffs == self._lift(other)
-        except TypeError:
-            return NotImplemented
-
-    def powers(self) -> list[tuple[int, complex]]:
-        return sorted(self._coeffs.items())
+        raise TypeError("coefficient carries a symbolic attenuation factor; "
+                        "substitute a numeric p first")
 
     def at(self, p: float | np.ndarray) -> complex | np.ndarray:
         """Numeric value with the channel intensity substituted: a complex
@@ -158,23 +127,16 @@ class AttenuationPoly:
         as in a frame evolved at that p, where a descriptor term is a unit
         phase times such a power and is pruned as soon as the channel or a
         product makes it that small, before a commutator or a sum of terms
-        could double it back above the tolerance.  The powers are summed in
-        the polynomial's order, each skipped where it is pruned, so every
-        point of an array gets the bytes it gets alone.
+        could double it back above the tolerance.
         """
-        base = 1.0 - 2.0 * np.asarray(p, dtype=float)
-        total = np.zeros(base.shape, dtype=complex)
-        for k, v in self._coeffs.items():
-            power = np.power(base, k)
-            np.add(total, v * power, out=total, where=np.abs(power) > PRUNE_TOL)
+        power = np.power(1.0 - 2.0 * np.asarray(p, dtype=float), self.power)
+        total = np.zeros(power.shape, dtype=complex)
+        np.add(total, self.coeff * power, out=total, where=np.abs(power) > PRUNE_TOL)
         return total if total.ndim else complex(total)
-
-    def __repr__(self) -> str:
-        return f"AttenuationPoly({self._coeffs!r})"
 
 
 #: the bare formal factor (1 - 2p)
-ATTENUATION = AttenuationPoly({1: 1.0})
+ATTENUATION = Attenuated(1 + 0j, 1)
 
 
 @dataclass(frozen=True)
@@ -259,17 +221,15 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
 
 
 def _attenuate(descriptor: PauliSum, qubit: int) -> PauliSum:
-    terms = {}
-    for word, coeff in descriptor.items():
-        terms[word] = coeff * ATTENUATION if word[qubit] in "XY" else coeff
-    return PauliSum(descriptor.n, terms)
+    return PauliSum(descriptor.n, {word: coeff * ATTENUATION if word[qubit] in "XY" else coeff
+                                   for word, coeff in descriptor.items()})
 
 
 def apply_dephasing_frame(frame: DescriptorFrame, qubit: int) -> DescriptorFrame:
     """Effective dephasing of one qubit's own descriptor pair.
 
     Every term of the target qubit's descriptors whose letter on that qubit
-    is X or Y is attenuated by the formal factor (1 - 2p), ``ATTENUATION``,
+    is X or Y gains one power of the formal factor (1 - 2p), ``ATTENUATION``,
     whose intensity ``substitute`` or the array reads set later; letters I
     and Z pass through, and all other qubits' descriptors are untouched.
     This is the effective "dressed mediator" description; the exact channel
@@ -346,9 +306,10 @@ def descriptor_commutator(frame: DescriptorFrame, qubit: int) -> PauliSum:
     return commutator(frame.x[qubit], frame.z[qubit])
 
 
-def nonclassicality_degree(frame: DescriptorFrame, qubit: int) -> float:
-    """Spectral norm of the commutator of one qubit's descriptor pair."""
-    return operator_norm(descriptor_commutator(frame, qubit))
+def nonclassicality_degree(frame: DescriptorFrame, qubit: int, p: np.ndarray) -> np.ndarray:
+    """Spectral norm of the commutator of one qubit's descriptor pair at
+    every intensity of the array ``p`` (``operator_norm_at``)."""
+    return operator_norm_at(descriptor_commutator(frame, qubit), p)
 
 
 def substitute(operator: PauliSum | DescriptorFrame, p: float) -> PauliSum | DescriptorFrame:
@@ -358,14 +319,14 @@ def substitute(operator: PauliSum | DescriptorFrame, p: float) -> PauliSum | Des
         return DescriptorFrame(operator.time_index,
                                tuple(substitute(d, p) for d in operator.x),
                                tuple(substitute(d, p) for d in operator.z))
-    return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, AttenuationPoly) else c)
+    return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, Attenuated) else c)
 
 
 def _coefficient_at(coeff, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A term's coefficient in ``substitute(operator, p)`` at every intensity
     of ``p``, and its modulus, which PauliSum's prune compares with
     ``PRUNE_TOL``."""
-    values = coeff.at(p) if isinstance(coeff, AttenuationPoly) else np.full(p.shape, complex(coeff))
+    values = coeff.at(p) if isinstance(coeff, Attenuated) else np.full(p.shape, complex(coeff))
     return values, np.hypot(values.real, values.imag)
 
 
@@ -442,19 +403,9 @@ def _render_numeric_prefix(value: complex) -> str:
 
 
 def _render_coefficient(coeff) -> str:
-    if isinstance(coeff, AttenuationPoly):
-        powers = coeff.powers()
-        if len(powers) == 1:
-            k, v = powers[0]
-            factor = "(1-2p)" if k == 1 else f"(1-2p)^{k}"
-            prefix = _render_numeric_prefix(v)
-            if prefix.endswith(" "):
-                prefix = prefix[:-1]
-            return prefix + factor
-        return "(" + " + ".join(
-            (_render_numeric_prefix(v).strip() or "1") + ("" if k == 0 else f"(1-2p)^{k}")
-            for k, v in powers
-        ) + ") "
+    if isinstance(coeff, Attenuated):
+        factor = "(1-2p)" if coeff.power == 1 else f"(1-2p)^{coeff.power}"
+        return _render_numeric_prefix(coeff.coeff).removesuffix(" ") + factor
     return _render_numeric_prefix(complex(coeff))
 
 
@@ -495,10 +446,9 @@ def frames_to_dict(frames: Sequence[DescriptorFrame]) -> dict:
     n = frames[0].n
 
     def coeff_terms(coeff) -> list[dict]:
-        if isinstance(coeff, AttenuationPoly):
-            return [{"power": k, "re": v.real, "im": v.imag} for k, v in coeff.powers()]
-        c = complex(coeff)
-        return [{"power": 0, "re": c.real, "im": c.imag}]
+        power, c = ((coeff.power, coeff.coeff) if isinstance(coeff, Attenuated)
+                    else (0, complex(coeff)))
+        return [{"power": power, "re": c.real, "im": c.imag}]
 
     def dump(descriptor: PauliSum) -> list[dict]:
         return [

@@ -79,15 +79,22 @@ from medwit.density import (
     temporal_average,
 )
 from medwit.heisenberg import (
-    AttenuationPoly,
+    Attenuated,
     DescriptorFrame,
     apply_gate_frame,
+    descriptor_commutator,
     init_frame,
-    nonclassicality_degree,
     observable_image,
     pseudo_pure_expectation,
 )
-from medwit.pauli import BasisState, PauliSum, qubit_label, single, witness_observable
+from medwit.pauli import (
+    BasisState,
+    PauliSum,
+    operator_norm,
+    qubit_label,
+    single,
+    witness_observable,
+)
 
 #: the four phases a product of Pauli words can carry
 PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
@@ -428,8 +435,8 @@ def per_point_sweep(grid, epsilon: float = 1.0, bits: str = "0000", axes: str = 
             pseudo_pure_expectation(observable_image(frame, witness), basis, epsilon),
             expectation(rho, witness)[0],
             negativity(partial_trace(rho, [0, 3]), [0])[0],
-            nonclassicality_degree(frame, 1),
-            nonclassicality_degree(frame, 2),
+            operator_norm(descriptor_commutator(frame, 1)),
+            operator_norm(descriptor_commutator(frame, 2)),
         )
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
@@ -464,7 +471,7 @@ def _parse_coefficient(text: str):
     if s:
         raise ValueError(f"cannot parse coefficient {text!r}")
     value *= sign
-    return AttenuationPoly({power: value}) if power else value
+    return Attenuated(value, power) if power else value
 
 
 def parse_word(text: str, n: int) -> PauliSum:

@@ -25,7 +25,6 @@ from medwit.heisenberg import (
     ATTENUATION,
     DescriptorFrame,
     descriptor_commutator,
-    nonclassicality_degree,
     observable_image,
     operator_norm_at,
     pseudo_pure_expectation,
@@ -191,7 +190,7 @@ def test_substituted_commutator_matches_a_frame_evolved_at_p(p):
     numeric = numeric_frames(build_symmetric(), p)[-1]
     for q in (1, 2):
         image = substitute(descriptor_commutator(symbolic, q), p)
-        assert operator_norm(image) == nonclassicality_degree(numeric, q) == 0.0
+        assert operator_norm(image) == operator_norm(descriptor_commutator(numeric, q)) == 0.0
 
 
 class TestBatchedChecks:
@@ -245,16 +244,16 @@ class TestBatchedChecks:
 
 def hand_built_frame() -> DescriptorFrame:
     """A two-qubit symbolic frame whose sums the symmetric network never
-    makes.  Qubit 0's commutator keeps five words of five moduli and two
+    makes.  Qubit 0's commutator keeps five words of five moduli and four
     powers, so several survive the prune at most p and fewer near p = 1/2;
-    its z-descriptor gives four I/Z words, the identity among them, inserted
-    out of word order.  Qubit 1's commutator is one word, -0.6i (1-2p) IY,
-    which the prune drops where its power of (1 - 2p) alone is kept.  Every
-    coefficient has modulus below 1, so the prune of a term and of its
-    power differ."""
+    its z-descriptor gives four I/Z words of three powers, the identity among
+    them, inserted out of word order.  Qubit 1's commutator is one word,
+    -0.6i (1-2p) IY, which the prune drops where its power of (1 - 2p) alone
+    is kept.  Every coefficient has modulus below 1, so the prune of a term
+    and of its power differ."""
     a = ATTENUATION
     x0 = PauliSum(2, {"XI": 0.5 * a, "ZY": 0.75})
-    z0 = PauliSum(2, {"ZZ": 0.1 * a + 0.02 * a * a * a, "ZI": 0.7, "IZ": 0.35 * a * a,
+    z0 = PauliSum(2, {"ZZ": 0.1 * a * a * a, "ZI": 0.7, "IZ": 0.35 * a * a,
                       "II": 0.05 * a, "YZ": 0.25 * a})
     return DescriptorFrame(0, (x0, 0.3 * a * single(2, 1, "x")), (z0, single(2, 1, "z")))
 
@@ -316,8 +315,8 @@ def test_hand_built_grid_reads_equal_substitute(bits, epsilon):
     frame = hand_built_frame()
     commutators = [descriptor_commutator(frame, q) for q in (0, 1)]
     ps = [*PRUNE_WINDOW, 0.0, 0.5, 1.0, *np.linspace(0, 1, 201).tolist(),
-          *near_prune([(0.15, 1), (0.7, 1), (0.1, 2), (0.525, 2), (0.25, 2), (0.6, 1),
-                       (0.1, 1), (0.02, 3), (0.35, 2), (0.05, 1)])]
+          *near_prune([(0.15, 3), (0.7, 1), (0.1, 4), (0.525, 2), (0.25, 2), (0.6, 1),
+                       (0.1, 3), (0.35, 2), (0.05, 1)])]
     survivors = [len(substitute(commutators[0], p)) for p in ps]
     assert max(survivors) == 5 and 1 in survivors and 0 in survivors
     assert len(commutators[1]) == 1

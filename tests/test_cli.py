@@ -825,6 +825,23 @@ class TestLongEchoes:
         assert err == (f"medwit: config error: {verb} {path[:cli.ECHO_CHARS]}... "
                        f"({len(path)} characters): No such file or directory\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "--network", "x" * 3000], "medwit run: error: argument --network: invalid "
+         f"choice: '{'x' * 39}... (3002 characters) (choose from 'symmetric', 'asymmetric', "
+         "'staged')"),
+        (["run", "--bogus", "y" * 3000],
+         f"medwit: error: unrecognized arguments: --bogus {'y' * 32}... (3008 characters)"),
+        (["run", "--timing=" + "z" * 3000], "medwit run: error: argument --timing: ignored "
+         f"explicit argument '{'z' * 39}... (3002 characters)"),
+    ], ids=["choice", "unrecognized", "explicit-argument"])
+    def test_argparse_error(self, capsys, argv, error):
+        """argparse's own errors cut the value as ``_shown`` cuts it, after
+        the usage lines."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("usage: medwit") and err.endswith("\n" + error + "\n")
+        assert len(err.encode()) < 600
+
 
 #: spellings that a config value may arrive in: valid, at a limit, malformed
 SPELLINGS = [

@@ -116,9 +116,9 @@ DEPHASING = [
      "--epsilon", "0.7"],
 ]
 #: the deep descriptor walks: 34 stages of partial swaps, read on the other
-#: axes, and 400 stages, where rounding residues leave several words in each
-#: mediator commutator at t2 and t3 (from 369 stages on, by bisection), so
-#: the nonclassicality is read by ``operator_norm``'s dense SVD
+#: axes, and 400 stages, where rounding residues leave three words in each
+#: mediator commutator at t2 and t3, so the nonclassicality is read by
+#: ``operator_norm``'s dense SVD (as it is at most stage counts from 47 on)
 FRAMES = [
     ["run", "--network", "staged", "--stages", "34", "--axes", "xz-zx"],
     ["run", "--network", "staged", "--stages", "400"],
