@@ -85,10 +85,6 @@ class Attenuated:
     coeff: complex
     power: int
 
-    def __post_init__(self):
-        if self.power < 1:
-            raise ValueError(f"the power of (1 - 2p) must be at least 1, got {self.power}")
-
     def __add__(self, other):
         if isinstance(other, Attenuated) and other.power == self.power:
             total = self.coeff + other.coeff
@@ -116,8 +112,9 @@ class Attenuated:
         return abs(self.coeff)
 
     def __complex__(self) -> complex:
-        raise TypeError("coefficient carries a symbolic attenuation factor; "
-                        "substitute a numeric p first")
+        raise TypeError(
+            "coefficient carries a symbolic attenuation factor; substitute a numeric p first"
+        )
 
     def at(self, p: float | np.ndarray) -> complex | np.ndarray:
         """Numeric value with the channel intensity substituted: a complex
@@ -221,8 +218,10 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
 
 
 def _attenuate(descriptor: PauliSum, qubit: int) -> PauliSum:
-    return PauliSum(descriptor.n, {word: coeff * ATTENUATION if word[qubit] in "XY" else coeff
-                                   for word, coeff in descriptor.items()})
+    terms = {}
+    for word, coeff in descriptor.items():
+        terms[word] = coeff * ATTENUATION if word[qubit] in "XY" else coeff
+    return PauliSum(descriptor.n, terms)
 
 
 def apply_dephasing_frame(frame: DescriptorFrame, qubit: int) -> DescriptorFrame:
@@ -307,8 +306,7 @@ def descriptor_commutator(frame: DescriptorFrame, qubit: int) -> PauliSum:
 
 
 def nonclassicality_degree(frame: DescriptorFrame, qubit: int, p: np.ndarray) -> np.ndarray:
-    """Spectral norm of the commutator of one qubit's descriptor pair at
-    every intensity of the array ``p`` (``operator_norm_at``)."""
+    """Spectral norm of one qubit's descriptor commutator at each intensity of ``p``."""
     return operator_norm_at(descriptor_commutator(frame, qubit), p)
 
 

@@ -140,9 +140,8 @@ class PauliSum:
 
     Canonical means: each letter word appears at most once and no coefficient
     is below ``PRUNE_TOL`` in modulus.  Coefficients are builtin complex
-    numbers, or, in symbolically attenuated descriptors, one power of the
-    formal factor (1 - 2p) times a complex number (``heisenberg.Attenuated``),
-    which supports ``+``, ``*`` and ``abs``.
+    numbers or, in symbolically attenuated descriptors, ``heisenberg.Attenuated``
+    terms c (1 - 2p)^k, which support ``+``, ``*`` and ``abs``.
     """
 
     __slots__ = ("n", "_terms", "_dense")
@@ -150,12 +149,15 @@ class PauliSum:
     def __init__(self, n: int, terms: Mapping[str, complex] | None = None):
         if n < 1:
             raise ValueError("qubit count must be >= 1")
-        scalars = {word: _as_scalar(coeff) for word, coeff in (terms or {}).items()}
-        for word in scalars:
+        scalars: dict[str, complex] = {}
+        for word, coeff in (terms or {}).items():
             if len(word) != n or any(l not in PAULI_LETTERS for l in word):
                 raise ValueError(f"bad Pauli word {word!r} for n={n}")
+            scalars[word] = _as_scalar(coeff)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", {w: c for w, c in scalars.items() if abs(c) > PRUNE_TOL})
+        object.__setattr__(
+            self, "_terms", {w: c for w, c in scalars.items() if abs(c) > PRUNE_TOL}
+        )
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):

@@ -408,8 +408,6 @@ class TestSymbolicAttenuation:
         assert two == Attenuated(2.0, 1)
         assert ATTENUATION * ATTENUATION == Attenuated(1.0, 2)
         assert 0.5j * ATTENUATION * 2 == Attenuated(1j, 1)
-        with pytest.raises(ValueError, match="at least 1"):
-            Attenuated(2.5, 0)
         with pytest.raises(TypeError, match="substitute"):
             complex(ATTENUATION)
 
