@@ -679,10 +679,6 @@ def _execute(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-#: a str as ``repr`` spells it, in single or double quotes
-_REPR = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\"""")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose errors echo each value cut as ``_shown`` cuts
     it: a quoted one, such as an unknown choice, and the unrecognized
@@ -690,7 +686,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         head, unread, extras = message.partition("unrecognized arguments: ")
-        super().error(_REPR.sub(lambda value: _shown(value[0]), head) + unread + _shown(extras))
+        quoted = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\""""  # a str as repr spells it
+        head = re.sub(quoted, lambda value: _shown(value[0]), head)
+        super().error(head + unread + _shown(extras))
 
 
 def _add_common(subs, command: str, func, summary: str) -> argparse.ArgumentParser:
