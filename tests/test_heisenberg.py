@@ -440,8 +440,8 @@ def command_values():
     """Every symbolic value a command builds: the descriptors of every frame
     of every built-in network, and at each slice the witness images of both
     axes pairs and the commutators of the mediators.  Only the symmetric
-    network has phase flips, and no frame depends on an input; the staged
-    network is taken at a few stage counts."""
+    network has phase flips, and its frames depend on no input; the staged
+    network, which has none, is taken at a few stage counts."""
     networks = [build_symmetric(), build_asymmetric(), *map(build_staged, (1, 2, 8))]
     for frame in (frame for circuit in networks for frame in run_network_frames(circuit)):
         yield from frame.x + frame.z
