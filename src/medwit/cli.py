@@ -1,12 +1,14 @@
 """Experiment runner CLI: descriptor tables, dephasing sweeps, staged-swap runs.
 
-Every command runs one pipeline.  ``COMMAND_KEYS`` names the config keys each
-command reads: the parser registers a flag for each, the config-file reader
-accepts no other key, and any other flag or key is exit 2 naming it.
+Every command runs one pipeline.  ``CONFIG_KEYS`` declares each config key
+once: the commands that read it, the networks it applies to, its reader,
+its default and its flag.  A command's parser and config-file reader admit
+the keys it reads, and any other flag or key is exit 2 naming it.
 ``_effective_config`` resolves each value (a flag over the config file over
 the default) and validates the values and their combinations once, into
-one frozen ``ExperimentConfig``: its fields are the report's ``config``, and
-the input state and the sample size derive from them.  ``_build_network``
+one frozen ``ExperimentConfig``.  A report's ``config`` echoes the keys its
+command reads that apply on its network, so as a config file it replays
+the run.  ``_build_network``
 builds the circuit, and each command runs the engines it reports: ``run``
 and ``sweep`` both, since the descriptor engine steps every gate of every
 built-in network, partial swaps included; ``staged`` the density engine
@@ -61,7 +63,8 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -131,8 +134,6 @@ AXES_CHOICES = {
     "xz-zx": (("x", "z"), ("z", "x")),
     "xx-zz": (("x", "x"), ("z", "z")),
 }
-DEFAULT_AXES_BY_NETWORK = {"symmetric": "xz-zx", "asymmetric": "xx-zz", "staged": "xx-zz"}
-DEFAULT_BITS_BY_NETWORK = {"symmetric": "0000", "asymmetric": "0000", "staged": "1100"}
 
 #: every built-in network acts on the four-qubit chain A-B-C-D
 CHAIN_QUBITS = 4
@@ -154,44 +155,11 @@ class ConfigError(Exception):
 
 NETWORKS = ("symmetric", "asymmetric", "staged")
 
-#: the config keys each command reads, and the network it runs when neither a
-#: flag nor the config file names one.  The parser registers a flag for these
-#: keys alone and the config-file reader accepts these keys alone, so any other
-#: is an error naming it.  table and sweep keep seed, which neither uses nor
-#: records, because perfbench's cli-mix passes --seed to every command it runs.
-COMMAND_KEYS = {
-    "table": (("network", "p", "seed"), "symmetric"),
-    "sweep": (("epsilon", "initial_bits", "axes", "seed"), "symmetric"),
-    "staged": (("epsilon", "initial_bits", "axes", "stages", "patterns", "seed"), "staged"),
-    "run": (("network", "p", "epsilon", "initial_bits", "axes", "stages", "seed"), "symmetric"),
-}
-
-#: each key's flag: its choices and a help text true on every command that reads it
-KEY_FLAGS = {
-    "network": {"choices": NETWORKS, "help": "built-in network (default symmetric)"},
-    "p": {"help": "dephasing intensity of the symmetric network in [0, 1]; "
-                  "table also takes 'symbolic'"},
-    "epsilon": {"help": "pseudo-pure purity fraction in [0, 1] (default 1)"},
-    "initial_bits": {"help": "initial basis state, e.g. 0000"},
-    "axes": {"choices": sorted(AXES_CHOICES), "help": "witness axes pair"},
-    "stages": {"help": "partial-swap stages per link of the staged network, at most "
-                       f"{MAX_STAGES} (default 8)"},
-    "patterns": {"help": "dephasing pattern mode: none (default), sampled:N with N at most "
-                         f"{MAX_SAMPLED_PATTERNS}, or exhaustive (the exact average over all "
-                         "balanced pattern pairs, by dynamic programming); both averaging "
-                         "modes take at most 34 stages"},
-    "seed": {"help": "seed of the sampled dephasing patterns (default 0); staged and run "
-                     "record it in their reports, table and sweep accept it unused"},
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one validated experiment run.  Its fields are the
-    config keys and the report's ``config``; each command reads a subset of
-    them (``COMMAND_KEYS``), and ``_effective_config`` resolves the rest to
-    the command's defaults.  The input state and the sample size derive
-    from the fields."""
+    """One validated experiment run: a field per config key, those the
+    command does not read at their defaults."""
 
     network: str
     p: float | str | None
@@ -202,8 +170,12 @@ class ExperimentConfig:
     seed: int
     axes: str  # xz-zx | xx-zz
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self, command: str) -> dict:
+        """The report's ``config``: the keys ``command`` reads that apply on
+        the network, leaving out p where none was given."""
+        return {key: getattr(self, key) for key, commands, networks, *_ in CONFIG_KEYS
+                if command in commands and self.network in networks
+                and getattr(self, key) is not None}
 
     @property
     def basis(self) -> BasisState:
@@ -228,11 +200,16 @@ class ExperimentConfig:
         return int(self.patterns.partition(":")[2] or 0)
 
 
+def _reads(command: str) -> list[str]:
+    """The config keys ``command`` reads, in ``CONFIG_KEYS`` order."""
+    return [key for key, commands, *_ in CONFIG_KEYS if command in commands]
+
+
 def _load_config_file(path: str, command: str) -> dict[str, str]:
-    """The file's key = value pairs; a key the command does not read, or one
+    """The file's key = value pairs; a key ``command`` does not read, or one
     set twice, is an error naming it and its lines.  Every error names the
     path once, through ``_shown``."""
-    keys, shown = COMMAND_KEYS[command][0], _shown(path)
+    keys, shown = _reads(command), _shown(path)
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
@@ -278,6 +255,12 @@ def _parse_unit(value, flag: str, expected: str = "a number in [0, 1]") -> float
     if not 0 <= number <= 1:
         raise ConfigError(f"{flag} must lie in [0, 1], got {number}")
     return number
+
+
+def _parse_choice(value: str, flag: str, choices: Sequence[str]) -> str:
+    if value not in choices:
+        raise ConfigError(f"{flag} must be one of {list(choices)}, got {_shown(repr(value))}")
+    return value
 
 
 def _parse_p(text):
@@ -393,39 +376,60 @@ def _parse_patterns(text: str) -> str:
                       f"ASCII digits and no leading zero, or exhaustive, got {_shown(repr(text))}")
 
 
+#: every config key, in the order its value is validated: the commands that
+#: read it, the networks it applies to, its reader, its default (per network
+#: where a dict) and its flag's add_argument keywords.  table and sweep read
+#: seed unused, because perfbench's cli-mix passes --seed to every command.
+CONFIG_KEYS = (
+    ("network", ("table", "run"), NETWORKS,
+     partial(_parse_choice, flag="--network", choices=NETWORKS), "symmetric",
+     {"choices": NETWORKS, "help": "built-in network (default symmetric)"}),
+    ("axes", ("sweep", "staged", "run"), NETWORKS,
+     partial(_parse_choice, flag="--axes", choices=sorted(AXES_CHOICES)),
+     {"symmetric": "xz-zx", "asymmetric": "xx-zz", "staged": "xx-zz"},
+     {"choices": sorted(AXES_CHOICES), "help": "witness axes pair"}),
+    ("initial_bits", ("sweep", "staged", "run"), NETWORKS, _parse_bits,
+     {"symmetric": "0000", "asymmetric": "0000", "staged": "1100"},
+     {"help": "initial basis state, e.g. 0000"}),
+    ("stages", ("staged", "run"), ("staged",),
+     partial(_parse_int, flag="--stages", least=1, most=MAX_STAGES), 8,
+     {"help": f"partial-swap stages per link of the staged network, at most {MAX_STAGES} "
+              "(default 8)"}),
+    ("seed", ("table", "sweep", "staged", "run"), NETWORKS,
+     partial(_parse_int, flag="--seed", least=0), 0,
+     {"help": "seed of the sampled dephasing patterns (default 0); staged and run record "
+              "it in their reports, table and sweep accept it unused"}),
+    ("patterns", ("staged",), ("staged",), _parse_patterns, "none",
+     {"help": "dephasing pattern mode: none (default), sampled:N with N at most "
+              f"{MAX_SAMPLED_PATTERNS}, or exhaustive (the exact average over all balanced "
+              "pattern pairs, by dynamic programming); both averaging modes take at most "
+              "34 stages"}),
+    ("p", ("table", "run"), ("symmetric",), _parse_p, None,
+     {"help": "dephasing intensity of the symmetric network in [0, 1]; table also takes "
+              "'symbolic'"}),
+    ("epsilon", ("sweep", "staged", "run"), NETWORKS, partial(_parse_unit, flag="--epsilon"),
+     1.0, {"help": "pseudo-pure purity fraction in [0, 1] (default 1)"}),
+)
+
+
 def _effective_config(args) -> ExperimentConfig:
-    """Resolve every value, a flag over the config file over the default,
-    validate it, then validate the combinations of values.  The parser and
-    ``_load_config_file`` admit only the keys the command reads
-    (``COMMAND_KEYS``); any other key resolves to its default."""
-    keys, network = COMMAND_KEYS[args.command]
-    given = _load_config_file(args.config, args.command) if args.config else {}
-    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
-    network = given.get("network", network)
-    if network not in NETWORKS:
-        raise ConfigError(f"unknown network {_shown(repr(network))}")
-    values = {"p": None, "epsilon": 1.0, "initial_bits": DEFAULT_BITS_BY_NETWORK[network],
-              "stages": 8, "patterns": "none", "seed": 0,
-              "axes": DEFAULT_AXES_BY_NETWORK[network], **given}
-    if values["axes"] not in AXES_CHOICES:
-        raise ConfigError(f"--axes must be one of {sorted(AXES_CHOICES)}, "
-                          f"got {_shown(repr(values['axes']))}")
-    # validated in the order of the keywords
-    cfg = ExperimentConfig(
-        network=network,
-        axes=values["axes"],
-        initial_bits=_parse_bits(values["initial_bits"]),
-        stages=_parse_int(values["stages"], "--stages", 1, MAX_STAGES),
-        seed=_parse_int(values["seed"], "--seed", 0),
-        patterns=_parse_patterns(values["patterns"]),
-        p=_parse_p(values["p"]),
-        epsilon=_parse_unit(values["epsilon"], "--epsilon"),
-    )
-    if cfg.p is not None and cfg.network != "symmetric":
-        raise ConfigError(
-            f"--p {cfg.p} applies to the symmetric network only; the {cfg.network} network "
-            "takes no dephasing intensity (the staged command models dephasing via --patterns)"
-        )
+    """Resolve each value of ``CONFIG_KEYS``, a flag over the config file
+    over the default, and validate it in the table's order; then validate
+    the combinations of values.  staged runs the staged network."""
+    given = {"network": "staged"} if args.command == "staged" else {}
+    if args.config:
+        given.update(_load_config_file(args.config, args.command))
+    given.update((key, getattr(args, key)) for key in _reads(args.command)
+                 if getattr(args, key) is not None)
+    values = {}
+    for key, _, _, read, default, _ in CONFIG_KEYS:
+        values[key] = read(given.get(key, default[values["network"]]
+                                     if isinstance(default, dict) else default))
+    cfg = ExperimentConfig(**values)
+    for key, _, networks, *_ in CONFIG_KEYS:
+        if key in given and cfg.network not in networks:
+            raise ConfigError(f"--{key} applies to the {' or '.join(networks)} network only, "
+                              f"not to the {cfg.network} network (got --{key} {values[key]})")
     if args.command == "table" and cfg.network == "staged":
         raise ConfigError(
             "--network staged does not apply to table: table takes no --stages, and "
@@ -434,11 +438,6 @@ def _effective_config(args) -> ExperimentConfig:
             "descriptor engine's witness and nonclassicality for it"
         )
     if args.command == "run":
-        if cfg.network != "staged" and "stages" in given:
-            raise ConfigError(
-                f"--stages applies to the staged network only; the {cfg.network} network "
-                "has no partial swaps (got it from the flag or the config file)"
-            )
         if cfg.p == SYMBOLIC_P:
             raise ConfigError(
                 "--p symbolic is for the table command; run evaluates both engines "
@@ -605,7 +604,7 @@ def cmd_staged(cfg: ExperimentConfig, args):
         }
         for (name, _, extra), (witness, neg), multiplet in zip(finals, density, multiplets)
     }
-    report = {"version": __version__, "command": "staged", "config": cfg.to_dict()}
+    report = {"version": __version__, "command": "staged", "config": cfg.to_dict("staged")}
     return {**report, "variants": variants}, finals[-1][1]
 
 
@@ -630,9 +629,7 @@ def cmd_run(cfg: ExperimentConfig, args):
     report = {
         "version": __version__,
         "command": "run",
-        "config": cfg.to_dict(),
-        # both engines run on every network; the constant keeps the report's layout
-        "engines": {"heisenberg": True, "density": True},
+        "config": cfg.to_dict("run"),
         "slices": slices,
         "multiplet": {"engine": "density", **antiphase_amplitudes(states[-1], PROBE_1)[0]},
         "notes": _final_slice_notes(slices[-1]),
@@ -698,8 +695,9 @@ def _add_common(subs, command: str, func, summary: str) -> argparse.ArgumentPars
     sub = subs.add_parser(command, help=summary, allow_abbrev=False)
     sub.set_defaults(func=func)
     sub.add_argument("--config", help="key = value config file; flags override file values")
-    for key in COMMAND_KEYS[command][0]:
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, **KEY_FLAGS[key])
+    for key, commands, _, _, _, flag in CONFIG_KEYS:
+        if command in commands:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     sub.add_argument("--out", help="write output to this path instead of stdout")
     return sub
 

@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -317,7 +319,7 @@ class TestStagedCommand:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["config"]["seed"] == 11
-        assert report["config"]["network"] == "staged"
+        assert "network" not in report["config"]  # staged reads no network
         assert report["config"]["initial_bits"] == "1100"
         assert set(report["variants"]) == {"undephased", "sampled"}
         sampled = report["variants"]["sampled"]
@@ -422,16 +424,15 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--network", "symmetric", "--p", "0.2")
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["engines"] == {"heisenberg": True, "density": True}
         final = report["slices"][-1]
         assert abs(final["witness"]["heisenberg"] - final["witness"]["density"]) < 1e-10
         assert abs(final["witness"]["heisenberg"] - 2 * (1 - 2 * 0.2)) < 1e-10
         assert final["nonclassicality"]["engine"] == "heisenberg"
 
     def test_no_intensity_reads_the_undephased_network(self, capsys):
-        """Without --p both engines read p = 0, and the report echoes null."""
+        """Without --p both engines read p = 0, and the report echoes no p."""
         plain, zero = (json.loads(run_cli(capsys, "run", *argv)[1]) for argv in ([], ["--p", "0"]))
-        assert plain["config"].pop("p") is None and zero["config"].pop("p") == 0.0
+        assert "p" not in plain["config"] and zero["config"].pop("p") == 0.0
         assert plain == zero
 
     def test_asymmetric_reports_both_axes_with_note(self, capsys):
@@ -477,7 +478,6 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--network", "staged", "--stages", stages)
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["engines"] == {"heisenberg": True, "density": True}
         assert abs(abs(report["slices"][-1]["witness"]["density"]) - 2.0) < 1e-10
         assert len(report["slices"]) == 4
         for entry in report["slices"]:
@@ -715,14 +715,20 @@ class TestSizeLimits:
         with pytest.raises(cli.ConfigError, match=f"^--{key} .*above the limit"):
             effective_config(*argv, "--config", str(config))
 
-    def test_each_limit_is_admitted_and_stated_in_help(self):
+    def test_each_limit_is_admitted_and_stated_in_help(self, capsys):
         cfg = effective_config("run", "--network", "staged", "--stages", str(cli.MAX_STAGES))
         assert cfg.stages == cli.MAX_STAGES
         cfg = effective_config("staged", "--stages", "34", "--patterns",
                                f"sampled:{cli.MAX_SAMPLED_PATTERNS}")
         assert cfg.count == cli.MAX_SAMPLED_PATTERNS
-        assert f"at most {cli.MAX_STAGES} " in cli.KEY_FLAGS["stages"]["help"]
-        assert f"at most {cli.MAX_SAMPLED_PATTERNS}," in cli.KEY_FLAGS["patterns"]["help"]
+        for command in ("staged", "run"):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "-h"])
+            # argparse wraps the help text at the terminal's width
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"at most {cli.MAX_STAGES} " in text
+            if command == "staged":
+                assert f"at most {cli.MAX_SAMPLED_PATTERNS}," in text
 
     def test_pinned_argvs_lie_within_the_limits(self):
         """Every pinned argv but the bad flags of ``same_bytes.ERRORS``."""
@@ -775,7 +781,7 @@ class TestHugeIntegers:
 
     def test_longest_seed_is_echoed(self):
         cfg = effective_config("staged", "--seed", "9" * INT_DIGITS)
-        assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 10 ** INT_DIGITS - 1
+        assert json.loads(json.dumps(cfg.to_dict("staged")))["seed"] == 10 ** INT_DIGITS - 1
 
 
 class TestLongEchoes:
@@ -854,13 +860,28 @@ SPELLINGS = [
 ]
 #: the keys whose flags take a fixed set of choices, which the parser checks
 CHOICES = {"network": cli.NETWORKS, "axes": sorted(cli.AXES_CHOICES)}
+#: the config keys each command reads, written out here so that the tests
+#: check ``cli.CONFIG_KEYS`` instead of reading it
+READS = {
+    "table": ["network", "p", "seed"],
+    "sweep": ["epsilon", "initial_bits", "axes", "seed"],
+    "staged": ["epsilon", "initial_bits", "axes", "stages", "patterns", "seed"],
+    "run": ["network", "p", "epsilon", "initial_bits", "axes", "stages", "seed"],
+}
+#: the one network each key applies on, where it does not apply on all
+NETWORK_OF = {"p": "symmetric", "stages": "staged", "patterns": "staged"}
+
+
+def config_file(config: dict) -> str:
+    """A report's ``config`` as the lines of a config file."""
+    return "".join(f"{key} = {value}\n" for key, value in config.items())
 
 
 @st.composite
 def command_argvs(draw):
-    command = draw(st.sampled_from(sorted(cli.COMMAND_KEYS)))
+    command = draw(st.sampled_from(sorted(READS)))
     argv = [command]
-    for key in cli.COMMAND_KEYS[command][0]:
+    for key in READS[command]:
         values = st.sampled_from(CHOICES[key]) if key in CHOICES else st.one_of(
             st.sampled_from(SPELLINGS), st.text(max_size=4))
         value = draw(st.none() | values)
@@ -874,8 +895,9 @@ def command_argvs(draw):
 @example(argv=["staged", "--stages=01"])  # an odd stage count with no patterns is valid
 def test_effective_config_is_refused_or_bounded_and_spelt_once(argv):
     """Every argv gives a ConfigError with a short message, or a config
-    inside every limit whose echoed values, given back as flags, give the
-    same config: each value is echoed in one spelling."""
+    inside every limit whose echo holds the keys its command reads that
+    apply on its network, p only where one was given, and, written as a
+    config file, gives the same config: each value is echoed in one spelling."""
     try:
         cfg = effective_config(*argv)
     except cli.ConfigError as exc:
@@ -893,21 +915,16 @@ def test_effective_config_is_refused_or_bounded_and_spelt_once(argv):
         assert cfg.count == 0
     else:
         assert cfg.count <= min(cli.MAX_SAMPLED_PATTERNS, cli.pattern_population(cfg.stages))
-    echoed = json.loads(json.dumps(cfg.to_dict()))
-    given_keys = [flag[2:].partition("=")[0].replace("-", "_") for flag in argv[1:]]
-    again = effective_config(argv[0], *[f"--{key.replace('_', '-')}={echoed[key]}"
-                                        for key in given_keys])
-    assert again == cfg
+    echoed = json.loads(json.dumps(cfg.to_dict(argv[0])))
+    assert set(echoed) == {key for key in READS[argv[0]]
+                           if NETWORK_OF.get(key, cfg.network) == cfg.network
+                           and (key != "p" or cfg.p is not None)}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "echo.cfg"
+        config.write_text(config_file(echoed), encoding="utf-8")
+        assert effective_config(argv[0], "--config", str(config)) == cfg
 
 
-#: the config keys each command reads, written out here so that the test
-#: checks ``cli.COMMAND_KEYS`` instead of reading it
-READS = {
-    "table": ["network", "p", "seed"],
-    "sweep": ["epsilon", "initial_bits", "axes", "seed"],
-    "staged": ["epsilon", "initial_bits", "axes", "stages", "patterns", "seed"],
-    "run": ["network", "p", "epsilon", "initial_bits", "axes", "stages", "seed"],
-}
 KEYS = ["network", "p", "epsilon", "initial_bits", "axes", "stages", "patterns", "seed"]
 VALUES = {"network": "asymmetric", "p": "0.2", "epsilon": "0.5", "initial_bits": "1010",
           "axes": "xx-zz", "stages": "4", "patterns": "sampled:4", "seed": "3"}
@@ -939,6 +956,19 @@ class TestCommandKeys:
             assert by_flag[:2] == by_file[:2] == (EXIT_CONFIG, "")
             assert f"unrecognized arguments: {flag} {value}" in by_flag[2]
             assert f"{cli._shown(str(config))}:1: config key {key!r} does not apply to {command}" in by_file[2]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in same_bytes.ARGVS if argv[0] in ("staged", "run")
+             and argv not in same_bytes.ERRORS and "text" not in argv], ids=" ".join)
+def test_report_config_replays_the_run(capsys, tmp_path, argv):
+    """Each JSON report of the output digests' staged and run argvs: its
+    ``config``, written as a config file, gives the same stdout bytes."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    config = tmp_path / "replay.cfg"
+    config.write_text(config_file(json.loads(out)["config"]), encoding="utf-8")
+    assert run_cli(capsys, argv[0], "--config", str(config)) == (EXIT_OK, out, "")
 
 
 class TestConfigFile:
@@ -1035,9 +1065,15 @@ MULTIPLET = {
     "classification": dict.fromkeys("ABCD"),
     **{spin: {partner: LINE for partner in "ABCD" if partner != spin} for spin in "ABCD"},
 }
-CONFIG = dict.fromkeys(
-    ["axes", "epsilon", "initial_bits", "network", "p", "patterns", "seed", "stages"]
-)
+#: the config each report echoes at its command's defaults: the keys the
+#: command reads that apply on the network, with no p, since none is given
+CONFIG = {
+    ("run", "symmetric"): dict.fromkeys(["axes", "epsilon", "initial_bits", "network", "seed"]),
+    ("run", "staged"): dict.fromkeys(
+        ["axes", "epsilon", "initial_bits", "network", "seed", "stages"]),
+    ("staged", "staged"): dict.fromkeys(
+        ["axes", "epsilon", "initial_bits", "patterns", "seed", "stages"]),
+}
 NEGATIVITY = {"engine": None, "value": None}
 RUN_WITNESS = dict.fromkeys(["axes", "density", "heisenberg"])
 STAGED_VARIANT = {
@@ -1106,12 +1142,10 @@ class TestDeterminismAndSchema:
         code, out, _ = run_cli(capsys, "run", "--network", network, *stages)
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["engines"] == {"heisenberg": True, "density": True}
         assert key_tree(report) == {
             "version": None,
             "command": None,
-            "config": CONFIG,
-            "engines": {"density": None, "heisenberg": None},
+            "config": CONFIG["run", network],
             "slices": [RUN_SLICE] * len(report["slices"]),
             "multiplet": MULTIPLET,
             "notes": [None] * len(report["notes"]),
@@ -1124,7 +1158,7 @@ class TestDeterminismAndSchema:
         assert key_tree(json.loads(out)) == {
             "version": None,
             "command": None,
-            "config": CONFIG,
+            "config": CONFIG["staged", "staged"],
             "variants": {
                 "undephased": STAGED_VARIANT,
                 "sampled": {**STAGED_VARIANT, "pattern_count": None, "seed": None},
