@@ -8,12 +8,14 @@ the keys it reads, and any other flag or key is exit 2 naming it.
 the default) and validates the values and their combinations once, into
 one frozen ``ExperimentConfig``.  A report's ``config`` echoes the keys its
 command reads that apply on its network, so as a config file it replays
-the run.  ``_build_network``
-builds the circuit, and each command runs the engines it reports: ``run``
-and ``sweep`` both, since the descriptor engine steps every gate of every
+the run.  ``_build_network`` builds the circuit, and each command imports,
+in the function that runs it, and runs the engines it reports: ``run`` and
+``sweep`` both, since the descriptor engine steps every gate of every
 built-in network, partial swaps included; ``staged`` the density engine
 alone, as its pattern averages have no descriptor counterpart; ``table``
-the descriptor engine alone.  One observation layer serves every command,
+the descriptor engine alone; ``run`` and ``staged`` also ``detect``.  Of
+the package, this module imports only ``circuits`` and ``pauli`` up front,
+so a config error loads no engine.  One observation layer serves every command,
 both engines evaluating the one witness ``pauli.witness_observable``:
 ``_density_values`` reads the witnesses and negativity_AD off a
 ``DensityMatrix``, one stack of states, ``detect.antiphase_amplitudes`` the
@@ -41,7 +43,8 @@ before it, with no part of a row, on stdout or in the --out file.
 Every stochastic result carries its seed, every number is attributed to the
 "heisenberg" or "density" engine, and identical config plus seed produces
 byte-identical CSV/JSON output (timing is only included on request, since it
-is the one inherently non-deterministic report field).
+is the one inherently non-deterministic report field; it includes the
+import of the command's engines).
 
 ``staged --patterns exhaustive`` reports the exact average over every balanced
 pattern pair, computed by dynamic programming rather than by enumeration.
@@ -65,7 +68,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,30 +86,11 @@ from .circuits import (
     pattern_population,
     sample_patterns,
 )
-from .density import (
-    DensityMatrix,
-    exhaustive_average,
-    expectation,
-    negativity,
-    partial_trace,
-    pseudo_pure,
-    run_intensity_grid,
-    run_network_density,
-    state_to_bytes,
-    temporal_average,
-)
-from .detect import antiphase_amplitudes
-from .heisenberg import (
-    DescriptorFrame,
-    frames_to_dict,
-    nonclassicality_degree,
-    observable_image,
-    pseudo_pure_expectation_at,
-    render_table,
-    run_network_frames,
-    substitute,
-)
 from .pauli import BasisState, qubit_label, witness_observable
+
+if TYPE_CHECKING:
+    from .density import DensityMatrix
+    from .heisenberg import DescriptorFrame
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,6 +168,7 @@ class ExperimentConfig:
 
     @property
     def initial(self) -> DensityMatrix:
+        from .density import pseudo_pure
         return pseudo_pure(self.epsilon, self.basis)
 
     @property
@@ -480,6 +465,7 @@ def _build_network(cfg: ExperimentConfig) -> Circuit:
 def _density_values(states: DensityMatrix, axes_names: Sequence[str]) -> list[tuple[dict, float]]:
     """Per state of the stack: the witness for each named axes pair, and
     negativity_AD."""
+    from .density import expectation, negativity, partial_trace
     witnesses = [expectation(states, WITNESSES[name]).tolist() for name in axes_names]
     negs = negativity(partial_trace(states, [PROBE_1, PROBE_2]), [0]).tolist()
     return [(dict(zip(axes_names, values)), neg) for *values, neg in zip(*witnesses, negs)]
@@ -494,6 +480,7 @@ def _descriptor_values(
     once (``pseudo_pure_expectation_at``, ``nonclassicality_degree``), each point
     with the bytes that ``substitute`` would give it.  ``run`` reads them at
     its one p, ``sweep`` once for its whole grid."""
+    from .heisenberg import nonclassicality_degree, observable_image, pseudo_pure_expectation_at
     witnesses = {name: pseudo_pure_expectation_at(observable_image(frame, WITNESSES[name]),
                                                   cfg.basis, cfg.epsilon, p)
                  for name in axes_names}
@@ -519,10 +506,6 @@ def _write(path: str, pieces: Iterable[bytes]) -> None:
 _CELL = "%.17g"
 #: one row of the sweep's CSV, six cells
 _SWEEP_ROW = ",".join([_CELL] * 6) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return _CELL % value
 
 
 def _final_slice_notes(entry: dict) -> list[str]:
@@ -554,6 +537,7 @@ def _final_slice_notes(entry: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_table(cfg: ExperimentConfig, args):
+    from .heisenberg import frames_to_dict, render_table, run_network_frames, substitute
     frames = run_network_frames(_build_network(cfg))
     if cfg.p != SYMBOLIC_P:
         frames = [substitute(frame, cfg.intensity) for frame in frames]
@@ -570,6 +554,8 @@ def cmd_sweep(cfg: ExperimentConfig, args):
 
 
 def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
+    from .density import run_intensity_grid
+    from .heisenberg import run_network_frames
     axes = cfg.axes
     circuit = _build_network(cfg)
     witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes],
@@ -583,6 +569,8 @@ def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
 
 
 def cmd_staged(cfg: ExperimentConfig, args):
+    from .density import DensityMatrix, exhaustive_average, run_network_density, temporal_average
+    from .detect import antiphase_amplitudes
     states = run_network_density(_build_network(cfg), cfg.initial)
     finals = [("undephased", states[-1], {})]
     if cfg.patterns != "none":
@@ -609,6 +597,9 @@ def cmd_staged(cfg: ExperimentConfig, args):
 
 
 def cmd_run(cfg: ExperimentConfig, args):
+    from .density import run_network_density
+    from .detect import antiphase_amplitudes
+    from .heisenberg import run_network_frames
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     circuit = _build_network(cfg)
     states = run_network_density(circuit, cfg.initial, cfg.intensity)
@@ -636,14 +627,15 @@ def cmd_run(cfg: ExperimentConfig, args):
     }
     if args.format == "json":
         return report, states[-1]
-    lines = [f"medwit run v{__version__}: network={cfg.network} p={cfg.p} "
+    given_p = "" if cfg.p is None else f" p={cfg.p}"  # no p if none given, as in the JSON
+    lines = [f"medwit run v{__version__}: network={cfg.network}{given_p} "
              f"epsilon={cfg.epsilon} initial={cfg.initial_bits} seed={cfg.seed}"]
     for entry in slices:
         w = entry["witness"]
         lines.append(
-            f"t{entry['time']}: witness[{w['axes']}] density={_fmt(w['density'])}"
-            f" heisenberg={_fmt(w['heisenberg'])}"
-            f" negativity_AD={_fmt(entry['negativity_AD']['value'])}"
+            f"t{entry['time']}: witness[{w['axes']}] density={_CELL % w['density']}"
+            f" heisenberg={_CELL % w['heisenberg']}"
+            f" negativity_AD={_CELL % entry['negativity_AD']['value']}"
         )
     lines += [f"note: {note}" for note in report["notes"]]
     return "\n".join(lines) + "\n", states[-1]
@@ -663,6 +655,7 @@ def _execute(args) -> int:
             output["timing_seconds"] = time.perf_counter() - started
         output = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if getattr(args, "dump_state", None):
+        from .density import state_to_bytes
         _write(args.dump_state, [state_to_bytes(final)])
     pieces = [output] if isinstance(output, str) else output
     if args.out:

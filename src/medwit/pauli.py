@@ -17,7 +17,6 @@ unitary, ``operator_norm`` of a one-word sum is the modulus of its coefficient.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -60,9 +59,7 @@ _MUL1 = {
 
 def qubit_label(index: int) -> str:
     """Letter label for a qubit index: 0 -> 'A', 1 -> 'B', ..."""
-    if 0 <= index < len(string.ascii_uppercase):
-        return string.ascii_uppercase[index]
-    return str(index)
+    return chr(ord("A") + index) if 0 <= index < 26 else str(index)
 
 
 def _as_scalar(c):

@@ -88,7 +88,7 @@ def test_random_grids_match_per_point_reference(ps, epsilon, bits, axes):
 
 def test_one_descriptor_run_and_no_per_point_density_run(monkeypatch):
     calls = {"frames": 0, "density": 0}
-    frames = cli.run_network_frames
+    frames = heisenberg.run_network_frames
 
     def counted_frames(circuit):
         calls["frames"] += 1
@@ -98,8 +98,7 @@ def test_one_descriptor_run_and_no_per_point_density_run(monkeypatch):
         calls["density"] += 1
         raise AssertionError("sweep evolved one circuit on its own")
 
-    monkeypatch.setattr(cli, "run_network_frames", counted_frames)
-    monkeypatch.setattr(cli, "run_network_density", counted_density)
+    monkeypatch.setattr(heisenberg, "run_network_frames", counted_frames)
     monkeypatch.setattr(density, "run_network_density", counted_density)
     out = sweep_csv("--p-grid", "0:0.5:0.005")
     assert len(out.splitlines()) == 102

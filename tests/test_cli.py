@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import table_data
-from medwit import cli
+from medwit import cli, density
 from medwit.circuits import build_staged, sample_patterns
 from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
 from medwit.density import (
@@ -257,7 +257,7 @@ class TestSweepStreaming:
     def test_bad_out_path_is_refused_before_any_grid_work(self, capsys, monkeypatch, tmp_path):
         started = []
         monkeypatch.setattr(cli, "_descriptor_values", lambda *args: started.append(args))
-        monkeypatch.setattr(cli, "run_intensity_grid", lambda *args: started.append(args))
+        monkeypatch.setattr(density, "run_intensity_grid", lambda *args: started.append(args))
         path = tmp_path / "absent" / "sweep.csv"
         code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, "--out", str(path))
         assert (code, out, started) == (EXIT_CONFIG, "", [])

@@ -3,8 +3,9 @@ medwit, no module of the package or the tests imports a name it never reads,
 ``tools/same_bytes.py`` reports a failing command and measures how far two
 outputs differ, every one of its argvs gives the output digests committed
 in ``tests/output_digests.json``,
-importing medwit pins OpenBLAS to one thread unless the environment already
-sets a count, and no command loads numpy's random module.
+importing medwit's CLI pins OpenBLAS to one thread unless the environment
+already sets a count, a bare ``import medwit`` loads no numpy, and each
+command loads only the engines it runs and not numpy's random module.
 
 ``perfbench/tracer.py`` wraps package functions by name, so a renamed or
 deleted function would only surface when ``perfbench/run.py --trace 1`` runs.
@@ -76,11 +77,11 @@ def test_unread_imports_are_found():
     assert unread_imports(source) == ["osp", "Set"]
 
 
-# ``__init__`` imports its submodules to re-export them; a package module is
-# named by its file name, a test module by ``tests/`` and its file name
+# a package module is named by its file name, a test module by ``tests/``
+# and its file name
 @pytest.mark.parametrize(
     "name",
-    sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+    sorted(path.name for path in SRC.glob("*.py"))
     + sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("*.py")),
 )
 def test_no_unread_imports(name):
@@ -123,14 +124,17 @@ def test_every_argv_gives_its_committed_digests():
 
 def _after_import(preset: str | None) -> tuple[str | None, int | None]:
     """OPENBLAS_NUM_THREADS and, on Linux, the thread count of a fresh
-    interpreter after ``import medwit``, started with the variable set to
-    ``preset`` or, for None, removed from its environment."""
+    interpreter after ``from medwit import cli``, which loads numpy, started
+    with the variable set to ``preset`` or, for None, removed from its
+    environment."""
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     probe = (
-        "import json, os, sys, medwit\n"
+        "import json, os, sys\n"
+        "from medwit import cli\n"
+        "assert 'numpy' in sys.modules\n"
         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
     )
@@ -151,24 +155,48 @@ def test_import_keeps_a_blas_thread_count_the_user_set():
     assert value == "2"
 
 
-@pytest.mark.parametrize("argv", [
-    "staged --patterns sampled:16", "staged --patterns exhaustive", "run", "sweep", "table",
-])
+def test_bare_import_loads_no_numpy():
+    """``import medwit`` runs no submodule; each loads on first access."""
+    probe = ("import sys, medwit\n"
+             "print(sorted(m for m in sys.modules if 'numpy' in m or 'medwit' in m))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "['medwit']\n"
+
+
+#: each argv's exit code and the engines it loads beside cli, circuits and pauli
+COMMAND_ENGINES = {
+    "staged --patterns sampled:16": (0, ["density", "detect"]),
+    "staged --patterns exhaustive": (0, ["density", "detect"]),
+    "run": (0, ["density", "detect", "heisenberg"]),
+    "sweep": (0, ["density", "heisenberg"]),
+    "table": (0, ["heisenberg"]),
+    "run --p 2": (2, []),
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_ENGINES))
 def test_command_loads_no_numpy_random(argv):
-    """A fresh interpreter runs the command through ``cli.main``: the seeded
+    """A fresh interpreter runs the command through ``cli.main``: it loads
+    the engines it runs and no other, a config error none, and the seeded
     sample is drawn without ``numpy.random``, whose import costs every
     sampling command about 18 ms and 5 MB."""
     probe = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from medwit import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({argv.split()!r}) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "quiet = io.StringIO()\n"
+        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        f"    code = cli.main({argv.split()!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('medwit.')),\n"
+        "                  'numpy.random' in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "False\n"
+    code, engines = COMMAND_ENGINES[argv]
+    modules = sorted(f"medwit.{name}" for name in ["circuits", "cli", "pauli", *engines])
+    assert json.loads(done.stdout) == [code, modules, False]
 
 
 def test_same_bytes_measures_how_far_outputs_differ():
