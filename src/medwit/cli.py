@@ -198,7 +198,7 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -363,8 +363,9 @@ def _parse_patterns(text: str) -> str:
 
 #: every config key, in the order its value is validated: the commands that
 #: read it, the networks it applies to, its reader, its default (per network
-#: where a dict) and its flag's add_argument keywords.  table and sweep read
-#: seed unused, because perfbench's cli-mix passes --seed to every command.
+#: where a dict) and its flag's add_argument keywords.  Only staged draws
+#: samples: table, sweep and run read seed unused, because perfbench's
+#: cli-mix passes --seed to every command, and run echoes it in its report.
 CONFIG_KEYS = (
     ("network", ("table", "run"), NETWORKS,
      partial(_parse_choice, flag="--network", choices=NETWORKS), "symmetric",
@@ -382,8 +383,9 @@ CONFIG_KEYS = (
               "(default 8)"}),
     ("seed", ("table", "sweep", "staged", "run"), NETWORKS,
      partial(_parse_int, flag="--seed", least=0), 0,
-     {"help": "seed of the sampled dephasing patterns (default 0); staged and run record "
-              "it in their reports, table and sweep accept it unused"}),
+     {"help": "seed of the sampled dephasing patterns (default 0); only staged draws "
+              "samples: run records the seed in its report unused, and table and sweep "
+              "accept it unused"}),
     ("patterns", ("staged",), ("staged",), _parse_patterns, "none",
      {"help": "dephasing pattern mode: none (default), sampled:N with N at most "
               f"{MAX_SAMPLED_PATTERNS}, or exhaustive (the exact average over all balanced "
@@ -571,14 +573,15 @@ def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
 def cmd_staged(cfg: ExperimentConfig, args):
     from .density import DensityMatrix, exhaustive_average, run_network_density, temporal_average
     from .detect import antiphase_amplitudes
-    states = run_network_density(_build_network(cfg), cfg.initial)
+    initial = cfg.initial
+    states = run_network_density(_build_network(cfg), initial)
     finals = [("undephased", states[-1], {})]
     if cfg.patterns != "none":
         patterns = sample_patterns(cfg.stages, cfg.count, seed=cfg.seed)
-        finals.append(("sampled", temporal_average(cfg.stages, patterns, cfg.initial),
+        finals.append(("sampled", temporal_average(cfg.stages, patterns, initial),
                        {"pattern_count": cfg.count, "seed": cfg.seed}))
     if cfg.patterns == "exhaustive":
-        finals.append(("exhaustive", exhaustive_average(cfg.stages, cfg.initial),
+        finals.append(("exhaustive", exhaustive_average(cfg.stages, initial),
                        {"pattern_count": pattern_population(cfg.stages)}))
     stack = DensityMatrix(np.concatenate([rho.entries for _, rho, _ in finals]))
     density = _density_values(stack, [cfg.axes])

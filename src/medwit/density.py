@@ -4,8 +4,8 @@ Exact dense gates (including fractional swaps), physical Kraus channels,
 pseudo-pure states, temporal averaging over dephasing patterns, expectation
 values, and the negativity entanglement monotone.  The witness is the
 observable built by ``pauli.witness_observable``; ``expectation`` reads it
-here, and ``heisenberg.pseudo_pure_expectation`` reads its Heisenberg image
-on the descriptor engine.
+here, and ``heisenberg.pseudo_pure_expectation_at`` reads its Heisenberg
+image on the descriptor engine.
 A gate's full-register unitary is its local 2x2 or 4x4 matrix, read from the
 gate table ``circuits.local_unitary`` that the descriptor engine reads too,
 with each entry copied to its place by basis-index arithmetic, and +0
@@ -25,9 +25,9 @@ that +-1 diagonal at no matrix product.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
-of a stack, and the constructor and ``validate`` check every state of it:
-``validate`` passes a stack that a Cholesky factorisation certifies, and
-``eigvalsh`` decides any other.
+of a stack.  The constructor checks every state of a stack, positivity
+included, so every ``DensityMatrix`` is a stack of states: a stack that a
+Cholesky factorisation certifies passes, and ``eigvalsh`` decides any other.
 ``exhaustive_average`` walks the same circuit for the exact average over all
 C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
 instead of one circuit per pattern pair: one stack of state sums per link,
@@ -86,8 +86,16 @@ _PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A stack of k >= 1 finite, Hermitian, trace-one 2^n x 2^n operators, shape
-    (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack of one.  Entries are read-only."""
+    """A stack of k >= 1 finite, Hermitian, trace-one, positive semidefinite
+    2^n x 2^n operators, shape (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack
+    of one.  Entries are read-only.  Positivity is checked last: a Cholesky
+    factorisation of every state plus ``_PSD_TOL / 2`` times I that
+    completes with a finite factor certifies each lowest eigenvalue above
+    -_PSD_TOL / 2 less rounding, which a backward-stable ``eigvalsh`` reads
+    above -_PSD_TOL, so the stack passes.  Otherwise one ``eigvalsh``
+    decides, as if the factorisation had not been tried: the first state
+    with an eigenvalue below -_PSD_TOL is an error naming its lowest
+    eigenvalue.  Both read the lower triangle."""
 
     entries: np.ndarray
 
@@ -111,6 +119,17 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace is {traces[np.argmax(off)]:.6g}, expected 1")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        try:
+            if np.isfinite(np.linalg.cholesky(entries + (_PSD_TOL / 2) * np.eye(dim))).all():
+                return
+        except np.linalg.LinAlgError:
+            pass
+        lowest = np.linalg.eigvalsh(entries)[:, 0]
+        negative = lowest < -_PSD_TOL
+        if np.any(negative):
+            raise ValueError(
+                f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
+            )
 
     @property
     def n(self) -> int:
@@ -122,31 +141,6 @@ class DensityMatrix:
     def __getitem__(self, index) -> "DensityMatrix":
         """State ``index`` as a stack of one, or a slice as a sub-stack; re-checked."""
         return DensityMatrix(self.entries[index])
-
-    def validate(self) -> None:
-        """Positivity check in addition to the constructor's Hermiticity and
-        trace checks.  A Cholesky factorisation of every state plus
-        ``_PSD_TOL / 2`` times I that completes with a finite factor
-        certifies each lowest eigenvalue above -_PSD_TOL / 2 less rounding,
-        which a backward-stable ``eigvalsh`` reads above -_PSD_TOL, so the
-        stack passes.  Otherwise one ``eigvalsh`` decides, as if the
-        factorisation had not been tried: the first state with an eigenvalue
-        below -_PSD_TOL is an error naming its lowest eigenvalue.  The
-        factor must be finite because ``cholesky`` can return NaN for a NaN
-        or infinite entry without raising, where ``eigvalsh`` raises.  Both
-        read the lower triangle."""
-        shifted = self.entries + (_PSD_TOL / 2) * np.eye(self.entries.shape[-1])
-        try:
-            if np.isfinite(np.linalg.cholesky(shifted)).all():
-                return
-        except np.linalg.LinAlgError:
-            pass
-        lowest = np.linalg.eigvalsh(self.entries)[:, 0]
-        negative = lowest < -_PSD_TOL
-        if np.any(negative):
-            raise ValueError(
-                f"density matrix has negative eigenvalue {lowest[np.argmax(negative)]:.3e}"
-            )
 
 
 def pseudo_pure(epsilon: float, bits: BasisState) -> DensityMatrix:
@@ -307,14 +301,12 @@ def _check_intensity(p) -> None:
 
 def run_network_density(circuit: Circuit, initial: DensityMatrix, p=None) -> DensityMatrix:
     """The states at each labelled time of the circuit, t_0 included, as one
-    validated stack; every phase flip has dephasing intensity ``p`` in [0, 1]."""
+    stack; every phase flip has dephasing intensity ``p`` in [0, 1]."""
     if p is not None:
         _check_intensity(p)
     _same_size(circuit, initial)
     labelled, _ = _walk(circuit.ops, initial.entries, circuit.n, p)
-    states = DensityMatrix(np.concatenate([initial.entries, *labelled]))
-    states.validate()
-    return states
+    return DensityMatrix(np.concatenate([initial.entries, *labelled]))
 
 
 def run_intensity_grid(
@@ -345,14 +337,12 @@ def run_intensity_grid(
     labelled, shared = _walk(ops[:first], initial.entries, n)
     for state in [initial.entries, *labelled]:
         final = DensityMatrix(state)
-        final.validate()
     for start in range(0, len(intensities), _BATCH):
         chunk = intensities[start:start + _BATCH]
         p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
         states = final
         for state in _walk(ops[first:], shared, n, p)[0]:
             states = DensityMatrix(state)
-            states.validate()
         # a final slice that the points share (none after a flip) is repeated for each
         yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
 

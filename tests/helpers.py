@@ -24,10 +24,11 @@ phase flip multiplying by the float 1 - 2p as it goes, where the package
 carries the formal factor (1 - 2p) and substitutes p afterwards.
 ``undephased_symmetric`` is the symmetric network built by hand without
 its two phase flips, the reference for those flips at p = 0.
-``eigvalsh_validate`` is the reference for ``DensityMatrix.validate``: its
-positivity check by ``eigvalsh`` alone, with no Cholesky certificate ahead
-of it; ``unchecked_density`` wraps a stack without the constructor's checks,
-so that ``validate`` sees any entries.
+``eigvalsh_validate`` is the reference for the positivity check of the
+``DensityMatrix`` constructor: ``eigvalsh`` alone, with no Cholesky
+certificate ahead of it.  ``unchecked_density`` wraps a stack without the
+constructor's checks, so that a test can hand an engine or the CLI a stack
+that never passed them.
 ``random_unitary_circuit`` draws
 circuits of every unitary kind, partial swaps included, for the cross-engine
 properties.
@@ -289,8 +290,8 @@ def random_density(rng: np.random.Generator, n: int, rank: int = 3) -> DensityMa
 
 
 def eigvalsh_validate(entries: np.ndarray) -> None:
-    """The positivity check of ``DensityMatrix.validate`` on a stack, by one
-    ``eigvalsh`` alone: the first state with an eigenvalue below -_PSD_TOL
+    """The positivity check of the ``DensityMatrix`` constructor on a stack,
+    by one ``eigvalsh`` alone: the first state with an eigenvalue below -_PSD_TOL
     is an error naming its lowest eigenvalue."""
     lowest = np.linalg.eigvalsh(entries)[:, 0]
     negative = lowest < -_PSD_TOL

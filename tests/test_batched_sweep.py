@@ -108,17 +108,20 @@ def test_one_descriptor_run_and_no_per_point_density_run(monkeypatch):
 def test_no_per_point_descriptor_read(monkeypatch):
     """The 1001-point grid reads the descriptor engine a stack at a time,
     with no substituted PauliSum, no basis expectation and no norm per point."""
-    originals = {"substitute": heisenberg.substitute, "operator_norm": pauli.operator_norm,
-                 "expectation_basis": pauli.expectation_basis}
-    calls = dict.fromkeys(originals, 0)
-    for name, function in originals.items():
+    targets = [(heisenberg, "substitute"), (heisenberg, "operator_norm"),
+               (pauli, "operator_norm"), (heisenberg, "expectation_basis"),
+               (pauli, "expectation_basis")]
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        # a renamed or removed target fails the test rather than going unpatched
+        assert hasattr(module, name), f"{module.__name__}.{name} is gone"
+        function = getattr(module, name)
+
         def counted(*args, name=name, function=function):
             calls[name] += 1
             return function(*args)
 
-        for module in (cli, heisenberg, pauli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     out = sweep_csv("--p-grid", "0:0.5:0.0005")
     assert len(out.splitlines()) == 1002
     assert calls == {"substitute": 0, "operator_norm": 0, "expectation_basis": 0}
@@ -150,37 +153,41 @@ def test_grid_without_a_flip_repeats_the_one_final_state(circuit):
 
 @pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])
 @pytest.mark.parametrize(
-    "circuit, shared, per_stack",
-    [(build_symmetric(), (2, 5), (2, 2)), (build_asymmetric(), (4, 4), (0, 0))],
+    "circuit, shared, per_stack, repeats",
+    [(build_symmetric(), (2, 5), (2, 2), False), (build_asymmetric(), (4, 4), (0, 0), True)],
     ids=["symmetric", "asymmetric"],
 )
 def test_every_slice_checked_and_shared_gates_run_once_per_grid(
-    monkeypatch, points, circuit, shared, per_stack
+    monkeypatch, points, circuit, shared, per_stack, repeats
 ):
-    """(validate, gate_unitary) calls: the slices and gates ahead of the
-    first flip once per grid (the symmetric network's t_0 and t_1 and its 5
-    gates; every slice and gate of the asymmetric one, which has no flip),
-    the later ones once per stack."""
+    """(constructor check, gate_unitary) calls: the slices and gates ahead of
+    the first flip once per grid (the symmetric network's t_0 and t_1 and its
+    5 gates; every slice and gate of the asymmetric one, which has no flip),
+    the later ones once per stack.  The asymmetric network's final state,
+    repeated for each point of a stack of more than one, is checked again
+    as that stack."""
     calls = [0, 0]
-    validate, gate_unitary = DensityMatrix.validate, density.gate_unitary
+    post_init, gate_unitary = DensityMatrix.__post_init__, density.gate_unitary
+    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
 
-    def counted_validate(self):
+    def counted_post_init(self):
         calls[0] += 1
-        return validate(self)
+        return post_init(self)
 
     def counted_gate_unitary(gate, n):
         calls[1] += 1
         return gate_unitary(gate, n)
 
-    monkeypatch.setattr(DensityMatrix, "validate", counted_validate)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(density, "gate_unitary", counted_gate_unitary)
     grid = [k / (2 * points) for k in range(points)]
-    chunks = list(run_intensity_grid(circuit, pseudo_pure(0.8, BasisState.from_string("0110")),
-                                     grid))
+    chunks = list(run_intensity_grid(circuit, initial, grid))
     stacks = -(-points // _BATCH)
     assert [len(stack) for stack in chunks] == [min(_BATCH, points - start)
                                                 for start in range(0, points, _BATCH)]
-    assert calls == [once + stacks * each for once, each in zip(shared, per_stack)]
+    checks, gates = (once + stacks * each for once, each in zip(shared, per_stack))
+    repeated = sum(len(stack) > 1 for stack in chunks) if repeats else 0
+    assert calls == [checks + repeated, gates]
 
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)
@@ -229,14 +236,13 @@ class TestBatchedChecks:
 
     def test_non_positive_slice(self):
         bad = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)
-        rho = DensityMatrix(bad)
-        expected = self.message(rho.validate)
+        expected = self.message(lambda: DensityMatrix(bad))
         assert "negative eigenvalue -5.000e-01" in expected
         stack = self.stack_with(bad)
-        assert self.message(DensityMatrix(stack).validate) == expected
+        assert self.message(lambda: DensityMatrix(stack)) == expected
 
     def test_non_positive_initial_state_stops_the_grid(self):
-        bad = DensityMatrix(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex))
+        bad = unchecked_density(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)[np.newaxis])
         grid = run_intensity_grid(build_symmetric(), bad, [0.1, 0.2])
         assert "negative eigenvalue" in self.message(lambda: next(grid))
 

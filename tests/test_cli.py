@@ -12,11 +12,13 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import table_data
+from helpers import unchecked_density
 from medwit import cli, density
 from medwit.circuits import build_staged, sample_patterns
 from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
@@ -232,18 +234,18 @@ class TestSweepStreaming:
         and every row of the first two stacks, and no part of a later row."""
         code, whole, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID)
         assert code == EXIT_OK
-        validate, stacks = DensityMatrix.validate, []
+        post_init, stacks = DensityMatrix.__post_init__, []
 
         def failing_on_the_third_stack(self):
-            # the symmetric network checks two labelled slices of each stack
-            # after its flip, and its shared slices as stacks of one
-            if len(self) > 1:
+            post_init(self)
+            # the symmetric network checks two labelled four-qubit slices of
+            # each stack after its flip, and its shared slices as stacks of one
+            if len(self) > 1 and self.n == 4:
                 stacks.append(len(self))
                 if len(stacks) == 5:
                     raise ValueError("check forced to fail")
-            return validate(self)
 
-        monkeypatch.setattr(DensityMatrix, "validate", failing_on_the_third_stack)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", failing_on_the_third_stack)
         path = tmp_path / "sweep.csv"
         out_flag = ["--out", str(path)] if to_file else []
         code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, *out_flag)
@@ -312,6 +314,16 @@ def test_final_run_slice_equals_sweep_row(capsys, p, settings):
 
 
 class TestStagedCommand:
+    def test_non_positive_average_is_an_engine_error(self, capsys, monkeypatch):
+        """An exhaustive average that is Hermitian with trace one but has
+        eigenvalue -0.5, slipped past the constructor, gives exit 3 and no
+        report, where reading it would give negativity_AD 0.5."""
+        bad = unchecked_density(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)[np.newaxis])
+        monkeypatch.setattr(density, "exhaustive_average", lambda stages, initial: bad)
+        code, out, err = run_cli(capsys, "staged", "--stages", "4", "--patterns", "exhaustive")
+        assert (code, out) == (cli.EXIT_ENGINE, "")
+        assert "negative eigenvalue -5.000e-01" in err
+
     def test_report_structure_and_seed_echo(self, capsys):
         code, out, _ = run_cli(
             capsys, "staged", "--stages", "4", "--patterns", "sampled:6", "--seed", "11"
@@ -1008,6 +1020,16 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.cfg"))
         assert code == EXIT_CONFIG
+
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path):
+        """A file saved with a UTF-8 byte-order mark reads as the same file
+        without it."""
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"epsilon = 0.5\n")
+        plain = run_cli(capsys, "run", "--config", str(config))
+        assert plain[0] == EXIT_OK
+        config.write_bytes(b"\xef\xbb\xbfepsilon = 0.5\n")
+        assert run_cli(capsys, "run", "--config", str(config)) == plain
 
     def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
         config = tmp_path / "latin1.cfg"

@@ -19,7 +19,6 @@ from helpers import (
     random_density,
     random_sum,
     ref_sum_matrix,
-    unchecked_density,
 )
 from medwit.circuits import (
     SLICE,
@@ -70,9 +69,8 @@ class TestDensityMatrixType:
             DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2, dtype=complex))
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(bad).validate()
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_entries_are_read_only(self):
         rho = basis_density(ZERO4)
@@ -90,10 +88,6 @@ def decision(check, entries: np.ndarray):
     return None
 
 
-def validate(entries: np.ndarray) -> None:
-    unchecked_density(entries).validate()
-
-
 def frame_state(rng: np.random.Generator, lowest: float, dim: int = 16) -> np.ndarray:
     """A Hermitian trace-one dim x dim matrix with eigenvalue ``lowest`` and
     dim - 1 positive ones, in a random unitary frame."""
@@ -104,10 +98,10 @@ def frame_state(rng: np.random.Generator, lowest: float, dim: int = 16) -> np.nd
     return (rho + rho.conj().T) / 2
 
 
-class TestValidateDecisions:
-    """``validate`` passes or raises exactly where ``eigvalsh`` alone does,
-    with the same message, whether or not its Cholesky certificate of
-    rho + _PSD_TOL/2 I completes."""
+class TestPositivityDecisions:
+    """The constructor passes or raises on a finite, Hermitian, trace-one
+    stack exactly where ``eigvalsh`` alone does, with the same message,
+    whether or not its Cholesky certificate of rho + _PSD_TOL/2 I completes."""
 
     TOL = density._PSD_TOL
 
@@ -125,7 +119,7 @@ class TestValidateDecisions:
         for s in np.linspace(0.2, 3.0, 301) * self.TOL:
             entries = frame_state(rng, -s)[np.newaxis]
             want = decision(eigvalsh_validate, entries)
-            assert decision(validate, entries) == want
+            assert decision(DensityMatrix, entries) == want
             outcomes["certified" if self.certified(entries) else
                      "raised" if want else "passed"] += 1
         # each way to decide is taken: the certificate, eigvalsh passing, eigvalsh raising
@@ -139,20 +133,16 @@ class TestValidateDecisions:
         entries = np.repeat(pseudo_pure(0.5, ZERO4).entries, 3, axis=0)
         for row, col in places:
             entries[1, row, col] = value
-        assert decision(validate, entries) == decision(eigvalsh_validate, entries)
         with pytest.raises(ValueError, match="^density matrix has a non-finite"):
             DensityMatrix(entries)
 
     def test_nan_state_is_refused(self):
-        """The constructor refuses a NaN state, and so does ``validate`` on
-        a stack that skips the constructor, though ``cholesky`` returns a NaN
-        factor for it without raising."""
+        """The constructor refuses a NaN state before its positivity check,
+        for which ``cholesky`` can return a NaN factor without raising."""
         entries = np.eye(16, dtype=complex) / 16
         entries[3, 3] = np.nan
         with pytest.raises(ValueError, match="^density matrix has a non-finite"):
             DensityMatrix(entries)
-        with pytest.raises(np.linalg.LinAlgError):
-            validate(entries)
 
     @pytest.mark.parametrize("s", [0.4, 0.8, 1.5, 5e9], ids=["certified", "eigvalsh-passes",
                                                              "just-below", "far-below"])
@@ -162,14 +152,17 @@ class TestValidateDecisions:
                            + [frame_state(rng, -s * self.TOL)])
         want = decision(eigvalsh_validate, entries)
         assert (want is None) == (s < 1)
-        assert decision(validate, entries) == want
+        assert decision(DensityMatrix, entries) == want
 
     def test_imaginary_diagonal(self):
+        """An imaginary diagonal that the Hermiticity and trace checks let
+        through: at most 5e-11 on each entry, summing to 0."""
         rng = np.random.default_rng(2203)
         for s in np.linspace(0.2, 3.0, 57) * self.TOL:
             entries = frame_state(rng, -s)[np.newaxis]
-            entries[0] += np.diag(1j * rng.uniform(-1e-10, 1e-10, 16))
-            assert decision(validate, entries) == decision(eigvalsh_validate, entries)
+            imaginary = rng.uniform(-2.5e-11, 2.5e-11, 16)
+            entries[0] += np.diag(1j * (imaginary - imaginary.mean()))
+            assert decision(DensityMatrix, entries) == decision(eigvalsh_validate, entries)
 
 
 class TestStacks:
@@ -201,10 +194,9 @@ class TestStacks:
     def test_each_state_is_checked(self):
         good = pseudo_pure(0.5, ZERO4).entries
         bad = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)[np.newaxis]
-        stack = DensityMatrix(np.concatenate([good, good, bad]))
         with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
-            stack.validate()
-        stack[:2].validate()
+            DensityMatrix(np.concatenate([good, good, bad]))
+        DensityMatrix(np.concatenate([good, good]))
         with pytest.raises(ValueError, match="nonempty stack"):
             DensityMatrix(np.zeros((0, 16, 16), dtype=complex))
 
@@ -572,7 +564,6 @@ class TestRunNetworkDensity:
             states = run_network_density(build_symmetric(), basis_density(ZERO4), p)
             assert len(states) == 4
             for rho in states:
-                rho.validate()
                 assert abs(np.trace(rho.entries[0]) - 1) < 1e-10
 
     def test_flip_without_intensity_rejected(self):
