@@ -30,8 +30,8 @@ each stack of grid points (``density.run_intensity_grid``) beside its final
 frame's columns, read once at the whole grid, with CSV byte-identical to one
 circuit per point, and ``table`` the frames ``heisenberg.substitute`` gives
 at p, or with --p symbolic the frames themselves.  A ``cmd_*`` only picks
-what to observe and formats it, and ``_execute`` handles --timing,
---dump-state and the output for all of them.
+what to observe and formats it, and ``_execute`` handles --dump-state and
+the output for all of them.
 
 ``sweep`` streams its CSV: the header, then each stack's rows, written
 before the next stack is computed, so it holds one stack and the grid's
@@ -41,10 +41,9 @@ a later stack is exit 3 after the header and the whole rows of the stacks
 before it, with no part of a row, on stdout or in the --out file.
 
 Every stochastic result carries its seed, every number is attributed to the
-"heisenberg" or "density" engine, and identical config plus seed produces
-byte-identical CSV/JSON output (timing is only included on request, since it
-is the one inherently non-deterministic report field; it includes the
-import of the command's engines).
+"heisenberg" or "density" engine, and every output is a function of its
+config and seed alone: the same config and seed give the same bytes on
+stdout, in the --out file and in the --dump-state file.
 
 ``staged --patterns exhaustive`` reports the exact average over every balanced
 pattern pair, computed by dynamic programming rather than by enumeration.
@@ -65,7 +64,6 @@ import json
 import math
 import re
 import sys
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -424,17 +422,11 @@ def _effective_config(args) -> ExperimentConfig:
             "rendering would show as exact; run --network staged reports the "
             "descriptor engine's witness and nonclassicality for it"
         )
-    if args.command == "run":
-        if cfg.p == SYMBOLIC_P:
-            raise ConfigError(
-                "--p symbolic is for the table command; run evaluates both engines "
-                "numerically, so --p must be a number in [0, 1]"
-            )
-        if args.timing and args.format == "text":
-            raise ConfigError(
-                "--timing adds a field to the JSON report; it cannot be combined "
-                "with --format text"
-            )
+    if args.command == "run" and cfg.p == SYMBOLIC_P:
+        raise ConfigError(
+            "--p symbolic is for the table command; run evaluates both engines "
+            "numerically, so --p must be a number in [0, 1]"
+        )
     if cfg.patterns != "none":
         if cfg.stages % 2:
             raise ConfigError("balanced dephasing patterns need an even stage count")
@@ -606,6 +598,7 @@ def cmd_run(cfg: ExperimentConfig, args):
     names = [cfg.axes, next(name for name in AXES_CHOICES if name != cfg.axes)]
     circuit = _build_network(cfg)
     states = run_network_density(circuit, cfg.initial, cfg.intensity)
+    final = states[-1]
     slices = []
     for frame, (w_density, neg) in zip(run_network_frames(circuit),
                                        _density_values(states, names)):
@@ -625,11 +618,11 @@ def cmd_run(cfg: ExperimentConfig, args):
         "command": "run",
         "config": cfg.to_dict("run"),
         "slices": slices,
-        "multiplet": {"engine": "density", **antiphase_amplitudes(states[-1], PROBE_1)[0]},
+        "multiplet": {"engine": "density", **antiphase_amplitudes(final, PROBE_1)[0]},
         "notes": _final_slice_notes(slices[-1]),
     }
     if args.format == "json":
-        return report, states[-1]
+        return report, final
     given_p = "" if cfg.p is None else f" p={cfg.p}"  # no p if none given, as in the JSON
     lines = [f"medwit run v{__version__}: network={cfg.network}{given_p} "
              f"epsilon={cfg.epsilon} initial={cfg.initial_bits} seed={cfg.seed}"]
@@ -641,21 +634,18 @@ def cmd_run(cfg: ExperimentConfig, args):
             f" negativity_AD={_CELL % entry['negativity_AD']['value']}"
         )
     lines += [f"note: {note}" for note in report["notes"]]
-    return "\n".join(lines) + "\n", states[-1]
+    return "\n".join(lines) + "\n", final
 
 
 def _execute(args) -> int:
     """Config, then the command, then the steps every command shares: the
-    --timing field, the --dump-state file and the output.  A command's
-    output is a JSON report, a string or, for ``sweep``, an iterator of
-    strings; each piece goes to stdout, or to the --out file, opened before
-    the first piece is computed, as soon as it is computed."""
+    --dump-state file and the output.  A command's output is a JSON report,
+    a string or, for ``sweep``, an iterator of strings; each piece goes to
+    stdout, or to the --out file, opened before the first piece is computed,
+    as soon as it is computed."""
     cfg = _effective_config(args)
-    started = time.perf_counter()
     output, final = args.func(cfg, args)
     if isinstance(output, dict):
-        if getattr(args, "timing", False):
-            output["timing_seconds"] = time.perf_counter() - started
         output = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if getattr(args, "dump_state", None):
         from .density import state_to_bytes
@@ -728,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=["json", "text"], default="json")
     for sub in (p_staged, p_run):
         sub.add_argument("--dump-state", dest="dump_state", help="write final state bytes here")
-        sub.add_argument("--timing", action="store_true",
-                         help="include wall-clock timing in the JSON report (non-deterministic)")
     return parser
 
 

@@ -16,8 +16,9 @@ circuit once, on state vectors: the initial state's eigenvectors whose
 eigenvalues lie above its smallest by more than rounding, one copy per
 pattern (each pattern's circuit is unitary, so it fixes I).  Phase flips
 carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
-apply, and ``run_intensity_grid`` evolves a circuit at many intensities as a
-stack, p broadcast along it, and the ops ahead of its first flip once per grid.
+apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
+last slice at many intensities as a stack, p broadcast along it, and the ops
+ahead of its first flip once per grid.
 Every conjugation by Z, in the phase-flip channel and in the exhaustive
 average (Z on C), is an exact sign flip of the entries whose row and column
 differ in the qubit's bit, which gives the bytes of the dense product with
@@ -326,7 +327,9 @@ def run_intensity_grid(
     ``run_network_density`` on the circuit at its own p, so the states are
     bit-identical to it; and every labelled slice of every point passes the
     same checks, a slice ahead of the first flip once per grid.
-    Every intensity is checked to lie in [0, 1] before the first stack.
+    A circuit whose last slice no flip precedes has one final state at every
+    p, and is an error, as is an intensity outside [0, 1]; both are checked
+    before the first stack.
     """
     for p in intensities:
         _check_intensity(p)
@@ -334,17 +337,17 @@ def run_intensity_grid(
     n, ops = circuit.n, circuit.ops
     first = next((i for i, op in enumerate(ops)
                   if isinstance(op, GateOp) and op.kind == "PHASE_FLIP"), len(ops))
+    if not any(isinstance(op, TimeSlice) for op in ops[first:]):
+        raise ValueError("an intensity grid needs a phase flip ahead of the circuit's last "
+                         "slice; without one every p gives the same final state")
     labelled, shared = _walk(ops[:first], initial.entries, n)
     for state in [initial.entries, *labelled]:
-        final = DensityMatrix(state)
+        DensityMatrix(state)
     for start in range(0, len(intensities), _BATCH):
-        chunk = intensities[start:start + _BATCH]
-        p = np.array(chunk, dtype=float)[:, np.newaxis, np.newaxis]
-        states = final
+        p = np.array(intensities[start:start + _BATCH], dtype=float)[:, np.newaxis, np.newaxis]
         for state in _walk(ops[first:], shared, n, p)[0]:
             states = DensityMatrix(state)
-        # a final slice that the points share (none after a flip) is repeated for each
-        yield states if len(states) == len(chunk) else states[[0] * len(chunk)]
+        yield states
 
 
 def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) -> DensityMatrix:

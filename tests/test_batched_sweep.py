@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import numeric_frames, per_point_sweep, unchecked_density, undephased_symmetric
 from medwit import cli, density, heisenberg, pauli
-from medwit.circuits import build_asymmetric, build_symmetric
+from medwit.circuits import B, Circuit, build_asymmetric, build_symmetric, phase_flip
 from medwit.cli import EXIT_OK, _parse_grid, main
 from medwit.density import _BATCH, DensityMatrix, pseudo_pure, run_intensity_grid
 from medwit.heisenberg import (
@@ -139,33 +139,25 @@ def test_grid_states_equal_one_run_per_point():
 
 
 @pytest.mark.parametrize(
-    "circuit", [undephased_symmetric(), build_asymmetric()],
-    ids=["undephased-symmetric", "asymmetric"]
+    "circuit",
+    [undephased_symmetric(), build_asymmetric(),
+     Circuit(4, undephased_symmetric().ops + (phase_flip(B),))],
+    ids=["undephased-symmetric", "asymmetric", "flip-after-last-slice"]
 )
-def test_grid_without_a_flip_repeats_the_one_final_state(circuit):
-    """Every point of every stack is the final state of the one run."""
+def test_grid_without_a_flip_is_refused(circuit):
+    """A circuit with no phase flip ahead of its last slice has one final
+    state at every p, so a grid over it is an error before the first stack."""
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
-    chunks = list(run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3)))
-    assert [len(stack) for stack in chunks] == [_BATCH, 3]
-    alone = density.run_network_density(circuit, initial)[-1].entries.tobytes()
-    assert all(state.tobytes() == alone for stack in chunks for state in stack.entries)
+    grid = run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3))
+    with pytest.raises(ValueError, match="needs a phase flip ahead of the circuit's last slice"):
+        next(grid)
 
 
 @pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])
-@pytest.mark.parametrize(
-    "circuit, shared, per_stack, repeats",
-    [(build_symmetric(), (2, 5), (2, 2), False), (build_asymmetric(), (4, 4), (0, 0), True)],
-    ids=["symmetric", "asymmetric"],
-)
-def test_every_slice_checked_and_shared_gates_run_once_per_grid(
-    monkeypatch, points, circuit, shared, per_stack, repeats
-):
+def test_every_slice_checked_and_shared_gates_run_once_per_grid(monkeypatch, points):
     """(constructor check, gate_unitary) calls: the slices and gates ahead of
     the first flip once per grid (the symmetric network's t_0 and t_1 and its
-    5 gates; every slice and gate of the asymmetric one, which has no flip),
-    the later ones once per stack.  The asymmetric network's final state,
-    repeated for each point of a stack of more than one, is checked again
-    as that stack."""
+    5 gates), the later ones once per stack (t_2 and t_3, and 2 gates)."""
     calls = [0, 0]
     post_init, gate_unitary = DensityMatrix.__post_init__, density.gate_unitary
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
@@ -181,13 +173,11 @@ def test_every_slice_checked_and_shared_gates_run_once_per_grid(
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(density, "gate_unitary", counted_gate_unitary)
     grid = [k / (2 * points) for k in range(points)]
-    chunks = list(run_intensity_grid(circuit, initial, grid))
+    chunks = list(run_intensity_grid(build_symmetric(), initial, grid))
     stacks = -(-points // _BATCH)
     assert [len(stack) for stack in chunks] == [min(_BATCH, points - start)
                                                 for start in range(0, points, _BATCH)]
-    checks, gates = (once + stacks * each for once, each in zip(shared, per_stack))
-    repeated = sum(len(stack) > 1 for stack in chunks) if repeats else 0
-    assert calls == [checks + repeated, gates]
+    assert calls == [2 + 2 * stacks, 5 + 2 * stacks]
 
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)

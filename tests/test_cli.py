@@ -381,12 +381,6 @@ class TestStagedCommand:
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_timing_is_opt_in(self, capsys):
-        code, out, _ = run_cli(capsys, "staged", "--stages", "2")
-        assert "timing_seconds" not in json.loads(out)
-        code, out, _ = run_cli(capsys, "staged", "--stages", "2", "--timing")
-        assert "timing_seconds" in json.loads(out)
-
     def test_dump_state_size(self, capsys, tmp_path):
         path = tmp_path / "state.bin"
         code, _, _ = run_cli(capsys, "staged", "--stages", "2", "--dump-state", str(path))
@@ -517,12 +511,6 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--format", "text")
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("medwit run")
-
-    def test_timing_with_text_format_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "run", "--format", "text", "--timing")
-        assert code == EXIT_CONFIG
-        assert "--timing" in err and "--format text" in err
-        assert out == ""
 
     def test_patterns_are_rejected_from_flag_and_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--network", "staged", "--patterns", "sampled:4")
@@ -849,7 +837,7 @@ class TestLongEchoes:
          "'staged')"),
         (["run", "--bogus", "y" * 3000],
          f"medwit: error: unrecognized arguments: --bogus {'y' * 32}... (3008 characters)"),
-        (["run", "--timing=" + "z" * 3000], "medwit run: error: argument --timing: ignored "
+        (["run", "--help=" + "z" * 3000], "medwit run: error: argument -h/--help: ignored "
          f"explicit argument '{'z' * 39}... (3002 characters)"),
     ], ids=["choice", "unrecognized", "explicit-argument"])
     def test_argparse_error(self, capsys, argv, error):
@@ -1065,9 +1053,9 @@ class TestArgparseBehaviour:
             ("table", "--network --p --seed --format"),
             ("sweep", "--epsilon --initial-bits --axes --seed --p-grid"),
             ("staged", "--epsilon --initial-bits --axes --stages --patterns --seed "
-                       "--dump-state --timing"),
+                       "--dump-state"),
             ("run", "--network --p --epsilon --initial-bits --axes --stages --seed --format "
-                    "--dump-state --timing"),
+                    "--dump-state"),
         ],
         ids=["table", "sweep", "staged", "run"],
     )
