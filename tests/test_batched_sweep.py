@@ -138,12 +138,15 @@ def test_grid_states_equal_one_run_per_point():
         assert state.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize(
+NO_FLIP_AHEAD_OF_LAST_SLICE = pytest.mark.parametrize(
     "circuit",
     [undephased_symmetric(), build_asymmetric(),
      Circuit(4, undephased_symmetric().ops + (phase_flip(B),))],
     ids=["undephased-symmetric", "asymmetric", "flip-after-last-slice"]
 )
+
+
+@NO_FLIP_AHEAD_OF_LAST_SLICE
 def test_grid_without_a_flip_is_refused(circuit):
     """A circuit with no phase flip ahead of its last slice has one final
     state at every p, so a grid over it is an error before the first stack."""
@@ -151,6 +154,19 @@ def test_grid_without_a_flip_is_refused(circuit):
     grid = run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3))
     with pytest.raises(ValueError, match="needs a phase flip ahead of the circuit's last slice"):
         next(grid)
+
+
+@NO_FLIP_AHEAD_OF_LAST_SLICE
+def test_refused_grid_checks_no_slice_and_runs_no_gate(monkeypatch, circuit):
+    """The refusal comes before the walk: no slice is built or checked and
+    no gate unitary is made."""
+    calls = []
+    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append("check"))
+    monkeypatch.setattr(density, "gate_unitary", lambda *args: calls.append("gate"))
+    with pytest.raises(ValueError, match="needs a phase flip"):
+        next(run_intensity_grid(circuit, initial, [0.1, 0.2]))
+    assert calls == []
 
 
 @pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])

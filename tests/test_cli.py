@@ -512,6 +512,27 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("medwit run")
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_final_state_is_checked_once(self, capsys, monkeypatch, fmt):
+        """The multiplet and the --dump-state file read one final state, so
+        its stack of one passes the constructor's checks once."""
+        checked, stacks = [], []
+        post_init, run_network = DensityMatrix.__post_init__, density.run_network_density
+
+        def recorded_post_init(self):
+            post_init(self)
+            checked.append(self.entries.tobytes())
+
+        def recorded_run_network(*args):
+            stacks.append(run_network(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", recorded_post_init)
+        monkeypatch.setattr(density, "run_network_density", recorded_run_network)
+        code, _, _ = run_cli(capsys, "run", "--p", "0.2", "--format", fmt)
+        assert code == EXIT_OK and len(stacks) == 1
+        assert checked.count(stacks[0].entries[-1:].tobytes()) == 1
+
     def test_patterns_are_rejected_from_flag_and_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--network", "staged", "--patterns", "sampled:4")
         assert code == EXIT_CONFIG
@@ -1067,6 +1088,14 @@ class TestArgparseBehaviour:
         listed = {word.rstrip(",") for option in options for word in option.split()
                   if word.startswith("-")}
         assert listed == {"-h", "--help", "--config", "--out", *flags.split()}
+
+    @pytest.mark.parametrize("command", ["staged", "run"])
+    def test_timing_is_not_an_option(self, capsys, command):
+        """Every report is a function of its config and seed, so no command
+        takes a flag that adds a wall-clock field."""
+        code, out, err = run_cli(capsys, command, "--timing")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.endswith("medwit: error: unrecognized arguments: --timing\n")
 
 
 LINE = {"antiphase": None, "inphase": None}
