@@ -19,10 +19,15 @@ carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
 apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
 last slice at many intensities as a stack, p broadcast along it, and the ops
 ahead of its first flip once per grid.
-Every conjugation by Z, in the phase-flip channel and in the exhaustive
-average (Z on C), is an exact sign flip of the entries whose row and column
-differ in the qubit's bit, which gives the bytes of the dense product with
-that +-1 diagonal at no matrix product.
+A gate whose full-register unitary is a signed permutation (Z, CNOT,
+CPHASE, SWAP; read off its entries, once per gate and register size) acts on
+a state by index arithmetic: two ``take``s along the permutation, then an
+exact sign flip of the entries whose row and column signs differ.  So does
+every conjugation by Z, in the phase-flip channel and in the exhaustive
+average (Z on C).  Both give the bytes of the dense product at no matrix
+product; H and partial swaps keep the dense product, whose rounding is part
+of the bytes.  Every state and kernel result is C-ordered, so a summation
+over it does not depend on the layout it came in.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from .circuits import (
     build_staged,
     local_unitary,
     pattern_population,
+    z,
 )
 from .pauli import BasisState, PauliSum, hermitian_value
 
@@ -74,24 +80,33 @@ __all__ = [
 MAX_QUBITS = 10
 #: grid points per stack of ``run_intensity_grid``; the sweep holds one
 #: stack at a time.  The 1001-point sweep on a shared 2-core host, best of
-#: 90 in-process runs and median peak RSS of 9 subprocesses: 45 ms and
-#: 31.1 MB at 8, 34 ms and 31.4 MB at 16, 32 ms and 31.9 MB at 32.  Each
-#: stack costs about 0.13 ms of fixed numpy calls, so larger grids take
-#: longer at 16 than at 32: 8% at 10^5 points and 14% at 10^6 (medians of
-#: 10 subprocess pairs); 8 saves too little memory for its time
+#: 3 x 40 in-process runs and median peak RSS of 9 subprocesses: 39-41 ms
+#: and 32.3 MB at 8, 28.5-28.8 ms and 32.5 MB at 16, 27.2-28.0 ms and
+#: 33.1 MB at 32; each stack pays a fixed cost of numpy calls
 _BATCH = 16
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _psd_shift(dim: int) -> np.ndarray:
+    """``_PSD_TOL / 2`` times the dim x dim identity, the positivity
+    check's shift; read-only."""
+    shift = (_PSD_TOL / 2) * np.eye(dim)
+    shift.setflags(write=False)
+    return shift
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A stack of k >= 1 finite, Hermitian, trace-one, positive semidefinite
     2^n x 2^n operators, shape (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack
-    of one.  Entries are read-only.  Positivity is checked last: a Cholesky
-    factorisation of every state plus ``_PSD_TOL / 2`` times I that
-    completes with a finite factor certifies each lowest eigenvalue above
+    of one.  Entries are a read-only C-ordered copy, whatever the input's
+    layout.  Positivity is checked last: a Cholesky factorisation of every
+    state plus ``_PSD_TOL / 2`` times I that completes with a finite factor
+    certifies each lowest eigenvalue above
     -_PSD_TOL / 2 less rounding, which a backward-stable ``eigvalsh`` reads
     above -_PSD_TOL, so the stack passes.  Otherwise one ``eigvalsh``
     decides, as if the factorisation had not been tried: the first state
@@ -101,7 +116,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex, ndmin=3)
+        entries = np.array(self.entries, dtype=complex, ndmin=3, order="C")
         k, dim = entries.shape[:2]
         if entries.shape != (k, dim, dim) or dim & (dim - 1) or dim < 2 or k < 1:
             raise ValueError(f"entries must be a nonempty stack of square power-of-two "
@@ -111,8 +126,7 @@ class DensityMatrix:
             raise ValueError(f"dense engine is limited to {MAX_QUBITS} qubits; got n={n}")
         if not np.isfinite(entries).all():
             raise ValueError("density matrix has a non-finite (NaN or infinite) entry")
-        skew = np.abs(entries - np.swapaxes(entries.conj(), -1, -2)).max(axis=(-2, -1))
-        if np.any(skew > _HERM_TOL):
+        if np.abs(entries - np.swapaxes(entries.conj(), -1, -2)).max() > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         traces = np.trace(entries, axis1=-2, axis2=-1)
         off = np.abs(traces - 1.0) > _TRACE_TOL
@@ -121,7 +135,7 @@ class DensityMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         try:
-            if np.isfinite(np.linalg.cholesky(entries + (_PSD_TOL / 2) * np.eye(dim))).all():
+            if np.isfinite(np.linalg.cholesky(entries + _psd_shift(dim))).all():
                 return
         except np.linalg.LinAlgError:
             pass
@@ -201,23 +215,40 @@ def apply_gate(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
     return DensityMatrix(u @ rho.entries @ u.conj().T)
 
 
-@lru_cache(maxsize=64)
-def _dephase_mask(n: int, qubit: int) -> np.ndarray:
-    """Entries of a 2^n x 2^n matrix that conjugation by Z on ``qubit``
-    negates: those whose row and column differ in its bit.  Read-only."""
-    bit = np.arange(2 ** n) >> (n - 1 - qubit) & 1
-    mask = bit[:, np.newaxis] != bit
-    mask.setflags(write=False)
-    return mask
+class _SignedPermutation(NamedTuple):
+    """A unitary u with one entry +-1 in each row, u[i, perm[i]] = s[i], and
+    +0 elsewhere: (u e u^dagger)[i, j] = s[i] s[j] e[perm[i], perm[j]].
+    ``flips`` marks the (i, j) where s[i] != s[j], or is None if none does.
+    Both arrays are read-only."""
+
+    perm: np.ndarray
+    flips: np.ndarray | None
 
 
-def _dephase(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Z conjugating each state, as an exact sign flip of the ``mask``
-    entries: ``0 - x`` negates exactly and gives +0 for a zero, as the dense
-    product with the +-1 diagonal does.  The other entries are kept, which
-    the product also does for a state holding no -0, as every matrix product
-    leaves it; so the bytes are the same."""
-    return np.where(mask, 0 - entries, entries)
+@lru_cache(maxsize=512)
+def _gate_action(gate: GateOp, n: int) -> _SignedPermutation | np.ndarray:
+    """How ``_apply_raw`` applies a gate, read once per gate and register
+    size off its ``gate_unitary`` u: a ``_SignedPermutation`` if u's entries
+    make it one (Z, CNOT, CPHASE, SWAP), else u itself (H, partial swaps)."""
+    u = gate_unitary(gate, n)
+    perm = np.argmax(u != 0, axis=1)
+    signs = u[np.arange(len(u)), perm]
+    if np.count_nonzero(u) != len(u) or not ((signs == 1) | (signs == -1)).all():
+        return u
+    flips = signs[:, np.newaxis] != signs
+    perm.setflags(write=False)
+    flips.setflags(write=False)
+    return _SignedPermutation(perm, flips if flips.any() else None)
+
+
+def _dephase(entries: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """The sign flip of a ``_SignedPermutation``'s conjugation on each state,
+    negating exactly the ``flips`` entries: ``0 - x`` negates exactly and
+    gives +0 for a zero, as the dense product with the +-1 entries does.
+    The other entries are kept, which the product also does for a state
+    holding no -0, as every matrix product leaves it; so the bytes are the
+    same, in C order."""
+    return np.where(flips, 0 - entries, entries)
 
 
 def expectation(rho: DensityMatrix, a: PauliSum) -> np.ndarray:
@@ -273,14 +304,20 @@ def _same_size(circuit: Circuit, initial: DensityMatrix) -> Circuit:
 
 def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
     """One gate or channel on a state, or on each state of a stack along axis 0;
-    a phase flip takes the dephasing intensity ``p``, one per state as a (k, 1, 1) array."""
+    a phase flip takes the dephasing intensity ``p``, one per state as a (k, 1, 1) array.
+    A signed permutation is two ``take``s and ``_dephase``, any other gate
+    the dense product; each gives C-ordered entries."""
     if op.kind == "PHASE_FLIP":
         if p is None:
             raise ValueError("a phase flip needs a dephasing intensity p")
         # the phase-flip channel (1-p) rho + p Z rho Z; p may be a (k, 1, 1) array
-        return (1.0 - p) * entries + p * _dephase(entries, _dephase_mask(n, op.qubits[0]))
-    u = gate_unitary(op, n)
-    return u @ entries @ u.conj().T
+        flips = _gate_action(z(op.qubits[0]), n).flips
+        return (1.0 - p) * entries + p * _dephase(entries, flips)
+    action = _gate_action(op, n)
+    if isinstance(action, np.ndarray):
+        return action @ entries @ action.conj().T
+    entries = entries.take(action.perm, axis=-2).take(action.perm, axis=-1)
+    return entries if action.flips is None else _dephase(entries, action.flips)
 
 
 def _walk(ops: Sequence, entries: np.ndarray, n: int, p=None) -> tuple[list, np.ndarray]:
@@ -322,8 +359,8 @@ def run_intensity_grid(
     at a time, whatever the grid's size.  The ops ahead of the first flip
     act alike at every p, so they run once per grid on the one state every
     point shares; that flip broadcasts p along a stack,
-    ``(1-p) stack + p (Z stack Z)``, and each later gate is one broadcast
-    matmul.  Every point sees exactly the arithmetic of
+    ``(1-p) stack + p (Z stack Z)``, and each later gate acts on the whole
+    stack at once, by index arithmetic or one broadcast matmul.  Every point sees exactly the arithmetic of
     ``run_network_density`` on the circuit at its own p, so the states are
     bit-identical to it; and every labelled slice of every point passes the
     same checks, a slice ahead of the first flip once per grid.
@@ -413,7 +450,7 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
     circuit = _same_size(build_staged(stages), initial)
     half = stages // 2
-    mask = _dephase_mask(circuit.n, C)
+    flips = _gate_action(z(C), circuit.n).flips
     stack = initial.entries
     for op in circuit.ops:
         if isinstance(op, TimeSlice):
@@ -421,7 +458,7 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
             continue
         stack = _apply_raw(op, stack, circuit.n)
         if op.kind == "PARTIAL_SWAP":
-            flipped = _dephase(stack, mask)
+            flipped = _dephase(stack, flips)
             stack = np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])[:half + 1]
     return DensityMatrix(stack / pattern_population(stages))
 

@@ -171,11 +171,17 @@ def test_refused_grid_checks_no_slice_and_runs_no_gate(monkeypatch, circuit):
 
 @pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])
 def test_every_slice_checked_and_shared_gates_run_once_per_grid(monkeypatch, points):
-    """(constructor check, gate_unitary) calls: the slices and gates ahead of
-    the first flip once per grid (the symmetric network's t_0 and t_1 and its
-    5 gates), the later ones once per stack (t_2 and t_3, and 2 gates)."""
-    calls = [0, 0]
+    """(constructor checks, gate_unitary reads, dense products, index
+    actions): the slices ahead of the first flip once per grid (the
+    symmetric network's t_0 and t_1), the later ones once per stack (t_2 and
+    t_3).  Each of the 7 gates, Z on B and on C for the flips among them, is
+    read off ``gate_unitary`` once into ``_gate_action``'s cache.  The two
+    H gates, ahead of the first flip, are the only dense products, once per
+    grid; the CNOTs and CPHASE ahead of it are 3 index actions once per
+    grid, and the 2 flips and 2 CNOTs after it 4 per stack."""
+    calls = [0, 0, 0, 0]
     post_init, gate_unitary = DensityMatrix.__post_init__, density.gate_unitary
+    gate_action = density._gate_action
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
 
     def counted_post_init(self):
@@ -186,14 +192,21 @@ def test_every_slice_checked_and_shared_gates_run_once_per_grid(monkeypatch, poi
         calls[1] += 1
         return gate_unitary(gate, n)
 
+    def counted_gate_action(gate, n):
+        action = gate_action(gate, n)
+        calls[2 if isinstance(action, np.ndarray) else 3] += 1
+        return action
+
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(density, "gate_unitary", counted_gate_unitary)
+    monkeypatch.setattr(density, "_gate_action", counted_gate_action)
+    gate_action.cache_clear()
     grid = [k / (2 * points) for k in range(points)]
     chunks = list(run_intensity_grid(build_symmetric(), initial, grid))
     stacks = -(-points // _BATCH)
     assert [len(stack) for stack in chunks] == [min(_BATCH, points - start)
                                                 for start in range(0, points, _BATCH)]
-    assert calls == [2 + 2 * stacks, 5 + 2 * stacks]
+    assert calls == [2 + 2 * stacks, 7, 2, 3 + 4 * stacks]
 
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)

@@ -36,6 +36,7 @@ from medwit.circuits import (
     z,
 )
 from medwit import density
+from medwit.cli import _parse_grid
 from medwit.density import (
     DensityMatrix,
     apply_gate,
@@ -76,6 +77,21 @@ class TestDensityMatrixType:
         rho = basis_density(ZERO4)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
+
+    def test_report_does_not_depend_on_the_input_layout(self):
+        """The same values passed Fortran-ordered, or with the stack axis
+        innermost, are stored C-ordered, so ``expectation``'s einsum sums
+        them in the same order: the first 16-point stack of the sweep over
+        0:0.5:0.0005 reads the witness 1.9999999999999993 every way."""
+        grid = _parse_grid("0:0.5:0.0005")[:16]
+        stack = next(run_intensity_grid(build_symmetric(), pseudo_pure(1.0, ZERO4), grid)).entries
+        innermost = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        witness = witness_observable(4, 0, 3)
+        for layout in (stack, np.asfortranarray(stack), innermost):
+            rho = DensityMatrix(layout)
+            assert rho.entries.flags.c_contiguous
+            assert rho.entries.tobytes() == stack.tobytes()
+            assert expectation(rho, witness)[0].hex() == (1.9999999999999993).hex()
 
 
 def decision(check, entries: np.ndarray):
@@ -264,6 +280,79 @@ class TestGateUnitaries:
         for gate in (h(1), z(2), cnot(0, 3), cnot(3, 1), swap(1, 3), partial_swap(2, 0, 0.37)):
             u = gate_unitary(gate, 4)
             assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-12
+
+
+SIGNED_PERMUTATIONS = {
+    "Z": [z(q) for q in range(4)],
+    "CNOT": [cnot(*pair) for pair in itertools.permutations(range(4), 2)],
+    "CPHASE": [GateOp("CPHASE", pair) for pair in itertools.permutations(range(4), 2)],
+    "SWAP": [swap(*pair) for pair in itertools.permutations(range(4), 2)],
+}
+
+
+@st.composite
+def stacks_with_zeros(draw) -> np.ndarray:
+    """A (k, 16, 16) complex stack, not a state, with exact +0 entries: whole
+    entries, real parts or imaginary parts, at a drawn density; no -0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 4))
+    entries = rng.normal(size=(k, 16, 16)) + 1j * rng.normal(size=(k, 16, 16))
+    for part in draw(st.sets(st.sampled_from(["entry", "real", "imag"]), min_size=1)):
+        zero = rng.random(entries.shape) < draw(st.floats(0, 1))
+        if part == "entry":
+            entries[zero] = 0
+        else:
+            getattr(entries, part)[zero] = 0
+    return entries
+
+
+class TestSignedPermutationKernels:
+    """``_apply_raw`` applies Z, CNOT, CPHASE and SWAP by index arithmetic,
+    and must give the bytes of the dense product, in C order."""
+
+    @pytest.mark.parametrize("kind", sorted(SIGNED_PERMUTATIONS))
+    @settings(max_examples=25, deadline=None)
+    @given(entries=stacks_with_zeros())
+    def test_index_action_equals_dense_product(self, kind, entries):
+        for gate in SIGNED_PERMUTATIONS[kind]:
+            u = gate_unitary(gate, 4)
+            assert isinstance(density._gate_action(gate, 4), density._SignedPermutation)
+            got = density._apply_raw(gate, entries, 4)
+            assert got.flags.c_contiguous, gate
+            assert got.tobytes() == (u @ entries @ u.conj().T).tobytes(), gate
+
+    @settings(max_examples=25, deadline=None)
+    @given(entries=stacks_with_zeros(), p=st.floats(0, 1))
+    def test_phase_flip_channel_equals_dense_product(self, entries, p):
+        for q in range(4):
+            u = gate_unitary(z(q), 4)
+            got = density._apply_raw(phase_flip(q), entries, 4, p)
+            assert got.flags.c_contiguous, q
+            want = (1.0 - p) * entries + p * (u @ entries @ u.conj().T)
+            assert got.tobytes() == want.tobytes(), q
+
+    @pytest.mark.parametrize("gate", [h(0), h(3), partial_swap(1, 2, 0.5), partial_swap(2, 3, 1.0),
+                                      partial_swap(0, 3, 1 / 34)],
+                             ids=["H-A", "H-D", "pswap-BC-half", "pswap-CD-full", "pswap-AD-34th"])
+    def test_other_gates_keep_the_dense_product(self, gate):
+        u = gate_unitary(gate, 4)
+        action = density._gate_action(gate, 4)
+        assert isinstance(action, np.ndarray) and action.tobytes() == u.tobytes()
+        entries = random_density(np.random.default_rng(5), 4).entries
+        assert density._apply_raw(gate, entries, 4).tobytes() == (u @ entries @ u.conj().T).tobytes()
+
+    def test_the_rule_reads_the_unitary_entries(self):
+        """A gate is a signed permutation exactly when its unitary has one
+        nonzero entry per row, each exactly +1 or -1; a full-power partial
+        swap is SWAP up to rounding, so it stays dense."""
+        gates = [gate for kind in SIGNED_PERMUTATIONS.values() for gate in kind]
+        gates += [h(q) for q in range(4)] + [partial_swap(0, 1, 1.0), partial_swap(2, 1, 0.25)]
+        for gate in gates:
+            u = ref_gate_unitary(gate, 4)
+            signed = (np.count_nonzero(u, axis=1) == 1).all() and np.isin(u[u != 0], [1, -1]).all()
+            action = density._gate_action(gate, 4)
+            assert isinstance(action, density._SignedPermutation) == signed, gate
+            assert signed == (gate.kind in SIGNED_PERMUTATIONS), gate
 
 
 class TestApplyGate:
