@@ -106,9 +106,9 @@ class DensityMatrix:
     of one.  Entries are a read-only C-ordered copy, whatever the input's
     layout.  Positivity is checked last: a Cholesky factorisation of every
     state plus ``_PSD_TOL / 2`` times I that completes with a finite factor
-    certifies each lowest eigenvalue above
-    -_PSD_TOL / 2 less rounding, which a backward-stable ``eigvalsh`` reads
-    above -_PSD_TOL, so the stack passes.  Otherwise one ``eigvalsh``
+    certifies each lowest eigenvalue above -_PSD_TOL / 2 less rounding,
+    which a backward-stable ``eigvalsh`` reads above -_PSD_TOL, so the
+    stack passes.  Otherwise one ``eigvalsh``
     decides, as if the factorisation had not been tried: the first state
     with an eigenvalue below -_PSD_TOL is an error naming its lowest
     eigenvalue.  Both read the lower triangle."""
@@ -360,10 +360,11 @@ def run_intensity_grid(
     act alike at every p, so they run once per grid on the one state every
     point shares; that flip broadcasts p along a stack,
     ``(1-p) stack + p (Z stack Z)``, and each later gate acts on the whole
-    stack at once, by index arithmetic or one broadcast matmul.  Every point sees exactly the arithmetic of
-    ``run_network_density`` on the circuit at its own p, so the states are
-    bit-identical to it; and every labelled slice of every point passes the
-    same checks, a slice ahead of the first flip once per grid.
+    stack at once, by index arithmetic or one broadcast matmul.  Every point
+    sees exactly the arithmetic of ``run_network_density`` on the circuit at
+    its own p, so the states are bit-identical to it; and every labelled
+    slice of every point passes the same checks, a slice ahead of the first
+    flip once per grid.
     A circuit whose last slice no flip precedes has one final state at every
     p, and is an error, as is an intensity outside [0, 1]; both are checked
     before the first stack.
