@@ -558,7 +558,7 @@ def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
                for row in _density_values(states, [axes]))
     yield "p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C\n"
     for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
-            grid, density, witnesses[axes].tolist(), nc["B"].tolist(), nc["C"].tolist()):
+            grid, density, witnesses[axes], nc["B"], nc["C"]):
         yield _SWEEP_ROW % (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
 
 
