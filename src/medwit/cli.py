@@ -600,13 +600,13 @@ def cmd_run(cfg: ExperimentConfig, args):
     states = run_network_density(circuit, cfg.initial, cfg.intensity)
     final = states[-1]
     slices = []
-    for frame, (w_density, neg) in zip(run_network_frames(circuit),
-                                       _density_values(states, names)):
+    for t, (frame, (w_density, neg)) in enumerate(zip(run_network_frames(circuit),
+                                                      _density_values(states, names))):
         w_heisenberg, nc = _descriptor_values(cfg, frame, names, np.array([cfg.intensity]))
         witness = [{"axes": name, "density": w_density[name],
                     "heisenberg": w_heisenberg[name].item()} for name in names]
         slices.append({
-            "time": frame.time_index,
+            "time": t,
             "witness": witness[0],
             "witness_alt": witness[1],
             "negativity_AD": {"engine": "density", "value": neg},

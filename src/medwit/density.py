@@ -19,15 +19,16 @@ carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
 apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
 last slice at many intensities as a stack, p broadcast along it, and the ops
 ahead of its first flip once per grid.
-A gate whose full-register unitary is a signed permutation (Z, CNOT,
-CPHASE, SWAP; read off its entries, once per gate and register size) acts on
-a state by index arithmetic: two ``take``s along the permutation, then an
-exact sign flip of the entries whose row and column signs differ.  So does
-every conjugation by Z, in the phase-flip channel and in the exhaustive
-average (Z on C).  Both give the bytes of the dense product at no matrix
-product; H and partial swaps keep the dense product, whose rounding is part
-of the bytes.  Every state and kernel result is C-ordered, so a summation
-over it does not depend on the layout it came in.
+Every op acts through one action cached per op and register size
+(``_gate_action``), which ``apply_gate``, the walks and the exhaustive
+average all read.  A gate whose full-register unitary is a signed
+permutation (Z, CNOT, CPHASE, SWAP; read off its entries) acts by index
+arithmetic: two ``take``s along the permutation, then an exact sign flip of
+the entries whose row and column signs differ; a phase flip's action is its
+Z's.  Both give the bytes of the dense product at no matrix product; H and
+partial swaps keep the dense product, whose rounding is part of the bytes.
+Every state and kernel result is C-ordered, so a summation over it does not
+depend on the layout it came in.
 There is one state type: a ``DensityMatrix`` is a checked (k, 2^n, 2^n)
 stack, and one state is a stack of one.  The report layer (``expectation``,
 ``partial_trace``, ``negativity``) gives one value or reduced state per state
@@ -56,6 +57,7 @@ from .circuits import (
     build_staged,
     local_unitary,
     pattern_population,
+    phase_flip,
     z,
 )
 from .pauli import BasisState, PauliSum, hermitian_value
@@ -191,28 +193,23 @@ def _embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _unitary_cached(gate: GateOp, n: int) -> np.ndarray:
-    """Read-only full-register unitary of a gate: its ``local_unitary``
-    matrix / sqrt(scale), embedded by ``_embed``."""
+def gate_unitary(gate: GateOp, n: int) -> np.ndarray:
+    """Read-only dense unitary of a gate on the full n-qubit register, read
+    once per gate and register size: its ``local_unitary`` matrix /
+    sqrt(scale), embedded by ``_embed``."""
+    if gate.kind == "PHASE_FLIP":
+        raise ValueError("phase flip is a channel, not a unitary")
+    if any(q >= n for q in gate.qubits):
+        raise ValueError(f"gate {gate} out of range for n={n}")
     matrix, scale = local_unitary(gate.kind, gate.alpha)
     u = _embed(matrix / np.sqrt(scale), gate.qubits, n)
     u.setflags(write=False)
     return u
 
 
-def gate_unitary(gate: GateOp, n: int) -> np.ndarray:
-    """Dense unitary of a gate embedded on the full n-qubit register."""
-    if gate.kind == "PHASE_FLIP":
-        raise ValueError("phase flip is a channel, not a unitary")
-    if any(q >= n for q in gate.qubits):
-        raise ValueError(f"gate {gate} out of range for n={n}")
-    return _unitary_cached(gate, n)
-
-
 def apply_gate(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
-    """U rho U^dagger."""
-    u = gate_unitary(gate, rho.n)
-    return DensityMatrix(u @ rho.entries @ u.conj().T)
+    """U rho U^dagger, by ``_apply_raw``; a phase flip is an error."""
+    return DensityMatrix(_apply_raw(gate, rho.entries, rho.n))
 
 
 class _SignedPermutation(NamedTuple):
@@ -226,11 +223,12 @@ class _SignedPermutation(NamedTuple):
 
 
 @lru_cache(maxsize=512)
-def _gate_action(gate: GateOp, n: int) -> _SignedPermutation | np.ndarray:
-    """How ``_apply_raw`` applies a gate, read once per gate and register
-    size off its ``gate_unitary`` u: a ``_SignedPermutation`` if u's entries
-    make it one (Z, CNOT, CPHASE, SWAP), else u itself (H, partial swaps)."""
-    u = gate_unitary(gate, n)
+def _gate_action(op: GateOp, n: int) -> _SignedPermutation | np.ndarray:
+    """How ``_apply_raw`` applies an op, read once per op and register size
+    off a ``gate_unitary`` u, the op's own or, for a phase flip, its Z's: a
+    ``_SignedPermutation`` if u's entries make it one (Z, CNOT, CPHASE, SWAP,
+    and so every phase flip), else u itself (H, partial swaps)."""
+    u = gate_unitary(z(op.qubits[0]) if op.kind == "PHASE_FLIP" else op, n)
     perm = np.argmax(u != 0, axis=1)
     signs = u[np.arange(len(u)), perm]
     if np.count_nonzero(u) != len(u) or not ((signs == 1) | (signs == -1)).all():
@@ -303,17 +301,16 @@ def _same_size(circuit: Circuit, initial: DensityMatrix) -> Circuit:
 
 
 def _apply_raw(op: GateOp, entries: np.ndarray, n: int, p=None) -> np.ndarray:
-    """One gate or channel on a state, or on each state of a stack along axis 0;
-    a phase flip takes the dephasing intensity ``p``, one per state as a (k, 1, 1) array.
-    A signed permutation is two ``take``s and ``_dephase``, any other gate
-    the dense product; each gives C-ordered entries."""
+    """One gate or channel on a state, or on each state of a stack along axis 0,
+    by its ``_gate_action``; a phase flip takes the dephasing intensity ``p``,
+    one per state as a (k, 1, 1) array.  A signed permutation is two ``take``s
+    and ``_dephase``, any other gate the dense product; each gives C-ordered entries."""
+    action = _gate_action(op, n)
     if op.kind == "PHASE_FLIP":
         if p is None:
             raise ValueError("a phase flip needs a dephasing intensity p")
         # the phase-flip channel (1-p) rho + p Z rho Z; p may be a (k, 1, 1) array
-        flips = _gate_action(z(op.qubits[0]), n).flips
-        return (1.0 - p) * entries + p * _dephase(entries, flips)
-    action = _gate_action(op, n)
+        return (1.0 - p) * entries + p * _dephase(entries, action.flips)
     if isinstance(action, np.ndarray):
         return action @ entries @ action.conj().T
     entries = entries.take(action.perm, axis=-2).take(action.perm, axis=-1)
@@ -451,7 +448,7 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"balanced patterns require an even stage count >= 2, got {stages}")
     circuit = _same_size(build_staged(stages), initial)
     half = stages // 2
-    flips = _gate_action(z(C), circuit.n).flips
+    flips = _gate_action(phase_flip(C), circuit.n).flips
     stack = initial.entries
     for op in circuit.ops:
         if isinstance(op, TimeSlice):

@@ -29,7 +29,7 @@ then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product
 from typing import Sequence
@@ -138,9 +138,9 @@ ATTENUATION = Attenuated(1 + 0j, 1)
 
 @dataclass(frozen=True)
 class DescriptorFrame:
-    """Per-qubit {x-descriptor, z-descriptor} pairs at one time slice."""
+    """Per-qubit {x-descriptor, z-descriptor} pairs at one time slice; the
+    frame holds no time, its slice is its place in ``run_network_frames``."""
 
-    time_index: int
     x: tuple[PauliSum, ...]
     z: tuple[PauliSum, ...]
 
@@ -163,11 +163,8 @@ def init_frame(n: int) -> DescriptorFrame:
     """Canonical initial frame: bare X and Z on each qubit."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    return DescriptorFrame(
-        time_index=0,
-        x=tuple(single(n, q, "x") for q in range(n)),
-        z=tuple(single(n, q, "z") for q in range(n)),
-    )
+    return DescriptorFrame(tuple(single(n, q, "x") for q in range(n)),
+                           tuple(single(n, q, "z") for q in range(n)))
 
 
 @lru_cache(maxsize=256)
@@ -214,7 +211,7 @@ def apply_gate_frame(frame: DescriptorFrame, gate: GateOp) -> DescriptorFrame:
     for q, (x_image, z_image) in zip(gate.qubits, gate_images(gate.kind, gate.alpha)):
         x[q] = _image(x_image, gate.qubits, frame.n, product_of)
         z[q] = _image(z_image, gate.qubits, frame.n, product_of)
-    return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
+    return DescriptorFrame(tuple(x), tuple(z))
 
 
 def _attenuate(descriptor: PauliSum, qubit: int) -> PauliSum:
@@ -243,18 +240,15 @@ def apply_dephasing_frame(frame: DescriptorFrame, qubit: int) -> DescriptorFrame
     z = list(frame.z)
     x[qubit] = _attenuate(x[qubit], qubit)
     z[qubit] = _attenuate(z[qubit], qubit)
-    return DescriptorFrame(frame.time_index, tuple(x), tuple(z))
+    return DescriptorFrame(tuple(x), tuple(z))
 
 
 def run_network_frames(circuit: Circuit) -> list[DescriptorFrame]:
     """Descriptor frames at every labelled time of the circuit, t_0 included."""
     current = init_frame(circuit.n)
     frames = [current]
-    t = 0
     for op in circuit.ops:
         if isinstance(op, TimeSlice):
-            t += 1
-            current = replace(current, time_index=t)
             frames.append(current)
         elif op.kind == "PHASE_FLIP":
             current = apply_dephasing_frame(current, op.qubits[0])
@@ -314,8 +308,7 @@ def substitute(operator: PauliSum | DescriptorFrame, p: float) -> PauliSum | Des
     """Replace symbolic attenuation factors by their value at intensity ``p``,
     in a sum or in every descriptor of a frame."""
     if isinstance(operator, DescriptorFrame):
-        return DescriptorFrame(operator.time_index,
-                               tuple(substitute(d, p) for d in operator.x),
+        return DescriptorFrame(tuple(substitute(d, p) for d in operator.x),
                                tuple(substitute(d, p) for d in operator.z))
     return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, Attenuated) else c)
 
@@ -422,13 +415,13 @@ def render_sum(descriptor: PauliSum) -> str:
 
 
 def render_table(frames: Sequence[DescriptorFrame]) -> str:
-    """Text table: one row per time slice, one {x, z} cell per qubit."""
+    """Text table of a walk's frames: row t for frame t, one {x, z} cell per qubit."""
     if not frames:
         raise ValueError("at least one frame is required")
     n = frames[0].n
     rows = [[""] + [f"Qubit {qubit_label(q)}" for q in range(n)]]
-    for frame in frames:
-        cells = [f"t{frame.time_index}"]
+    for t, frame in enumerate(frames):
+        cells = [f"t{t}"]
         for q in range(n):
             cells.append("{" + render_sum(frame.x[q]) + ", " + render_sum(frame.z[q]) + "}")
         rows.append(cells)
@@ -438,7 +431,8 @@ def render_table(frames: Sequence[DescriptorFrame]) -> str:
 
 
 def frames_to_dict(frames: Sequence[DescriptorFrame]) -> dict:
-    """Structured dump: per slice, per qubit, the (coefficient, word) pairs."""
+    """Structured dump of a walk's frames: per slice t, frame t's (coefficient,
+    word) pairs per qubit."""
     if not frames:
         raise ValueError("at least one frame is required")
     n = frames[0].n
@@ -457,13 +451,13 @@ def frames_to_dict(frames: Sequence[DescriptorFrame]) -> dict:
     return {
         "slices": [
             {
-                "time": frame.time_index,
+                "time": t,
                 "qubits": [
                     {"label": qubit_label(q), "x": dump(frame.x[q]), "z": dump(frame.z[q])}
                     for q in range(n)
                 ],
             }
-            for frame in frames
+            for t, frame in enumerate(frames)
         ]
     }
 

@@ -200,13 +200,12 @@ def numeric_frames(circuit: Circuit, p: float) -> list[DescriptorFrame]:
     frames = [current]
     for op in circuit.ops:
         if isinstance(op, TimeSlice):
-            current = DescriptorFrame(len(frames), current.x, current.z)
             frames.append(current)
         elif op.kind == "PHASE_FLIP":
             q = op.qubits[0]
             x, z = list(current.x), list(current.z)
             x[q], z[q] = attenuate(x[q], q), attenuate(z[q], q)
-            current = DescriptorFrame(current.time_index, tuple(x), tuple(z))
+            current = DescriptorFrame(tuple(x), tuple(z))
         else:
             current = apply_gate_frame(current, op)
     return frames

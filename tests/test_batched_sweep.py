@@ -174,8 +174,9 @@ def test_every_slice_checked_and_shared_gates_run_once_per_grid(monkeypatch, poi
     """(constructor checks, gate_unitary reads, dense products, index
     actions): the slices ahead of the first flip once per grid (the
     symmetric network's t_0 and t_1), the later ones once per stack (t_2 and
-    t_3).  Each of the 7 gates, Z on B and on C for the flips among them, is
-    read off ``gate_unitary`` once into ``_gate_action``'s cache.  The two
+    t_3).  Each of the 7 ops is read off ``gate_unitary`` once into
+    ``_gate_action``'s cache, each flip by its Z, its action cached on the
+    flip op itself.  The two
     H gates, ahead of the first flip, are the only dense products, once per
     grid; the CNOTs and CPHASE ahead of it are 3 index actions once per
     grid, and the 2 flips and 2 CNOTs after it 4 per stack."""
@@ -279,7 +280,7 @@ def hand_built_frame() -> DescriptorFrame:
     x0 = PauliSum(2, {"XI": 0.5 * a, "ZY": 0.75})
     z0 = PauliSum(2, {"ZZ": 0.1 * a * a * a, "ZI": 0.7, "IZ": 0.35 * a * a,
                       "II": 0.05 * a, "YZ": 0.25 * a})
-    return DescriptorFrame(0, (x0, 0.3 * a * single(2, 1, "x")), (z0, single(2, 1, "z")))
+    return DescriptorFrame((x0, 0.3 * a * single(2, 1, "x")), (z0, single(2, 1, "z")))
 
 
 def near_prune(coefficients) -> list[float]:

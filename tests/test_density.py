@@ -338,8 +338,25 @@ class TestSignedPermutationKernels:
         u = gate_unitary(gate, 4)
         action = density._gate_action(gate, 4)
         assert isinstance(action, np.ndarray) and action.tobytes() == u.tobytes()
-        entries = random_density(np.random.default_rng(5), 4).entries
-        assert density._apply_raw(gate, entries, 4).tobytes() == (u @ entries @ u.conj().T).tobytes()
+        rho = random_density(np.random.default_rng(5), 4)
+        got = density._apply_raw(gate, rho.entries, 4)
+        assert got.tobytes() == (u @ rho.entries @ u.conj().T).tobytes()
+        assert apply_gate(rho, gate).entries.tobytes() == got.tobytes()
+
+    def test_a_flip_builds_no_gate_once_its_action_is_cached(self, monkeypatch):
+        """A phase flip's action is its Z's, cached on the flip op itself,
+        so after one warm-up call a flip constructs no ``GateOp``."""
+        flips = [phase_flip(q) for q in range(4)]
+        entries = random_density(np.random.default_rng(9), 4).entries
+        for op in flips:
+            density._apply_raw(op, entries, 4, 0.3)
+        built = []
+        post_init = GateOp.__post_init__
+        monkeypatch.setattr(GateOp, "__post_init__", lambda op: built.append(op) or post_init(op))
+        for op in flips:
+            density._apply_raw(op, entries, 4, 0.3)
+        assert built == []
+        assert z(0) is built[0]
 
     def test_the_rule_reads_the_unitary_entries(self):
         """A gate is a signed permutation exactly when its unitary has one
@@ -356,6 +373,12 @@ class TestSignedPermutationKernels:
 
 
 class TestApplyGate:
+    def test_phase_flip_needs_an_intensity(self):
+        rho = basis_density(ZERO4)
+        for q in range(4):
+            with pytest.raises(ValueError, match="a phase flip needs a dephasing intensity p"):
+                apply_gate(rho, phase_flip(q))
+
     def test_bell_pair_correlations(self):
         rho = apply_gate(apply_gate(basis_density(ZERO4), h(0)), cnot(0, 1))
         xx = single(4, 0, "x") * single(4, 1, "x")
@@ -390,6 +413,8 @@ class TestApplyGate:
             a = random_sum(rng, n)
             u = gate_unitary(gate, n)
             evolved = apply_gate(rho, gate)
+            assert evolved.entries.tobytes() == density._apply_raw(gate, rho.entries, n).tobytes()
+            assert evolved.entries.tobytes() == (u @ rho.entries @ u.conj().T).tobytes()
             lhs = np.einsum("ij,ji->", evolved.entries[0], ref_sum_matrix(a))
             rhs = np.einsum(
                 "ij,ji->", rho.entries[0], u.conj().T @ ref_sum_matrix(a) @ u

@@ -46,10 +46,11 @@ def frames_at(p: float) -> list:
 def assert_table_matches(frames, canonical, alternate):
     rendered = split_cells(render_table(frames))
     assert len(rendered) == len(canonical) == len(frames)
-    for frame, got_row, want_row, alt_row in zip(frames, rendered, canonical, alternate):
+    for t, (frame, got_row, want_row, alt_row) in enumerate(zip(frames, rendered, canonical,
+                                                                 alternate)):
         for q, (got, want, alt) in enumerate(zip(got_row, want_row, alt_row)):
             # textual regression, whitespace-normalized
-            assert got == want, f"t{frame.time_index} qubit {q}: {got} != {want}"
+            assert got == want, f"t{t} qubit {q}: {got} != {want}"
             # operator-level regression against both spellings
             for slot, descriptor in ((0, frame.x[q]), (1, frame.z[q])):
                 assert parse_word(want[slot], 4) == descriptor
