@@ -7,7 +7,8 @@ after whose partial swap pattern i puts a Z on C.
 
 The built-in networks act on a four-qubit chain A-B-C-D (indices 0-3).  A and D
 are the probes to be entangled; B and C form the mediator through which every
-interaction is routed (there is no direct A-D gate anywhere below).
+interaction is routed: each gate below acts on one qubit or within one chain
+edge, which ``tests/test_locality.py`` checks.
 
 A phase flip carries no intensity: each built-in network is one circuit at
 every dephasing intensity p, which the engines take when they evaluate it.
