@@ -122,6 +122,13 @@ def test_every_argv_gives_its_committed_digests():
     )
 
 
+def test_environment_names_the_blas_kernel():
+    """The digest environment names the OpenBLAS kernel picked at run time,
+    so a digest failure on another CPU shows the kernel on both sides."""
+    kernel = same_bytes.environment()["blas_kernel"]
+    assert isinstance(kernel, str) and kernel
+
+
 def _after_import(preset: str | None) -> tuple[str | None, int | None]:
     """OPENBLAS_NUM_THREADS and, on Linux, the thread count of a fresh
     interpreter after ``from medwit import cli``, which loads numpy, started

@@ -25,7 +25,8 @@ thread count is compared at that count.
 ``--write`` runs every argv in process on the ``src`` of the checkout that
 holds this script and writes ``DIGESTS``: per argv its exit code and the
 sha256 of its stdout, of its dumped state and of its stderr, with the
-Python, NumPy and BLAS build they were taken with.  A tier-1 test compares
+Python, NumPy and BLAS build they were taken with and the OpenBLAS kernel
+that build picked for the CPU at run time.  A tier-1 test compares
 the same digests with that file, so an intended output change shows as its
 diff, argv by argv.
 """
@@ -290,8 +291,28 @@ def _gaps(parent: tuple, change: tuple) -> str:
     return f"  max |diff| {', '.join(words)}" if words else ""
 
 
+def _blas_kernel() -> str:
+    """The kernel that numpy's OpenBLAS, built for every x86 kernel, picked
+    for this CPU when it loaded: read through ctypes from the library in
+    numpy.libs, "unknown" where that library or its symbol is absent."""
+    import ctypes
+
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return (corename() or b"unknown").decode()
+    return "unknown"
+
+
 def environment() -> dict[str, str]:
-    """The Python, NumPy and BLAS build that output digests belong to."""
+    """The Python, NumPy and BLAS build that output digests belong to, and
+    the BLAS kernel that ran."""
     import numpy as np
 
     try:
@@ -303,6 +324,7 @@ def environment() -> dict[str, str]:
         "numpy": np.__version__,
         "blas": " ".join(str(blas.get(key, "?")) for key in ("name", "version",
                                                                "openblas configuration")),
+        "blas_kernel": _blas_kernel(),
     }
 
 
