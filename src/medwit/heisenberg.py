@@ -138,8 +138,8 @@ ATTENUATION = Attenuated(1 + 0j, 1)
 
 @dataclass(frozen=True)
 class DescriptorFrame:
-    """Per-qubit {x-descriptor, z-descriptor} pairs at one time slice; the
-    frame holds no time, its slice is its place in ``run_network_frames``."""
+    """Per-qubit {x-descriptor, z-descriptor} pairs at one time slice, whose
+    time is the frame's place in the list ``run_network_frames`` returns."""
 
     x: tuple[PauliSum, ...]
     z: tuple[PauliSum, ...]
