@@ -305,7 +305,7 @@ def _blas_kernel() -> str:
             corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         return (corename() or b"unknown").decode()
     return "unknown"
 
