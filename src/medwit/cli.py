@@ -273,12 +273,14 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = map(_grid_value, fields)
             if not step > 0:
                 raise ValueError("step must be positive")
+            if math.isinf(step):
+                raise ValueError("step must be finite")
             if stop < start:
                 raise ValueError(f"stop {stop} is below start {start}")
             if not 0 <= start <= stop <= 1:
                 raise ConfigError(f"--p-grid values must lie in [0, 1], got {shown}")
-            # floor, so no point passes stop; the slack keeps a stop that
-            # lies on the grid up to rounding (0.5 / 0.0005) as its last point
+            # floor, with slack that keeps a stop on the grid up to rounding
+            # (0.5 / 0.0005) as the last point, which the grid clamps to stop
             steps = (stop - start) / step + 1e-9
             # a subnormal step overflows the count to inf, which floor rejects
             count = steps if math.isinf(steps) else math.floor(steps) + 1
@@ -288,7 +290,7 @@ def _parse_grid(text: str) -> list[float]:
         if count > MAX_GRID_POINTS:
             raise ConfigError(f"--p-grid {shown} gives {count} points, above the limit of "
                               f"{MAX_GRID_POINTS}")
-        grid = ([start + i * step for i in range(count)] if ":" in text
+        grid = ([min(start + i * step, stop) for i in range(count)] if ":" in text
                 else [_grid_value(v) or 0.0 for v in values])  # -0 reads as 0, as in _parse_unit
     except ValueError as exc:
         raise ConfigError(f"bad --p-grid {shown}: {exc}") from exc

@@ -20,11 +20,12 @@ new frame.  An observable, such as the ``pauli.witness_observable`` witness,
 is read off a frame in two steps: its Heisenberg image (``observable_image``),
 then the image's value on the pseudo-pure input (``pseudo_pure_expectation``).
 A frame, an image or a descriptor commutator gives its value at any p as if
-the attenuation had been applied at that p: ``substitute`` gives the numeric
-frame or sum at one p, and ``pseudo_pure_expectation_at`` and
-``operator_norm_at`` (``nonclassicality_degree``) read the values at a whole
-array of intensities at once, each point with the bytes that ``substitute``
-then ``pseudo_pure_expectation`` or ``operator_norm`` give it.
+the attenuation had been applied at that p, each term's value read by
+``_terms_at``: ``substitute`` gives the numeric frame or sum at one p, and
+``pseudo_pure_expectation_at`` and ``operator_norm_at``
+(``nonclassicality_degree``) read the values at a whole array of intensities
+at once, each point with the bytes that ``substitute`` then
+``pseudo_pure_expectation`` or ``operator_norm`` give it.
 """
 
 from __future__ import annotations
@@ -116,20 +117,17 @@ class Attenuated:
             "coefficient carries a symbolic attenuation factor; substitute a numeric p first"
         )
 
-    def at(self, p: float | np.ndarray) -> complex | np.ndarray:
-        """Numeric value with the channel intensity substituted: a complex
-        number at one p, an array of them at an array of intensities.
-
-        A power of (1 - 2p) at or below ``PRUNE_TOL`` in modulus counts as 0,
-        as in a frame evolved at that p, where a descriptor term is a unit
-        phase times such a power and is pruned as soon as the channel or a
-        product makes it that small, before a commutator or a sum of terms
-        could double it back above the tolerance.
-        """
-        power = np.power(1.0 - 2.0 * np.asarray(p, dtype=float), self.power)
+    def at(self, p: np.ndarray) -> np.ndarray:
+        """Numeric value at every intensity of the array ``p``.  A power of
+        (1 - 2p) at or below ``PRUNE_TOL`` in modulus counts as 0, as in a
+        frame evolved at that p, where a descriptor term is a unit phase times
+        such a power and is pruned as soon as the channel or a product makes
+        it that small, before a commutator or a sum of terms could double it
+        back above the tolerance."""
+        power = np.power(1.0 - 2.0 * p, self.power)
         total = np.zeros(power.shape, dtype=complex)
         np.add(total, self.coeff * power, out=total, where=np.abs(power) > PRUNE_TOL)
-        return total if total.ndim else complex(total)
+        return total
 
 
 #: the bare formal factor (1 - 2p)
@@ -304,21 +302,22 @@ def nonclassicality_degree(frame: DescriptorFrame, qubit: int, p: np.ndarray) ->
     return operator_norm_at(descriptor_commutator(frame, qubit), p)
 
 
+def _terms_at(operator: PauliSum, p: np.ndarray):
+    """Each term of ``operator`` in ``items()`` order: its word and its value
+    at every intensity of the array ``p``, 0 where PauliSum's prune drops it."""
+    for word, coeff in operator.items():
+        values = coeff.at(p) if isinstance(coeff, Attenuated) else np.full(p.shape, complex(coeff))
+        np.copyto(values, 0, where=np.hypot(values.real, values.imag) <= PRUNE_TOL)
+        yield word, values
+
+
 def substitute(operator: PauliSum | DescriptorFrame, p: float) -> PauliSum | DescriptorFrame:
-    """Replace symbolic attenuation factors by their value at intensity ``p``,
-    in a sum or in every descriptor of a frame."""
+    """Replace symbolic attenuation factors by their ``_terms_at`` value at
+    intensity ``p``, in a sum or in every descriptor of a frame."""
     if isinstance(operator, DescriptorFrame):
         return DescriptorFrame(tuple(substitute(d, p) for d in operator.x),
                                tuple(substitute(d, p) for d in operator.z))
-    return operator.map_coefficients(lambda c: c.at(p) if isinstance(c, Attenuated) else c)
-
-
-def _coefficient_at(coeff, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A term's coefficient in ``substitute(operator, p)`` at every intensity
-    of ``p``, and its modulus, which PauliSum's prune compares with
-    ``PRUNE_TOL``."""
-    values = coeff.at(p) if isinstance(coeff, Attenuated) else np.full(p.shape, complex(coeff))
-    return values, np.hypot(values.real, values.imag)
+    return PauliSum(operator.n, {w: v[0] for w, v in _terms_at(operator, np.array([p], float))})
 
 
 def pseudo_pure_expectation_at(
@@ -326,37 +325,34 @@ def pseudo_pure_expectation_at(
 ) -> np.ndarray:
     """``pseudo_pure_expectation`` of ``substitute(image, p)`` at every
     intensity of the array ``p``, with the bytes of each point alone: the
-    I/Z words' signed coefficients are summed in ``items()`` order, each
-    skipped where the prune drops it.  As ``expectation_basis`` does, it
+    I/Z words' ``_terms_at`` values, signed, are summed in ``items()``
+    order, each skipped where it reads 0.  As ``expectation_basis`` does, it
     refuses a basis state of another size, and an imaginary residue at any
     point (``hermitian_value``)."""
     if basis.n != image.n:
         raise ValueError(f"qubit count mismatch: state n={basis.n}, operator n={image.n}")
     total = np.zeros(p.shape, dtype=complex)
     mixed = np.zeros(p.shape)
-    for word, coeff in image.items():
+    for word, values in _terms_at(image, p):
         sign = basis_sign(basis, word)
         if sign:
-            values, modulus = _coefficient_at(coeff, p)
-            kept = modulus > PRUNE_TOL
-            np.add(total, sign * values, out=total, where=kept)
+            np.add(total, sign * values, out=total, where=values != 0)
             if word == "I" * image.n:
-                mixed = np.where(kept, values.real, 0.0)
+                mixed = values.real
     return epsilon * hermitian_value(total) + (1.0 - epsilon) * mixed
 
 
 def operator_norm_at(operator: PauliSum, p: np.ndarray) -> np.ndarray:
     """``operator_norm`` of ``substitute(operator, p)`` at every intensity of
-    the array ``p``: 0 where the prune drops every term, and where one term
-    is left its modulus, ``hypot`` of its real and imaginary parts, which is
+    the array ``p``: 0 where every ``_terms_at`` value is 0, and where one is
+    left its modulus, ``hypot`` of its real and imaginary parts, which is
     what ``operator_norm`` returns for a one-word sum.  Where several are
     left it is ``operator_norm`` of that point's substituted sum."""
     norms = np.zeros(p.shape)
     left = np.zeros(p.shape, dtype=int)
-    for _, coeff in operator.items():
-        _, modulus = _coefficient_at(coeff, p)
-        kept = modulus > PRUNE_TOL
-        np.copyto(norms, modulus, where=kept)
+    for _, values in _terms_at(operator, p):
+        kept = values != 0
+        np.copyto(norms, np.hypot(values.real, values.imag), where=kept)
         left += kept
     for i in np.flatnonzero(left > 1):
         norms[i] = operator_norm(substitute(operator, p[i]))

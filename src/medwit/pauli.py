@@ -216,9 +216,6 @@ class PauliSum:
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
 
-    def map_coefficients(self, fn) -> "PauliSum":
-        return PauliSum(self.n, {w: fn(c) for w, c in self._terms.items()})
-
     def dense(self) -> np.ndarray:
         """Dense matrix realization; requires numeric coefficients.
 

@@ -22,6 +22,9 @@ once per grid point on both engines.  ``numeric_frames`` is the byte
 reference for ``heisenberg.substitute``: the descriptor engine with each
 phase flip multiplying by the float 1 - 2p as it goes, where the package
 carries the formal factor (1 - 2p) and substitutes p afterwards.
+``PRUNE_WINDOW`` and ``near_prune`` give intensities next to where a
+term's value crosses ``PRUNE_TOL``, where the package's reads at p are
+checked against ``substitute`` and ``numeric_frames``.
 ``undephased_symmetric`` is the symmetric network built by hand without
 its two phase flips, the reference for those flips at p = 0.
 ``eigvalsh_validate`` is the reference for the positivity check of the
@@ -89,6 +92,7 @@ from medwit.heisenberg import (
     pseudo_pure_expectation,
 )
 from medwit.pauli import (
+    PRUNE_TOL,
     BasisState,
     PauliSum,
     operator_norm,
@@ -209,6 +213,23 @@ def numeric_frames(circuit: Circuit, p: float) -> list[DescriptorFrame]:
         else:
             current = apply_gate_frame(current, op)
     return frames
+
+
+#: 1 - 2p lies in (PRUNE_TOL / 2, PRUNE_TOL], where a numeric frame prunes
+#: the attenuated descriptors that the commutator would double
+PRUNE_WINDOW = [0.5 - 5e-15, 0.5 + 4e-15]
+
+
+def near_prune(coefficients) -> list[float]:
+    """Intensities on both sides of where each (modulus, power) term's
+    modulus, or its power of (1 - 2p), crosses ``PRUNE_TOL``, for either sign
+    of 1 - 2p."""
+    ps = []
+    for modulus, power in coefficients:
+        for scale in (1.0, modulus):
+            base = (PRUNE_TOL / scale) ** (1 / power)
+            ps += [(1 - sign * base * f) / 2 for sign in (1, -1) for f in (0.9, 1.1)]
+    return ps
 
 
 def slice_count(circuit: Circuit) -> int:

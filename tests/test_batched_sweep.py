@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import numeric_frames, per_point_sweep, unchecked_density, undephased_symmetric
+from helpers import (
+    PRUNE_WINDOW,
+    near_prune,
+    numeric_frames,
+    per_point_sweep,
+    unchecked_density,
+    undephased_symmetric,
+)
 from medwit import cli, density, heisenberg, pauli
 from medwit.circuits import B, Circuit, build_asymmetric, build_symmetric, phase_flip
 from medwit.cli import EXIT_OK, _parse_grid, main
@@ -32,12 +39,7 @@ from medwit.heisenberg import (
     run_network_frames,
     substitute,
 )
-from medwit.pauli import PRUNE_TOL, BasisState, PauliSum, operator_norm, single
-
-#: 1 - 2p lies in (PRUNE_TOL / 2, PRUNE_TOL], where a numeric frame prunes
-#: the attenuated descriptors that the commutator would double
-PRUNE_WINDOW = [0.5 - 5e-15, 0.5 + 4e-15]
-
+from medwit.pauli import BasisState, PauliSum, operator_norm, single
 
 def sweep_csv(*argv):
     out = io.StringIO()
@@ -281,18 +283,6 @@ def hand_built_frame() -> DescriptorFrame:
     z0 = PauliSum(2, {"ZZ": 0.1 * a * a * a, "ZI": 0.7, "IZ": 0.35 * a * a,
                       "II": 0.05 * a, "YZ": 0.25 * a})
     return DescriptorFrame((x0, 0.3 * a * single(2, 1, "x")), (z0, single(2, 1, "z")))
-
-
-def near_prune(coefficients) -> list[float]:
-    """Intensities on both sides of where each (modulus, power) term's
-    modulus, or its power of (1 - 2p), crosses ``PRUNE_TOL``, for either sign
-    of 1 - 2p."""
-    ps = []
-    for modulus, power in coefficients:
-        for scale in (1.0, modulus):
-            base = (PRUNE_TOL / scale) ** (1 / power)
-            ps += [(1 - sign * base * f) / 2 for sign in (1, -1) for f in (0.9, 1.1)]
-    return ps
 
 
 def assert_grid_reads_equal_substitute(image, commutators, basis, epsilon, ps):

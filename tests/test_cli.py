@@ -141,6 +141,20 @@ class TestSweepCommand:
         got = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert got == pytest.approx(points, abs=1e-15)
 
+    @pytest.mark.parametrize("grid, last", [("0.09:1:0.07", 1.0), ("0:0.3:0.1", 0.3)])
+    def test_stop_on_the_grid_up_to_rounding_is_the_last_point(self, capsys, grid, last):
+        """0.09 + 13 * 0.07 and 3 * 0.1 round past stop; the point is stop."""
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", grid)
+        assert code == EXIT_OK and err == ""
+        assert float(out.splitlines()[-1].split(",")[0]) == last
+
+    @pytest.mark.parametrize("grid", ["0:1:inf", "0:0:inf"])
+    def test_infinite_step_is_named(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", grid)
+        assert code == EXIT_CONFIG and out == ""
+        assert f"bad --p-grid {grid!r}: step must be finite" in err
+        assert "must lie in [0, 1]" not in err
+
     def test_stop_below_start_is_named(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--p-grid", "0.5:0:0.1")
         assert code == EXIT_CONFIG

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PRUNE_WINDOW,
     REF_LOCAL,
     basis_density,
+    near_prune,
     numeric_frames,
     one_word,
     parse_word,
@@ -426,14 +428,19 @@ class TestSymbolicAttenuation:
             ATTENUATION + 0.25
 
     def test_substitution_matches_numeric_run(self):
+        """``substitute`` shares its prune with the grid reads, so it is held
+        to a frame evolved at p: in the prune window, next to where u and
+        u^2 cross the tolerance (u = 1 - 2p) and on a 1001-point grid."""
         symbolic = run_network_frames(build_symmetric())
-        for p in (0.0, 0.2, 0.5):
+        ps = [0.0, 0.2, 0.5, *PRUNE_WINDOW, *near_prune([(1.0, 1), (1.0, 2)]),
+              *np.linspace(0, 1, 1001).tolist()]
+        for p in ps:
             numeric = numeric_frames(build_symmetric(), p)
             assert [substitute(frame, p) for frame in symbolic] == numeric
 
     def test_attenuation_value(self):
         term = Attenuated(3.0, 2)
-        assert term.at(0.25) == pytest.approx(3 * 0.5 ** 2)
+        assert term.at(np.array([0.25, 0.5 - 1e-8])).tolist() == [3 * 0.5 ** 2, 0j]
 
 
 def command_values():

@@ -229,7 +229,7 @@ class TestExpectationBasis:
             n = int(rng.integers(1, 5))
             s = random_sum(rng, n)
             # words are Hermitian, so conjugating coefficients gives A^dagger
-            hermitian = s + s.map_coefficients(lambda c: complex(c).conjugate())
+            hermitian = s + PauliSum(n, {w: complex(c).conjugate() for w, c in s.items()})
             dense = ref_sum_matrix(hermitian)
             bits = BasisState(tuple(int(b) for b in rng.integers(0, 2, size=n)))
             vec = ref_basis_vector(bits.bits)

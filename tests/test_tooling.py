@@ -89,6 +89,35 @@ def test_no_unread_imports(name):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_functions(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each non-dunder function, nested ones and methods
+    included, whose name no module of ``sources`` reads, as a loaded name or
+    an attribute; a name listed in ``__all__`` alone is not read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return {f"{module}.{node.name}" for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in read}
+
+
+def test_unread_functions_are_found():
+    source = ("__all__ = ['public']\ndef public(): pass\ndef used(): pass\n"
+              "class C:\n    def __init__(self): self.method()\n    def method(self): used()\n"
+              "    def orphan(self): pass\n")
+    assert unread_functions({"m": source}) == {"m.public", "m.orphan"}
+
+
+def test_the_one_unread_package_function_is_the_tests_reference():
+    """``heisenberg.pseudo_pure_expectation`` is the tests' per-point
+    reference for the grid reads; any other function that no package code
+    reads is dead code."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_functions(sources) == {"heisenberg.pseudo_pure_expectation"}
+
+
 def test_same_bytes_reports_a_failing_command(tmp_path):
     """A command that exits non-zero writes no --dump-state file; the run
     reports its exit code, no state and its error instead of raising."""

@@ -64,8 +64,8 @@ def _workloads():
 #: the perfbench cli-mix commands, at seed 1
 CLI_MIX = [command.argv(1) for command in _workloads().CLI_MIX]
 #: grids of one point, 32 and 33 points, the perfbench sweep-fine grid, a
-#: comma list, non-default epsilon and axes, and 10001 points, which span
-#: hundreds of density stacks
+#: comma list, non-default epsilon and axes, 10001 points, which span
+#: hundreds of density stacks, and a range whose last point rounds past stop
 SWEEPS = [
     ["sweep", "--p-grid", "0.25"],
     ["sweep", "--p-grid", "0:0.31:0.01"],
@@ -74,6 +74,7 @@ SWEEPS = [
     ["sweep", "--p-grid", "0.5,0.1,0.499999999999995,1,0"],
     ["sweep", "--p-grid", "0:1:0.01", "--epsilon", "0.3", "--axes", "xx-zz"],
     ["sweep", "--p-grid", "0:1:0.0001"],
+    ["sweep", "--p-grid", "0.09:1:0.07"],
 ]
 STAGED = [
     ["staged", "--stages", "8", "--patterns", "exhaustive"],
@@ -165,8 +166,8 @@ SEEDS = [
 #: bad flags, each a config error: --p and --epsilon out of [0, 1] or no
 #: number, and --p-grid without three range fields, above the point limit
 #: (one step finite, one subnormal), with no points, a descending range, a
-#: zero step, a value out of [0, 1] or no number, and --p off the symmetric
-#: network
+#: zero or infinite step, a value out of [0, 1] or no number, and --p off
+#: the symmetric network
 ERRORS = [
     ["run", "--p", "2"],
     ["run", "--p", "x"],
@@ -179,6 +180,7 @@ ERRORS = [
     ["sweep", "--p-grid", ""],
     ["sweep", "--p-grid", "0.5:0:0.1"],
     ["sweep", "--p-grid", "0:1:0"],
+    ["sweep", "--p-grid", "0:1:inf"],
     ["sweep", "--p-grid", "2,0"],
     ["sweep", "--p-grid", "0,x"],
     ["run", "--network", "asymmetric", "--p", "0.1"],
