@@ -15,10 +15,11 @@ import os
 
 __version__ = "0.1.0"
 
-# The largest product medwit hands BLAS is 16x16.  Without this pin OpenBLAS
-# starts a worker thread when numpy loads, and the idle worker costs CPU in
-# every process.  It must precede the first import of numpy, which every
-# submodule import does after running this file; a value the user set is kept.
+# medwit hands BLAS 16x16 gates times 16x16 states and, in the sampled
+# average, 16x16 times 16xk and 16xk times kx16 for k up to 10^5 patterns.
+# Unpinned, OpenBLAS starts a worker thread when numpy loads, and the idle
+# worker costs CPU in every process.  This must precede the first import of
+# numpy, which every submodule import does after this file; a user's value is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

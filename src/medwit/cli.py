@@ -288,8 +288,8 @@ def _parse_grid(text: str) -> list[float]:
             values = [v for v in text.split(",") if v.strip()]
             count = len(values)
         if count > MAX_GRID_POINTS:
-            raise ConfigError(f"--p-grid {shown} gives {count} points, above the limit of "
-                              f"{MAX_GRID_POINTS}")
+            raise ConfigError(f"--p-grid {shown} gives {_shown(str(count))} points, above the "
+                              f"limit of {MAX_GRID_POINTS}")
         grid = ([min(start + i * step, stop) for i in range(count)] if ":" in text
                 else [_grid_value(v) or 0.0 for v in values])  # -0 reads as 0, as in _parse_unit
     except ValueError as exc:
@@ -572,7 +572,7 @@ def cmd_staged(cfg: ExperimentConfig, args):
     finals = [("undephased", states[-1], {})]
     if cfg.patterns != "none":
         patterns = sample_patterns(cfg.stages, cfg.count, seed=cfg.seed)
-        finals.append(("sampled", temporal_average(cfg.stages, patterns, initial),
+        finals.append(("sampled", temporal_average(cfg.stages, patterns, cfg.epsilon, cfg.basis),
                        {"pattern_count": cfg.count, "seed": cfg.seed}))
     if cfg.patterns == "exhaustive":
         finals.append(("exhaustive", exhaustive_average(cfg.stages, initial),

@@ -12,9 +12,9 @@ with each entry copied to its place by basis-index arithmetic, and +0
 everywhere else.
 All operations are pure functions on immutable values, and every result is
 bit-stable run to run.  ``temporal_average`` walks the undephased staged
-circuit once, on state vectors: the initial state's eigenvectors whose
-eigenvalues lie above its smallest by more than rounding, one copy per
-pattern (each pattern's circuit is unitary, so it fixes I).  Phase flips
+circuit once, on state vectors: one copy of the pseudo-pure input's basis
+vector per pattern (each pattern's circuit is unitary, so it fixes the
+input's multiple of I).  Phase flips
 carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
 apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
 last slice at many intensities as a stack, p broadcast along it, and the ops
@@ -385,48 +385,46 @@ def run_intensity_grid(
         yield states
 
 
-def temporal_average(stages: int, patterns: np.ndarray, initial: DensityMatrix) -> DensityMatrix:
+def temporal_average(stages: int, patterns: np.ndarray, epsilon: float,
+                     bits: BasisState) -> DensityMatrix:
     """Uniform average over ``patterns``, a (k, 2, stages) bool array, of the
-    final state of each pattern's circuit: ``build_staged(stages)`` with a Z
-    on C after each partial swap the pattern dephases.
+    final state of each pattern's circuit from ``pseudo_pure(epsilon, bits)``:
+    ``build_staged(stages)`` with a Z on C after each partial swap the
+    pattern dephases.
 
-    Every such circuit is unitary, and a unitary fixes I.  So one ``eigh``
-    splits ``initial`` as ``l * I + sum_i w_i |v_i><v_i|``, l its smallest
-    eigenvalue and ``w_i = l_i - l >= 0``, and the average is
-    ``l * I + Psi W Psi^dagger / k``: Psi holds each pattern's evolved copy
-    of every ``v_i`` whose weight is above 2^n machine epsilons of the
-    largest eigenvalue (one for a pseudo-pure state of purity above 0, none
-    for I / 2^n); a smaller weight is ``eigh``'s rounding of equal
-    eigenvalues, so a state of rank r < 2^n walks r columns, not 2^n - 1.
-    The undephased circuit is walked once on all the columns of Psi, each
-    gate one matrix product; Z on C negates the rows with C's bit set, in
-    the columns of the patterns that dephase that stage.  The sum over patterns is the final product, which reduces in
-    pattern order, so the result is bit-stable run to run; it differs from
-    evolving the circuits one by one in the last digits.
+    Every such circuit is unitary, and a unitary fixes I.  The input is
+    ``l * I + w |bits><bits|``, l and l + w its smallest and largest stored
+    diagonal entries (w is epsilon up to rounding), so the average is
+    ``l * I + Psi Psi^dagger``, column j of Psi pattern j's evolved |bits>
+    times sqrt(w / k).  The undephased circuit is walked once on all k
+    columns, each gate one matrix product; Z on C negates the rows with C's
+    bit set, in the columns of the patterns that dephase that stage.  The sum
+    over patterns is the final product, which reduces in pattern order, so the
+    result is bit-stable run to run; it differs from evolving the circuits one
+    by one in the last digits.
     """
     patterns = np.asarray(patterns)
     if patterns.dtype != bool or patterns.shape[1:] != (2, stages) or not len(patterns):
         raise ValueError(f"patterns must be a nonempty (k, 2, {stages}) bool array, "
                          f"got {patterns.dtype} of shape {patterns.shape}")
+    initial = pseudo_pure(epsilon, bits)
     circuit = _same_size(build_staged(stages), initial)
     n, k = circuit.n, len(patterns)
-    values, vectors = np.linalg.eigh(initial.entries[0])
-    weights = values - values[0]
-    kept = weights > 2 ** n * np.finfo(float).eps * values[-1]
-    # column r * k + j of psi is pattern j's copy of the r-th kept eigenvector
-    psi = np.repeat(vectors[:, kept], k, axis=1)
-    # each partial swap's flips in circuit order, B-C then C-D, tiled over the kept columns
-    flips = iter(np.tile(patterns.reshape(k, -1).T, kept.sum()))
+    diagonal = initial.entries[0].diagonal().real
+    low = diagonal.min()
+    psi = np.zeros((2 ** n, k), dtype=complex)
+    psi[bits.index] = 1.0
+    # each partial swap's flips in circuit order, B-C then C-D
+    flips = iter(patterns.reshape(k, -1).T)
     for op in circuit.gates:
         psi = gate_unitary(op, n) @ psi
         if op.kind == "PARTIAL_SWAP":
             # the rows with C's bit set, as a view of psi
-            on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), psi.shape[1])[:, 1]
+            on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), k)[:, 1]
             np.negative(on_c, out=on_c, where=next(flips))
-    # each column times the square root of its weight over k, in place: no
-    # temporary of psi's size at the peak of the final product
-    psi *= np.repeat(np.sqrt(weights[kept] / k), k)
-    return DensityMatrix(values[0] * np.eye(2 ** n) + psi @ psi.conj().T)
+    # in place: no temporary of psi's size at the peak of the final product
+    psi *= np.sqrt((diagonal.max() - low) / k)
+    return DensityMatrix(low * np.eye(2 ** n) + psi @ psi.conj().T)
 
 
 def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:

@@ -5,18 +5,19 @@ conversion, so symbolic results are always checked against an independent
 numerical route; ``ref_gate_unitary`` embeds a gate by a Kronecker product
 and a qubit permutation, independently of the package's index arithmetic.
 ``brute_force_average`` is the reference for the package's dynamic-programming
-exhaustive average: it averages over every balanced pattern pair with
-``temporal_average``.  ``dense_branch_average`` is the same dynamic program
-as a table of state sums keyed by the dephased-stage counts on both links,
+exhaustive average on a pseudo-pure input: it averages over every balanced
+pattern pair with ``temporal_average``.  ``dense_branch_average`` is the same
+dynamic program as a table of state sums keyed by the dephased-stage counts on both links,
 with each dephased branch a dense unitary, Z on C times the partial swap: the
 byte reference for the per-link count stacks and sign-flip branches of
 ``exhaustive_average``.  ``scalar_sample_patterns`` and ``scalar_pattern``
 draw and unrank patterns one at a time with Python integers
 (``unrank_combination``), the reference for the vectorised unranking of
 ``sample_patterns`` and ``exhaustive_patterns``.  ``per_circuit_average`` is the reference for
-``temporal_average``, which walks state vectors of every pattern through the
-staged circuit at once: it builds (``pattern_circuit``) and evolves one
-concrete circuit per pattern on its density matrix, one at a time.  ``per_point_sweep``
+``temporal_average``, which walks one state vector per pattern, the
+pseudo-pure input's basis vector, through the staged circuit at once: it
+builds (``pattern_circuit``) and evolves one concrete circuit per pattern on
+the input's density matrix, one at a time, and so takes any input state.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it evolves the circuit
 once per grid point on both engines.  ``numeric_frames`` is the byte
 reference for ``heisenberg.substitute``: the descriptor engine with each
@@ -329,9 +330,10 @@ def unchecked_density(entries: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def brute_force_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
-    """Uniform average of the staged network over all C(s, s/2)^2 balanced pattern pairs."""
-    return temporal_average(stages, exhaustive_patterns(stages), initial)
+def brute_force_average(stages: int, epsilon: float, bits: BasisState) -> DensityMatrix:
+    """Uniform average of the staged network from ``pseudo_pure(epsilon, bits)``
+    over all C(s, s/2)^2 balanced pattern pairs."""
+    return temporal_average(stages, exhaustive_patterns(stages), epsilon, bits)
 
 
 def dense_branch_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
@@ -422,8 +424,9 @@ def pattern_circuit(stages: int, pattern) -> Circuit:
 
 
 def per_circuit_average(stages: int, patterns, initial: DensityMatrix) -> DensityMatrix:
-    """Uniform average of each pattern's ``pattern_circuit`` final state,
-    evolved alone by ``run_network_density`` and accumulated in pattern order."""
+    """Uniform average of each pattern's ``pattern_circuit`` final state from
+    ``initial``, any one state, evolved alone by ``run_network_density`` and
+    accumulated in pattern order."""
     weight = 1.0 / len(patterns)
     accumulated = None
     for pattern in patterns:

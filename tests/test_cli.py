@@ -188,6 +188,14 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert f"--p-grid {grid!r} gives {points} points" in err and out == ""
 
+    def test_a_long_point_count_is_cut(self, capsys):
+        """A tiny finite step's exact count runs to 300 digits, echoed as
+        ``_shown`` cuts a value."""
+        code, out, err = run_cli(capsys, "sweep", "--p-grid", "0:1:1e-300")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "gives 9999999999999999038030694074261139688982... (300 characters) points" in err
+        assert len(err.encode()) < 200
+
     def test_cap_is_one_past_the_limit_in_both_grid_forms(self):
         with pytest.raises(cli.ConfigError, match="gives 1000001 points"):
             _parse_grid("0:1:1e-6")
@@ -328,6 +336,19 @@ def test_final_run_slice_equals_sweep_row(capsys, p, settings):
 
 
 class TestStagedCommand:
+    def test_no_argv_takes_an_eigendecomposition(self, capsys, monkeypatch):
+        """Every pinned staged argv runs with ``np.linalg.eigh`` refusing to:
+        the sampled walk reads its pseudo-pure input off the diagonal."""
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh is not called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        argvs = [argv for argv in same_bytes.ARGVS
+                 if argv[0] == "staged" and argv not in same_bytes.ERRORS]
+        assert argvs
+        for argv in argvs:
+            assert run_cli(capsys, *argv)[0] == EXIT_OK, argv
+
     def test_non_positive_average_is_an_engine_error(self, capsys, monkeypatch):
         """An exhaustive average that is Hermitian with trace one but has
         eigenvalue -0.5, slipped past the constructor, gives exit 3 and no
@@ -375,7 +396,8 @@ class TestStagedCommand:
         finals = {
             "undephased": run_network_density(build_staged(4), initial)[-1],
             "sampled": temporal_average(
-                4, sample_patterns(4, cli.PREVIEW_PATTERNS, seed=0), initial
+                4, sample_patterns(4, cli.PREVIEW_PATTERNS, seed=0), 0.7,
+                BasisState.from_string("0110")
             ),
             "exhaustive": exhaustive_average(4, initial),
         }

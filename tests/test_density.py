@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -221,11 +221,9 @@ class TestStacks:
         [
             lambda rho: run_network_density(build_staged(2), rho),
             lambda rho: next(run_intensity_grid(build_symmetric(), rho, [0.1])),
-            lambda rho: temporal_average(2, np.array([[[True, False], [False, True]]]), rho),
             lambda rho: exhaustive_average(2, rho),
         ],
-        ids=["run_network_density", "run_intensity_grid", "temporal_average",
-             "exhaustive_average"],
+        ids=["run_network_density", "run_intensity_grid", "exhaustive_average"],
     )
     def test_evolutions_take_one_initial_state(self, evolve):
         one = pseudo_pure(0.5, BasisState.from_string("1100"))
@@ -539,7 +537,7 @@ QUIET_8 = np.zeros((1, 2, 8), dtype=bool)
 class TestTemporalAverage:
     def test_two_branch_average_equals_half_intensity_channel(self):
         initial = pseudo_pure(0.8, BasisState.from_string("1100"))
-        averaged = temporal_average(2, BRANCHES, initial)
+        averaged = temporal_average(2, BRANCHES, 0.8, BasisState.from_string("1100"))
         u_bc, u_cd = partial_swap(1, 2, 0.5), partial_swap(2, 3, 0.5)
         channel = Circuit(4, (
             h(0), cnot(0, 1), SLICE, u_bc, phase_flip(2), u_bc, SLICE, u_cd, u_cd, SLICE,
@@ -551,13 +549,19 @@ class TestTemporalAverage:
 
     def test_single_all_quiet_pattern_matches_undephased_run(self):
         initial = basis_density(BasisState.from_string("1100"))
-        averaged = temporal_average(8, QUIET_8, initial)
+        averaged = temporal_average(8, QUIET_8, 1.0, BasisState.from_string("1100"))
         undephased = run_network_density(build_staged(8), initial)[-1]
         assert np.max(np.abs(averaged.entries - undephased.entries)) < 1e-14
 
     def test_circuit_size_must_match_initial_state(self):
         with pytest.raises(ValueError, match="initial state has n=3, circuit has n=4"):
-            temporal_average(8, QUIET_8, basis_density(BasisState.from_string("110")))
+            temporal_average(8, QUIET_8, 1.0, BasisState.from_string("110"))
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
+    def test_epsilon_outside_unit_interval_is_refused(self, epsilon):
+        message = f"epsilon must lie in [0, 1], got {epsilon!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            temporal_average(8, QUIET_8, epsilon, BasisState.from_string("1100"))
 
     @pytest.mark.parametrize(
         "patterns, described",
@@ -572,7 +576,7 @@ class TestTemporalAverage:
     def test_patterns_must_be_a_nonempty_bool_array_of_the_stage_count(self, patterns, described):
         message = f"patterns must be a nonempty (k, 2, 8) bool array, got {described}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            temporal_average(8, patterns, basis_density(BasisState.from_string("1100")))
+            temporal_average(8, patterns, 1.0, BasisState.from_string("1100"))
 
 
 def _unbalanced_patterns(rng: np.random.Generator, stages: int, count: int) -> np.ndarray:
@@ -603,40 +607,32 @@ class TestAgainstPerCircuitReference:
         ids=["sampled-16", "sampled-69", "exhaustive-4", "unbalanced"],
     )
     def test_equals_per_circuit_reference(self, stages, patterns):
-        initial = pseudo_pure(0.7, BasisState.from_string("1100"))
-        averaged = temporal_average(stages, patterns, initial)
-        reference = per_circuit_average(stages, patterns, initial)
+        bits = BasisState.from_string("1100")
+        averaged = temporal_average(stages, patterns, 0.7, bits)
+        reference = per_circuit_average(stages, patterns, pseudo_pure(0.7, bits))
         assert np.max(np.abs(averaged.entries - reference.entries)) <= REFERENCE_TOL
 
     @pytest.mark.parametrize(
-        "initial",
-        [
-            # three weighted eigenvalues above the smallest, and twelve that
-            # differ from it by rounding alone: the general split keeps three
-            random_density(np.random.default_rng(7), 4, rank=3),
-            pseudo_pure(1.0, BasisState.from_string("0110")),
-        ],
-        ids=["mixed-rank-3", "basis-0110"],
+        "epsilon, bits",
+        [(1.0, "0110"), (0.3, "1011")],
+        ids=["basis-0110", "pseudo-pure-0.3-1011"],
     )
-    def test_any_initial_state_equals_per_circuit_reference(self, initial):
+    def test_any_initial_state_equals_per_circuit_reference(self, epsilon, bits):
         patterns = sample_patterns(8, 16, seed=0)
-        averaged = temporal_average(8, patterns, initial)
-        reference = per_circuit_average(8, patterns, initial)
+        basis = BasisState.from_string(bits)
+        averaged = temporal_average(8, patterns, epsilon, basis)
+        reference = per_circuit_average(8, patterns, pseudo_pure(epsilon, basis))
         assert np.max(np.abs(averaged.entries - reference.entries)) <= REFERENCE_TOL
 
     @pytest.mark.parametrize(
-        "initial, columns",
-        [
-            (random_density(np.random.default_rng(7), 4, rank=3), 3),
-            (pseudo_pure(1e-12, BasisState.from_string("1100")), 1),
-            (pseudo_pure(0.0, BasisState.from_string("1100")), 0),
-        ],
-        ids=["mixed-rank-3", "pseudo-pure-1e-12", "maximally-mixed"],
+        "epsilon",
+        [0.0, 1e-16, 1e-12, 1.0],
+        ids=["maximally-mixed", "pseudo-pure-1e-16", "pseudo-pure-1e-12", "basis"],
     )
-    def test_walk_keeps_one_column_per_weighted_eigenvector(self, monkeypatch, initial, columns):
-        """Columns walked per pattern: a rank-3 mixed state's twelve
-        eigenvalues within rounding of the smallest go into its multiple of
-        I, while a weight of 1e-12 is kept."""
+    def test_walk_keeps_one_column_per_weighted_eigenvector(self, monkeypatch, epsilon):
+        """The one weighted eigenvector, |bits>, is walked as one column per
+        pattern at every epsilon, a weight of 0 and one below the rounding of
+        the input's eigenvalues (1e-16) included."""
         widths = []
         unitary = density.gate_unitary
 
@@ -649,26 +645,31 @@ class TestAgainstPerCircuitReference:
                 return self.u @ psi
 
         monkeypatch.setattr(density, "gate_unitary", lambda op, n: Counted(unitary(op, n)))
-        temporal_average(8, sample_patterns(8, 16, seed=0), initial)
-        assert set(widths) == {columns * 16}
+        temporal_average(8, sample_patterns(8, 16, seed=0), epsilon, BasisState.from_string("1100"))
+        assert set(widths) == {16}
 
     def test_maximally_mixed_state_is_fixed_exactly(self):
-        """I/16 keeps no eigenvector: the result is its smallest eigenvalue times I."""
-        initial = pseudo_pure(0.0, BasisState.from_string("1100"))
-        averaged = temporal_average(8, sample_patterns(8, 16, seed=0), initial)
+        """I/16 has no weight above its smallest diagonal entry: the result is
+        that entry times I."""
+        averaged = temporal_average(8, sample_patterns(8, 16, seed=0), 0.0,
+                                    BasisState.from_string("1100"))
         assert np.array_equal(averaged.entries[0], np.eye(16) / 16)
 
     @settings(max_examples=10, deadline=None)
     @given(
         stages=st.sampled_from([2, 4, 6]),
         ranks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=40),
+        epsilon=st.floats(0.0, 1.0),
+        bits=st.text(alphabet="01", min_size=4, max_size=4),
     )
-    def test_random_balanced_pattern_lists(self, stages, ranks):
+    @example(stages=4, ranks=[0, 7, 35], epsilon=0.0, bits="1100")
+    @example(stages=6, ranks=[5, 400], epsilon=1.0, bits="0110")
+    def test_random_balanced_pattern_lists(self, stages, ranks, epsilon, bits):
         population = exhaustive_patterns(stages)
         patterns = population[np.array(ranks) % len(population)]
-        initial = basis_density(BasisState.from_string("1100"))
-        averaged = temporal_average(stages, patterns, initial)
-        reference = per_circuit_average(stages, patterns, initial)
+        basis = BasisState.from_string(bits)
+        averaged = temporal_average(stages, patterns, epsilon, basis)
+        reference = per_circuit_average(stages, patterns, pseudo_pure(epsilon, basis))
         assert np.max(np.abs(averaged.entries - reference.entries)) <= REFERENCE_TOL
 
 

@@ -159,9 +159,9 @@ class TestDynamicProgrammingAverage:
         epsilon=st.floats(0.0, 1.0),
     )
     def test_equals_brute_force(self, stages, bits, epsilon):
-        initial = pseudo_pure(epsilon, BasisState.from_string(bits))
-        dp = exhaustive_average(stages, initial)
-        oracle = brute_force_average(stages, initial)
+        basis = BasisState.from_string(bits)
+        dp = exhaustive_average(stages, pseudo_pure(epsilon, basis))
+        oracle = brute_force_average(stages, epsilon, basis)
         assert np.max(np.abs(dp.entries - oracle.entries)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ class TestDynamicProgrammingAverage:
 @pytest.fixture(scope="module")
 def sampled_average():
     patterns = sample_patterns(8, 16, seed=0)
-    return temporal_average(8, patterns, basis_density(INITIAL))
+    return temporal_average(8, patterns, 1.0, INITIAL)
 
 
 class TestSampledAverage:

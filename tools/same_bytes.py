@@ -109,13 +109,15 @@ STACKS = [
 ]
 #: the sign-flip dephasing and the vectorised unranking off their defaults:
 #: the largest stage count the sampler accepts, whose pattern indices need
-#: int64; a count equal to the population, which enumerates it; and the
-#: exhaustive average from another initial state
+#: int64; a count equal to the population, which enumerates it; the
+#: exhaustive average from another initial state; and the sampled walk at an
+#: NMR-scale polarisation, whose stored weight differs from epsilon
 DEPHASING = [
     ["staged", "--stages", "34", "--patterns", "sampled:200", "--seed", "5"],
     ["staged", "--stages", "4", "--patterns", "sampled:36"],
     ["staged", "--stages", "10", "--patterns", "exhaustive", "--initial-bits", "1100",
      "--epsilon", "0.7"],
+    ["staged", "--stages", "8", "--patterns", "sampled:16", "--epsilon", "1e-05"],
 ]
 #: the deep descriptor walks: 34 stages of partial swaps, read on the other
 #: axes, and 400 stages, where rounding residues leave three words in each
@@ -165,9 +167,9 @@ SEEDS = [
 ]
 #: bad flags, each a config error: --p and --epsilon out of [0, 1] or no
 #: number, and --p-grid without three range fields, above the point limit
-#: (one step finite, one subnormal), with no points, a descending range, a
-#: zero or infinite step, a value out of [0, 1] or no number, and --p off
-#: the symmetric network
+#: (two steps finite, one of a 300-digit count, and one subnormal), with no
+#: points, a descending range, a zero or infinite step, a value out of
+#: [0, 1] or no number, and --p off the symmetric network
 ERRORS = [
     ["run", "--p", "2"],
     ["run", "--p", "x"],
@@ -176,6 +178,7 @@ ERRORS = [
     ["staged", "--epsilon", "abc"],
     ["sweep", "--p-grid", "0:0.5"],
     ["sweep", "--p-grid", "0:1:1e-9"],
+    ["sweep", "--p-grid", "0:1:1e-300"],
     ["sweep", "--p-grid", "0:1:5e-324"],
     ["sweep", "--p-grid", ""],
     ["sweep", "--p-grid", "0.5:0:0.1"],
