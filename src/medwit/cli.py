@@ -31,7 +31,8 @@ frame's columns, read once at the whole grid, with CSV byte-identical to one
 circuit per point, and ``table`` the frames ``heisenberg.substitute`` gives
 at p, or with --p symbolic the frames themselves.  A ``cmd_*`` only picks
 what to observe and formats it, and ``_execute`` handles --dump-state and
-the output for all of them.
+the output for all of them, once it has refused two of --config, --out and
+--dump-state that name one file.
 
 ``sweep`` streams its CSV: the header, then each stack's rows, written
 before the next stack is computed, so it holds one stack and the grid's
@@ -62,10 +63,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,7 +108,8 @@ ZERO_TOL = 1e-10
 MAX_GRID_POINTS = 10 ** 6
 #: largest --stages: run's descriptor walk takes about 3 s there
 MAX_STAGES = 1000
-#: largest N of --patterns sampled:N: about 3 s and 100 MB at 34 stages
+#: largest N of --patterns sampled:N: at 34 stages the command takes about
+#: 1 s and 88 MB peak RSS on a shared 2-core host
 MAX_SAMPLED_PATTERNS = 10 ** 5
 #: the --p value with which table renders the formal factor (1 - 2p)
 SYMBOLIC_P = "symbolic"
@@ -639,12 +643,25 @@ def cmd_run(cfg: ExperimentConfig, args):
     return "\n".join(lines) + "\n", final
 
 
+def _check_distinct_files(args) -> None:
+    """Refuse two of --config, --out and --dump-state that name one file, by
+    real path, before the config is read or any file is opened for writing:
+    one write would replace the config just read or the other output."""
+    named = [(flag, path) for flag, path in (("--config", args.config), ("--out", args.out),
+                                             ("--dump-state", getattr(args, "dump_state", None)))
+             if path]
+    for (flag, path), (other, other_path) in combinations(named, 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise ConfigError(f"{flag} and {other} name the same file, {_shown(path)}")
+
+
 def _execute(args) -> int:
     """Config, then the command, then the steps every command shares: the
     --dump-state file and the output.  A command's output is a JSON report,
     a string or, for ``sweep``, an iterator of strings; each piece goes to
     stdout, or to the --out file, opened before the first piece is computed,
     as soon as it is computed."""
+    _check_distinct_files(args)
     cfg = _effective_config(args)
     output, final = args.func(cfg, args)
     if isinstance(output, dict):

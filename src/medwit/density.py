@@ -19,9 +19,11 @@ carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
 apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
 last slice at many intensities as a stack, p broadcast along it, and the ops
 ahead of its first flip once per grid.
-Every op acts through one action cached per op and register size
-(``_gate_action``), which ``apply_gate``, the walks and the exhaustive
-average all read.  A gate whose full-register unitary is a signed
+Every op on a density matrix acts through one action cached per op and
+register size (``_gate_action``), which ``apply_gate``, ``_walk`` and the
+exhaustive average all read; ``temporal_average``'s walk on state vectors
+multiplies by each gate's ``gate_unitary`` and applies Z on C itself, as a
++-1 sign per pattern.  A gate whose full-register unitary is a signed
 permutation (Z, CNOT, CPHASE, SWAP; read off its entries) acts by index
 arithmetic: two ``take``s along the permutation, then an exact sign flip of
 the entries whose row and column signs differ; a phase flip's action is its
@@ -397,11 +399,18 @@ def temporal_average(stages: int, patterns: np.ndarray, epsilon: float,
     diagonal entries (w is epsilon up to rounding), so the average is
     ``l * I + Psi Psi^dagger``, column j of Psi pattern j's evolved |bits>
     times sqrt(w / k).  The undephased circuit is walked once on all k
-    columns, each gate one matrix product; Z on C negates the rows with C's
-    bit set, in the columns of the patterns that dephase that stage.  The sum
-    over patterns is the final product, which reduces in pattern order, so the
-    result is bit-stable run to run; it differs from evolving the circuits one
-    by one in the last digits.
+    columns, each gate one matrix product.  Z on C after a stage is one
+    in-place multiply of the rows with C's bit set by a row of k signs, -1
+    in the columns of the patterns that dephase that stage and +1 elsewhere.
+    The sum over patterns is the final product, which reduces in pattern
+    order, so the result is bit-stable run to run; it differs from evolving
+    the circuits one by one in the last digits.
+
+    Zero signs in Psi never reach the result, so any exact sign step gives
+    these bytes: a +-1 multiply keeps or negates each nonzero part exactly;
+    a +-0 term leaves any nonzero sum in the matrix products as it is; and
+    each entry of the result adds an entry of ``Psi Psi^dagger`` to one of
+    ``l * I``, which holds no -0 as l >= 0, and +0 + -0 = +0.
     """
     patterns = np.asarray(patterns)
     if patterns.dtype != bool or patterns.shape[1:] != (2, stages) or not len(patterns):
@@ -419,9 +428,9 @@ def temporal_average(stages: int, patterns: np.ndarray, epsilon: float,
     for op in circuit.gates:
         psi = gate_unitary(op, n) @ psi
         if op.kind == "PARTIAL_SWAP":
-            # the rows with C's bit set, as a view of psi
-            on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), k)[:, 1]
-            np.negative(on_c, out=on_c, where=next(flips))
+            # Z on C: the rows with C's bit set, a view of psi, times each column's sign
+            psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), k)[:, 1] *= np.where(
+                next(flips), np.int8(-1), np.int8(1))
     # in place: no temporary of psi's size at the peak of the final product
     psi *= np.sqrt((diagonal.max() - low) / k)
     return DensityMatrix(low * np.eye(2 ** n) + psi @ psi.conj().T)

@@ -17,7 +17,10 @@ draw and unrank patterns one at a time with Python integers
 ``temporal_average``, which walks one state vector per pattern, the
 pseudo-pure input's basis vector, through the staged circuit at once: it
 builds (``pattern_circuit``) and evolves one concrete circuit per pattern on
-the input's density matrix, one at a time, and so takes any input state.  ``per_point_sweep``
+the input's density matrix, one at a time, and so takes any input state.
+``masked_negation_average`` is the byte reference for the same walk's sign
+step: it applies Z on C as a masked negation, which keeps each zero's sign
+where ``temporal_average``'s +-1 multiply may change it.  ``per_point_sweep``
 is the reference for the batched ``sweep`` command: it evolves the circuit
 once per grid point on both engines.  ``numeric_frames`` is the byte
 reference for ``heisenberg.substitute``: the descriptor engine with each
@@ -334,6 +337,28 @@ def brute_force_average(stages: int, epsilon: float, bits: BasisState) -> Densit
     """Uniform average of the staged network from ``pseudo_pure(epsilon, bits)``
     over all C(s, s/2)^2 balanced pattern pairs."""
     return temporal_average(stages, exhaustive_patterns(stages), epsilon, bits)
+
+
+def masked_negation_average(stages: int, patterns, epsilon: float,
+                            bits: BasisState) -> DensityMatrix:
+    """``temporal_average``'s walk with Z on C as a masked negation, which
+    negates only the dephasing columns of the rows with C's bit set and
+    leaves every other entry, a zero's sign included, as it is."""
+    initial = pseudo_pure(epsilon, bits)
+    circuit = build_staged(stages)
+    n, k = circuit.n, len(patterns)
+    diagonal = initial.entries[0].diagonal().real
+    low = diagonal.min()
+    psi = np.zeros((2 ** n, k), dtype=complex)
+    psi[bits.index] = 1.0
+    flips = iter(np.asarray(patterns).reshape(k, -1).T)
+    for op in circuit.gates:
+        psi = gate_unitary(op, n) @ psi
+        if op.kind == "PARTIAL_SWAP":
+            on_c = psi.reshape(2 ** C, 2, 2 ** (n - 1 - C), k)[:, 1]
+            np.negative(on_c, out=on_c, where=next(flips))
+    psi *= np.sqrt((diagonal.max() - low) / k)
+    return DensityMatrix(low * np.eye(2 ** n) + psi @ psi.conj().T)
 
 
 def dense_branch_average(stages: int, initial: DensityMatrix) -> DensityMatrix:

@@ -1084,6 +1084,44 @@ class TestConfigFile:
         assert f"config error: cannot read config file {cli._shown(str(config))}: 'utf-8' codec" in err
 
 
+class TestOutputFiles:
+    """Two of --config, --out and --dump-state that name one file, however
+    it is spelt, are a config error before the config is read or any file
+    is written; distinct files are read and written as before."""
+
+    CONFIG = b"epsilon = 0.5\n"
+
+    @pytest.mark.parametrize("first, second, spelling", [
+        ("--config", "--out", "symlink"),
+        ("--config", "--dump-state", "same"),
+        ("--out", "--dump-state", "dot"),
+    ], ids=["config-out", "config-dump-state", "out-dump-state"])
+    def test_one_file_named_twice_is_refused(self, capsys, tmp_path, first, second, spelling):
+        path = tmp_path / "shared"
+        if first == "--config":
+            path.write_bytes(self.CONFIG)
+        if spelling == "symlink":
+            (tmp_path / "link").symlink_to(path)
+        other = {"symlink": str(tmp_path / "link"), "same": str(path),
+                 "dot": os.path.join(tmp_path, ".", "shared")}[spelling]
+        before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
+        code, out, err = run_cli(capsys, "run", first, str(path), second, other)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"medwit: config error: {first} and {second} name the same file, "
+                       f"{cli._shown(str(path))}\n")
+        assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
+
+    def test_distinct_files_are_read_and_written(self, capsys, tmp_path):
+        config, report, state = (tmp_path / name for name in ("c.cfg", "report.json", "s.bin"))
+        config.write_bytes(self.CONFIG)
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--out", str(report),
+                                 "--dump-state", str(state))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert json.loads(report.read_text(encoding="utf-8"))["config"]["epsilon"] == 0.5
+        assert state.stat().st_size == 16 * 4 ** 4
+        assert config.read_bytes() == self.CONFIG
+
+
 class TestArgparseBehaviour:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2

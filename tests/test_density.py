@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     apply_phase_flip,
     basis_density,
     eigvalsh_validate,
+    masked_negation_average,
     one_word,
     per_circuit_average,
     ref_gate_unitary,
@@ -534,6 +536,15 @@ BRANCHES = np.array([
 QUIET_8 = np.zeros((1, 2, 8), dtype=bool)
 
 
+@st.composite
+def staged_patterns(draw) -> tuple[int, np.ndarray]:
+    """An even stage count from 2 to 12 and a (k, 2, stages) bool array of
+    1 to 40 patterns, balanced or not."""
+    stages = draw(st.sampled_from(range(2, 13, 2)))
+    shape = (draw(st.integers(1, 40)), 2, stages)
+    return stages, draw(arrays(bool, shape))
+
+
 class TestTemporalAverage:
     def test_two_branch_average_equals_half_intensity_channel(self):
         initial = pseudo_pure(0.8, BasisState.from_string("1100"))
@@ -577,6 +588,23 @@ class TestTemporalAverage:
         message = f"patterns must be a nonempty (k, 2, 8) bool array, got {described}"
         with pytest.raises(ValueError, match=re.escape(message)):
             temporal_average(8, patterns, 1.0, BasisState.from_string("1100"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=staged_patterns(),
+        epsilon=st.floats(0.0, 1.0),
+        bits=st.text(alphabet="01", min_size=4, max_size=4),
+    )
+    @example(case=(12, sample_patterns(12, 40, seed=11)), epsilon=1.0, bits="0000")
+    @example(case=(2, exhaustive_patterns(2)), epsilon=0.0, bits="1010")
+    def test_signs_of_zero_never_reach_the_bytes(self, case, epsilon, bits):
+        """The +-1 multiply on C's rows gives the bytes of a masked negation,
+        which keeps every zero's sign: the walk's zero signs never reach the
+        result."""
+        stages, patterns = case
+        basis = BasisState.from_string(bits)
+        assert (state_to_bytes(temporal_average(stages, patterns, epsilon, basis))
+                == state_to_bytes(masked_negation_average(stages, patterns, epsilon, basis)))
 
 
 def _unbalanced_patterns(rng: np.random.Generator, stages: int, count: int) -> np.ndarray:

@@ -110,14 +110,18 @@ STACKS = [
 #: the sign-flip dephasing and the vectorised unranking off their defaults:
 #: the largest stage count the sampler accepts, whose pattern indices need
 #: int64; a count equal to the population, which enumerates it; the
-#: exhaustive average from another initial state; and the sampled walk at an
-#: NMR-scale polarisation, whose stored weight differs from epsilon
+#: exhaustive average from another initial state; the sampled walk at an
+#: NMR-scale polarisation, whose stored weight differs from epsilon; and the
+#: sampled walk from a basis state, whose average is mostly exact zeros, where
+#: a sign of zero in the walk would show if it reached the bytes
 DEPHASING = [
     ["staged", "--stages", "34", "--patterns", "sampled:200", "--seed", "5"],
     ["staged", "--stages", "4", "--patterns", "sampled:36"],
     ["staged", "--stages", "10", "--patterns", "exhaustive", "--initial-bits", "1100",
      "--epsilon", "0.7"],
     ["staged", "--stages", "8", "--patterns", "sampled:16", "--epsilon", "1e-05"],
+    ["staged", "--stages", "12", "--patterns", "sampled:64", "--initial-bits", "0000",
+     "--seed", "11"],
 ]
 #: the deep descriptor walks: 34 stages of partial swaps, read on the other
 #: axes, and 400 stages, where rounding residues leave three words in each
