@@ -15,30 +15,34 @@ built-in network, partial swaps included; ``staged`` the density engine
 alone, as its pattern averages have no descriptor counterpart; ``table``
 the descriptor engine alone; ``run`` and ``staged`` also ``detect``.  Of
 the package, this module imports only ``circuits`` and ``pauli`` up front,
-so a config error loads no engine.  One observation layer serves every command,
-both engines evaluating the one witness ``pauli.witness_observable``:
-``_density_values`` reads the witnesses and negativity_AD off a
-``DensityMatrix``, one stack of states, ``detect.antiphase_amplitudes`` the
-multiplet off such a stack, and ``_descriptor_values`` the witnesses and the
-mediators' nonclassicality off a frame, as numpy arrays along an array of
-dephasing intensities p.  Each network is one circuit at every p, which the
-engines take when they evaluate it; with no --p they read p = 0, the
-undephased network.  ``run`` reads its stack of slices (the multiplet off the
-final slice, a stack of one) and each slice's frame at its p, ``staged`` its
-variants' final states in one stack for both reads, ``sweep`` the rows of
-each stack of grid points (``density.run_intensity_grid``) beside its final
-frame's columns, read once at the whole grid, with CSV byte-identical to one
-circuit per point, and ``table`` the frames ``heisenberg.substitute`` gives
-at p, or with --p symbolic the frames themselves.  A ``cmd_*`` only picks
-what to observe and formats it, and ``_execute`` handles --dump-state and
-the output for all of them, once it has refused two of --config, --out and
---dump-state that name one file.
+so a config error loads no engine.  Both engines evaluate the one witness
+``pauli.witness_observable``: ``_density_values`` reads the witnesses and
+negativity_AD off a ``DensityMatrix``, one stack of states,
+``detect.antiphase_amplitudes`` the multiplet off such a stack, and
+``_descriptor_values`` the witnesses and the mediators' nonclassicality off
+a frame, as numpy arrays along an array of dephasing intensities p.  Each
+network is one circuit at every p, which the engines take when they
+evaluate it; with no --p they read p = 0, the undephased network.  ``run``
+reads its stack of slices (the multiplet off the final slice, a stack of
+one) and each slice's frame at its p, ``staged`` its variants' final states
+in one stack for both reads, and ``table`` the frames
+``heisenberg.substitute`` gives at p, or with --p symbolic the frames
+themselves.  ``sweep`` reads its final frame's columns once at the whole
+grid, and its density columns off the final slice's states per flip count
+(``density.flip_count_states``), checked once: each point's witness is the
+Bernstein mix (``density.bernstein_mix``) of theirs, and its negativity_AD
+is read off the mix of their A-D reduced states, a chunk of points at a
+time.  These columns agree with one circuit per point to rounding, and
+byte for byte at p = 0 and p = 1.  A ``cmd_*`` only picks what to observe
+and formats it, and ``_execute`` handles --dump-state and the output for
+all of them, once it has refused two of --config, --out and --dump-state
+that name one file.
 
-``sweep`` streams its CSV: the header, then each stack's rows, written
-before the next stack is computed, so it holds one stack and the grid's
+``sweep`` streams its CSV: the header, then each chunk's rows, written
+before the next chunk is computed, so it holds one chunk and the grid's
 columns, never the CSV.  It opens --out before any grid work, so a path it
 cannot write is exit 2 before any point is computed; and an engine error on
-a later stack is exit 3 after the header and the whole rows of the stacks
+a later chunk is exit 3 after the header and the whole rows of the chunks
 before it, with no part of a row, on stdout or in the --out file.
 
 Every stochastic result carries its seed, every number is attributed to the
@@ -101,10 +105,14 @@ EXIT_ENGINE = 3
 PREVIEW_PATTERNS = 16
 #: a witness or negativity within this of 0 is reported as 0
 ZERO_TOL = 1e-10
+#: grid points per chunk of the sweep: each chunk's mixed A-D reduced states
+#: pass the constructor as one stack and take one ``negativity`` call, and
+#: its rows are written before the next chunk is mixed
+SWEEP_CHUNK = 256
 #: largest --p-grid point count; a finer grid is a config error, not a run
-#: that asks for unbounded memory.  The sweep writes its rows a stack at a
-#: time, so at this limit it peaks at 170 MB RSS and takes about 46 s on a
-#: shared 2-core host
+#: that asks for unbounded memory.  The sweep writes its rows a chunk at a
+#: time, so at this limit it peaks at 154 MB RSS, the grid and its
+#: descriptor columns, and takes about 7 s on a shared 2-core host
 MAX_GRID_POINTS = 10 ** 6
 #: largest --stages: run's descriptor walk takes about 3 s there
 MAX_STAGES = 1000
@@ -554,18 +562,28 @@ def cmd_sweep(cfg: ExperimentConfig, args):
 
 
 def _sweep_lines(cfg: ExperimentConfig, grid: list[float]) -> Iterator[str]:
-    from .density import run_intensity_grid
+    """The header, then the rows a chunk of ``SWEEP_CHUNK`` points at a time.
+    The density columns are read off the final slice's states per flip count
+    (``density.flip_count_states``): witness_density mixes their witnesses,
+    and negativity_AD is read off each chunk's mixes of their A-D reduced
+    states, checked as one stack."""
+    from .density import (DensityMatrix, bernstein_mix, expectation, flip_count_states,
+                          negativity, partial_trace)
     from .heisenberg import run_network_frames
-    axes = cfg.axes
+    axes, p = cfg.axes, np.array(grid)
     circuit = _build_network(cfg)
-    witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes],
-                                       np.array(grid))
-    density = (row for states in run_intensity_grid(circuit, cfg.initial, grid)
-               for row in _density_values(states, [axes]))
+    witnesses, nc = _descriptor_values(cfg, run_network_frames(circuit)[-1], [axes], p)
+    counts = flip_count_states(circuit, cfg.initial)
+    count_witnesses = expectation(counts, WITNESSES[axes])
+    # complex entries as (re, im) pairs, so the mix takes real arithmetic alone
+    count_reduced = partial_trace(counts, [PROBE_1, PROBE_2]).entries.view(float)
     yield "p,witness_heisenberg,witness_density,negativity_AD,nonclassicality_B,nonclassicality_C\n"
-    for p, (w_density, neg), w_heisenberg, nc_b, nc_c in zip(
-            grid, density, witnesses[axes], nc["B"], nc["C"]):
-        yield _SWEEP_ROW % (p, w_heisenberg, w_density[axes], neg, nc_b, nc_c)
+    for start in range(0, len(p), SWEEP_CHUNK):
+        chunk = slice(start, start + SWEEP_CHUNK)
+        reduced = DensityMatrix(bernstein_mix(count_reduced, p[chunk]).view(complex))
+        for row in zip(p[chunk], witnesses[axes][chunk], bernstein_mix(count_witnesses, p[chunk]),
+                       negativity(reduced, [0]), nc["B"][chunk], nc["C"][chunk]):
+            yield _SWEEP_ROW % row
 
 
 def cmd_staged(cfg: ExperimentConfig, args):
@@ -643,15 +661,24 @@ def cmd_run(cfg: ExperimentConfig, args):
     return "\n".join(lines) + "\n", final
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: by device and inode where both
+    exist, so a hard link is caught, else by real path."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _check_distinct_files(args) -> None:
-    """Refuse two of --config, --out and --dump-state that name one file, by
-    real path, before the config is read or any file is opened for writing:
-    one write would replace the config just read or the other output."""
+    """Refuse two of --config, --out and --dump-state that name one file
+    (``_same_file``) before the config is read or any file is opened for
+    writing: one write would replace the config just read or the other output."""
     named = [(flag, path) for flag, path in (("--config", args.config), ("--out", args.out),
                                              ("--dump-state", getattr(args, "dump_state", None)))
              if path]
     for (flag, path), (other, other_path) in combinations(named, 2):
-        if os.path.realpath(path) == os.path.realpath(other_path):
+        if _same_file(path, other_path):
             raise ConfigError(f"{flag} and {other} name the same file, {_shown(path)}")
 
 

@@ -16,14 +16,16 @@ circuit once, on state vectors: one copy of the pseudo-pure input's basis
 vector per pattern (each pattern's circuit is unitary, so it fixes the
 input's multiple of I).  Phase flips
 carry no intensity: ``run_network_density`` takes the one p in [0, 1] they
-apply, and ``run_intensity_grid`` evolves a circuit with a flip ahead of its
-last slice at many intensities as a stack, p broadcast along it, and the ops
-ahead of its first flip once per grid.
+apply.  ``flip_count_states`` walks a circuit once for every p, with a count
+axis: at its last labelled time, row j is the mean of the branch states that
+apply j of its k flips as Z, so the state at p is the Bernstein combination
+``sum_j C(k, j) p^j (1 - p)^(k - j)`` of the rows (``bernstein_mix``), a
+convex combination, and the rows' one check covers every p.
 Every op on a density matrix acts through one action cached per op and
-register size (``_gate_action``), which ``apply_gate``, ``_walk`` and the
-exhaustive average all read; ``temporal_average``'s walk on state vectors
-multiplies by each gate's ``gate_unitary`` and applies Z on C itself, as a
-+-1 sign per pattern.  A gate whose full-register unitary is a signed
+register size (``_gate_action``), which ``apply_gate``, ``_walk``,
+``flip_count_states`` and the exhaustive average all read;
+``temporal_average``'s walk on state vectors multiplies by each gate's
+``gate_unitary`` and applies Z on C itself, as a +-1 sign per pattern.  A gate whose full-register unitary is a signed
 permutation (Z, CNOT, CPHASE, SWAP; read off its entries) acts by index
 arithmetic: two ``take``s along the permutation, then an exact sign flip of
 the entries whose row and column signs differ; a phase flip's action is its
@@ -37,17 +39,20 @@ stack, and one state is a stack of one.  The report layer (``expectation``,
 of a stack.  The constructor checks every state of a stack, positivity
 included, so every ``DensityMatrix`` is a stack of states: a stack that a
 Cholesky factorisation certifies passes, and ``eigvalsh`` decides any other.
-``exhaustive_average`` walks the same circuit for the exact average over all
-C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2) evolutions
-instead of one circuit per pattern pair: one stack of state sums per link,
-row i summing the patterns that have dephased i of its stages.
+``exhaustive_average`` walks the staged circuit for the exact average over
+all C(s, s/2)^2 balanced patterns, by dynamic programming in O(s^2)
+evolutions instead of one circuit per pattern pair: one stack of state sums
+per link, row i summing the patterns that have dephased i of its stages.
+It and ``flip_count_states`` take one count step (``_count_step``) per
+dephasing point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,13 +73,14 @@ __all__ = [
     "DensityMatrix",
     "MAX_QUBITS",
     "apply_gate",
+    "bernstein_mix",
     "exhaustive_average",
     "expectation",
+    "flip_count_states",
     "gate_unitary",
     "negativity",
     "partial_trace",
     "pseudo_pure",
-    "run_intensity_grid",
     "run_network_density",
     "state_to_bytes",
     "temporal_average",
@@ -82,12 +88,6 @@ __all__ = [
 
 #: dense representation cap; every built-in experiment uses n = 4
 MAX_QUBITS = 10
-#: grid points per stack of ``run_intensity_grid``; the sweep holds one
-#: stack at a time.  The 1001-point sweep on a shared 2-core host, best of
-#: 3 x 40 in-process runs and median peak RSS of 9 subprocesses: 39-41 ms
-#: and 32.3 MB at 8, 28.5-28.8 ms and 32.5 MB at 16, 27.2-28.0 ms and
-#: 33.1 MB at 32; each stack pays a fixed cost of numpy calls
-_BATCH = 16
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -331,6 +331,15 @@ def _walk(ops: Sequence, entries: np.ndarray, n: int, p=None) -> tuple[list, np.
     return labelled, entries
 
 
+def _count_step(stack: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """One dephasing point on a stack of state sums indexed by count: row j
+    becomes row j plus the sign flip (``_dephase``) of row j - 1, and a new
+    last row holds the sign flip of the old last row.  A row adds at most
+    two terms, whose IEEE sum does not depend on their order."""
+    flipped = _dephase(stack, flips)
+    return np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])
+
+
 def _check_intensity(p) -> None:
     if not 0 <= p <= 1:
         raise ValueError(f"dephasing intensity must lie in [0, 1], got {p!r}")
@@ -346,45 +355,55 @@ def run_network_density(circuit: Circuit, initial: DensityMatrix, p=None) -> Den
     return DensityMatrix(np.concatenate([initial.entries, *labelled]))
 
 
-def run_intensity_grid(
-    circuit: Circuit, initial: DensityMatrix, intensities: Sequence[float]
-) -> Iterator[DensityMatrix]:
-    """The state at the last labelled time of ``circuit`` at each dephasing
-    intensity in turn, every phase flip taking that intensity.
+def flip_count_states(circuit: Circuit, initial: DensityMatrix) -> DensityMatrix:
+    """The state at the circuit's last labelled time for each count j of the
+    k phase flips ahead of it, j = 0..k, as one stack of k + 1 states.
 
-    Yields stacks of ``_BATCH`` points or fewer, in grid order, each
-    computed only when it is asked for: a caller that is done with a stack
-    before it takes the next, as ``sweep`` writes its rows, holds one stack
-    at a time, whatever the grid's size.  The ops ahead of the first flip
-    act alike at every p, so they run once per grid on the one state every
-    point shares; that flip broadcasts p along a stack,
-    ``(1-p) stack + p (Z stack Z)``, and each later gate acts on the whole
-    stack at once, by index arithmetic or one broadcast matmul.  Every point
-    sees exactly the arithmetic of ``run_network_density`` on the circuit at
-    its own p, so the states are bit-identical to it; and every labelled
-    slice of every point passes the same checks, a slice ahead of the first
-    flip once per grid.
-    A circuit whose last slice no flip precedes has one final state at every
-    p, and is an error, as is an intensity outside [0, 1]; both are checked
-    before the first stack.
+    State j is the mean of the C(k, j) branch states that apply j of those
+    flips as Z and the others as the identity.  With every flip at intensity
+    p, the state at that time is ``sum_j C(k, j) p^j (1 - p)^(k - j)`` times
+    state j (``bernstein_mix``): a convex combination of the stack's states,
+    so the one check of the stack here covers the state at every p.
+    The circuit is walked once, every op acting on the stack of state sums
+    indexed by count, which each flip grows by one row (``_count_step``).
     """
-    for p in intensities:
-        _check_intensity(p)
-    _same_size(circuit, initial)
-    n, ops = circuit.n, circuit.ops
-    first = next((i for i, op in enumerate(ops)
-                  if isinstance(op, GateOp) and op.kind == "PHASE_FLIP"), len(ops))
-    if not any(isinstance(op, TimeSlice) for op in ops[first:]):
-        raise ValueError("an intensity grid needs a phase flip ahead of the circuit's last "
-                         "slice; without one every p gives the same final state")
-    labelled, shared = _walk(ops[:first], initial.entries, n)
-    for state in [initial.entries, *labelled]:
-        DensityMatrix(state)
-    for start in range(0, len(intensities), _BATCH):
-        p = np.array(intensities[start:start + _BATCH], dtype=float)[:, np.newaxis, np.newaxis]
-        for state in _walk(ops[first:], shared, n, p)[0]:
-            states = DensityMatrix(state)
-        yield states
+    n = _same_size(circuit, initial).n
+    stack = final = initial.entries
+    for op in circuit.ops:
+        if isinstance(op, TimeSlice):
+            final = stack
+        elif op.kind == "PHASE_FLIP":
+            stack = _count_step(stack, _gate_action(op, n).flips)
+        else:
+            stack = _apply_raw(op, stack, n)
+    k = len(final) - 1
+    counts = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
+    return DensityMatrix(final / counts[:, np.newaxis, np.newaxis])
+
+
+def bernstein_mix(terms: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``sum_j C(k, j) p^j (1 - p)^(k - j) terms[j]`` at each intensity of
+    the 1-D array ``p``, for a real array ``terms`` of k + 1 terms along its
+    first axis: one mix per p along the result's first axis.
+
+    Elementwise real arithmetic in a fixed order, powers by repeated
+    products and the terms added from j = 0 up, so the bytes depend on no
+    BLAS kernel or SIMD level.  At p = 0 and p = 1 the weights read exactly
+    one 1 and k zeros.  An intensity outside [0, 1] is an error.
+    """
+    p = np.asarray(p, dtype=float)
+    bad = ~((p >= 0) & (p <= 1))
+    if bad.any():
+        _check_intensity(p[bad][0].item())
+    p = p.reshape(p.shape + (1,) * (terms.ndim - 1))
+    k, q = len(terms) - 1, 1.0 - p
+    powers, co_powers = [np.ones_like(p)], [np.ones_like(p)]
+    for _ in range(k):
+        powers.append(powers[-1] * p)
+        co_powers.append(co_powers[-1] * q)
+    parts = [math.comb(k, j) * powers[j] * co_powers[k - j] * term
+             for j, term in enumerate(terms)]
+    return sum(parts[1:], parts[0])
 
 
 def temporal_average(stages: int, patterns: np.ndarray, epsilon: float,
@@ -443,8 +462,8 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
     floating-point summation order.  The undephased circuit is walked once
     with one stack of unnormalised state sums per link, indexed by count:
     row i sums the patterns that have dephased i of the link's stages so far.
-    At each partial swap, row i becomes the swapped row i plus the sign flip
-    (``_dephase``) of the swapped row i-1, and rows above stages/2 are cut.
+    At each partial swap, the swapped stack takes a ``_count_step``, and rows
+    above stages/2 are cut.
     Each link ends at a slice of ``build_staged``, where its last row, row
     stages/2, alone goes on; the first slice, before any link, holds the
     initial state alone.
@@ -463,8 +482,7 @@ def exhaustive_average(stages: int, initial: DensityMatrix) -> DensityMatrix:
             continue
         stack = _apply_raw(op, stack, circuit.n)
         if op.kind == "PARTIAL_SWAP":
-            flipped = _dephase(stack, flips)
-            stack = np.concatenate([stack[:1], stack[1:] + flipped[:-1], flipped[-1:]])[:half + 1]
+            stack = _count_step(stack, flips)[:half + 1]
     return DensityMatrix(stack / pattern_population(stages))
 
 

@@ -1,14 +1,21 @@
-"""The batched sweep against one circuit per grid point, and its checks.
+"""The sweep against one circuit per grid point, and its checks.
 
-``sweep`` evolves the whole grid as stacks of ``density._BATCH`` points and
-reads the descriptor engine off one run, a stack of intensities at a time;
-``helpers.per_point_sweep`` evolves the circuit once per point, its frames
-attenuated by the float 1 - 2p (``helpers.numeric_frames``).
-The CSVs must be equal as strings, and the stacked descriptor reads must give
-the bytes of ``substitute`` at every point.
+``sweep`` walks the symmetric network once, to the states of its final slice
+per count of the phase flips applied (``density.flip_count_states``), and
+reads its density columns at each grid point as Bernstein mixes of those
+states' reads (``density.bernstein_mix``), a chunk of ``cli.SWEEP_CHUNK``
+points at a time.  It reads the descriptor engine off one run, a chunk of
+intensities at a time.  ``helpers.per_point_sweep`` evolves the circuit once
+per point, its frames attenuated by the float 1 - 2p
+(``helpers.numeric_frames``).  The p and descriptor columns must be equal
+as strings, and the stacked descriptor reads must give the bytes of
+``substitute`` at every point; the density columns agree within
+``helpers.SWEEP_DENSITY_TOL``, and as strings at p = 0 and p = 1.
 """
 
 import io
+import itertools
+import math
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -18,6 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     PRUNE_WINDOW,
+    assert_sweep_matches,
     near_prune,
     numeric_frames,
     per_point_sweep,
@@ -25,9 +33,15 @@ from helpers import (
     undephased_symmetric,
 )
 from medwit import cli, density, heisenberg, pauli
-from medwit.circuits import B, Circuit, build_asymmetric, build_symmetric, phase_flip
-from medwit.cli import EXIT_OK, _parse_grid, main
-from medwit.density import _BATCH, DensityMatrix, pseudo_pure, run_intensity_grid
+from medwit.circuits import B, Circuit, GateOp, build_asymmetric, build_symmetric, phase_flip, z
+from medwit.cli import EXIT_OK, SWEEP_CHUNK, _parse_grid, main
+from medwit.density import (
+    DensityMatrix,
+    bernstein_mix,
+    flip_count_states,
+    pseudo_pure,
+    run_network_density,
+)
 from medwit.heisenberg import (
     ATTENUATION,
     DescriptorFrame,
@@ -53,20 +67,20 @@ def sweep_csv(*argv):
     "grid, extra, points",
     [
         ("0.25", (), 1),
-        (",".join(repr(k / (2 * _BATCH)) for k in range(_BATCH)), (), _BATCH),
-        (f"0:1:{1 / _BATCH!r}", (), _BATCH + 1),
+        (",".join(repr(k / (2 * SWEEP_CHUNK)) for k in range(SWEEP_CHUNK)), (), SWEEP_CHUNK),
+        (f"0:1:{1 / SWEEP_CHUNK!r}", (), SWEEP_CHUNK + 1),
         ("0:0.5:0.0005", (), 1001),
         (",".join(map(repr, [0.5, 0.1, *PRUNE_WINDOW, 1.0, 0.0, 0.3])), (), 7),
         ("0:1:0.01", ("--epsilon", "0.3", "--axes", "xx-zz"), 101),
     ],
-    ids=["one-point", "batch", "batch-plus-one", "sweep-fine", "comma-list", "epsilon-axes"],
+    ids=["one-point", "chunk", "chunk-plus-one", "sweep-fine", "comma-list", "epsilon-axes"],
 )
 def test_csv_equals_per_point_reference(grid, extra, points):
     out = sweep_csv("--p-grid", grid, *extra)
     assert len(out.splitlines()) == points + 1
     epsilon = float(extra[1]) if extra else 1.0
     axes = extra[3] if extra else "xz-zx"
-    assert out == per_point_sweep(_parse_grid(grid), epsilon=epsilon, axes=axes)
+    assert_sweep_matches(out, per_point_sweep(_parse_grid(grid), epsilon=epsilon, axes=axes))
 
 
 @settings(max_examples=30, deadline=None)
@@ -74,7 +88,7 @@ def test_csv_equals_per_point_reference(grid, extra, points):
     ps=st.lists(
         st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0, *PRUNE_WINDOW])),
         min_size=1,
-        max_size=2 * _BATCH + 3,
+        max_size=35,
     ),
     epsilon=st.floats(0, 1),
     bits=st.sampled_from(["0000", "1111", "1010", "0110", "1001"]),
@@ -85,30 +99,48 @@ def test_random_grids_match_per_point_reference(ps, epsilon, bits, axes):
         "--p-grid", ",".join(map(repr, ps)), "--epsilon", repr(epsilon),
         "--initial-bits", bits, "--axes", axes,
     )
-    assert out == per_point_sweep(ps, epsilon=epsilon, bits=bits, axes=axes)
+    assert_sweep_matches(out, per_point_sweep(ps, epsilon=epsilon, bits=bits, axes=axes))
 
 
-def test_one_descriptor_run_and_no_per_point_density_run(monkeypatch):
-    calls = {"frames": 0, "density": 0}
-    frames = heisenberg.run_network_frames
+@pytest.mark.parametrize("bits", ["0000", "1111", "1010", "0110", "1001"])
+@pytest.mark.parametrize("epsilon, axes", [(1.0, "xz-zx"), (0.3, "xx-zz"), (0.0, "xz-zx"),
+                                           (1e-05, "xx-zz")])
+def test_ends_of_the_grid_read_the_bytes_of_one_circuit(bits, epsilon, axes):
+    """At p = 0 and p = 1 the mix's weights are one 1 and zeros, so the
+    density cells are the bytes of ``run_network_density`` at that p, which
+    ``assert_sweep_matches`` compares as strings."""
+    grid = [0.0, 1.0, 0.0, 0.5, 1.0]
+    out = sweep_csv("--p-grid", ",".join(map(repr, grid)), "--epsilon", repr(epsilon),
+                    "--initial-bits", bits, "--axes", axes)
+    assert_sweep_matches(out, per_point_sweep(grid, epsilon=epsilon, bits=bits, axes=axes))
+
+
+def test_one_descriptor_run_one_count_walk_and_no_per_point_density_run(monkeypatch):
+    calls = {"frames": 0, "counts": 0, "density": 0}
+    frames, counts = heisenberg.run_network_frames, density.flip_count_states
 
     def counted_frames(circuit):
         calls["frames"] += 1
         return frames(circuit)
+
+    def counted_counts(circuit, initial):
+        calls["counts"] += 1
+        return counts(circuit, initial)
 
     def counted_density(circuit, initial):
         calls["density"] += 1
         raise AssertionError("sweep evolved one circuit on its own")
 
     monkeypatch.setattr(heisenberg, "run_network_frames", counted_frames)
+    monkeypatch.setattr(density, "flip_count_states", counted_counts)
     monkeypatch.setattr(density, "run_network_density", counted_density)
     out = sweep_csv("--p-grid", "0:0.5:0.005")
     assert len(out.splitlines()) == 102
-    assert calls == {"frames": 1, "density": 0}
+    assert calls == {"frames": 1, "counts": 1, "density": 0}
 
 
 def test_no_per_point_descriptor_read(monkeypatch):
-    """The 1001-point grid reads the descriptor engine a stack at a time,
+    """The 1001-point grid reads the descriptor engine once for the grid,
     with no substituted PauliSum, no basis expectation and no norm per point."""
     targets = [(heisenberg, "substitute"), (heisenberg, "operator_norm"),
                (pauli, "operator_norm"), (heisenberg, "expectation_basis"),
@@ -129,87 +161,113 @@ def test_no_per_point_descriptor_read(monkeypatch):
     assert calls == {"substitute": 0, "operator_norm": 0, "expectation_basis": 0}
 
 
-def test_grid_states_equal_one_run_per_point():
-    grid = [k / (2 * _BATCH + 6) for k in range(2 * _BATCH + 7)]
-    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
-    chunks = list(run_intensity_grid(build_symmetric(), initial, grid))
-    assert [len(stack) for stack in chunks] == [_BATCH, _BATCH, 7]
-    states = np.concatenate([stack.entries for stack in chunks])
-    for p, state in zip(grid, states):
-        alone = density.run_network_density(build_symmetric(), initial, p)[-1].entries
-        assert state.tobytes() == alone.tobytes()
+def branch_circuits(circuit: Circuit) -> dict[tuple[bool, ...], Circuit]:
+    """Per pattern of the circuit's phase flips (True where a flip acts as Z),
+    the circuit with each flip replaced by its Z or dropped."""
+    flips = [i for i, op in enumerate(circuit.ops)
+             if isinstance(op, GateOp) and op.kind == "PHASE_FLIP"]
+    branches = {}
+    for pattern in itertools.product([False, True], repeat=len(flips)):
+        ops = list(circuit.ops)
+        for i, applied in zip(reversed(flips), reversed(pattern)):
+            if applied:
+                ops[i] = z(ops[i].qubits[0])
+            else:
+                del ops[i]
+        branches[pattern] = Circuit(circuit.n, ops)
+    return branches
 
 
-NO_FLIP_AHEAD_OF_LAST_SLICE = pytest.mark.parametrize(
+COUNT_INPUTS = [(1.0, "0000"), (0.8, "0110"), (0.3, "1010"), (0.0, "1111"), (1e-05, "1001")]
+
+
+@pytest.mark.parametrize("epsilon, bits", COUNT_INPUTS)
+def test_each_count_state_is_the_mean_of_its_branches_and_a_state(epsilon, bits):
+    """State j of the symmetric network is the mean of the C(2, j) branch
+    circuits that apply j of its two flips as Z, and passes the constructor
+    on its own."""
+    initial = pseudo_pure(epsilon, BasisState.from_string(bits))
+    counts = flip_count_states(build_symmetric(), initial)
+    assert len(counts) == 3
+    finals = {pattern: run_network_density(branch, initial)[-1].entries[0]
+              for pattern, branch in branch_circuits(build_symmetric()).items()}
+    for j, state in enumerate(counts.entries):
+        DensityMatrix(state)
+        branches = [final for pattern, final in finals.items() if sum(pattern) == j]
+        assert len(branches) == math.comb(2, j)
+        assert np.abs(state - sum(branches) / len(branches)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("epsilon, bits", COUNT_INPUTS)
+def test_half_intensity_is_the_plain_average_over_z_patterns(epsilon, bits):
+    """The NMR emulation of a dephased mediator: at p = 1/2 the channel is
+    the uniform average over the 2^k circuits that apply each flip as Z or
+    not, the temporal average over every Z pattern."""
+    initial = pseudo_pure(epsilon, BasisState.from_string(bits))
+    counts = flip_count_states(build_symmetric(), initial)
+    mixed = bernstein_mix(counts.entries.view(float), np.array([0.5])).view(complex)[0]
+    branches = branch_circuits(build_symmetric()).values()
+    average = sum(run_network_density(branch, initial)[-1].entries[0]
+                  for branch in branches) / len(branches)
+    assert len(branches) == 4
+    assert np.abs(mixed - average).max() <= 1e-15
+    channel = run_network_density(build_symmetric(), initial, 0.5)[-1].entries[0]
+    assert np.abs(mixed - channel).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
     "circuit",
     [undephased_symmetric(), build_asymmetric(),
      Circuit(4, undephased_symmetric().ops + (phase_flip(B),))],
     ids=["undephased-symmetric", "asymmetric", "flip-after-last-slice"]
 )
-
-
-@NO_FLIP_AHEAD_OF_LAST_SLICE
-def test_grid_without_a_flip_is_refused(circuit):
+def test_no_flip_ahead_of_the_last_slice_is_one_count_state(circuit):
     """A circuit with no phase flip ahead of its last slice has one final
-    state at every p, so a grid over it is an error before the first stack."""
+    state at every p: one count state, the bytes of one run."""
     initial = pseudo_pure(0.8, BasisState.from_string("0110"))
-    grid = run_intensity_grid(circuit, initial, [0.1] * (_BATCH + 3))
-    with pytest.raises(ValueError, match="needs a phase flip ahead of the circuit's last slice"):
-        next(grid)
+    counts = flip_count_states(circuit, initial)
+    assert len(counts) == 1
+    final = run_network_density(circuit, initial, 0.3)[-1]
+    assert counts.entries.tobytes() == final.entries.tobytes()
 
 
-@NO_FLIP_AHEAD_OF_LAST_SLICE
-def test_refused_grid_checks_no_slice_and_runs_no_gate(monkeypatch, circuit):
-    """The refusal comes before the walk: no slice is built or checked and
-    no gate unitary is made."""
-    calls = []
-    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
-    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append("check"))
-    monkeypatch.setattr(density, "gate_unitary", lambda *args: calls.append("gate"))
-    with pytest.raises(ValueError, match="needs a phase flip"):
-        next(run_intensity_grid(circuit, initial, [0.1, 0.2]))
-    assert calls == []
-
-
-@pytest.mark.parametrize("points", [1, _BATCH, _BATCH + 1, 2 * _BATCH + 7])
-def test_every_slice_checked_and_shared_gates_run_once_per_grid(monkeypatch, points):
-    """(constructor checks, gate_unitary reads, dense products, index
-    actions): the slices ahead of the first flip once per grid (the
-    symmetric network's t_0 and t_1), the later ones once per stack (t_2 and
-    t_3).  Each of the 7 ops is read off ``gate_unitary`` once into
-    ``_gate_action``'s cache, each flip by its Z, its action cached on the
-    flip op itself.  The two
-    H gates, ahead of the first flip, are the only dense products, once per
-    grid; the CNOTs and CPHASE ahead of it are 3 index actions once per
-    grid, and the 2 flips and 2 CNOTs after it 4 per stack."""
-    calls = [0, 0, 0, 0]
+@pytest.mark.parametrize("points", [1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 7])
+def test_one_walk_per_grid_and_one_check_per_chunk(monkeypatch, points):
+    """(constructor checks of four- and of two-qubit stacks, gate_unitary
+    reads, dense products, index actions) over one sweep: the input and the
+    three count states are checked once per grid, as are their A-D reduced
+    states, and each chunk's mixed reduced states once.  Each of the 7 ops
+    is read off ``gate_unitary`` once into ``_gate_action``'s cache, each
+    flip by its Z.  The two H gates are the only dense products, and the
+    CNOTs, the CPHASE and the flips' sign flips 7 index actions, all once
+    per grid."""
+    calls = {"checks": [], "gate_unitary": 0, "dense": 0, "index": 0}
     post_init, gate_unitary = DensityMatrix.__post_init__, density.gate_unitary
     gate_action = density._gate_action
-    initial = pseudo_pure(0.8, BasisState.from_string("0110"))
 
     def counted_post_init(self):
-        calls[0] += 1
+        calls["checks"].append(self.entries.shape[-1])
         return post_init(self)
 
     def counted_gate_unitary(gate, n):
-        calls[1] += 1
+        calls["gate_unitary"] += 1
         return gate_unitary(gate, n)
 
     def counted_gate_action(gate, n):
         action = gate_action(gate, n)
-        calls[2 if isinstance(action, np.ndarray) else 3] += 1
+        calls["dense" if isinstance(action, np.ndarray) else "index"] += 1
         return action
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(density, "gate_unitary", counted_gate_unitary)
     monkeypatch.setattr(density, "_gate_action", counted_gate_action)
     gate_action.cache_clear()
-    grid = [k / (2 * points) for k in range(points)]
-    chunks = list(run_intensity_grid(build_symmetric(), initial, grid))
-    stacks = -(-points // _BATCH)
-    assert [len(stack) for stack in chunks] == [min(_BATCH, points - start)
-                                                for start in range(0, points, _BATCH)]
-    assert calls == [2 + 2 * stacks, 7, 2, 3 + 4 * stacks]
+    out = sweep_csv("--p-grid", ",".join(repr(k / (2 * points)) for k in range(points)),
+                    "--epsilon", "0.8", "--initial-bits", "0110")
+    assert len(out.splitlines()) == points + 1
+    chunks = -(-points // SWEEP_CHUNK)
+    assert calls == {"checks": [16, 16, 4] + [4] * chunks, "gate_unitary": 7, "dense": 2,
+                     "index": 7}
 
 
 @pytest.mark.parametrize("p", PRUNE_WINDOW)
@@ -263,10 +321,10 @@ class TestBatchedChecks:
         stack = self.stack_with(bad)
         assert self.message(lambda: DensityMatrix(stack)) == expected
 
-    def test_non_positive_initial_state_stops_the_grid(self):
+    def test_non_positive_initial_state_stops_the_count_walk(self):
         bad = unchecked_density(np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)[np.newaxis])
-        grid = run_intensity_grid(build_symmetric(), bad, [0.1, 0.2])
-        assert "negative eigenvalue" in self.message(lambda: next(grid))
+        assert "negative eigenvalue" in self.message(
+            lambda: flip_count_states(build_symmetric(), bad))
 
 
 def hand_built_frame() -> DescriptorFrame:
@@ -312,7 +370,7 @@ def test_symmetric_grid_reads_equal_substitute(axes, bits, epsilon):
 @settings(max_examples=40, deadline=None)
 @given(
     ps=st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0, *PRUNE_WINDOW])),
-                min_size=1, max_size=2 * _BATCH),
+                min_size=1, max_size=32),
     epsilon=st.floats(0, 1),
     bits=st.sampled_from(["0000", "1111", "1010", "0110", "1001"]),
     axes=st.sampled_from(sorted(cli.AXES_CHOICES)),

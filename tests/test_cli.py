@@ -18,12 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import table_data
-from helpers import unchecked_density
+from helpers import SWEEP_DENSITY_TOL, unchecked_density
 from medwit import cli, density
 from medwit.circuits import build_staged, sample_patterns
-from medwit.cli import EXIT_CONFIG, EXIT_OK, _parse_grid, main
+from medwit.cli import EXIT_CONFIG, EXIT_OK, SWEEP_CHUNK, _parse_grid, main
 from medwit.density import (
-    _BATCH,
     DensityMatrix,
     exhaustive_average,
     pseudo_pure,
@@ -235,39 +234,40 @@ class _Discard(io.TextIOBase):
 
 
 class TestSweepStreaming:
-    """The sweep writes its CSV one stack of grid points at a time."""
+    """The sweep writes its CSV one chunk of grid points at a time."""
 
-    #: 101 points, seven stacks
-    GRID = "0:1:0.01"
+    #: 1001 points, four chunks
+    GRID = "0:1:0.001"
 
     def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID)
-        assert code == EXIT_OK and len(out.splitlines()) > 2 * _BATCH + 1
+        assert code == EXIT_OK and len(out.splitlines()) > 2 * SWEEP_CHUNK + 1
         code, nothing, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID, "--out", str(path))
         assert (code, nothing) == (EXIT_OK, "")
         assert path.read_bytes() == out.encode("utf-8")
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
-    def test_engine_error_on_a_later_stack_keeps_the_whole_rows_before_it(
+    def test_engine_error_on_a_later_chunk_keeps_the_whole_rows_before_it(
         self, capsys, monkeypatch, tmp_path, to_file
     ):
-        """A check that fails on the third stack gives exit 3, after the header
-        and every row of the first two stacks, and no part of a later row."""
+        """A check that fails on the third chunk's A-D reduced states gives
+        exit 3, after the header and every row of the first two chunks, and
+        no part of a later row."""
         code, whole, _ = run_cli(capsys, "sweep", "--p-grid", self.GRID)
         assert code == EXIT_OK
-        post_init, stacks = DensityMatrix.__post_init__, []
+        post_init, reduced = DensityMatrix.__post_init__, []
 
-        def failing_on_the_third_stack(self):
+        def failing_on_the_third_chunk(self):
             post_init(self)
-            # the symmetric network checks two labelled four-qubit slices of
-            # each stack after its flip, and its shared slices as stacks of one
-            if len(self) > 1 and self.n == 4:
-                stacks.append(len(self))
-                if len(stacks) == 5:
+            # the two-qubit checks: the flip-count states' reduced states,
+            # then one stack per chunk
+            if self.n == 2:
+                reduced.append(len(self))
+                if len(reduced) == 4:
                     raise ValueError("check forced to fail")
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", failing_on_the_third_stack)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", failing_on_the_third_chunk)
         path = tmp_path / "sweep.csv"
         out_flag = ["--out", str(path)] if to_file else []
         code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, *out_flag)
@@ -276,12 +276,13 @@ class TestSweepStreaming:
         written = path.read_text(encoding="utf-8") if to_file else out
         assert out == ("" if to_file else written)
         lines = whole.splitlines(keepends=True)
-        assert written == "".join(lines[:1 + 2 * _BATCH])
+        assert reduced == [3] + [SWEEP_CHUNK] * 3
+        assert written == "".join(lines[:1 + 2 * SWEEP_CHUNK])
 
     def test_bad_out_path_is_refused_before_any_grid_work(self, capsys, monkeypatch, tmp_path):
         started = []
         monkeypatch.setattr(cli, "_descriptor_values", lambda *args: started.append(args))
-        monkeypatch.setattr(density, "run_intensity_grid", lambda *args: started.append(args))
+        monkeypatch.setattr(density, "flip_count_states", lambda *args: started.append(args))
         path = tmp_path / "absent" / "sweep.csv"
         code, out, err = run_cli(capsys, "sweep", "--p-grid", self.GRID, "--out", str(path))
         assert (code, out, started) == (EXIT_CONFIG, "", [])
@@ -317,9 +318,11 @@ SHARED_SETTINGS = {
 
 @pytest.mark.parametrize("settings", SHARED_SETTINGS.values(), ids=SHARED_SETTINGS.keys())
 @pytest.mark.parametrize("p", ["0", "0.1", "0.25", "0.37", "0.499999999999995", "0.5", "1"])
-def test_final_run_slice_equals_sweep_row(capsys, p, settings):
-    """run and sweep read the symmetric network's final state through one
-    observation layer, so both engines' values agree exactly."""
+def test_final_run_slice_matches_sweep_row(capsys, p, settings):
+    """run evolves the symmetric network at its p, and sweep mixes the
+    flip-count states at each point: the descriptor values agree exactly,
+    the density values within ``SWEEP_DENSITY_TOL``, and exactly at p = 0
+    and p = 1."""
     code, out, _ = run_cli(capsys, "run", "--p", p, *settings)
     assert code == EXIT_OK
     final = json.loads(out)["slices"][-1]
@@ -329,8 +332,9 @@ def test_final_run_slice_equals_sweep_row(capsys, p, settings):
     sweep = dict(zip(header.split(","), map(float, row.split(","))))
     assert sweep["p"] == float(p)
     assert sweep["witness_heisenberg"] == final["witness"]["heisenberg"]
-    assert sweep["witness_density"] == final["witness"]["density"]
-    assert sweep["negativity_AD"] == final["negativity_AD"]["value"]
+    tol = 0.0 if float(p) in (0.0, 1.0) else SWEEP_DENSITY_TOL
+    assert abs(sweep["witness_density"] - final["witness"]["density"]) <= tol
+    assert abs(sweep["negativity_AD"] - final["negativity_AD"]["value"]) <= tol
     assert sweep["nonclassicality_B"] == final["nonclassicality"]["B"]
     assert sweep["nonclassicality_C"] == final["nonclassicality"]["C"]
 
@@ -1095,15 +1099,22 @@ class TestOutputFiles:
         ("--config", "--out", "symlink"),
         ("--config", "--dump-state", "same"),
         ("--out", "--dump-state", "dot"),
-    ], ids=["config-out", "config-dump-state", "out-dump-state"])
+        ("--config", "--out", "hard-link"),
+        ("--out", "--dump-state", "hard-link"),
+    ], ids=["config-out", "config-dump-state", "out-dump-state", "config-out-hard-link",
+            "out-dump-state-hard-link"])
     def test_one_file_named_twice_is_refused(self, capsys, tmp_path, first, second, spelling):
+        """A hard link has its own real path, so it is one file by device and inode."""
         path = tmp_path / "shared"
-        if first == "--config":
+        if first == "--config" or spelling == "hard-link":
             path.write_bytes(self.CONFIG)
         if spelling == "symlink":
             (tmp_path / "link").symlink_to(path)
+        if spelling == "hard-link":
+            os.link(path, tmp_path / "link")
         other = {"symlink": str(tmp_path / "link"), "same": str(path),
-                 "dot": os.path.join(tmp_path, ".", "shared")}[spelling]
+                 "dot": os.path.join(tmp_path, ".", "shared"),
+                 "hard-link": str(tmp_path / "link")}[spelling]
         before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
         code, out, err = run_cli(capsys, "run", first, str(path), second, other)
         assert (code, out) == (EXIT_CONFIG, "")

@@ -1,6 +1,7 @@
 """Density-engine tests: gates, channels, expectations, negativity, averaging."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -42,13 +43,14 @@ from medwit.cli import _parse_grid
 from medwit.density import (
     DensityMatrix,
     apply_gate,
+    bernstein_mix,
     exhaustive_average,
     expectation,
+    flip_count_states,
     gate_unitary,
     negativity,
     partial_trace,
     pseudo_pure,
-    run_intensity_grid,
     run_network_density,
     state_to_bytes,
     temporal_average,
@@ -83,10 +85,12 @@ class TestDensityMatrixType:
     def test_report_does_not_depend_on_the_input_layout(self):
         """The same values passed Fortran-ordered, or with the stack axis
         innermost, are stored C-ordered, so ``expectation``'s einsum sums
-        them in the same order: the first 16-point stack of the sweep over
-        0:0.5:0.0005 reads the witness 1.9999999999999993 every way."""
+        them in the same order: the symmetric network's final states at the
+        first 16 points of 0:0.5:0.0005, as one stack, read the witness
+        1.9999999999999993 every way."""
         grid = _parse_grid("0:0.5:0.0005")[:16]
-        stack = next(run_intensity_grid(build_symmetric(), pseudo_pure(1.0, ZERO4), grid)).entries
+        stack = np.concatenate([run_network_density(build_symmetric(), pseudo_pure(1.0, ZERO4),
+                                                    p)[-1].entries for p in grid])
         innermost = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
         witness = witness_observable(4, 0, 3)
         for layout in (stack, np.asfortranarray(stack), innermost):
@@ -222,10 +226,10 @@ class TestStacks:
         "evolve",
         [
             lambda rho: run_network_density(build_staged(2), rho),
-            lambda rho: next(run_intensity_grid(build_symmetric(), rho, [0.1])),
+            lambda rho: flip_count_states(build_symmetric(), rho),
             lambda rho: exhaustive_average(2, rho),
         ],
-        ids=["run_network_density", "run_intensity_grid", "exhaustive_average"],
+        ids=["run_network_density", "flip_count_states", "exhaustive_average"],
     )
     def test_evolutions_take_one_initial_state(self, evolve):
         one = pseudo_pure(0.5, BasisState.from_string("1100"))
@@ -717,11 +721,41 @@ class TestRunNetworkDensity:
     def test_intensity_outside_unit_interval_is_named(self, p):
         with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 1], got {p!r}")):
             run_network_density(build_symmetric(), basis_density(ZERO4), p)
-        # the grid is checked before its first stack, also where the bad
-        # point lies in a later stack
-        for grid in ([p], [0.1] * density._BATCH + [p]):
+        # a mix is refused at any point of its intensities, named as one p is
+        for grid in ([p], [0.1] * 20 + [p, 0.2]):
             with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 1], got {p!r}")):
-                next(run_intensity_grid(build_symmetric(), basis_density(ZERO4), grid))
+                bernstein_mix(np.ones((3, 2)), np.array(grid))
+
+
+class TestBernsteinMix:
+    """The weights C(k, j) p^j (1 - p)^(k - j), read as the mix of unit terms."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_ends_read_one_term_exactly(self, k):
+        weights = bernstein_mix(np.eye(k + 1), np.array([0.0, 1.0]))
+        assert weights.tobytes() == np.eye(k + 1)[[0, k]].tobytes()
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_half_weighs_every_pattern_alike(self, k):
+        """At p = 1/2 each of the 2^k patterns weighs 2^-k, exactly."""
+        weights = bernstein_mix(np.eye(k + 1), np.array([0.5]))[0]
+        assert weights.tolist() == [math.comb(k, j) / 2 ** k for j in range(k + 1)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(0, 8), ps=st.lists(st.floats(0, 1), min_size=1, max_size=20))
+    def test_weights_are_the_bernstein_basis(self, k, ps):
+        weights = bernstein_mix(np.eye(k + 1), np.array(ps))
+        for p, row in zip(ps, weights):
+            want = [math.comb(k, j) * p ** j * (1 - p) ** (k - j) for j in range(k + 1)]
+            assert row == pytest.approx(want, abs=1e-15)
+            assert abs(row.sum() - 1.0) <= 1e-14
+
+    def test_mix_keeps_the_terms_shape(self):
+        terms = np.arange(24.0).reshape(3, 2, 4)
+        mixed = bernstein_mix(terms, np.array([0.0, 0.25, 1.0]))
+        assert mixed.shape == (3, 2, 4)
+        assert mixed[1].tolist() == (0.5625 * terms[0] + 0.375 * terms[1]
+                                     + 0.0625 * terms[2]).tolist()
 
 
 class TestStateBytes:

@@ -2,7 +2,8 @@
 medwit, no module of the package or the tests imports a name it never reads,
 ``tools/same_bytes.py`` reports a failing command and measures how far two
 outputs differ, every one of its argvs gives the output digests committed
-in ``tests/output_digests.json``,
+in ``tests/output_digests.json``, in process and in a child process at two
+OpenBLAS threads and at numpy's baseline SIMD,
 importing medwit's CLI pins OpenBLAS to one thread unless the environment
 already sets a count, a bare ``import medwit`` loads no numpy, and each
 command loads only the engines it runs and not numpy's random module.
@@ -149,6 +150,53 @@ def test_every_argv_gives_its_committed_digests():
         f"{len(differ)} argvs differ from {same_bytes.DIGESTS.name}, which was written with "
         f"{committed['environment']}; this run has {taken['environment']}"
     )
+
+
+#: numpy's SIMD dispatch targets above its x86 baseline
+SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+#: per process setting, the variables set for the child alone: two OpenBLAS
+#: threads, and numpy at its baseline SIMD, each target this host's numpy
+#: dispatches to disabled (numpy refuses to disable one the CPU lacks)
+CHILD_SETTINGS = {
+    "two-blas-threads": {"OPENBLAS_NUM_THREADS": "2"},
+    "baseline-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(
+        name for name in SIMD_TARGETS if np._core._multiarray_umath.__cpu_features__.get(name))},
+}
+
+
+@pytest.mark.parametrize("setting", list(CHILD_SETTINGS))
+def test_every_argv_gives_its_committed_digests_in_a_child_process(setting):
+    """The determinism contract across settings a user varies per process:
+    a fresh interpreter with the setting's variables, and no other numpy
+    CPU-feature or BLAS thread variable, runs every argv in process and
+    gives the committed digests.  The child also reports the setting in
+    force: its BLAS thread count and the SIMD targets numpy still uses."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES",
+                           "NPY_ENABLE_CPU_FEATURES")}
+    env.update(CHILD_SETTINGS[setting], PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "import json, os, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'tools')!r})\n"
+        "import same_bytes\n"
+        "taken = same_bytes.digests()\n"
+        "import numpy as np\n"
+        "features = np._core._multiarray_umath.__cpu_features__\n"
+        f"simd = [name for name in {SIMD_TARGETS!r} if features.get(name)]\n"
+        "print(json.dumps([taken, os.environ.get('OPENBLAS_NUM_THREADS'), simd]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    taken, threads, simd = json.loads(done.stdout)
+    if setting == "two-blas-threads":
+        assert threads == "2"
+    else:
+        assert (threads, simd) == ("1", [])
+    by_argv = {tuple(entry["argv"]): entry for entry in _committed_digests()["argvs"]}
+    differ = [" ".join(entry["argv"]) for entry in taken["argvs"]
+              if by_argv.get(tuple(entry["argv"])) != entry]
+    assert differ == []
 
 
 def test_environment_names_the_blas_kernel():
