@@ -20,10 +20,11 @@ the gate's conjugation of each Pauli letter from the same matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+
+from . import _Record
 
 __all__ = [
     "A", "B", "C", "D",
@@ -73,13 +74,16 @@ _LOCAL = {
 }
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(_Record):
     """One gate or channel application; qubit order is significant for CNOT."""
 
-    kind: str
-    qubits: tuple[int, ...]
-    alpha: float | None = None  # PARTIAL_SWAP exponent, in (0, 1]
+    __slots__ = ("kind", "qubits", "alpha")
+
+    def __init__(self, kind: str, qubits: tuple[int, ...], alpha: float | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "alpha", alpha)  # PARTIAL_SWAP exponent, in (0, 1]
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -115,9 +119,10 @@ def local_unitary(kind: str, alpha: float | None = None) -> tuple[np.ndarray, in
     return p_sym + np.exp(1j * np.pi * alpha) * p_anti, 1
 
 
-@dataclass(frozen=True)
-class TimeSlice:
+class TimeSlice(_Record):
     """Marker separating the labelled times t_0 ... t_k in a circuit."""
+
+    __slots__ = ()
 
 
 SLICE = TimeSlice()
@@ -151,12 +156,15 @@ def phase_flip(q: int) -> GateOp:
     return GateOp("PHASE_FLIP", (q,))
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Record):
     """Ordered gate list with slice markers; t_0 is implicitly before the first op."""
 
-    n: int
-    ops: tuple
+    __slots__ = ("n", "ops")
+
+    def __init__(self, n: int, ops: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ops", ops)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))

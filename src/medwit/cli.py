@@ -15,9 +15,13 @@ built-in network, partial swaps included; ``staged`` the density engine
 alone, as its pattern averages have no descriptor counterpart; ``table``
 the descriptor engine alone; ``run`` and ``staged`` also ``detect``.  Of
 the package, this module imports only ``circuits`` and ``pauli`` up front,
-so a config error loads no engine.  Both engines evaluate the one witness
-``pauli.witness_observable``: ``_density_values`` reads the witnesses and
-negativity_AD off a ``DensityMatrix``, one stack of states,
+so a config error loads no engine.  Of the standard library it imports up
+front only what every command runs through (``argparse``, ``math``, ``os``,
+``re``, ``sys``, ``functools``, ``itertools`` and ``typing``); ``json``
+loads in ``_execute`` when a command returns a JSON report, so ``sweep``,
+the text reports and a config error never load it.  Both engines evaluate
+the one witness ``pauli.witness_observable``: ``_density_values`` reads the
+witnesses and negativity_AD off a ``DensityMatrix``, one stack of states,
 ``detect.antiphase_amplitudes`` the multiplet off such a stack, and
 ``_descriptor_values`` the witnesses and the mediators' nonclassicality off
 a frame, as numpy arrays along an array of dephasing intensities p.  Each
@@ -65,19 +69,17 @@ Exit codes: 0 success, 2 configuration error, 3 engine error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _Record
 from .circuits import (
     A,
     B,
@@ -150,19 +152,22 @@ class ConfigError(Exception):
 NETWORKS = ("symmetric", "asymmetric", "staged")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """One validated experiment run: a field per config key, those the
     command does not read at their defaults."""
 
-    network: str
-    p: float | str | None
-    epsilon: float
-    initial_bits: str
-    stages: int
-    patterns: str  # none | sampled:N | exhaustive
-    seed: int
-    axes: str  # xz-zx | xx-zz
+    __slots__ = ("network", "p", "epsilon", "initial_bits", "stages", "patterns", "seed", "axes")
+
+    def __init__(self, network: str, p: float | str | None, epsilon: float, initial_bits: str,
+                 stages: int, patterns: str, seed: int, axes: str):
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "initial_bits", initial_bits)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "patterns", patterns)  # none | sampled:N | exhaustive
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "axes", axes)  # xz-zx | xx-zz
 
     def to_dict(self, command: str) -> dict:
         """The report's ``config``: the keys ``command`` reads that apply on
@@ -692,6 +697,7 @@ def _execute(args) -> int:
     cfg = _effective_config(args)
     output, final = args.func(cfg, args)
     if isinstance(output, dict):
+        import json  # only a JSON report loads it
         output = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if getattr(args, "dump_state", None):
         from .density import state_to_bytes

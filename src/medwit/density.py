@@ -50,12 +50,12 @@ dephasing point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _Record
 from .circuits import (
     C,
     Circuit,
@@ -103,8 +103,7 @@ def _psd_shift(dim: int) -> np.ndarray:
     return shift
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """A stack of k >= 1 finite, Hermitian, trace-one, positive semidefinite
     2^n x 2^n operators, shape (k, 2^n, 2^n); a 2^n x 2^n matrix is a stack
     of one.  Entries are a read-only C-ordered copy, whatever the input's
@@ -115,9 +114,17 @@ class DensityMatrix:
     stack passes.  Otherwise one ``eigvalsh``
     decides, as if the factorisation had not been tried: the first state
     with an eigenvalue below -_PSD_TOL is an error naming its lowest
-    eigenvalue.  Both read the lower triangle."""
+    eigenvalue.  Both read the lower triangle.  Two stacks are equal only
+    if they are one object, as numpy gives no truth value to an array
+    comparison."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, entries: np.ndarray):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex, ndmin=3, order="C")

@@ -30,13 +30,13 @@ at once, each point with the bytes that ``substitute`` then
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
+from . import _Record
 from .circuits import Circuit, GateOp, TimeSlice, local_unitary
 from .pauli import (
     PRUNE_TOL,
@@ -75,16 +75,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Attenuated:
+class Attenuated(_Record):
     """A descriptor coefficient that a dephasing channel has attenuated:
     ``coeff`` times the formal factor (1 - 2p) to the ``power``, at least 1.
     A product multiplies the coefficients and adds the powers, and a sum
     keeps the power; a sum with another power, or with a nonzero number, is
     a ValueError.  A result of 0 is the plain number 0."""
 
-    coeff: complex
-    power: int
+    __slots__ = ("coeff", "power")
+
+    def __init__(self, coeff: complex, power: int):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "power", power)
 
     def __add__(self, other):
         if isinstance(other, Attenuated) and other.power == self.power:
@@ -134,13 +136,15 @@ class Attenuated:
 ATTENUATION = Attenuated(1 + 0j, 1)
 
 
-@dataclass(frozen=True)
-class DescriptorFrame:
+class DescriptorFrame(_Record):
     """Per-qubit {x-descriptor, z-descriptor} pairs at one time slice, whose
     time is the frame's place in the list ``run_network_frames`` returns."""
 
-    x: tuple[PauliSum, ...]
-    z: tuple[PauliSum, ...]
+    __slots__ = ("x", "z")
+
+    def __init__(self, x: tuple[PauliSum, ...], z: tuple[PauliSum, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
 
     @property
     def n(self) -> int:

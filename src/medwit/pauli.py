@@ -17,11 +17,12 @@ unitary, ``operator_norm`` of a one-word sum is the modulus of its coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
+
+from . import _Record
 
 __all__ = [
     "BasisState",
@@ -104,11 +105,14 @@ def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     return rows, phases
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(_Record):
     """Computational-basis state |b_0 b_1 ... b_{n-1}>, qubit 0 most significant."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: tuple[int, ...]):
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.bits or any(b not in (0, 1) for b in self.bits):
@@ -138,7 +142,9 @@ class PauliSum:
     Canonical means: each letter word appears at most once and no coefficient
     is below ``PRUNE_TOL`` in modulus.  Coefficients are builtin complex
     numbers or, in symbolically attenuated descriptors, ``heisenberg.Attenuated``
-    terms c (1 - 2p)^k, which support ``+``, ``*`` and ``abs``.
+    terms c (1 - 2p)^k, which support ``+``, ``*`` and ``abs``.  Copy,
+    deepcopy and pickle rebuild a sum through ``__init__``, which checks its
+    words again.
     """
 
     __slots__ = ("n", "_terms", "_dense")
@@ -159,6 +165,9 @@ class PauliSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
+
+    def __reduce__(self):
+        return PauliSum, (self.n, self._terms)
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":

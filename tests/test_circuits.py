@@ -1,5 +1,7 @@
-"""Builder and pattern-machinery tests."""
+"""Builder and pattern-machinery tests, and the contract of every record type."""
 
+import copy
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -17,18 +19,23 @@ from helpers import (
 )
 from medwit.circuits import (
     _PCG64,
+    SLICE,
     Circuit,
     GateOp,
+    TimeSlice,
     build_asymmetric,
     build_staged,
     build_symmetric,
     cnot,
     exhaustive_patterns,
+    h,
     partial_swap,
     pattern_population,
     sample_patterns,
 )
-from medwit.density import partial_trace, pseudo_pure, run_network_density
+from medwit.cli import ExperimentConfig
+from medwit.density import gate_unitary, partial_trace, pseudo_pure, run_network_density
+from medwit.heisenberg import Attenuated, init_frame
 from medwit.pauli import BasisState
 
 ZERO4 = BasisState.from_string("0000")
@@ -46,6 +53,101 @@ class TestGateOp:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (cnot(0, 2),))
+
+
+#: per record type: a factory of equal instances, an instance with another
+#: value, a field name (a ``TimeSlice`` has none, and refuses any), and the
+#: repr a frozen dataclass gave the instance
+RECORDS = {
+    "GateOp": (lambda: partial_swap(1, 2, 0.5), partial_swap(1, 2, 0.25), "alpha",
+               "GateOp(kind='PARTIAL_SWAP', qubits=(1, 2), alpha=0.5)"),
+    "TimeSlice": (TimeSlice, None, "label", "TimeSlice()"),
+    "Circuit": (lambda: Circuit(2, [h(0), SLICE]), Circuit(2, [h(1), SLICE]), "ops",
+                "Circuit(n=2, ops=(GateOp(kind='H', qubits=(0,), alpha=None), TimeSlice()))"),
+    "BasisState": (lambda: BasisState([1, 0]), BasisState((0, 1)), "bits",
+                   "BasisState(bits=(1, 0))"),
+    "Attenuated": (lambda: Attenuated(0.5 + 0j, 2), Attenuated(0.5 + 0j, 1), "power",
+                   "Attenuated(coeff=(0.5+0j), power=2)"),
+    "DescriptorFrame": (lambda: init_frame(1), init_frame(2), "x",
+                        "DescriptorFrame(x=(PauliSum(n=1, ((1+0j))*X),), "
+                        "z=(PauliSum(n=1, ((1+0j))*Z),))"),
+    "ExperimentConfig": (
+        lambda: ExperimentConfig(network="staged", p=0.25, epsilon=0.5, initial_bits="1001",
+                                 stages=8, patterns="sampled:16", seed=3, axes="xx-zz"),
+        ExperimentConfig(network="staged", p=None, epsilon=0.5, initial_bits="1001",
+                         stages=8, patterns="sampled:16", seed=3, axes="xx-zz"),
+        "seed",
+        "ExperimentConfig(network='staged', p=0.25, epsilon=0.5, initial_bits='1001', "
+        "stages=8, patterns='sampled:16', seed=3, axes='xx-zz')"),
+    "DensityMatrix": (lambda: pseudo_pure(1.0, BasisState((1,))), None, "entries",
+                      "DensityMatrix(entries=array([[[0.+0.j, 0.+0.j],\n"
+                      "        [0.+0.j, 1.+0.j]]]))"),
+}
+VALUE_RECORDS = [name for name in RECORDS if name != "DensityMatrix"]
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+class TestRecords:
+    """The eight record types are immutable; the seven value records compare
+    and hash by value, a ``DensityMatrix`` by identity; each prints as a
+    frozen dataclass printed it, and a copy is an equal record."""
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_a_field_can_be_neither_set_nor_deleted(self, name):
+        make, _, field, _ = RECORDS[name]
+        record = make()
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+
+    @pytest.mark.parametrize("name", VALUE_RECORDS)
+    def test_value_records_compare_and_hash_by_value(self, name):
+        make, other, _, _ = RECORDS[name]
+        record, twin = make(), make()
+        assert record is not twin and record == twin and not record != twin
+        assert record != other and record != object()
+        if name == "DescriptorFrame":
+            # its fields hold PauliSums, which define no hash
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin)
+
+    def test_density_matrices_compare_and_hash_by_identity(self):
+        make = RECORDS["DensityMatrix"][0]
+        rho, twin = make(), make()
+        assert rho == rho and rho != twin and not rho == twin
+        assert hash(rho) == hash(rho) and len({rho, twin, rho}) == 2
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_repr_spells_each_field(self, name):
+        make, _, _, spelled = RECORDS[name]
+        assert repr(make()) == spelled
+
+    @pytest.mark.parametrize("way", list(COPIES))
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_a_copy_is_an_equal_record(self, name, way):
+        record = RECORDS[name][0]()
+        copied = COPIES[way](record)
+        assert type(copied) is type(record)
+        if name == "DensityMatrix":
+            assert copied.entries.tobytes() == record.entries.tobytes()
+            assert not copied.entries.flags.writeable
+        else:
+            assert copied == record
+
+    def test_equal_gates_share_one_gate_unitary_entry(self):
+        first, second = partial_swap(0, 3, 0.375), partial_swap(0, 3, 0.375)
+        before = gate_unitary.cache_info()
+        u = gate_unitary(first, 4)
+        assert gate_unitary.cache_info().misses == before.misses + 1
+        assert gate_unitary(second, 4) is u
+        assert gate_unitary.cache_info().hits == before.hits + 1
 
 
 class TestBuildSymmetric:

@@ -1,6 +1,8 @@
 """Unit tests for the symbolic Pauli algebra, checked against a dense oracle."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,16 @@ class TestPauliSum:
         s = PauliSum(2, {"II": 0.25, "XZ": 1.0})
         assert identity_component(s) == 0.25
         assert identity_component(one_word("XZ")) == 0
+
+    @pytest.mark.parametrize("way", [copy.copy, copy.deepcopy,
+                                     lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_an_equal_sum(self, way):
+        for s in (single(4, 1, "x"), PauliSum(2, {"XZ": ATTENUATION, "II": 0.5j})):
+            copied = way(s)
+            assert type(copied) is PauliSum and copied == s and copied.items() == s.items()
+            with pytest.raises(AttributeError, match="immutable"):
+                copied.n = 3
 
 
 class TestCommutator:

@@ -249,14 +249,17 @@ def test_bare_import_loads_no_numpy():
     assert done.stdout == "['medwit']\n"
 
 
-#: each argv's exit code and the engines it loads beside cli, circuits and pauli
+#: each argv's exit code, the engines it loads beside cli, circuits and pauli,
+#: and whether it loads json
 COMMAND_ENGINES = {
-    "staged --patterns sampled:16": (0, ["density", "detect"]),
-    "staged --patterns exhaustive": (0, ["density", "detect"]),
-    "run": (0, ["density", "detect", "heisenberg"]),
-    "sweep": (0, ["density", "heisenberg"]),
-    "table": (0, ["heisenberg"]),
-    "run --p 2": (2, []),
+    "staged --patterns sampled:16": (0, ["density", "detect"], True),
+    "staged --patterns exhaustive": (0, ["density", "detect"], True),
+    "run": (0, ["density", "detect", "heisenberg"], True),
+    "run --format text": (0, ["density", "detect", "heisenberg"], False),
+    "sweep": (0, ["density", "heisenberg"], False),
+    "table": (0, ["heisenberg"], False),
+    "table --format json": (0, ["heisenberg"], True),
+    "run --p 2": (2, [], False),
 }
 
 
@@ -265,22 +268,26 @@ def test_command_loads_no_numpy_random(argv):
     """A fresh interpreter runs the command through ``cli.main``: it loads
     the engines it runs and no other, a config error none, and the seeded
     sample is drawn without ``numpy.random``, whose import costs every
-    sampling command about 18 ms and 5 MB."""
+    sampling command about 18 ms and 5 MB.  No command loads ``dataclasses``,
+    and only a JSON report loads ``json`` (about 1.5 ms); the probe reads
+    both before it imports ``json`` itself."""
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from medwit import cli\n"
         "quiet = io.StringIO()\n"
         "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
         f"    code = cli.main({argv.split()!r})\n"
+        "loaded = [name in sys.modules for name in ('numpy.random', 'json', 'dataclasses')]\n"
+        "import json\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('medwit.')),\n"
-        "                  'numpy.random' in sys.modules]))\n"
+        "                  *loaded]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    code, engines = COMMAND_ENGINES[argv]
+    code, engines, loads_json = COMMAND_ENGINES[argv]
     modules = sorted(f"medwit.{name}" for name in ["circuits", "cli", "pauli", *engines])
-    assert json.loads(done.stdout) == [code, modules, False]
+    assert json.loads(done.stdout) == [code, modules, False, loads_json, False]
 
 
 def test_same_bytes_measures_how_far_outputs_differ():
